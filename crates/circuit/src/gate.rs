@@ -196,21 +196,46 @@ impl Gate {
 
     /// True if the gate's matrix is diagonal in the computational basis.
     pub fn is_diagonal(&self) -> bool {
+        self.diagonal().is_some()
+    }
+
+    /// The diagonal of a gate for which [`is_diagonal`](Self::is_diagonal)
+    /// holds (`None` otherwise): what the diagonal kernels, the folded phase
+    /// tables and chunk-group specialization consume instead of a dense
+    /// matrix.
+    pub fn diagonal(&self) -> Option<Diagonal<'_>> {
+        use std::f64::consts::FRAC_PI_4;
         use Gate::*;
+        const ONE: Complex64 = Complex64::ONE;
+        let one = |q: &u32, d0, d1| Some(Diagonal::One { q: *q, d: [d0, d1] });
+        let two = |a: &u32, b: &u32, d| Some(Diagonal::Two { a: *a, b: *b, d });
         match self {
-            Z(_)
-            | S(_)
-            | Sdg(_)
-            | T(_)
-            | Tdg(_)
-            | Rz(_, _)
-            | P(_, _)
-            | Cz(_, _)
-            | Cp(_, _, _)
-            | Rzz(_, _, _) => true,
-            U1q(_, m) => m.is_diagonal(0.0),
-            Mcu { u, .. } => u.is_diagonal(0.0),
-            _ => false,
+            Z(q) => one(q, ONE, -ONE),
+            S(q) => one(q, ONE, Complex64::I),
+            Sdg(q) => one(q, ONE, -Complex64::I),
+            T(q) => one(q, ONE, Complex64::cis(FRAC_PI_4)),
+            Tdg(q) => one(q, ONE, Complex64::cis(-FRAC_PI_4)),
+            P(q, l) => one(q, ONE, Complex64::cis(*l)),
+            Rz(q, t) => one(q, Complex64::cis(-t / 2.0), Complex64::cis(t / 2.0)),
+            U1q(q, m) if m.is_diagonal(0.0) => one(q, m.0[0], m.0[3]),
+            Cz(a, b) => two(a, b, [ONE, ONE, ONE, -ONE]),
+            Cp(a, b, l) => two(a, b, [ONE, ONE, ONE, Complex64::cis(*l)]),
+            Rzz(a, b, t) => {
+                let e_m = Complex64::cis(-t / 2.0);
+                let e_p = Complex64::cis(t / 2.0);
+                two(a, b, [e_m, e_p, e_p, e_m])
+            }
+            U2q(a, b, m) if m.is_diagonal(0.0) => two(a, b, [m.0[0], m.0[5], m.0[10], m.0[15]]),
+            Mcu {
+                controls,
+                target,
+                u,
+            } if u.is_diagonal(0.0) => Some(Diagonal::Controlled {
+                controls,
+                target: *target,
+                d: [u.0[0], u.0[3]],
+            }),
+            _ => None,
         }
     }
 
@@ -422,6 +447,59 @@ impl fmt::Display for Gate {
                     write!(f, "q[{q}]")?;
                 }
                 Ok(())
+            }
+        }
+    }
+}
+
+/// The diagonal of a diagonal gate, in the gate's own qubit indices.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Diagonal<'a> {
+    /// `diag(d[0], d[1])` on qubit `q`.
+    One {
+        /// The qubit.
+        q: u32,
+        /// Factor by the qubit's bit value.
+        d: [Complex64; 2],
+    },
+    /// A two-qubit diagonal on `(a, b)`, indexed `(bit_b << 1) | bit_a`.
+    Two {
+        /// Low index bit.
+        a: u32,
+        /// High index bit.
+        b: u32,
+        /// Factor by `(bit_b << 1) | bit_a`.
+        d: [Complex64; 4],
+    },
+    /// `diag(d[0], d[1])` on `target` where every control is 1, identity
+    /// elsewhere.
+    Controlled {
+        /// Control qubits.
+        controls: &'a [u32],
+        /// Target qubit.
+        target: u32,
+        /// Factor by the target's bit value when the controls are set.
+        d: [Complex64; 2],
+    },
+}
+
+impl Diagonal<'_> {
+    /// The factor the gate multiplies the amplitude at index `idx` by.
+    #[inline]
+    pub fn factor(&self, idx: usize) -> Complex64 {
+        match self {
+            Diagonal::One { q, d } => d[idx >> q & 1],
+            Diagonal::Two { a, b, d } => d[(idx >> b & 1) << 1 | (idx >> a & 1)],
+            Diagonal::Controlled {
+                controls,
+                target,
+                d,
+            } => {
+                if controls.iter().all(|c| idx >> c & 1 == 1) {
+                    d[idx >> target & 1]
+                } else {
+                    Complex64::ONE
+                }
             }
         }
     }
@@ -687,11 +765,30 @@ mod tests {
             Gate::Rzz(0, 1, 0.3),
             Gate::mcz(&[0, 1], 2),
             Gate::mcp(&[0], 2, 0.5),
+            Gate::U1q(1, mat2_p(0.7)),
+            Gate::U2q(2, 0, Gate::Rzz(0, 1, 0.4).mat4().unwrap()),
         ] {
             assert!(g.is_diagonal(), "{g}");
+            // `diagonal()` is the gate's action: factor(i) scales basis
+            // state |i> exactly as the dense oracle does.
+            let d = g.diagonal().expect("diagonal gate has a diagonal");
+            for i in 0..8usize {
+                let mut state = vec![Complex64::ZERO; 8];
+                state[i] = Complex64::ONE;
+                crate::unitary::apply_gate_dense(3, &mut state, &g);
+                assert!(state[i].approx_eq(d.factor(i), 1e-15), "{g} at {i}");
+            }
         }
-        for g in [Gate::H(0), Gate::X(0), Gate::Cx(0, 1), Gate::Swap(0, 1)] {
+        for g in [
+            Gate::H(0),
+            Gate::X(0),
+            Gate::Cx(0, 1),
+            Gate::Swap(0, 1),
+            Gate::U1q(0, mat2_h()),
+            Gate::U2q(0, 1, Gate::Swap(0, 1).mat4().unwrap()),
+        ] {
             assert!(!g.is_diagonal(), "{g}");
+            assert_eq!(g.diagonal(), None, "{g}");
         }
     }
 

@@ -133,6 +133,11 @@ impl Mat4 {
         self.mul(&self.adjoint()).approx_eq(&Mat4::identity(), tol)
     }
 
+    /// True if off-diagonal elements are ≈ 0 within `tol`.
+    pub fn is_diagonal(&self, tol: f64) -> bool {
+        (0..16).all(|i| i / 4 == i % 4 || self.0[i].norm() <= tol)
+    }
+
     /// Element-wise approximate equality.
     pub fn approx_eq(&self, other: &Mat4, tol: f64) -> bool {
         self.0

@@ -28,9 +28,15 @@ pub enum StoreKind {
 /// [`build_plan`](crate::engine::cpu::build_plan). Fusion never crosses a
 /// stage barrier, and gates touching qubits at or above the chunk width
 /// pass through unfused so a stage's cross-chunk pairing set stays valid.
+///
+/// This is matrix fusion of the plan only. Whatever the level, a chunk
+/// group's gates run through the one cache-blocked apply sweep
+/// ([`apply_all_tiled`](mq_statevec::apply::apply_all_tiled)); on the
+/// device path the level also picks the *modeled* launch charge (one per
+/// gate with `Off`, one per group otherwise).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FusionLevel {
-    /// No fusion; every plan gate is applied as authored.
+    /// No fusion; the plan keeps every gate as authored.
     #[default]
     Off,
     /// Collapse runs of single-qubit gates into `U1q` gates
@@ -249,8 +255,8 @@ pub struct MemQSimConfig {
     /// Which base storage tier holds the chunks (compressed, dense, or
     /// disk-spill).
     pub store_kind: StoreKind,
-    /// Plan-level per-stage gate fusion (fewer gates, fewer buffer passes
-    /// per chunk visit); `Off` reproduces the unfused per-gate apply path.
+    /// Plan-level per-stage gate fusion (fewer, denser gates into the
+    /// blocked apply sweep); `Off` leaves the plan's gates as authored.
     pub fusion: FusionLevel,
     /// How chunks cross the CPU↔GPU link in the hybrid engine (raw
     /// amplitudes, or compressed payloads decoded on the device).

@@ -106,7 +106,6 @@ impl Pipeline {
         for _ in 0..split.apply {
             handles.push(spawn_applier(
                 Arc::clone(&ctx.plan),
-                ctx.cfg,
                 Arc::clone(counters),
                 ctx.telemetry.clone(),
                 apply_rx.clone(),
@@ -260,7 +259,6 @@ fn spawn_decoder(
 
 fn spawn_applier(
     plan: Arc<Plan>,
-    cfg: MemQSimConfig,
     counters: Arc<ApplyCounters>,
     telemetry: Telemetry,
     rx: Receiver<PipeJob>,
@@ -273,7 +271,6 @@ fn spawn_applier(
                 apply_stage_to_group(
                     &plan.stages[job.stage as usize],
                     plan.chunk_bits,
-                    cfg.fusion,
                     job.chunks[0],
                     &mut job.buf,
                     &counters,

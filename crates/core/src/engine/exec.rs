@@ -40,8 +40,9 @@ use mq_circuit::partition::{
 };
 use mq_circuit::Circuit;
 use mq_device::StreamStats;
-use mq_num::parallel::par_for;
+use mq_num::parallel::par_for_with;
 use mq_num::Complex64;
+use mq_statevec::apply::{apply_all_tiled, SweepOp, DEFAULT_TILE_AMPS, DIAG_MAX_BITS};
 use mq_telemetry::{Counter, Role, StageErrorSpend, Telemetry};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -132,7 +133,7 @@ pub struct StageWork<'a> {
 pub struct ExecutorStats {
     /// Gates applied (after specialization).
     pub gates_applied: usize,
-    /// Whole-buffer scalar multiplications applied.
+    /// Outside-qubit scalar factors applied (folded into the apply sweep).
     pub scalars_applied: usize,
     /// Groups routed through a device.
     pub groups_device: usize,
@@ -798,74 +799,89 @@ pub(crate) fn store_group(
     Ok(())
 }
 
-/// Applies one stage's gates, specialized for the group based at
-/// `base_chunk`, to a decompressed group `buffer` — the single apply body
-/// behind the serial loop and the pipelined apply pool, so both paths
-/// count gates/scalars and save passes identically.
-pub(crate) fn apply_stage_to_group(
+/// Specializes one stage's gates for the group based at `base_chunk` into
+/// the ops of one sweep, and counts the gates and scalars — the one step
+/// shared by the CPU apply body and the device pipeline's producer.
+///
+/// The list keeps what decides how folded phase products round the same
+/// under every qubit layout. A scalar stays at its gate's place in the
+/// list, so a diagonal run multiplies the same factors in the same order
+/// whether a gate's qubits lie inside the buffer or outside it. A
+/// [`SweepOp::Cut`] stands wherever the *stage's* gate list ends a
+/// diagonal run although the specialized list might not: where the run
+/// reaches [`DIAG_MAX_BITS`] qubits counting the ones outside the buffer,
+/// and where a pairing gate vanished from this group (an outside control
+/// that is 0). Stage boundaries never split a run, because diagonal gates
+/// pair nothing and so never close a stage.
+pub(crate) fn specialize_stage(
     stage: &Stage,
     chunk_bits: u32,
-    fusion: FusionLevel,
     base_chunk: usize,
-    buffer: &mut [Complex64],
     counters: &ApplyCounters,
-    telemetry: &Telemetry,
-) {
+) -> Vec<SweepOp> {
     let gctx = GroupContext {
         chunk_bits,
         high: &stage.high_qubits,
         base_chunk,
     };
-    if fusion == FusionLevel::Off {
-        // Unfused baseline: one full buffer pass per gate, exactly as
-        // authored.
-        for gate in &stage.gates {
-            match specialize(gate, &gctx) {
-                Specialized::Skip => {}
-                Specialized::Scalar(s) => {
-                    for z in buffer.iter_mut() {
-                        *z *= s;
-                    }
-                    counters.scalars.fetch_add(1, Ordering::Relaxed);
-                }
-                Specialized::Apply(g) => {
-                    mq_statevec::apply::apply_gate(buffer, &g, 1);
-                    counters.gates.fetch_add(1, Ordering::Relaxed);
-                }
+    let mut ops = Vec::with_capacity(stage.gates.len());
+    let (mut gates, mut scalars) = (0usize, 0usize);
+    // Qubits of the open diagonal run, in the stage's own indices.
+    let mut run_support = 0u64;
+    for gate in &stage.gates {
+        let diagonal = gate.is_diagonal();
+        if diagonal {
+            let support = gate.qubits().iter().fold(0u64, |s, q| s | 1 << q);
+            if run_support != 0 && (run_support | support).count_ones() > DIAG_MAX_BITS {
+                ops.push(SweepOp::Cut);
+                run_support = 0;
+            }
+            run_support |= support;
+        } else {
+            run_support = 0;
+        }
+        match specialize(gate, &gctx) {
+            Specialized::Skip if diagonal => {}
+            Specialized::Skip => ops.push(SweepOp::Cut),
+            Specialized::Scalar(s) => {
+                ops.push(SweepOp::Scalar(s));
+                scalars += 1;
+            }
+            Specialized::Apply(g) => {
+                ops.push(SweepOp::Gate(g));
+                gates += 1;
             }
         }
-    } else {
-        // Fused path: specialize the whole stage first (scalars fold
-        // into one factor), then run the cache-blocked sweep.
-        let mut gates = Vec::with_capacity(stage.gates.len());
-        let mut scalar = Complex64::ONE;
-        for gate in &stage.gates {
-            match specialize(gate, &gctx) {
-                Specialized::Skip => {}
-                Specialized::Scalar(s) => {
-                    scalar *= s;
-                    counters.scalars.fetch_add(1, Ordering::Relaxed);
-                }
-                Specialized::Apply(g) => gates.push(g),
-            }
-        }
-        if scalar != Complex64::ONE {
-            for z in buffer.iter_mut() {
-                *z *= scalar;
-            }
-        }
-        let stats = mq_statevec::apply::apply_all(buffer, &gates, 1);
-        counters.gates.fetch_add(stats.gates, Ordering::Relaxed);
-        if stats.passes_saved() > 0 {
-            telemetry.add(Counter::ApplyPassesSaved, stats.passes_saved() as u64);
-        }
+    }
+    counters.gates.fetch_add(gates, Ordering::Relaxed);
+    counters.scalars.fetch_add(scalars, Ordering::Relaxed);
+    ops
+}
+
+/// Applies one stage's gates, specialized for the group based at
+/// `base_chunk`, to a decompressed group `buffer` — the single apply body
+/// behind the serial loop and the pipelined apply pool (and, through the
+/// device stream's kernel command, the device pipeline): specialize, then
+/// one cache-blocked [`apply_all_tiled`] sweep.
+pub(crate) fn apply_stage_to_group(
+    stage: &Stage,
+    chunk_bits: u32,
+    base_chunk: usize,
+    buffer: &mut [Complex64],
+    counters: &ApplyCounters,
+    telemetry: &Telemetry,
+) {
+    let ops = specialize_stage(stage, chunk_bits, base_chunk, counters);
+    let stats = apply_all_tiled(buffer, &ops, 1, DEFAULT_TILE_AMPS);
+    if stats.passes_saved() > 0 {
+        telemetry.add(Counter::ApplyPassesSaved, stats.passes_saved() as u64);
     }
 }
 
 /// Processes a slice of one stage's groups entirely on CPU workers:
-/// decompress → specialize+apply → recompress, distributed with `par_for`.
-/// The single implementation behind the serial CPU executor path and the
-/// hybrid executor's "idle core" share (paper Fig. 2 step 5).
+/// decompress → specialize+apply → recompress, distributed with
+/// `par_for_with`. The single implementation behind the serial CPU executor
+/// path and the hybrid executor's "idle core" share (paper Fig. 2 step 5).
 pub(crate) fn process_groups_on_cpu(
     ctx: &ExecContext,
     work: &StageWork<'_>,
@@ -875,17 +891,19 @@ pub(crate) fn process_groups_on_cpu(
     let chunk_amps = ctx.chunk_amps();
     let chunk_bits = ctx.plan.chunk_bits;
     let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
-    par_for(groups.len(), ctx.cfg.workers, |gi| {
+    // One group buffer per worker, reused across its groups: the loader
+    // overwrites every slot, so only a size change re-allocates.
+    par_for_with(groups.len(), ctx.cfg.workers, Vec::new, |buffer, gi| {
         if first_error.lock().is_some() {
             return;
         }
         let group = &groups[gi];
-        let mut buffer = vec![Complex64::ZERO; group.len() * chunk_amps];
+        buffer.resize(group.len() * chunk_amps, Complex64::ZERO);
 
         // Decompress members into their buffer slots.
         {
             let _span = ctx.telemetry.stage_span(Role::Decompress, work.index);
-            if let Err(e) = load_group(&*ctx.store, group, &mut buffer, chunk_amps) {
+            if let Err(e) = load_group(&*ctx.store, group, buffer, chunk_amps) {
                 *first_error.lock() = Some(e);
                 return;
             }
@@ -897,9 +915,8 @@ pub(crate) fn process_groups_on_cpu(
             apply_stage_to_group(
                 work.stage,
                 chunk_bits,
-                ctx.cfg.fusion,
                 group[0],
-                &mut buffer,
+                buffer,
                 counters,
                 &ctx.telemetry,
             );
@@ -907,7 +924,7 @@ pub(crate) fn process_groups_on_cpu(
 
         // Recompress.
         let _span = ctx.telemetry.stage_span(Role::Recompress, work.index);
-        if let Err(e) = store_group(&*ctx.store, group, &buffer, chunk_amps) {
+        if let Err(e) = store_group(&*ctx.store, group, buffer, chunk_amps) {
             *first_error.lock() = Some(e);
         }
     });
@@ -1168,5 +1185,47 @@ mod tests {
         }
         // Neither failed run reached the executor.
         assert_eq!(mock.into_inner().prepared, 0);
+    }
+
+    #[test]
+    fn specialized_ops_cut_where_the_stage_list_ends_a_diagonal_run() {
+        use mq_circuit::Gate;
+        // chunk_bits 2, no high qubits: qubits 2.. are outside the buffer.
+        let ops = |gates: Vec<Gate>, base_chunk: usize| {
+            let counters = ApplyCounters::default();
+            let ops = specialize_stage(&Stage::new(gates, vec![]), 2, base_chunk, &counters);
+            let count = |f: fn(&SweepOp) -> bool| ops.iter().filter(|op| f(op)).count();
+            assert_eq!(
+                counters.gates.load(Ordering::Relaxed),
+                count(|op| matches!(op, SweepOp::Gate(_)))
+            );
+            assert_eq!(
+                counters.scalars.load(Ordering::Relaxed),
+                count(|op| matches!(op, SweepOp::Scalar(_)))
+            );
+            ops
+        };
+        let (t, z) = (Gate::T(0), Gate::Z(1));
+        let (gt, gz) = (SweepOp::Gate(t.clone()), SweepOp::Gate(z.clone()));
+
+        // A scalar keeps its gate's place in the run.
+        let rz = Complex64::cis(0.25);
+        let list = vec![t.clone(), Gate::Rz(3, 0.5), z.clone()];
+        let want = vec![gt.clone(), SweepOp::Scalar(rz), gz.clone()];
+        assert_eq!(ops(list, 0b10), want);
+
+        // A pairing gate that vanishes from the group still ends the run; a
+        // diagonal one that does (its factor is one) does not.
+        let list = vec![t.clone(), Gate::Cx(2, 1), z.clone()];
+        assert_eq!(ops(list, 0), vec![gt.clone(), SweepOp::Cut, gz.clone()]);
+        let list = vec![t.clone(), Gate::Cz(2, 1), z.clone()];
+        assert_eq!(ops(list, 0), vec![gt.clone(), gz.clone()]);
+
+        // A run is cut at DIAG_MAX_BITS qubits, counting the outside ones.
+        let chain: Vec<Gate> = (0..=DIAG_MAX_BITS).map(Gate::Z).collect();
+        let got = ops(chain, usize::MAX);
+        let cut = got.iter().position(|op| *op == SweepOp::Cut);
+        assert_eq!(cut, Some(DIAG_MAX_BITS as usize));
+        assert_eq!(got.len(), DIAG_MAX_BITS as usize + 2);
     }
 }

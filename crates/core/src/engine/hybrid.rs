@@ -31,18 +31,18 @@
 
 use crate::config::{FusionLevel, MemQSimConfig, TransferMode};
 use crate::engine::exec::{
-    apply_remap_on_store, process_groups_on_cpu, run_with_executor, ApplyCounters, ExecContext,
-    ExecutorStats, SerialAdapter, StageBatchExecutor, StageWork,
+    apply_remap_on_store, process_groups_on_cpu, run_with_executor, specialize_stage,
+    ApplyCounters, ExecContext, ExecutorStats, SerialAdapter, StageBatchExecutor, StageWork,
 };
 use crate::engine::{EngineError, Granularity, RunReport};
-use crate::specialize::{specialize, GroupContext, Specialized};
 use crate::store::ChunkStore;
 use crossbeam::channel::{bounded, RecvTimeoutError};
 use mq_circuit::partition::RemapTransition;
-use mq_circuit::{Circuit, Gate};
+use mq_circuit::Circuit;
 use mq_compress::{decompress_complex, Codec, CodecError};
 use mq_device::{Device, DeviceBuffer, PayloadCell, PinnedBuffer, Stream, StreamStats};
 use mq_num::Complex64;
+use mq_statevec::apply::SweepOp;
 use mq_telemetry::{DeviceLane, Role};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -55,8 +55,8 @@ struct Work {
     amps: usize,
     slot: usize,
     stage: u32,
-    gates: Vec<Gate>,
-    scalar: Complex64,
+    /// The stage specialized to this group: one kernel command.
+    ops: Vec<SweepOp>,
     /// Compressed transfer: per-chunk codec payloads shipped to the
     /// device-side decoder in place of the staged raw copy. `None` = raw
     /// staging path (always, under [`TransferMode::Raw`]; per group, when
@@ -87,8 +87,7 @@ fn fetch_payloads(
 }
 
 /// Commits a compressed group's device-encoded payloads back to the store.
-/// The group scalar was already folded in by the device encode kernel, so
-/// the payloads land verbatim; a tier that refuses a payload gets a host
+/// The payloads land verbatim; a tier that refuses a payload gets a host
 /// decode + raw store instead.
 fn complete_compressed(
     store: &Arc<dyn ChunkStore>,
@@ -346,8 +345,7 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
         let lanes = &self.lanes;
         let lane_groups = &self.lane_groups;
         let n_dev = self.devices.len();
-        let gate_counter = &self.counters.gates;
-        let scalar_counter = &self.counters.scalars;
+        let counters = &self.counters;
         let slots = self.slots;
         let pipelined = self.pipelined;
         let codec = self.codec.clone();
@@ -355,9 +353,14 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
         let si = work.index;
         let stage = work.stage;
         let chunk_bits = ctx.plan.chunk_bits;
-        // With fusion on, a group's whole gate list becomes one batched
-        // kernel command (single modeled launch, blocked apply body).
+        // A group's op list is one kernel command whose body is the CPU
+        // path's blocked sweep. Fusion only changes the modeled charge: one
+        // launch for the list instead of one per gate.
         let fuse_kernels = ctx.cfg.fusion != FusionLevel::Off;
+        let run_gates = move |s: &Stream, db: DeviceBuffer, work: &mut Work| {
+            let ops = std::mem::take(&mut work.ops);
+            s.run_gates_region(db, work.amps, ops, fuse_kernels);
+        };
 
         let stage_groups_device = AtomicUsize::new(0);
         let error: Mutex<Option<EngineError>> = Mutex::new(None);
@@ -405,8 +408,8 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
                                 // Compressed transfer: the payloads go over the
                                 // link as-is and a device-side codec kernel
                                 // inflates them; on the way back, an encode
-                                // kernel folds in the group scalar and the
-                                // payload cells carry the bytes home.
+                                // kernel fills the payload cells that carry
+                                // the bytes home.
                                 let payloads = work.payloads.take();
                                 let device_codec = payloads.is_some();
                                 let upload = |s: &Stream| match payloads {
@@ -432,7 +435,6 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
                                                 db,
                                                 j * chunk_amps,
                                                 chunk_amps,
-                                                work.scalar,
                                                 codec,
                                             ));
                                         }
@@ -451,17 +453,7 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
                                         upload(copy_stream);
                                         let uploaded = copy_stream.record_event();
                                         compute.wait_event(&uploaded);
-                                        if fuse_kernels {
-                                            compute.run_fused_gates_region(
-                                                db,
-                                                work.amps,
-                                                work.gates.clone(),
-                                            );
-                                        } else {
-                                            for g in &work.gates {
-                                                compute.run_gate_region(db, work.amps, g.clone());
-                                            }
-                                        }
+                                        run_gates(compute, db, &mut work);
                                         let kernels_done = compute.record_event();
                                         down.wait_event(&kernels_done);
                                         download(down, &mut work);
@@ -469,25 +461,7 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
                                     }
                                     None => {
                                         upload(copy_stream);
-                                        if fuse_kernels {
-                                            // One batched kernel over the leading
-                                            // `amps` region of the slot buffer.
-                                            copy_stream.run_fused_gates_region(
-                                                db,
-                                                work.amps,
-                                                work.gates.clone(),
-                                            );
-                                        } else {
-                                            for g in &work.gates {
-                                                // The kernel operates on the leading
-                                                // `amps` region of the slot buffer.
-                                                copy_stream.run_gate_region(
-                                                    db,
-                                                    work.amps,
-                                                    g.clone(),
-                                                );
-                                            }
-                                        }
+                                        run_gates(copy_stream, db, &mut work);
                                         download(copy_stream, &mut work);
                                         copy_stream.record_event()
                                     }
@@ -528,15 +502,9 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
                                 let _span =
                                     completer_telemetry.stage_span(Role::Recompress, work.stage);
                                 if work.cells.is_empty() {
-                                    // Raw path: scalar-fold on the host, then
-                                    // recompress chunk by chunk.
+                                    // Raw path: recompress chunk by chunk.
                                     let mut failed = None;
                                     pinned[work.slot].write(|data| {
-                                        if work.scalar != Complex64::ONE {
-                                            for z in &mut data[..work.amps] {
-                                                *z *= work.scalar;
-                                            }
-                                        }
                                         for (j, &chunk) in work.group.iter().enumerate() {
                                             if let Err(e) = store.store_chunk(
                                                 chunk,
@@ -622,31 +590,13 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
                     break 'groups;
                 }
 
-                let gctx = GroupContext {
-                    chunk_bits,
-                    high: &stage.high_qubits,
-                    base_chunk: group[0],
-                };
-                let mut gates = Vec::new();
-                let mut scalar = Complex64::ONE;
-                for gate in &stage.gates {
-                    match specialize(gate, &gctx) {
-                        Specialized::Skip => {}
-                        Specialized::Scalar(s) => {
-                            scalar *= s;
-                            scalar_counter.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Specialized::Apply(g) => gates.push(g),
-                    }
-                }
-                gate_counter.fetch_add(gates.len(), Ordering::Relaxed);
+                let ops = specialize_stage(stage, chunk_bits, group[0], counters);
                 let work = Work {
                     group: group.clone(),
                     amps,
                     slot,
                     stage: si,
-                    gates,
-                    scalar,
+                    ops,
                     payloads,
                     cells: Vec::new(),
                 };
@@ -1101,8 +1051,8 @@ mod compressed_transfer_tests {
 
     #[test]
     fn compressed_mode_is_bit_identical_to_raw() {
-        // Device-side encode applies the group scalar before compressing,
-        // so the stored payloads match the raw path byte for byte — even
+        // The group's scalars ride its kernel command in both modes, so the
+        // device-side encode's payloads match the raw path byte for byte — even
         // under a lossy codec the final states are identical, not just
         // close.
         for codec in [CodecSpec::Fpc, CodecSpec::Sz { eb: 1e-9 }] {

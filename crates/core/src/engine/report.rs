@@ -43,12 +43,14 @@ pub struct RunReport {
     pub chunk_visits: usize,
     /// Gates applied (after specialization; skipped gates not counted).
     pub gates_applied: usize,
-    /// Whole-buffer scalar multiplications applied.
+    /// Outside-qubit scalar factors applied (folded into the apply sweep).
     pub scalars_applied: usize,
     /// Gates eliminated by plan-level fusion (0 with `FusionLevel::Off`).
     pub gates_fused: usize,
-    /// Amplitude-buffer passes avoided by the blocked apply driver,
-    /// summed over every chunk visit (0 with `FusionLevel::Off`).
+    /// Amplitude-buffer passes the blocked apply sweep avoided against one
+    /// pass per applied gate and scalar, summed over every chunk visit:
+    /// `gates_applied + scalars_applied - apply_passes_saved` passes were
+    /// made.
     pub apply_passes_saved: usize,
     /// Layout remap transitions executed (stage transitions plus the
     /// restore-to-identity epilogue; 0 under `LayoutPolicy::Fixed`).

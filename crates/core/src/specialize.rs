@@ -15,7 +15,7 @@
 //! specialization is always possible; hitting the `unreachable!` arms means
 //! the plan was built with the wrong config.
 
-use mq_circuit::gate::Gate;
+use mq_circuit::gate::{Diagonal, Gate};
 use mq_circuit::matrix::Mat2;
 use mq_num::Complex64;
 
@@ -62,27 +62,33 @@ impl<'a> GroupContext<'a> {
     }
 }
 
-/// Specializes `gate` to the chunk group described by `ctx`.
+/// Specializes `gate` to the chunk group described by `ctx`. A diagonal
+/// gate stays diagonal: the result is `Skip`, `Scalar`, or a gate for which
+/// [`Gate::is_diagonal`] holds, so it reaches the diagonal kernels and the
+/// folded phase tables, never a dense matrix kernel.
 pub fn specialize(gate: &Gate, ctx: &GroupContext<'_>) -> Specialized {
     use Gate::*;
     match gate {
         // --- single-qubit gates -------------------------------------------
-        H(q) | X(q) | Y(q) | Sx(q) | Sxdg(q) | Rx(q, _) | Ry(q, _) | U3(q, _, _, _) => {
-            match ctx.map(*q) {
-                Ok(l) => Specialized::Apply(remap_1q(gate, l)),
-                Err(_) => unreachable!("pairing gate {gate} on outside qubit"),
-            }
-        }
-        Z(q) | S(q) | Sdg(q) | T(q) | Tdg(q) | Rz(q, _) | P(q, _) => match ctx.map(*q) {
-            Ok(l) => Specialized::Apply(remap_1q(gate, l)),
-            Err(bit) => scalar_from_diag(diag_of_1q(gate), bit),
-        },
-        U1q(q, m) => match ctx.map(*q) {
-            Ok(l) => Specialized::Apply(U1q(l, *m)),
-            Err(bit) => {
-                assert!(m.is_diagonal(0.0), "pairing U1q on outside qubit");
-                scalar_from_diag((m.0[0], m.0[3]), bit)
-            }
+        H(q)
+        | X(q)
+        | Y(q)
+        | Z(q)
+        | S(q)
+        | Sdg(q)
+        | T(q)
+        | Tdg(q)
+        | Sx(q)
+        | Sxdg(q)
+        | Rx(q, _)
+        | Ry(q, _)
+        | Rz(q, _)
+        | P(q, _)
+        | U3(q, _, _, _)
+        | U1q(q, _) => match (ctx.map(*q), gate.diagonal()) {
+            (Ok(l), _) => Specialized::Apply(remap_1q(gate, l)),
+            (Err(bit), Some(Diagonal::One { d, .. })) => scalar(d[bit as usize]),
+            (Err(_), _) => unreachable!("pairing gate {gate} on outside qubit"),
         },
         // --- controlled-pairing gates -------------------------------------
         Cx(c, t) | Cy(c, t) => {
@@ -103,32 +109,22 @@ pub fn specialize(gate: &Gate, ctx: &GroupContext<'_>) -> Specialized {
             }
         }
         // --- diagonal two-qubit gates --------------------------------------
-        Cz(a, b) => specialize_diag2(ctx, *a, *b, |ba, bb| {
-            if ba && bb {
-                -Complex64::ONE
-            } else {
-                Complex64::ONE
+        Cz(a, b) | Cp(a, b, _) | Rzz(a, b, _) => {
+            let Some(Diagonal::Two { d, .. }) = gate.diagonal() else {
+                unreachable!("{gate} is a two-qubit diagonal");
+            };
+            let f = |ba: bool, bb: bool| d[(bb as usize) << 1 | ba as usize];
+            match (ctx.map(*a), ctx.map(*b)) {
+                (Ok(la), Ok(lb)) => Specialized::Apply(match gate {
+                    Cz(..) => Cz(la, lb),
+                    Cp(_, _, l) => Cp(la, lb, *l),
+                    Rzz(_, _, t) => Rzz(la, lb, *t),
+                    _ => unreachable!(),
+                }),
+                (Ok(la), Err(bb)) => diag1_apply(la, f(false, bb), f(true, bb)),
+                (Err(ba), Ok(lb)) => diag1_apply(lb, f(ba, false), f(ba, true)),
+                (Err(ba), Err(bb)) => scalar(f(ba, bb)),
             }
-        }),
-        Cp(a, b, l) => {
-            let phase = Complex64::cis(*l);
-            specialize_diag2(
-                ctx,
-                *a,
-                *b,
-                move |ba, bb| {
-                    if ba && bb {
-                        phase
-                    } else {
-                        Complex64::ONE
-                    }
-                },
-            )
-        }
-        Rzz(a, b, t) => {
-            let e_m = Complex64::cis(-t / 2.0);
-            let e_p = Complex64::cis(t / 2.0);
-            specialize_diag2(ctx, *a, *b, move |ba, bb| if ba == bb { e_m } else { e_p })
         }
         // --- two-qubit pairing gates ----------------------------------------
         Swap(a, b) => match (ctx.map(*a), ctx.map(*b)) {
@@ -169,8 +165,8 @@ pub fn specialize(gate: &Gate, ctx: &GroupContext<'_>) -> Specialized {
                 Err(bit) => {
                     // Outside target: must be diagonal (planner guarantee).
                     assert!(u.is_diagonal(0.0), "pairing mcu target outside buffer");
-                    let scalar = if bit { u.0[3] } else { u.0[0] };
-                    controlled_scalar(&kept, scalar)
+                    let s = if bit { u.0[3] } else { u.0[0] };
+                    controlled_scalar(&kept, s)
                 }
             }
         }
@@ -201,14 +197,8 @@ fn remap_1q(gate: &Gate, l: u32) -> Gate {
     }
 }
 
-/// Diagonal `(d0, d1)` of a diagonal single-qubit gate.
-fn diag_of_1q(gate: &Gate) -> (Complex64, Complex64) {
-    let m = gate.mat2().expect("diagonal 1q gate");
-    (m.0[0], m.0[3])
-}
-
-fn scalar_from_diag(d: (Complex64, Complex64), bit: bool) -> Specialized {
-    let s = if bit { d.1 } else { d.0 };
+/// A whole-buffer factor: nothing to do when it is exactly one.
+fn scalar(s: Complex64) -> Specialized {
     if s == Complex64::ONE {
         Specialized::Skip
     } else {
@@ -216,37 +206,7 @@ fn scalar_from_diag(d: (Complex64, Complex64), bit: bool) -> Specialized {
     }
 }
 
-/// Specializes a diagonal 2q gate with diagonal factor `f(bit_a, bit_b)`.
-fn specialize_diag2(
-    ctx: &GroupContext<'_>,
-    a: u32,
-    b: u32,
-    f: impl Fn(bool, bool) -> Complex64,
-) -> Specialized {
-    match (ctx.map(a), ctx.map(b)) {
-        (Ok(la), Ok(lb)) => {
-            // Representable: emit as U2q? Cheaper: keep as a diagonal gate.
-            // Reconstruct the original gate shape via a diagonal U2q.
-            let mut m = mq_circuit::matrix::Mat4::identity();
-            m.0[0] = f(false, false);
-            m.0[5] = f(true, false);
-            m.0[10] = f(false, true);
-            m.0[15] = f(true, true);
-            Specialized::Apply(Gate::U2q(la, lb, m))
-        }
-        (Ok(la), Err(bb)) => diag1_apply(la, f(false, bb), f(true, bb)),
-        (Err(ba), Ok(lb)) => diag1_apply(lb, f(ba, false), f(ba, true)),
-        (Err(ba), Err(bb)) => {
-            let s = f(ba, bb);
-            if s == Complex64::ONE {
-                Specialized::Skip
-            } else {
-                Specialized::Scalar(s)
-            }
-        }
-    }
-}
-
+/// `diag(d0, d1)` on buffer qubit `l`, as a diagonal `U1q`.
 fn diag1_apply(l: u32, d0: Complex64, d1: Complex64) -> Specialized {
     if d0 == Complex64::ONE && d1 == Complex64::ONE {
         return Specialized::Skip;
@@ -257,27 +217,21 @@ fn diag1_apply(l: u32, d0: Complex64, d1: Complex64) -> Specialized {
     ))
 }
 
-/// "Multiply amplitudes with all `controls` set by `scalar`" as a gate.
-fn controlled_scalar(controls: &[u32], scalar: Complex64) -> Specialized {
-    if scalar == Complex64::ONE {
+/// "Multiply amplitudes with all `controls` set by `s`" as a diagonal gate.
+fn controlled_scalar(controls: &[u32], s: Complex64) -> Specialized {
+    if s == Complex64::ONE {
         return Specialized::Skip;
     }
     let mut cs = controls.to_vec();
     cs.sort_unstable();
     match cs.split_last() {
-        None => Specialized::Scalar(scalar),
-        Some((&last, rest)) => {
-            let u = Mat2::new(Complex64::ONE, Complex64::ZERO, Complex64::ZERO, scalar);
-            if rest.is_empty() {
-                Specialized::Apply(Gate::U1q(last, u))
-            } else {
-                Specialized::Apply(Gate::Mcu {
-                    controls: rest.to_vec(),
-                    target: last,
-                    u,
-                })
-            }
-        }
+        None => Specialized::Scalar(s),
+        Some((&last, [])) => diag1_apply(last, Complex64::ONE, s),
+        Some((&last, rest)) => Specialized::Apply(Gate::Mcu {
+            controls: rest.to_vec(),
+            target: last,
+            u: Mat2::new(Complex64::ONE, Complex64::ZERO, Complex64::ZERO, s),
+        }),
     }
 }
 
@@ -449,15 +403,136 @@ mod tests {
 
     #[test]
     fn high_qubit_diag2_stays_in_buffer() {
-        // Cp between a local and an H qubit: full U2q inside the buffer.
+        // Cp between a local and an H qubit: the same gate, remapped.
         let high = [6u32];
         let c = ctx(4, &high, 0);
-        match specialize(&Gate::Cp(2, 6, 0.3), &c) {
-            Specialized::Apply(Gate::U2q(2, 4, m)) => {
-                assert!(m.0[15].approx_eq(Complex64::cis(0.3), 1e-15));
+        assert_eq!(
+            specialize(&Gate::Cp(2, 6, 0.3), &c),
+            Specialized::Apply(Gate::Cp(2, 4, 0.3))
+        );
+        assert_eq!(
+            specialize(&Gate::Rzz(6, 1, 0.3), &c),
+            Specialized::Apply(Gate::Rzz(4, 1, 0.3))
+        );
+    }
+
+    /// Specializes `gate` for every group of a 6-qubit register (chunks of
+    /// 2 qubits, qubit 3 the stage's high qubit, qubits 2, 4 and 5 outside),
+    /// applies the result to the gathered group buffer and holds it against
+    /// the dense oracle. Returns every outcome seen.
+    fn specialize_all_groups(gate: &Gate) -> Vec<Specialized> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const N: u32 = 6;
+        const CHUNK_BITS: u32 = 2;
+        let high = [3u32];
+        let mut rng = StdRng::seed_from_u64(5);
+        let psi: Vec<Complex64> = (0..1usize << N)
+            .map(|_| c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let mut want = psi.clone();
+        mq_circuit::unitary::apply_gate_dense(N, &mut want, gate);
+
+        let mut seen = Vec::new();
+        for base_chunk in 0..1usize << (N - CHUNK_BITS) {
+            if base_chunk >> (high[0] - CHUNK_BITS) & 1 == 1 {
+                continue; // the group's other member
             }
-            other => panic!("unexpected {other:?}"),
+            let c = ctx(CHUNK_BITS, &high, base_chunk);
+            // Buffer index -> global index: local bits, then the high bit.
+            let global = |j: usize| {
+                let local = j & ((1 << CHUNK_BITS) - 1);
+                let h = j >> CHUNK_BITS & 1;
+                (base_chunk << CHUNK_BITS) | (h << high[0]) | local
+            };
+            let len = 1usize << c.buffer_qubits();
+            let mut buffer: Vec<Complex64> = (0..len).map(|j| psi[global(j)]).collect();
+            let out = specialize(gate, &c);
+            match &out {
+                Specialized::Skip => {}
+                Specialized::Scalar(s) => buffer.iter_mut().for_each(|z| *z *= *s),
+                Specialized::Apply(g) => {
+                    assert!(g.is_diagonal(), "{gate} specialized to dense {g}");
+                    mq_statevec::apply::apply_gate(&mut buffer, g, 1);
+                }
+            }
+            for (j, z) in buffer.iter().enumerate() {
+                assert!(
+                    z.approx_eq(want[global(j)], 1e-12),
+                    "{gate} group {base_chunk} index {j}: {out:?}"
+                );
+            }
+            seen.push(out);
         }
+        seen
+    }
+
+    #[test]
+    fn diagonal_gates_stay_diagonal_in_every_placement() {
+        let applies = |s: &Specialized| matches!(s, Specialized::Apply(_));
+        let scales = |s: &Specialized| matches!(s, Specialized::Scalar(_));
+
+        // Single-qubit kinds: in the buffer (local, high) or outside with
+        // the bit at 0 and at 1 (every group is visited).
+        let kinds_1q: [fn(u32) -> Gate; 5] = [
+            Gate::Z,
+            Gate::S,
+            Gate::T,
+            |q| Gate::P(q, 0.7),
+            |q| Gate::Rz(q, 1.1),
+        ];
+        for mk in kinds_1q {
+            for q in [0, 3] {
+                assert!(specialize_all_groups(&mk(q)).iter().all(applies));
+            }
+            for q in [2, 5] {
+                let seen = specialize_all_groups(&mk(q));
+                assert!(!seen.iter().any(applies), "{seen:?}");
+                assert!(seen.iter().any(scales), "{seen:?}");
+            }
+        }
+
+        // Two-qubit kinds over in/in, in/out (bit 0 and 1, both argument
+        // orders) and out/out.
+        let kinds_2q: [fn(u32, u32) -> Gate; 3] = [
+            Gate::Cz,
+            |a, b| Gate::Cp(a, b, 0.9),
+            |a, b| Gate::Rzz(a, b, 0.6),
+        ];
+        for mk in kinds_2q {
+            for (a, b) in [(0, 1), (1, 3), (3, 0)] {
+                assert!(specialize_all_groups(&mk(a, b)).iter().all(applies));
+            }
+            for (a, b) in [(1, 4), (4, 1), (3, 2), (5, 0)] {
+                let seen = specialize_all_groups(&mk(a, b));
+                assert!(!seen.iter().any(scales), "{seen:?}");
+                assert!(seen.iter().any(applies), "{seen:?}");
+            }
+            for (a, b) in [(2, 4), (5, 2)] {
+                let seen = specialize_all_groups(&mk(a, b));
+                assert!(!seen.iter().any(applies), "{seen:?}");
+                assert!(seen.iter().any(scales), "{seen:?}");
+            }
+        }
+
+        // mcz: all inside, an outside control, an outside target (one and
+        // two controls left), everything outside.
+        assert!(specialize_all_groups(&Gate::mcz(&[0, 3], 1))
+            .iter()
+            .all(applies));
+        for g in [
+            Gate::mcz(&[0, 4], 1),
+            Gate::mcz(&[1], 5),
+            Gate::mcz(&[0, 3], 2),
+        ] {
+            let seen = specialize_all_groups(&g);
+            assert!(!seen.iter().any(scales), "{seen:?}");
+            assert!(seen.iter().any(applies), "{seen:?}");
+            assert!(seen.contains(&Specialized::Skip), "{seen:?}");
+        }
+        let seen = specialize_all_groups(&Gate::mcz(&[2, 4], 5));
+        assert!(!seen.iter().any(applies), "{seen:?}");
+        assert!(seen.contains(&Specialized::Scalar(c64(-1.0, 0.0))));
     }
 
     #[test]

@@ -68,9 +68,7 @@ impl CompressionBackend for DeviceCodecBackend {
         let buf = self.device.alloc(amps.len()).map_err(device_err)?;
         let staging = PinnedBuffer::from_slice(amps);
         self.stream.h2d(&staging, 0, buf, 0, amps.len());
-        let cell = self
-            .stream
-            .encode_chunk(buf, 0, amps.len(), Complex64::ONE, &self.codec);
+        let cell = self.stream.encode_chunk(buf, 0, amps.len(), &self.codec);
         let sync = self.stream.synchronize();
         let _ = self.device.free(buf);
         sync.map_err(device_err)?;

@@ -18,6 +18,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use mq_circuit::Gate;
 use mq_compress::{compress_complex, decompress_complex, Codec};
 use mq_num::Complex64;
+use mq_statevec::apply::{apply_all_tiled, SweepOp, DEFAULT_TILE_AMPS};
 use mq_telemetry::{Counter, Telemetry};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::sync::Arc;
@@ -278,15 +279,12 @@ enum Command {
         dst_off: usize,
         len: usize,
     },
-    RunGate {
+    RunGates {
         buf: DeviceBuffer,
         amps: usize,
-        gate: Gate,
-    },
-    RunFusedGates {
-        buf: DeviceBuffer,
-        amps: usize,
-        gates: Vec<Gate>,
+        ops: Vec<SweepOp>,
+        /// Modeled as one launch for the whole list instead of one per gate.
+        fused: bool,
     },
     DecodeChunk {
         payload: Vec<u8>,
@@ -299,7 +297,6 @@ enum Command {
         src: DeviceBuffer,
         src_off: usize,
         amps: usize,
-        scalar: Complex64,
         codec: Arc<dyn Codec>,
         out: PayloadCell,
     },
@@ -453,27 +450,28 @@ impl Stream {
     /// Enqueues a gate kernel over the whole buffer (the gate's qubit
     /// indices address within the buffer).
     pub fn run_gate(&self, buf: DeviceBuffer, gate: Gate) {
-        let amps = buf.len();
-        self.send(Command::RunGate { buf, amps, gate });
+        self.run_gates_region(buf, buf.len(), vec![SweepOp::Gate(gate)], false);
     }
 
-    /// Enqueues a gate kernel over the leading `amps` amplitudes of the
-    /// buffer (`amps` must be a power of two). Used when a working buffer
-    /// is larger than the live group staged in it.
-    pub fn run_gate_region(&self, buf: DeviceBuffer, amps: usize, gate: Gate) {
-        self.send(Command::RunGate { buf, amps, gate });
-    }
-
-    /// Enqueues one *fused* kernel applying `gates` in order over the
-    /// leading `amps` amplitudes of the buffer: a single launch (one launch
-    /// overhead charged, one `kernel_launches` tick) whose body runs the
-    /// cache-blocked [`apply_all`](mq_statevec::apply::apply_all) sweep.
-    /// Amplitude work is still charged per gate. No-op for an empty list.
-    pub fn run_fused_gates_region(&self, buf: DeviceBuffer, amps: usize, gates: Vec<Gate>) {
-        if gates.is_empty() {
+    /// Enqueues `ops`, in order, on the leading `amps` amplitudes of the
+    /// buffer (`amps` must be a power of two; a working buffer may be larger
+    /// than the live group staged in it). The body is the host engine's
+    /// cache-blocked [`apply_all_tiled`] sweep, so device and host results
+    /// are bit-identical. `fused` picks the *modeled* charge only: one
+    /// kernel launch (and `kernel_launches` tick) per gate, or a single
+    /// launch for the whole list with the amplitude work still charged per
+    /// gate ([`DeviceSpec::fused_kernel_time`]). Scalars ride a kernel for
+    /// free. No-op for a list without a gate or scalar.
+    pub fn run_gates_region(&self, buf: DeviceBuffer, amps: usize, ops: Vec<SweepOp>, fused: bool) {
+        if ops.iter().all(|op| matches!(op, SweepOp::Cut)) {
             return;
         }
-        self.send(Command::RunFusedGates { buf, amps, gates });
+        self.send(Command::RunGates {
+            buf,
+            amps,
+            ops,
+            fused,
+        });
     }
 
     /// Enqueues a compressed upload: ships `payload` over the H2D link and
@@ -500,20 +498,19 @@ impl Stream {
         });
     }
 
-    /// Enqueues the write-back mirror of [`Stream::decode_chunk`]: scales
-    /// `amps` amplitudes at `src[src_off..]` by `scalar`, encodes them with
-    /// `codec` on the device ([`DeviceSpec::encode_kernel_time`]) and ships
-    /// the compressed payload over the D2H link into the returned cell.
+    /// Enqueues the write-back mirror of [`Stream::decode_chunk`]: encodes
+    /// `amps` amplitudes at `src[src_off..]` with `codec` on the device
+    /// ([`DeviceSpec::encode_kernel_time`]) and ships the compressed payload
+    /// over the D2H link into the returned cell.
     ///
     /// The payload is byte-identical to a host-side
-    /// `compress_complex(codec, scaled_amps)`, so it can go straight back
-    /// into a compressed chunk store with no further codec round trip.
+    /// `compress_complex(codec, amps)`, so it can go straight back into a
+    /// compressed chunk store with no further codec round trip.
     pub fn encode_chunk(
         &self,
         src: DeviceBuffer,
         src_off: usize,
         amps: usize,
-        scalar: Complex64,
         codec: &Arc<dyn Codec>,
     ) -> PayloadCell {
         let out = PayloadCell::default();
@@ -521,7 +518,6 @@ impl Stream {
             src,
             src_off,
             amps,
-            scalar,
             codec: Arc::clone(codec),
             out: out.clone(),
         });
@@ -768,29 +764,25 @@ fn execute(
             }
             Ok(())
         }
-        Command::RunGate { buf, amps, gate } => {
+        Command::RunGates {
+            buf,
+            amps,
+            ops,
+            fused,
+        } => {
             assert!(amps.is_power_of_two(), "kernel region must be 2^m amps");
             let mut arena = device.arena.lock();
             let range = arena.resolve(buf, 0, amps)?;
-            mq_statevec::apply::apply_gate(&mut arena.storage[range], &gate, 1);
-            let t = spec.kernel_time(amps);
+            let applied = apply_all_tiled(&mut arena.storage[range], &ops, 1, DEFAULT_TILE_AMPS);
+            let (t, launches) = match applied.gates {
+                0 => (Duration::ZERO, 0),
+                n if fused => (spec.fused_kernel_time(amps, n), 1),
+                n => (spec.kernel_time(amps) * n as u32, n),
+            };
             stats.modeled += t;
             stats.modeled_kernel += t;
             if let Some(tele) = device.telemetry.read().as_ref() {
-                tele.add(Counter::KernelLaunches, 1);
-            }
-            Ok(())
-        }
-        Command::RunFusedGates { buf, amps, gates } => {
-            assert!(amps.is_power_of_two(), "kernel region must be 2^m amps");
-            let mut arena = device.arena.lock();
-            let range = arena.resolve(buf, 0, amps)?;
-            let applied = mq_statevec::apply::apply_all(&mut arena.storage[range], &gates, 1);
-            let t = spec.fused_kernel_time(amps, gates.len());
-            stats.modeled += t;
-            stats.modeled_kernel += t;
-            if let Some(tele) = device.telemetry.read().as_ref() {
-                tele.add(Counter::KernelLaunches, 1);
+                tele.add(Counter::KernelLaunches, launches as u64);
                 if applied.passes_saved() > 0 {
                     tele.add(Counter::ApplyPassesSaved, applied.passes_saved() as u64);
                 }
@@ -834,19 +826,12 @@ fn execute(
             src,
             src_off,
             amps,
-            scalar,
             codec,
             out,
         } => {
             let mut arena = device.arena.lock();
             let range = arena.resolve(src, src_off, amps)?;
-            let region = &mut arena.storage[range];
-            if scalar != Complex64::ONE {
-                for a in region.iter_mut() {
-                    *a *= scalar;
-                }
-            }
-            let payload = compress_complex(codec.as_ref(), region);
+            let payload = compress_complex(codec.as_ref(), &arena.storage[range]);
             let raw_bytes = amps * std::mem::size_of::<Complex64>();
             // As with DecodeChunk: adaptive payloads charge their picked
             // backend's kernel shape, static codecs the baseline.
@@ -995,7 +980,8 @@ mod tests {
             stream.h2d(&src, 0, buf, 0, 8);
             let gates = vec![Gate::H(0), Gate::Cx(0, 1), Gate::Cx(1, 2)];
             if fused {
-                stream.run_fused_gates_region(buf, 8, gates);
+                let ops = gates.into_iter().map(SweepOp::Gate).collect();
+                stream.run_gates_region(buf, 8, ops, true);
             } else {
                 for g in gates {
                     stream.run_gate(buf, g);
@@ -1020,13 +1006,57 @@ mod tests {
     }
 
     #[test]
-    fn empty_fused_gate_list_is_a_no_op() {
+    fn empty_gate_list_is_a_no_op_and_a_lone_scalar_is_free() {
         let dev = tiny_device(64);
         let stream = dev.create_stream();
         let buf = dev.alloc(8).unwrap();
-        stream.run_fused_gates_region(buf, 8, Vec::new());
+        stream.run_gates_region(buf, 8, Vec::new(), true);
+        stream.run_gates_region(buf, 8, vec![SweepOp::Cut], false);
+        assert_eq!(stream.synchronize().unwrap().commands, 0);
+
+        // A scalar with no gate to ride still scales the region, at no
+        // modeled kernel charge.
+        let src = PinnedBuffer::from_slice(&[Complex64::ONE; 8]);
+        stream.h2d(&src, 0, buf, 0, 8);
+        stream.run_gates_region(buf, 8, vec![SweepOp::Scalar(c64(0.0, 1.0))], false);
+        let out = PinnedBuffer::new(8);
+        stream.d2h(buf, 0, &out, 0, 8);
         let stats = stream.synchronize().unwrap();
-        assert_eq!(stats.commands, 0);
+        assert!(out.to_vec().iter().all(|z| *z == c64(0.0, 1.0)));
+        assert_eq!(stats.modeled_kernel, Duration::ZERO);
+    }
+
+    #[test]
+    fn gate_list_matches_the_host_sweep_bit_for_bit() {
+        // Same body as the CPU engine, so the same bits: a folded diagonal
+        // run with a scalar in it and pairing gates on a region of a larger
+        // buffer.
+        let ops = vec![
+            SweepOp::Gate(Gate::H(2)),
+            SweepOp::Gate(Gate::Cp(0, 2, 0.3)),
+            SweepOp::Scalar(Complex64::cis(0.4)),
+            SweepOp::Gate(Gate::T(1)),
+            SweepOp::Gate(Gate::Cx(1, 0)),
+            SweepOp::Cut,
+            SweepOp::Gate(Gate::Rzz(0, 1, 0.7)),
+        ];
+        let amps: Vec<Complex64> = (0..8)
+            .map(|i| c64(0.1 * i as f64, 0.3 - i as f64))
+            .collect();
+        let mut want = amps.clone();
+        apply_all_tiled(&mut want, &ops, 1, DEFAULT_TILE_AMPS);
+        for fused in [false, true] {
+            let dev = tiny_device(64);
+            let stream = dev.create_stream();
+            let buf = dev.alloc(16).unwrap();
+            let src = PinnedBuffer::from_slice(&amps);
+            stream.h2d(&src, 0, buf, 0, 8);
+            stream.run_gates_region(buf, 8, ops.clone(), fused);
+            let out = PinnedBuffer::new(8);
+            stream.d2h(buf, 0, &out, 0, 8);
+            stream.synchronize().unwrap();
+            assert_eq!(out.to_vec(), want, "fused={fused}");
+        }
     }
 
     #[test]
@@ -1194,7 +1224,7 @@ mod codec_command_tests {
     }
 
     #[test]
-    fn encode_chunk_mirrors_host_compression_and_applies_scalar() {
+    fn encode_chunk_mirrors_host_compression() {
         let dev = Device::new(DeviceSpec::tiny_test(1024));
         let stream = dev.create_stream();
         let codec: Arc<dyn Codec> = Arc::from(CodecSpec::ZeroRle.build());
@@ -1202,13 +1232,11 @@ mod codec_command_tests {
         let buf = dev.alloc(128).unwrap();
         let src = PinnedBuffer::from_slice(&amps);
         stream.h2d(&src, 0, buf, 0, 128);
-        let scalar = c64(0.0, 1.0);
-        let cell = stream.encode_chunk(buf, 0, 128, scalar, &codec);
+        let cell = stream.encode_chunk(buf, 0, 128, &codec);
         let stats = stream.synchronize().unwrap();
         let payload = cell.take().expect("payload produced");
-        // Byte-identical to compressing the host-scaled amplitudes.
-        let scaled: Vec<Complex64> = amps.iter().map(|&a| a * scalar).collect();
-        assert_eq!(payload, compress_complex(codec.as_ref(), &scaled));
+        // Byte-identical to compressing the amplitudes on the host.
+        assert_eq!(payload, compress_complex(codec.as_ref(), &amps));
         assert_eq!(stats.bytes_d2h, payload.len());
         assert_eq!(stats.bytes_d2h_compressed, payload.len());
         assert!(stats.modeled_encode > Duration::ZERO);
@@ -1243,7 +1271,7 @@ mod codec_command_tests {
         );
         assert!(stats.modeled_decode < dev.spec().decode_kernel_time(raw_bytes));
 
-        let cell = stream.encode_chunk(buf, 0, 256, Complex64::ONE, &codec);
+        let cell = stream.encode_chunk(buf, 0, 256, &codec);
         let stats = stream.synchronize().unwrap();
         assert!(cell.take().is_some());
         assert_eq!(

@@ -295,7 +295,7 @@ pub fn run_compressed_transfer_experiment(
     let mut last_cell = None;
     for _ in 0..pieces {
         stream.decode_chunk(payload.clone(), codec, dest, 0, piece_amps);
-        last_cell = Some(stream.encode_chunk(dest, 0, piece_amps, Complex64::ONE, codec));
+        last_cell = Some(stream.encode_chunk(dest, 0, piece_amps, codec));
     }
     let stats = stream.synchronize()?;
     drop(span);

@@ -45,19 +45,24 @@ where
     .expect("worker thread panicked");
 }
 
-/// Parallel index loop: runs `f(i)` for every `i in 0..n`, distributing
-/// blocks of indices over at most `workers` scoped threads.
-pub fn par_for<F>(n: usize, workers: usize, f: F)
+/// Parallel index loop with per-worker state: distributes blocks of the
+/// indices `0..n` over at most `workers` scoped threads. Each worker calls
+/// `init` once, and only if it has an index to run, then `f(&mut state, i)`
+/// for each of its indices — the place for a scratch buffer reused across
+/// iterations.
+pub fn par_for_with<S, I, F>(n: usize, workers: usize, init: I, f: F)
 where
-    F: Fn(usize) + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) + Sync,
 {
     if n == 0 {
         return;
     }
     let workers = workers.max(1).min(n);
     if workers == 1 {
+        let mut state = init();
         for i in 0..n {
-            f(i);
+            f(&mut state, i);
         }
         return;
     }
@@ -69,10 +74,11 @@ where
             if lo >= hi {
                 break;
             }
-            let fref = &f;
+            let (init, f) = (&init, &f);
             s.spawn(move |_| {
+                let mut state = init();
                 for i in lo..hi {
-                    fref(i);
+                    f(&mut state, i);
                 }
             });
         }
@@ -165,22 +171,45 @@ mod tests {
     }
 
     #[test]
-    fn par_for_visits_each_index_once() {
+    fn par_for_with_visits_each_index_once() {
         for workers in [1, 2, 5] {
             let count = AtomicUsize::new(0);
             let sum = AtomicUsize::new(0);
-            par_for(100, workers, |i| {
-                count.fetch_add(1, Ordering::Relaxed);
-                sum.fetch_add(i, Ordering::Relaxed);
-            });
+            par_for_with(
+                100,
+                workers,
+                || (),
+                |(), i| {
+                    count.fetch_add(1, Ordering::Relaxed);
+                    sum.fetch_add(i, Ordering::Relaxed);
+                },
+            );
             assert_eq!(count.load(Ordering::Relaxed), 100);
             assert_eq!(sum.load(Ordering::Relaxed), 99 * 100 / 2);
         }
     }
 
     #[test]
-    fn par_for_zero_is_noop() {
-        par_for(0, 4, |_| panic!("must not run"));
+    fn par_for_with_builds_one_state_per_worker() {
+        for workers in [1, 3, 8] {
+            let inits = AtomicUsize::new(0);
+            let sum = AtomicUsize::new(0);
+            par_for_with(
+                20,
+                workers,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |seen, i| {
+                    *seen += 1;
+                    sum.fetch_add(i, Ordering::Relaxed);
+                },
+            );
+            assert!(inits.load(Ordering::Relaxed) <= workers);
+            assert_eq!(sum.load(Ordering::Relaxed), 19 * 20 / 2);
+        }
+        par_for_with(0, 4, || panic!("must not run"), |(), _| {});
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the paper would run inside its GPU kernels; here it doubles as the CPU
 //! path and the simulated-device kernel body.
 
-use mq_circuit::gate::Gate;
+use mq_circuit::gate::{Diagonal, Gate};
 use mq_circuit::matrix::{Mat2, Mat4};
 use mq_num::bits;
 use mq_num::Complex64;
@@ -235,77 +235,30 @@ pub fn apply_mcu(
 
 /// Applies any gate from the circuit IR, with the gate's qubit indices
 /// interpreted as local indices into `state`. Dispatches to the fastest
-/// kernel for the gate's structure.
+/// kernel for the gate's structure: a gate that [`Gate::is_diagonal`] —
+/// including a diagonal `U1q`/`U2q` — never reaches the dense matrix
+/// kernels.
 pub fn apply_gate(state: &mut [Complex64], gate: &Gate, workers: usize) {
     use Gate::*;
-    match gate {
-        Z(q) => apply_diag1(state, *q, Complex64::ONE, -Complex64::ONE, workers),
-        S(q) => apply_diag1(state, *q, Complex64::ONE, Complex64::I, workers),
-        Sdg(q) => apply_diag1(state, *q, Complex64::ONE, -Complex64::I, workers),
-        T(q) => apply_diag1(
-            state,
-            *q,
-            Complex64::ONE,
-            Complex64::cis(std::f64::consts::FRAC_PI_4),
-            workers,
-        ),
-        Tdg(q) => apply_diag1(
-            state,
-            *q,
-            Complex64::ONE,
-            Complex64::cis(-std::f64::consts::FRAC_PI_4),
-            workers,
-        ),
-        P(q, l) => apply_diag1(state, *q, Complex64::ONE, Complex64::cis(*l), workers),
-        Rz(q, t) => apply_diag1(
-            state,
-            *q,
-            Complex64::cis(-t / 2.0),
-            Complex64::cis(t / 2.0),
-            workers,
-        ),
-        Cz(a, b) => apply_diag2(
-            state,
-            *a,
-            *b,
-            [
-                Complex64::ONE,
-                Complex64::ONE,
-                Complex64::ONE,
-                -Complex64::ONE,
-            ],
-            workers,
-        ),
-        Cp(a, b, l) => apply_diag2(
-            state,
-            *a,
-            *b,
-            [
-                Complex64::ONE,
-                Complex64::ONE,
-                Complex64::ONE,
-                Complex64::cis(*l),
-            ],
-            workers,
-        ),
-        Rzz(a, b, t) => {
-            let e_m = Complex64::cis(-t / 2.0);
-            let e_p = Complex64::cis(t / 2.0);
-            apply_diag2(state, *a, *b, [e_m, e_p, e_p, e_m], workers)
-        }
-        Swap(a, b) => apply_swap(state, *a, *b, workers),
-        Cx(c, t) => apply_mcu(state, 1usize << c, *t, &mq_circuit::gate::mat2_x(), workers),
-        Cy(c, t) => apply_mcu(state, 1usize << c, *t, &mq_circuit::gate::mat2_y(), workers),
-        Mcu {
-            controls,
-            target,
-            u,
-        } => {
+    match (gate, gate.diagonal()) {
+        (_, Some(Diagonal::One { q, d })) => apply_diag1(state, q, d[0], d[1], workers),
+        (_, Some(Diagonal::Two { a, b, d })) => apply_diag2(state, a, b, d, workers),
+        (Swap(a, b), _) => apply_swap(state, *a, *b, workers),
+        (Cx(c, t), _) => apply_mcu(state, 1usize << c, *t, &mq_circuit::gate::mat2_x(), workers),
+        (Cy(c, t), _) => apply_mcu(state, 1usize << c, *t, &mq_circuit::gate::mat2_y(), workers),
+        (
+            Mcu {
+                controls,
+                target,
+                u,
+            },
+            _,
+        ) => {
             let mask: usize = controls.iter().map(|&c| 1usize << c).sum();
             apply_mcu(state, mask, *target, u, workers)
         }
-        U2q(a, b, m) => apply_mat4(state, *a, *b, m, workers),
-        g => {
+        (U2q(a, b, m), _) => apply_mat4(state, *a, *b, m, workers),
+        (g, _) => {
             let m = g
                 .mat2()
                 .expect("all remaining gates are single-qubit with a mat2");
@@ -319,188 +272,363 @@ pub fn apply_gate(state: &mut [Complex64], gate: &Gate, workers: usize) {
 /// `Complex64` — sized so one tile plus scratch stays L2-resident.
 pub const DEFAULT_TILE_AMPS: usize = 1 << 15;
 
-/// Maximum distinct qubits a fused diagonal run may span; bounds the
-/// phase-table size at `2^DIAG_MAX_BITS` entries (16 KiB).
-const DIAG_MAX_BITS: usize = 10;
+/// Maximum distinct qubits one folded diagonal run may span; bounds the
+/// phase-table size at `2^DIAG_MAX_BITS` entries (16 KiB). The engines cut
+/// a stage's diagonal runs at this many qubits *before* they specialize the
+/// gates to a chunk group (see [`SweepOp::Cut`]).
+pub const DIAG_MAX_BITS: u32 = 10;
 
-/// Accounting from one [`apply_all`] sweep.
+/// log2 of the amplitude block inside which the diagonal and permutation
+/// tile kernels index by a precomputed low-bit table (a tile narrower than
+/// this is one block).
+const BLOCK_BITS: u32 = 8;
+
+/// One step of a sweep: what a stage's gates become once they are
+/// specialized to one chunk-group buffer.
+#[derive(Debug, Clone, PartialEq)]
+#[allow(clippy::large_enum_variant)] // a short-lived list, built per group
+pub enum SweepOp {
+    /// A gate on buffer-local qubits.
+    Gate(Gate),
+    /// A factor on the whole buffer: a diagonal gate whose qubits all lie
+    /// outside it. It folds into the phase table of the diagonal run it
+    /// stands in, at its own place in the product.
+    Scalar(Complex64),
+    /// Fold barrier: the diagonal runs on either side keep separate phase
+    /// tables. Which factors share a table decides how their product
+    /// rounds, so an engine that promises the same bits under every qubit
+    /// layout cuts where the *unspecialized* gate list does — where a gate
+    /// that vanished from this group separated two runs, and where a run
+    /// outgrows [`DIAG_MAX_BITS`] counting the qubits outside the buffer.
+    Cut,
+}
+
+/// Accounting from one [`apply_all_tiled`] sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ApplyAllStats {
     /// Gates applied.
     pub gates: usize,
+    /// Scalars applied.
+    pub scalars: usize,
     /// Full passes over the amplitude buffer actually made (one per
     /// tiled super-run plus one per global-fallback gate).
     pub passes: usize,
 }
 
 impl ApplyAllStats {
-    /// Buffer passes avoided relative to the one-pass-per-gate baseline.
+    /// Buffer passes avoided relative to one pass per gate and scalar.
     pub fn passes_saved(&self) -> usize {
-        self.gates.saturating_sub(self.passes)
+        (self.gates + self.scalars).saturating_sub(self.passes)
     }
 }
 
-/// One fusable slice of the gate list, classified by how it touches a tile.
-enum Seg {
-    /// Consecutive diagonal gates folded into one phase table over their
-    /// union support (any qubit height — diagonals are elementwise). The
-    /// table is filled once per segment before the tiled sweep.
-    Diag {
-        gates: Vec<Gate>,
-        support: Vec<u32>,
-        table: Vec<Complex64>,
-    },
-    /// Consecutive X/SWAP gates with all qubits inside the tile, composed
-    /// into one index permutation `i -> pi(i) ^ xor_mask`.
-    Perm {
-        source_of: Vec<u32>,
-        xor_mask: usize,
-        gates: usize,
-    },
-    /// Other gates whose qubits all fit inside the tile; applied in order
-    /// tile-by-tile.
-    Local(Vec<Gate>),
-    /// A gate pairing amplitudes across tiles; falls back to the global
-    /// per-gate kernel.
-    Global(Gate),
+/// One factor of a folded diagonal run.
+enum Factor<'a> {
+    Gate(Diagonal<'a>),
+    Scalar(Complex64),
 }
 
-/// Sorted union of `support` and the gate's qubits.
-fn merged_support(support: &[u32], gate: &Gate) -> Vec<u32> {
-    let mut s = support.to_vec();
-    for q in gate.qubits() {
-        if let Err(pos) = s.binary_search(&q) {
-            s.insert(pos, q);
+impl Factor<'_> {
+    /// What the factor multiplies the amplitude at buffer index `idx` by.
+    fn at(&self, idx: usize) -> Complex64 {
+        match self {
+            Factor::Gate(d) => d.factor(idx),
+            Factor::Scalar(s) => *s,
         }
     }
-    s
 }
 
-/// Diagonal factor a gate contributes at (global) amplitude index `idx`.
-fn diag_factor(gate: &Gate, idx: usize) -> Complex64 {
-    if let Gate::Mcu {
-        controls,
-        target,
-        u,
-    } = gate
-    {
-        if controls.iter().all(|&c| idx >> c & 1 == 1) {
-            return if idx >> target & 1 == 1 {
-                u.0[3]
-            } else {
-                u.0[0]
-            };
+/// `bits` of every index below `2^width`, gathered into a dense number:
+/// entry `k` has bit `j` equal to bit `bits[j]` of `k`. Built by doubling,
+/// one index bit at a time.
+fn gather_table(bits: &[u32], width: u32) -> Vec<u16> {
+    let mut out = Vec::with_capacity(1 << width);
+    out.push(0u16);
+    for q in 0..width {
+        let set = bits.iter().position(|&b| b == q).map_or(0, |j| 1u16 << j);
+        out.extend_from_within(..);
+        let half = out.len() / 2;
+        for o in &mut out[half..] {
+            *o |= set;
         }
-        return Complex64::ONE;
     }
-    if let Some(m) = gate.mat2() {
-        let q = gate.qubits()[0];
-        return if idx >> q & 1 == 1 { m.0[3] } else { m.0[0] };
-    }
-    let m = gate.mat4().expect("diagonal gate has mat2, mat4 or is Mcu");
-    let qs = gate.qubits();
-    let k = ((idx >> qs[1] & 1) << 1) | (idx >> qs[0] & 1);
-    m.0[k * 4 + k]
+    out
 }
 
-/// Splits the gate list into fusable segments for a tile of `2^tile_bits`
-/// amplitudes.
-fn segment_gates(gates: &[Gate], tile_bits: u32) -> Vec<Seg> {
-    let mut segs: Vec<Seg> = Vec::new();
-    for g in gates {
-        let tile_local = g.max_qubit() < tile_bits;
-        if g.is_diagonal() {
-            if let Some(Seg::Diag { gates, support, .. }) = segs.last_mut() {
-                let merged = merged_support(support, g);
-                if merged.len() <= DIAG_MAX_BITS {
-                    *support = merged;
-                    gates.push(g.clone());
-                    continue;
-                }
-            }
-            segs.push(Seg::Diag {
-                support: merged_support(&[], g),
-                gates: vec![g.clone()],
-                table: Vec::new(),
-            });
-        } else if tile_local && matches!(g, Gate::X(_) | Gate::Swap(_, _)) {
-            if !matches!(segs.last(), Some(Seg::Perm { .. })) {
-                segs.push(Seg::Perm {
-                    source_of: (0..tile_bits).collect(),
-                    xor_mask: 0,
-                    gates: 0,
-                });
-            }
-            let Some(Seg::Perm {
-                source_of,
-                xor_mask,
-                gates,
-            }) = segs.last_mut()
-            else {
-                unreachable!()
-            };
-            // The composite map is `i -> pi(i) ^ mask` with `pi` defined by
-            // `source_of` (bit b of `pi(i)` is bit `source_of[b]` of `i`).
-            // Appending gate sigma updates the map to `i -> prev(sigma(i))`.
-            match g {
-                Gate::X(q) => {
-                    // pi(i ^ x) = pi(i) ^ pi(x): fold pi(x) into the mask.
-                    for (b, &src) in source_of.iter().enumerate() {
-                        if src == *q {
-                            *xor_mask ^= 1usize << b;
-                        }
-                    }
-                }
-                Gate::Swap(a, b) => {
-                    for src in source_of.iter_mut() {
-                        if *src == *a {
-                            *src = *b;
-                        } else if *src == *b {
-                            *src = *a;
-                        }
-                    }
-                }
-                _ => unreachable!(),
-            }
-            *gates += 1;
-        } else if tile_local {
-            if let Some(Seg::Local(gates)) = segs.last_mut() {
-                gates.push(g.clone());
-            } else {
-                segs.push(Seg::Local(vec![g.clone()]));
-            }
-        } else {
-            segs.push(Seg::Global(g.clone()));
-        }
-    }
-    for seg in &mut segs {
-        if let Seg::Diag {
-            gates,
+/// A run of consecutive diagonal factors folded into one phase table over
+/// their union support (any qubit height — diagonals are elementwise).
+struct DiagSeg {
+    /// Sorted union of the run's qubits; table index bit `j` is the value
+    /// of qubit `support[j]`.
+    support: Vec<u32>,
+    /// Product of the run's factors in order, `2^support.len()` entries.
+    table: Vec<Complex64>,
+    /// How many support qubits lie inside a block. They are the low table
+    /// index bits, so one block reads one `2^low_bits`-entry sub-table.
+    low_bits: usize,
+    /// Sub-table index of each amplitude of a block.
+    low_off: Vec<u16>,
+    /// Per high index: the whole sub-table is exactly one (skip the block).
+    unit: Vec<bool>,
+}
+
+impl DiagSeg {
+    /// Folds `run` into a table for blocks of `2^block_bits` amplitudes.
+    /// Every entry is the product `((1 * f0) * f1) * ...` in run order, so
+    /// it does not depend on which of the factors are scalars.
+    fn new(run: &[Factor<'_>], support: u64, block_bits: u32) -> DiagSeg {
+        let support: Vec<u32> = (0..u64::BITS).filter(|q| support >> q & 1 == 1).collect();
+        let table: Vec<Complex64> = (0..1usize << support.len())
+            .map(|c| {
+                // Scatter the entry's bits onto the support qubits.
+                let idx = support
+                    .iter()
+                    .enumerate()
+                    .fold(0usize, |idx, (j, &q)| idx | (c >> j & 1) << q);
+                run.iter().fold(Complex64::ONE, |f, d| f * d.at(idx))
+            })
+            .collect();
+        let low_bits = support.partition_point(|&q| q < block_bits);
+        let low_off = gather_table(&support[..low_bits], block_bits);
+        let unit = table
+            .chunks_exact(1 << low_bits)
+            .map(|sub| sub.iter().all(|f| *f == Complex64::ONE))
+            .collect();
+        DiagSeg {
             support,
             table,
-        } = seg
-        {
-            *table = diag_table(gates, support);
+            low_bits,
+            low_off,
+            unit,
         }
     }
-    segs
+
+    /// Multiplies one tile (`base` = its first global amplitude index) by
+    /// the table: the high support bits are gathered once per block, then
+    /// the block either takes one broadcast factor (no support bit inside
+    /// it) or indexes its sub-table through `low_off`.
+    fn apply(&self, base: usize, tile: &mut [Complex64]) {
+        let high = &self.support[self.low_bits..];
+        let block = self.low_off.len();
+        for (b, amps) in tile.chunks_exact_mut(block).enumerate() {
+            let idx = base + b * block;
+            let hi = high
+                .iter()
+                .enumerate()
+                .fold(0usize, |hi, (j, &q)| hi | (idx >> q & 1) << j);
+            if self.unit[hi] {
+                continue;
+            }
+            let sub = &self.table[hi << self.low_bits..(hi + 1) << self.low_bits];
+            // `a * f + 0`: the added zero turns the -0.0 a zero amplitude
+            // picks up from a factor outside the first quadrant back into
+            // +0.0, the only zero the sparse codecs run-length encode.
+            if let [f] = sub {
+                for a in amps.iter_mut() {
+                    *a = a.mul_add(*f, Complex64::ZERO);
+                }
+            } else {
+                // `sub.len()` is a power of two above every offset; the
+                // mask lets the compiler drop the bounds check.
+                let mask = sub.len() - 1;
+                for (a, &o) in amps.iter_mut().zip(&self.low_off) {
+                    *a = a.mul_add(sub[o as usize & mask], Complex64::ZERO);
+                }
+            }
+        }
+    }
 }
 
-/// Builds the phase table for a diagonal run: entry `c` is the product of
-/// every gate's factor at the index formed by scattering `c`'s bits onto
-/// the support qubits.
-fn diag_table(gates: &[Gate], support: &[u32]) -> Vec<Complex64> {
-    let mut table = vec![Complex64::ONE; 1 << support.len()];
-    for (c, slot) in table.iter_mut().enumerate() {
-        let mut idx = 0usize;
-        for (j, &q) in support.iter().enumerate() {
-            idx |= (c >> j & 1) << q;
-        }
-        for g in gates {
-            *slot *= diag_factor(g, idx);
+/// A run of consecutive X/SWAP gates with all qubits inside the tile,
+/// composed into one index permutation `i -> pi(i) ^ xor_mask`, where bit
+/// `b` of `pi(i)` is bit `source_of[b]` of `i`.
+struct PermSeg {
+    source_of: Vec<u32>,
+    xor_mask: usize,
+    /// `pi(k)` for every offset `k` inside a block. `pi` is linear in the
+    /// index bits, so `pi(base | k) == pi(base) ^ low_src[k]`.
+    low_src: Vec<u32>,
+}
+
+impl PermSeg {
+    fn identity(tile_bits: u32) -> PermSeg {
+        PermSeg {
+            source_of: (0..tile_bits).collect(),
+            xor_mask: 0,
+            low_src: Vec::new(),
         }
     }
-    table
+
+    /// Appends gate `sigma`: the composite map becomes `i -> prev(sigma(i))`.
+    fn push(&mut self, gate: &Gate) {
+        match gate {
+            Gate::X(q) => {
+                // pi(i ^ x) = pi(i) ^ pi(x): fold pi(x) into the mask.
+                for (b, &src) in self.source_of.iter().enumerate() {
+                    if src == *q {
+                        self.xor_mask ^= 1usize << b;
+                    }
+                }
+            }
+            Gate::Swap(a, b) => {
+                for src in self.source_of.iter_mut() {
+                    if *src == *a {
+                        *src = *b;
+                    } else if *src == *b {
+                        *src = *a;
+                    }
+                }
+            }
+            _ => unreachable!("permutation runs hold X and SWAP only"),
+        }
+    }
+
+    fn pi(&self, i: usize) -> usize {
+        self.source_of
+            .iter()
+            .enumerate()
+            .fold(0usize, |src, (b, &s)| src | (i >> s & 1) << b)
+    }
+
+    /// True for a pure X run, which swaps pairs in place without scratch.
+    fn is_xor_only(&self) -> bool {
+        self.source_of
+            .iter()
+            .enumerate()
+            .all(|(b, &s)| s == b as u32)
+    }
+
+    fn finish(&mut self, block_bits: u32) {
+        // By doubling: `pi` is linear, so `pi(k | bit) == pi(k) ^ pi(bit)`.
+        let mut low_src = Vec::with_capacity(1 << block_bits);
+        low_src.push(0u32);
+        for q in 0..block_bits {
+            let image = self.pi(1 << q) as u32;
+            low_src.extend_from_within(..);
+            let half = low_src.len() / 2;
+            for src in &mut low_src[half..] {
+                *src ^= image;
+            }
+        }
+        self.low_src = low_src;
+    }
+
+    fn apply(&self, tile: &mut [Complex64], scratch: &mut [Complex64]) {
+        if self.is_xor_only() {
+            if self.xor_mask != 0 {
+                for i in 0..tile.len() {
+                    let j = i ^ self.xor_mask;
+                    if i < j {
+                        tile.swap(i, j);
+                    }
+                }
+            }
+            return;
+        }
+        let block = self.low_src.len();
+        // Every source index is below the (power of two) tile length; the
+        // mask lets the compiler drop the bounds check.
+        let mask = tile.len() - 1;
+        for (b, out) in scratch.chunks_exact_mut(block).enumerate() {
+            let hi = self.pi(b * block) ^ self.xor_mask;
+            for (slot, &lo) in out.iter_mut().zip(&self.low_src) {
+                *slot = tile[(hi ^ lo as usize) & mask];
+            }
+        }
+        tile.copy_from_slice(scratch);
+    }
+}
+
+/// One fusable slice of the op list, classified by how it touches a tile.
+enum Seg<'a> {
+    Diag(DiagSeg),
+    Perm(PermSeg),
+    /// Other gates whose qubits all fit inside the tile; applied in order
+    /// tile-by-tile.
+    Local(Vec<&'a Gate>),
+    /// A gate pairing amplitudes across tiles (or a single diagonal gate
+    /// too wide for a phase table); falls back to the global per-gate
+    /// kernel.
+    Global(&'a Gate),
+}
+
+/// Bit mask of the gate's qubits.
+fn qubit_mask(gate: &Gate) -> u64 {
+    gate.qubits().iter().fold(0, |s, q| s | 1u64 << q)
+}
+
+/// Splits the op list into fusable segments for a tile of `2^tile_bits`
+/// amplitudes. A diagonal run ends at a non-diagonal gate, at a
+/// [`SweepOp::Cut`], and where its support would outgrow one table.
+fn segment_ops(ops: &[SweepOp], tile_bits: u32) -> Vec<Seg<'_>> {
+    /// A segment before its tables are built.
+    enum Raw<'a> {
+        /// The run and the bit mask of its union support.
+        Diag(Vec<Factor<'a>>, u64),
+        Perm(PermSeg),
+        Local(Vec<&'a Gate>),
+        Global(&'a Gate),
+    }
+    let mut raw: Vec<Raw<'_>> = Vec::new();
+    // A cut since the last factor: the next one opens a new run.
+    let mut cut = false;
+    for op in ops {
+        let (factor, support) = match op {
+            SweepOp::Cut => {
+                cut = true;
+                continue;
+            }
+            SweepOp::Scalar(s) => (Factor::Scalar(*s), 0),
+            SweepOp::Gate(g) => match g.diagonal() {
+                Some(d) if qubit_mask(g).count_ones() <= DIAG_MAX_BITS => {
+                    (Factor::Gate(d), qubit_mask(g))
+                }
+                // A single diagonal gate too wide for a table runs alone.
+                Some(_) => {
+                    raw.push(Raw::Global(g));
+                    continue;
+                }
+                None => {
+                    let is_perm = matches!(g, Gate::X(_) | Gate::Swap(_, _));
+                    match raw.last_mut() {
+                        _ if g.max_qubit() >= tile_bits => raw.push(Raw::Global(g)),
+                        Some(Raw::Perm(perm)) if is_perm => perm.push(g),
+                        _ if is_perm => {
+                            let mut perm = PermSeg::identity(tile_bits);
+                            perm.push(g);
+                            raw.push(Raw::Perm(perm));
+                        }
+                        Some(Raw::Local(run)) => run.push(g),
+                        _ => raw.push(Raw::Local(vec![g])),
+                    }
+                    continue;
+                }
+            },
+        };
+        match raw.last_mut() {
+            Some(Raw::Diag(run, merged))
+                if !cut && (*merged | support).count_ones() <= DIAG_MAX_BITS =>
+            {
+                *merged |= support;
+                run.push(factor);
+            }
+            _ => raw.push(Raw::Diag(vec![factor], support)),
+        }
+        cut = false;
+    }
+
+    let block_bits = BLOCK_BITS.min(tile_bits);
+    raw.into_iter()
+        .map(|r| match r {
+            Raw::Diag(run, support) => Seg::Diag(DiagSeg::new(&run, support, block_bits)),
+            Raw::Perm(mut perm) => {
+                perm.finish(block_bits);
+                Seg::Perm(perm)
+            }
+            Raw::Local(run) => Seg::Local(run),
+            Raw::Global(g) => Seg::Global(g),
+        })
+        .collect()
 }
 
 /// Runs `f(tile_base, tile, scratch)` over aligned `tile`-sized pieces of
@@ -543,119 +671,79 @@ where
     .expect("kernel worker panicked");
 }
 
-/// Applies one segment to one tile (`base` = the tile's first global
-/// amplitude index).
-fn apply_seg_to_tile(seg: &Seg, base: usize, tile: &mut [Complex64], scratch: &mut [Complex64]) {
-    match seg {
-        Seg::Diag { support, table, .. } => {
-            for (k, amp) in tile.iter_mut().enumerate() {
-                let idx = base + k;
-                let mut c = 0usize;
-                for (j, &q) in support.iter().enumerate() {
-                    c |= (idx >> q & 1) << j;
-                }
-                *amp *= table[c];
-            }
-        }
-        Seg::Perm {
-            source_of,
-            xor_mask,
-            ..
-        } => {
-            let identity = source_of.iter().enumerate().all(|(b, &s)| s == b as u32);
-            if identity {
-                // Pure X run: pair-swap in place, no scratch traffic.
-                if *xor_mask != 0 {
-                    for i in 0..tile.len() {
-                        let j = i ^ *xor_mask;
-                        if i < j {
-                            tile.swap(i, j);
-                        }
-                    }
-                }
-            } else {
-                for (i, slot) in scratch.iter_mut().enumerate() {
-                    let mut src = 0usize;
-                    for (b, &s) in source_of.iter().enumerate() {
-                        src |= (i >> s & 1) << b;
-                    }
-                    *slot = tile[src ^ *xor_mask];
-                }
-                tile.copy_from_slice(scratch);
-            }
-        }
-        Seg::Local(gates) => {
-            for g in gates {
-                apply_gate(tile, g, 1);
-            }
-        }
-        Seg::Global(_) => unreachable!("global segments never reach a tile"),
-    }
-}
-
-/// Applies every gate of a stage in order with cache blocking: the buffer
-/// is tiled into L2-sized blocks and each maximal run of tile-compatible
-/// segments (diagonal runs, X/SWAP permutations, tile-local gates) is
-/// applied tile-by-tile in **one** parallel sweep, so the run costs one
-/// pass over the amplitudes instead of one per gate. Gates pairing
-/// amplitudes across tiles fall back to the global per-gate kernels.
+/// [`apply_all_tiled`] over plain gates at the default tile width.
 pub fn apply_all(state: &mut [Complex64], gates: &[Gate], workers: usize) -> ApplyAllStats {
-    apply_all_tiled(state, gates, workers, DEFAULT_TILE_AMPS)
+    let ops: Vec<SweepOp> = gates.iter().cloned().map(SweepOp::Gate).collect();
+    apply_all_tiled(state, &ops, workers, DEFAULT_TILE_AMPS)
 }
 
-/// [`apply_all`] with an explicit tile width (clamped to the buffer).
+/// Applies every op of a stage in order with cache blocking: the buffer is
+/// tiled into blocks of `tile_amps` amplitudes (clamped to the buffer;
+/// [`DEFAULT_TILE_AMPS`] is L2-sized) and each maximal run of
+/// tile-compatible segments (folded diagonal tables, X/SWAP permutations,
+/// tile-local gates) is applied tile-by-tile in **one** parallel sweep, so
+/// the run costs one pass over the amplitudes instead of one per gate.
+/// Gates pairing amplitudes across tiles fall back to the global per-gate
+/// kernels. A scalar costs no pass of its own unless it stands between two
+/// such gates.
 pub fn apply_all_tiled(
     state: &mut [Complex64],
-    gates: &[Gate],
+    ops: &[SweepOp],
     workers: usize,
     tile_amps: usize,
 ) -> ApplyAllStats {
+    let count = |f: fn(&SweepOp) -> bool| ops.iter().filter(|op| f(op)).count();
     let mut stats = ApplyAllStats {
-        gates: gates.len(),
+        gates: count(|op| matches!(op, SweepOp::Gate(_))),
+        scalars: count(|op| matches!(op, SweepOp::Scalar(_))),
         passes: 0,
     };
-    if gates.is_empty() || state.is_empty() {
+    if state.is_empty() {
         return stats;
     }
     let tile = tile_amps.max(1).next_power_of_two().min(state.len());
-    let tile_bits = tile.trailing_zeros();
-    let segs = segment_gates(gates, tile_bits);
+    let segs = segment_ops(ops, tile.trailing_zeros());
 
     // Group maximal runs of tile-compatible segments into super-runs: one
     // thread scope and one buffer pass each.
     let mut i = 0;
     while i < segs.len() {
-        match &segs[i] {
-            Seg::Global(g) => {
-                apply_gate(state, g, workers);
-                stats.passes += 1;
-                i += 1;
-            }
-            _ => {
-                let mut j = i;
-                while j < segs.len() && !matches!(segs[j], Seg::Global(_)) {
-                    j += 1;
-                }
-                let run = &segs[i..j];
-                let needs_scratch = run.iter().any(|s| {
-                    matches!(s, Seg::Perm { source_of, .. }
-                        if source_of.iter().enumerate().any(|(b, &q)| q != b as u32))
-                });
-                par_tiles(
-                    state,
-                    tile,
-                    workers,
-                    needs_scratch,
-                    |base, tile, scratch| {
-                        for seg in run {
-                            apply_seg_to_tile(seg, base, tile, scratch);
-                        }
-                    },
-                );
-                stats.passes += 1;
-                i = j;
-            }
+        if let Seg::Global(g) = &segs[i] {
+            apply_gate(state, g, workers);
+            stats.passes += 1;
+            i += 1;
+            continue;
         }
+        let len = segs[i..]
+            .iter()
+            .position(|s| matches!(s, Seg::Global(_)))
+            .unwrap_or(segs.len() - i);
+        let run = &segs[i..i + len];
+        let needs_scratch = run
+            .iter()
+            .any(|s| matches!(s, Seg::Perm(p) if !p.is_xor_only()));
+        par_tiles(
+            state,
+            tile,
+            workers,
+            needs_scratch,
+            |base, tile, scratch| {
+                for seg in run {
+                    match seg {
+                        Seg::Diag(d) => d.apply(base, tile),
+                        Seg::Perm(p) => p.apply(tile, scratch),
+                        Seg::Local(gates) => {
+                            for g in gates {
+                                apply_gate(tile, g, 1);
+                            }
+                        }
+                        Seg::Global(_) => unreachable!("global segments never reach a tile"),
+                    }
+                }
+            },
+        );
+        stats.passes += 1;
+        i += len;
     }
     stats
 }
@@ -797,21 +885,44 @@ mod tests {
             .collect()
     }
 
-    /// apply_all must match the sequential per-gate reference for any gate
+    fn ops_of(gates: &[Gate]) -> Vec<SweepOp> {
+        gates.iter().cloned().map(SweepOp::Gate).collect()
+    }
+
+    /// The op list one op at a time: per-gate kernels, a plain multiply per
+    /// scalar.
+    fn apply_ops_one_by_one(state: &mut [Complex64], ops: &[SweepOp]) {
+        for op in ops {
+            match op {
+                SweepOp::Gate(g) => apply_gate(state, g, 1),
+                SweepOp::Scalar(s) => state.iter_mut().for_each(|z| *z *= *s),
+                SweepOp::Cut => {}
+            }
+        }
+    }
+
+    /// The sweep must match the sequential per-op reference for any op
     /// list, tile width and worker count.
-    fn check_apply_all(n: u32, gates: &[Gate], tile_amps: usize, workers: usize) {
+    fn check_sweep(n: u32, ops: &[SweepOp], tile_amps: usize, workers: usize) {
         let mut blocked = random_state(n, 7);
         let mut reference = blocked.clone();
-        let stats = apply_all_tiled(&mut blocked, gates, workers, tile_amps);
-        for g in gates {
-            apply_gate(&mut reference, g, 1);
-        }
+        let stats = apply_all_tiled(&mut blocked, ops, workers, tile_amps);
+        apply_ops_one_by_one(&mut reference, ops);
         assert!(
             max_amp_err(&blocked, &reference) < 1e-12,
             "blocked apply diverged (tile={tile_amps}, workers={workers})"
         );
-        assert_eq!(stats.gates, gates.len());
-        assert!(stats.passes <= gates.len().max(1));
+        assert!(stats.passes <= stats.gates + stats.scalars);
+    }
+
+    /// [`check_sweep`] on a gate list, bare and with a scalar and a cut in
+    /// the middle.
+    fn check_apply_all(n: u32, gates: &[Gate], tile_amps: usize, workers: usize) {
+        let mut ops = ops_of(gates);
+        check_sweep(n, &ops, tile_amps, workers);
+        ops.insert(gates.len() / 2, SweepOp::Scalar(Complex64::cis(0.3)));
+        ops.insert(gates.len() / 2, SweepOp::Cut);
+        check_sweep(n, &ops, tile_amps, workers);
     }
 
     #[test]
@@ -885,16 +996,146 @@ mod tests {
         // A cross-tile gate splits the sweep and costs its own pass.
         let gates = vec![Gate::H(0), Gate::H(3), Gate::T(0)];
         let mut s = random_state(4, 3);
-        let stats = apply_all_tiled(&mut s, &gates, 1, 4);
+        let stats = apply_all_tiled(&mut s, &ops_of(&gates), 1, 4);
         assert_eq!(stats.passes, 3, "H(3) pairs across 2^2 tiles");
         assert_eq!(stats.passes_saved(), 0);
 
         // Diagonal gates above the tile width still fuse (elementwise).
         let gates = vec![Gate::Rz(3, 0.2), Gate::Cp(0, 3, 0.5), Gate::T(1)];
         let mut s = random_state(4, 3);
-        let stats = apply_all_tiled(&mut s, &gates, 1, 4);
+        let stats = apply_all_tiled(&mut s, &ops_of(&gates), 1, 4);
         assert_eq!(stats.passes, 1);
         assert_eq!(stats.passes_saved(), 2);
+    }
+
+    #[test]
+    fn a_scalar_folds_into_the_pass_it_stands_in() {
+        let s = SweepOp::Scalar(Complex64::cis(1.1));
+        let g = SweepOp::Gate;
+        let passes = |ops: &[SweepOp], tile: usize| {
+            let mut state = random_state(4, 3);
+            let stats = apply_all_tiled(&mut state, ops, 1, tile);
+            assert_eq!(stats.scalars, 1);
+            assert_eq!(stats.passes_saved(), stats.gates + 1 - stats.passes);
+            stats.passes
+        };
+        // Into the phase table of its own diagonal run.
+        let ops = [g(Gate::H(3)), g(Gate::T(0)), s.clone(), g(Gate::H(3))];
+        assert_eq!(passes(&ops, 4), 3);
+        // Without one: a table of its own inside the tiled pass.
+        let ops = [g(Gate::H(3)), g(Gate::H(0)), s.clone(), g(Gate::X(1))];
+        assert_eq!(passes(&ops, 4), 2);
+        // Only between two cross-tile gates (or alone) does it cost a pass.
+        let ops = [g(Gate::H(3)), s.clone(), g(Gate::Cx(0, 3))];
+        assert_eq!(passes(&ops, 4), 3);
+        assert_eq!(passes(&[s], 4), 1);
+    }
+
+    /// The phase tables a sweep of `ops` folds, in order.
+    fn tables(ops: &[SweepOp]) -> Vec<Vec<Complex64>> {
+        segment_ops(ops, 4)
+            .into_iter()
+            .filter_map(|seg| match seg {
+                Seg::Diag(d) => Some(d.table),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_table_is_the_ordered_product_whichever_factors_are_scalars() {
+        // Rz on a buffer qubit, or the same gate on a qubit outside the
+        // buffer (a scalar): the entries it reaches hold the same bits.
+        let (a, b, c) = (0.3, 1.7, -2.2);
+        let inside = tables(&ops_of(&[Gate::Rz(0, a), Gate::Rz(1, b), Gate::P(0, c)]));
+        for bit in [0usize, 1] {
+            let Some(Diagonal::One { d, .. }) = Gate::Rz(1, b).diagonal() else {
+                unreachable!()
+            };
+            let outside = tables(&[
+                SweepOp::Gate(Gate::Rz(0, a)),
+                SweepOp::Scalar(d[bit]),
+                SweepOp::Gate(Gate::P(0, c)),
+            ]);
+            assert_eq!(outside[0], inside[0][2 * bit..2 * bit + 2]);
+        }
+    }
+
+    #[test]
+    fn a_cut_keeps_the_runs_on_either_side_in_separate_tables() {
+        let (t, z) = (SweepOp::Gate(Gate::T(0)), SweepOp::Gate(Gate::Rz(1, 0.4)));
+        assert_eq!(tables(&[t.clone(), z.clone()]).len(), 1);
+        let cut = tables(&[t.clone(), SweepOp::Cut, z.clone()]);
+        assert_eq!(cut.len(), 2);
+        assert_eq!(cut[0], tables(&[t])[0]);
+        assert_eq!(cut[1], tables(&[z])[0]);
+        // A cut beside a gate that ends the run anyway changes nothing.
+        let h = SweepOp::Gate(Gate::H(0));
+        let ops = [SweepOp::Cut, h.clone(), SweepOp::Cut];
+        assert!(tables(&ops).is_empty());
+        check_sweep(4, &ops, 4, 1);
+    }
+
+    #[test]
+    fn diagonal_forms_never_reach_the_dense_kernels() {
+        // A dense kernel mixes each amplitude with its partner, so an
+        // infinite partner turns `0 * inf` into NaN; a diagonal kernel
+        // leaves the finite amplitudes finite.
+        let rzz = Gate::Rzz(0, 1, 0.4).mat4().unwrap();
+        for g in [
+            Gate::U1q(1, mq_circuit::gate::mat2_p(0.7)),
+            Gate::U2q(2, 0, rzz),
+            Gate::Cp(0, 2, 0.3),
+        ] {
+            assert!(g.is_diagonal());
+            let poisoned = || {
+                let mut s = random_state(3, 5);
+                s[7] = c64(f64::INFINITY, 0.0);
+                s
+            };
+            let mut direct = poisoned();
+            apply_gate(&mut direct, &g, 1);
+            let mut swept = poisoned();
+            apply_all_tiled(&mut swept, &ops_of(std::slice::from_ref(&g)), 1, 2);
+            for s in [&direct, &swept] {
+                assert!(s[..7].iter().all(|z| z.re.is_finite() && z.im.is_finite()));
+            }
+        }
+    }
+
+    #[test]
+    fn folded_tables_keep_zero_amplitudes_positive_zero() {
+        // Two first-quadrant phases fold into a second-quadrant factor;
+        // `0 * f` alone would leave -0.0, which zero-RLE stores as a
+        // literal.
+        let gates = vec![Gate::P(0, 2.0), Gate::Cp(0, 1, 1.0), Gate::Rz(3, -2.5)];
+        let mut sparse = vec![Complex64::ZERO; 16];
+        sparse[5] = Complex64::ONE;
+        for tile in [2usize, 16] {
+            let mut s = sparse.clone();
+            let mut ops = ops_of(&gates);
+            ops.push(SweepOp::Scalar(Complex64::cis(3.0)));
+            apply_all_tiled(&mut s, &ops, 1, tile);
+            for (i, z) in s.iter().enumerate().filter(|(i, _)| *i != 5) {
+                assert_eq!(z.re.to_bits(), 0, "re of amplitude {i}");
+                assert_eq!(z.im.to_bits(), 0, "im of amplitude {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_diagonal_gate_too_wide_for_a_table_falls_back_to_its_kernel() {
+        // 13 qubits of support would need a 2^13-entry table (and 2^n for
+        // an n-control Grover oracle): it runs through apply_mcu instead.
+        let controls: Vec<u32> = (0..12).collect();
+        let gates = vec![Gate::T(3), Gate::mcz(&controls, 12), Gate::Cz(0, 12)];
+        let ops = ops_of(&gates);
+        let segs = segment_ops(&ops, 6);
+        assert!(matches!(
+            segs.as_slice(),
+            [Seg::Diag(_), Seg::Global(_), Seg::Diag(_)]
+        ));
+        check_apply_all(13, &gates, 64, 2);
     }
 
     #[test]

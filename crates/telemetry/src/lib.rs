@@ -108,8 +108,8 @@ pub enum Counter {
     /// Gates eliminated by plan-level fusion (original minus fused gate
     /// count, summed over stages).
     GatesFused,
-    /// Full amplitude-buffer passes avoided by the blocked apply driver
-    /// (gates applied minus memory sweeps actually made).
+    /// Full amplitude-buffer passes avoided by the blocked apply sweep
+    /// (gates and scalars applied minus memory sweeps actually made).
     ApplyPassesSaved,
     /// Compressed payload bytes shipped host-to-device in
     /// `TransferMode::Compressed` runs (the raw-equivalent traffic is what
