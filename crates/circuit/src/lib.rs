@@ -5,8 +5,6 @@
 //! * [`gate`] / [`matrix`] — the gate set and its matrix algebra.
 //! * [`circuit`] — the flat circuit IR and chainable builder.
 //! * [`qasm`] — an OpenQASM 2.0 subset parser and emitter.
-//! * [`fusion`] — gate-fusion passes (adjacent single-qubit runs → `U1q`,
-//!   absorbing into two-qubit `U2q` blocks).
 //! * [`partition`] — the **offline stage** of MEMQSIM: splits a circuit into
 //!   stages executable against a chunked state vector with a bounded
 //!   cross-chunk working set.
@@ -44,7 +42,6 @@
 
 pub mod analysis;
 pub mod circuit;
-pub mod fusion;
 pub mod gate;
 pub mod layout;
 pub mod library;

@@ -76,7 +76,6 @@ impl Backend for DenseCpuBackend {
                 circuit,
                 &mq_statevec::CpuConfig {
                     workers: self.workers,
-                    fuse: false,
                 },
             )
         });

@@ -24,30 +24,6 @@ pub enum StoreKind {
     },
 }
 
-/// Plan-level gate fusion applied per stage by
-/// [`build_plan`](crate::engine::cpu::build_plan). Fusion never crosses a
-/// stage barrier, and gates touching qubits at or above the chunk width
-/// pass through unfused so a stage's cross-chunk pairing set stays valid.
-///
-/// This is matrix fusion of the plan only. Whatever the level, a chunk
-/// group's gates run through the one cache-blocked apply sweep
-/// ([`apply_all_tiled`](mq_statevec::apply::apply_all_tiled)); on the
-/// device path the level also picks the *modeled* launch charge (one per
-/// gate with `Off`, one per group otherwise).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FusionLevel {
-    /// No fusion; the plan keeps every gate as authored.
-    #[default]
-    Off,
-    /// Collapse runs of single-qubit gates into `U1q` gates
-    /// ([`fuse_1q_runs`](mq_circuit::fusion::fuse_1q_runs)).
-    Runs1q,
-    /// Fuse toward two-qubit blocks: absorb 1q gates into adjacent 2q
-    /// gates and merge same-pair 2q gates into `U2q`
-    /// ([`fuse_to_2q`](mq_circuit::fusion::fuse_to_2q)).
-    Blocks2q,
-}
-
 /// How chunks cross the CPU↔GPU link in the hybrid engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransferMode {
@@ -103,107 +79,6 @@ pub enum LayoutPolicy {
     Greedy,
 }
 
-/// How a run-level fidelity budget is split into per-stage error
-/// allowances. The budget converts the end-state fidelity target into a
-/// total per-amplitude error allowance; the policy decides which stages
-/// get to spend it. Every policy allocates bounds that sum to (at most)
-/// the total, so the end-state claim holds regardless of the shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BudgetPolicy {
-    /// Every stage gets `total / n_stages` (the default).
-    #[default]
-    Uniform,
-    /// Early stages get tighter bounds (errors introduced early pass
-    /// through more gates); allowances grow linearly toward the end.
-    FrontLoaded,
-    /// Early stages get looser bounds (useful when late-circuit states are
-    /// the structured, compressible ones); allowances shrink linearly.
-    BackLoaded,
-}
-
-impl BudgetPolicy {
-    /// Splits `total` into `n_stages` per-stage allowances summing to
-    /// `total` (within rounding). Returns an empty vector for zero stages.
-    pub fn allocate(&self, total: f64, n_stages: usize) -> Vec<f64> {
-        if n_stages == 0 {
-            return Vec::new();
-        }
-        let n = n_stages as f64;
-        match self {
-            BudgetPolicy::Uniform => vec![total / n; n_stages],
-            // Linear ramp with weights 1, 2, ..., n (front-loaded spends
-            // the small weights first); weights sum to n(n+1)/2.
-            BudgetPolicy::FrontLoaded => {
-                let denom = n * (n + 1.0) / 2.0;
-                (1..=n_stages).map(|k| total * k as f64 / denom).collect()
-            }
-            BudgetPolicy::BackLoaded => {
-                let denom = n * (n + 1.0) / 2.0;
-                (1..=n_stages)
-                    .rev()
-                    .map(|k| total * k as f64 / denom)
-                    .collect()
-            }
-        }
-    }
-}
-
-/// Per-role thread counts for the pipelined CPU executor
-/// ([`CpuWorkerExecutor`](crate::engine::cpu::CpuWorkerExecutor) with
-/// `pipeline_depth > 1`): decoder pool → apply pool → encoder pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerSplit {
-    /// Threads decompressing chunk groups into working buffers.
-    pub decode: usize,
-    /// Threads applying the stage's specialized gates.
-    pub apply: usize,
-    /// Threads recompressing finished groups back into the store.
-    pub encode: usize,
-}
-
-impl WorkerSplit {
-    /// A split with explicit per-role counts (each must be >= 1 to pass
-    /// [`MemQSimConfig::validate`]).
-    pub fn new(decode: usize, apply: usize, encode: usize) -> WorkerSplit {
-        WorkerSplit {
-            decode,
-            apply,
-            encode,
-        }
-    }
-
-    /// The default split for `workers` total threads, clamped to the
-    /// machine: a request larger than
-    /// [`std::thread::available_parallelism`] is cut down to the hardware
-    /// thread count before splitting, so oversubscribed configs don't
-    /// schedule three oversized pools onto a small box.
-    pub fn auto(workers: usize) -> WorkerSplit {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        WorkerSplit::auto_for_cores(workers, cores)
-    }
-
-    /// The split [`auto`](Self::auto) would pick on a machine with `cores`
-    /// hardware threads. Codec work dominates the chunk loop (decompress +
-    /// recompress are ~85% of busy time in the codec-bound regime), so
-    /// decode and encode each take ~2/5 of the clamped budget and apply
-    /// gets the remainder; every role keeps at least one thread, so the
-    /// 1-core degenerate split is `(1, 1, 1)`.
-    pub fn auto_for_cores(workers: usize, cores: usize) -> WorkerSplit {
-        let workers = workers.min(cores.max(1));
-        let codec_side = (2 * workers).div_ceil(5).max(1);
-        WorkerSplit {
-            decode: codec_side,
-            apply: workers.saturating_sub(2 * codec_side).max(1),
-            encode: codec_side,
-        }
-    }
-
-    /// Total threads across the three roles.
-    pub fn total(&self) -> usize {
-        self.decode + self.apply + self.encode
-    }
-}
-
 /// Configuration shared by the MEMQSIM engines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemQSimConfig {
@@ -220,17 +95,6 @@ pub struct MemQSimConfig {
     /// In-flight staging buffers for the hybrid pipeline (2 = classic
     /// double buffering).
     pub pipeline_buffers: usize,
-    /// In-flight chunk-group budget for the CPU worker pipeline: at most
-    /// this many decompressed groups exist at once across the decode →
-    /// apply → encode pools. `1` (the default) is the serial chunk loop;
-    /// larger depths overlap the three roles at the cost of
-    /// `pipeline_depth × group_bytes` of working buffers.
-    pub pipeline_depth: usize,
-    /// Per-role thread counts for the pipelined CPU path. `None` (the
-    /// default) derives a codec-heavy split from `workers` via
-    /// [`WorkerSplit::auto`]. Ignored at `pipeline_depth == 1`, where
-    /// `workers` drives the flat group-parallel loop instead.
-    pub worker_split: Option<WorkerSplit>,
     /// Fraction of chunk groups updated on the CPU instead of the device
     /// in the hybrid engine (0.0 = all device, 1.0 = all CPU).
     pub cpu_share: f64,
@@ -255,9 +119,6 @@ pub struct MemQSimConfig {
     /// Which base storage tier holds the chunks (compressed, dense, or
     /// disk-spill).
     pub store_kind: StoreKind,
-    /// Plan-level per-stage gate fusion (fewer, denser gates into the
-    /// blocked apply sweep); `Off` leaves the plan's gates as authored.
-    pub fusion: FusionLevel,
     /// How chunks cross the CPU↔GPU link in the hybrid engine (raw
     /// amplitudes, or compressed payloads decoded on the device).
     pub transfer_mode: TransferMode,
@@ -275,13 +136,10 @@ pub struct MemQSimConfig {
     pub layout_policy: LayoutPolicy,
     /// End-state fidelity target (`None` = no budget). When set (requires
     /// [`CodecSpec::Auto`]), the engine converts `1 - target` into a total
-    /// per-amplitude error allowance, splits it across stages per
-    /// `budget_policy`, and feeds each stage's bound to the adaptive codec
+    /// per-amplitude error allowance, splits it evenly across stages, and
+    /// feeds each stage's bound to the adaptive codec
     /// — tracking actual per-stage spend in telemetry.
     pub fidelity_budget: Option<f64>,
-    /// How the fidelity budget is split into per-stage allowances; ignored
-    /// without `fidelity_budget`.
-    pub budget_policy: BudgetPolicy,
     /// Numeric width of stored chunks. [`Precision::Adaptive`] (requires
     /// [`CodecSpec::Auto`]) lets the codec demote chunks to f32 pairs when
     /// the rounding error fits the stage's allowance.
@@ -296,21 +154,17 @@ impl Default for MemQSimConfig {
             codec: CodecSpec::Sz { eb: 1e-10 },
             workers: 1,
             pipeline_buffers: 2,
-            pipeline_depth: 1,
-            worker_split: None,
             cpu_share: 0.0,
             dual_stream: false,
             reorder: false,
             cache_bytes: 0,
             cache_policy: CachePolicy::WriteBack,
             store_kind: StoreKind::Compressed,
-            fusion: FusionLevel::Off,
             transfer_mode: TransferMode::Raw,
             devices: 1,
             shard_policy: ShardPolicy::ChunkAffinity,
             layout_policy: LayoutPolicy::Fixed,
             fidelity_budget: None,
-            budget_policy: BudgetPolicy::Uniform,
             precision: Precision::F64,
         }
     }
@@ -355,18 +209,6 @@ impl MemQSimConfig {
         }
         if self.pipeline_buffers == 0 {
             return Err("pipeline_buffers must be >= 1".into());
-        }
-        if self.pipeline_depth == 0 {
-            return Err("pipeline_depth must be >= 1 (1 = serial chunk loop)".into());
-        }
-        if let Some(split) = self.worker_split {
-            if split.decode == 0 || split.apply == 0 || split.encode == 0 {
-                return Err(format!(
-                    "worker_split needs >= 1 thread per role, got \
-                     decode {} / apply {} / encode {}",
-                    split.decode, split.apply, split.encode
-                ));
-            }
         }
         if !(0.0..=1.0).contains(&self.cpu_share) {
             return Err(format!("cpu_share {} outside [0, 1]", self.cpu_share));
@@ -434,20 +276,6 @@ impl MemQSimConfigBuilder {
         self
     }
 
-    /// In-flight chunk-group budget for the CPU worker pipeline
-    /// (1 = serial chunk loop).
-    pub fn pipeline_depth(mut self, pipeline_depth: usize) -> Self {
-        self.cfg.pipeline_depth = pipeline_depth;
-        self
-    }
-
-    /// Explicit per-role thread counts for the pipelined CPU path
-    /// (otherwise derived from `workers` via [`WorkerSplit::auto`]).
-    pub fn worker_split(mut self, split: WorkerSplit) -> Self {
-        self.cfg.worker_split = Some(split);
-        self
-    }
-
     /// Fraction of chunk groups updated on the CPU instead of the device.
     pub fn cpu_share(mut self, cpu_share: f64) -> Self {
         self.cfg.cpu_share = cpu_share;
@@ -485,12 +313,6 @@ impl MemQSimConfigBuilder {
         self
     }
 
-    /// Plan-level per-stage gate fusion level.
-    pub fn fusion(mut self, fusion: FusionLevel) -> Self {
-        self.cfg.fusion = fusion;
-        self
-    }
-
     /// How chunks cross the CPU↔GPU link in the hybrid engine.
     pub fn transfer_mode(mut self, transfer_mode: TransferMode) -> Self {
         self.cfg.transfer_mode = transfer_mode;
@@ -520,12 +342,6 @@ impl MemQSimConfigBuilder {
     /// End-state fidelity target in (0, 1); requires [`CodecSpec::Auto`].
     pub fn fidelity_budget(mut self, target: f64) -> Self {
         self.cfg.fidelity_budget = Some(target);
-        self
-    }
-
-    /// How the fidelity budget is split into per-stage allowances.
-    pub fn budget_policy(mut self, budget_policy: BudgetPolicy) -> Self {
-        self.cfg.budget_policy = budget_policy;
         self
     }
 
@@ -579,14 +395,6 @@ mod tests {
                 ..Default::default()
             },
             MemQSimConfig {
-                pipeline_depth: 0,
-                ..Default::default()
-            },
-            MemQSimConfig {
-                worker_split: Some(WorkerSplit::new(2, 0, 2)),
-                ..Default::default()
-            },
-            MemQSimConfig {
                 cpu_share: 1.5,
                 ..Default::default()
             },
@@ -637,8 +445,6 @@ mod tests {
             .codec(CodecSpec::Fpc)
             .workers(2)
             .pipeline_buffers(4)
-            .pipeline_depth(3)
-            .worker_split(WorkerSplit::new(2, 1, 2))
             .cpu_share(0.5)
             .dual_stream(true)
             .reorder(true)
@@ -647,7 +453,6 @@ mod tests {
             .store_kind(StoreKind::Spill {
                 resident_budget: 1 << 24,
             })
-            .fusion(FusionLevel::Blocks2q)
             .transfer_mode(TransferMode::Compressed)
             .devices(4)
             .shard_policy(ShardPolicy::RoundRobin)
@@ -657,12 +462,10 @@ mod tests {
         let adaptive = MemQSimConfig::builder()
             .codec(CodecSpec::Auto { eb: Some(1e-8) })
             .fidelity_budget(0.999999)
-            .budget_policy(BudgetPolicy::FrontLoaded)
             .precision(Precision::Adaptive)
             .build()
             .unwrap();
         assert_eq!(adaptive.fidelity_budget, Some(0.999999));
-        assert_eq!(adaptive.budget_policy, BudgetPolicy::FrontLoaded);
         assert_eq!(adaptive.precision, Precision::Adaptive);
         assert_eq!(
             cfg,
@@ -672,8 +475,6 @@ mod tests {
                 codec: CodecSpec::Fpc,
                 workers: 2,
                 pipeline_buffers: 4,
-                pipeline_depth: 3,
-                worker_split: Some(WorkerSplit::new(2, 1, 2)),
                 cpu_share: 0.5,
                 dual_stream: true,
                 reorder: true,
@@ -682,13 +483,11 @@ mod tests {
                 store_kind: StoreKind::Spill {
                     resident_budget: 1 << 24,
                 },
-                fusion: FusionLevel::Blocks2q,
                 transfer_mode: TransferMode::Compressed,
                 devices: 4,
                 shard_policy: ShardPolicy::RoundRobin,
                 layout_policy: LayoutPolicy::Greedy,
                 fidelity_budget: None,
-                budget_policy: BudgetPolicy::Uniform,
                 precision: Precision::F64,
             }
         );
@@ -713,16 +512,6 @@ mod tests {
         assert!(MemQSimConfig::builder().max_high_qubits(0).build().is_err());
         let err = MemQSimConfig::builder().cpu_share(2.0).build().unwrap_err();
         assert!(err.contains("cpu_share"), "{err}");
-        let err = MemQSimConfig::builder()
-            .pipeline_depth(0)
-            .build()
-            .unwrap_err();
-        assert!(err.contains("pipeline_depth"), "{err}");
-        let err = MemQSimConfig::builder()
-            .worker_split(WorkerSplit::new(0, 1, 1))
-            .build()
-            .unwrap_err();
-        assert!(err.contains("worker_split"), "{err}");
         let err = MemQSimConfig::builder().devices(0).build().unwrap_err();
         assert!(err.contains("devices"), "{err}");
         let err = MemQSimConfig::builder()
@@ -735,74 +524,5 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.contains("Precision::Adaptive"), "{err}");
-    }
-
-    #[test]
-    fn budget_policies_allocate_the_whole_budget() {
-        for policy in [
-            BudgetPolicy::Uniform,
-            BudgetPolicy::FrontLoaded,
-            BudgetPolicy::BackLoaded,
-        ] {
-            assert!(policy.allocate(1e-6, 0).is_empty());
-            for n in [1usize, 2, 7] {
-                let bounds = policy.allocate(1e-6, n);
-                assert_eq!(bounds.len(), n);
-                assert!(bounds.iter().all(|&b| b > 0.0), "{policy:?}");
-                let sum: f64 = bounds.iter().sum();
-                assert!((sum - 1e-6).abs() < 1e-18, "{policy:?}: sum {sum}");
-            }
-        }
-        // Front-loaded tightens early stages; back-loaded is its mirror.
-        let front = BudgetPolicy::FrontLoaded.allocate(1.0, 4);
-        assert!(front.windows(2).all(|w| w[0] < w[1]));
-        let back = BudgetPolicy::BackLoaded.allocate(1.0, 4);
-        assert!(back.windows(2).all(|w| w[0] > w[1]));
-        assert_eq!(front[0], back[3]);
-    }
-
-    #[test]
-    fn auto_split_keeps_every_role_alive_and_favors_codec() {
-        for workers in 1..=16usize {
-            let split = WorkerSplit::auto_for_cores(workers, 64);
-            assert!(split.decode >= 1 && split.apply >= 1 && split.encode >= 1);
-            assert_eq!(split.decode, split.encode, "codec roles are symmetric");
-            assert!(split.apply <= split.decode.max(1) * 2);
-        }
-        // At least `workers` threads total once there is room to split.
-        assert_eq!(
-            WorkerSplit::auto_for_cores(1, 64),
-            WorkerSplit::new(1, 1, 1)
-        );
-        assert_eq!(
-            WorkerSplit::auto_for_cores(5, 64),
-            WorkerSplit::new(2, 1, 2)
-        );
-        assert_eq!(
-            WorkerSplit::auto_for_cores(10, 64),
-            WorkerSplit::new(4, 2, 4)
-        );
-    }
-
-    #[test]
-    fn auto_split_clamps_the_pool_to_the_machine() {
-        // An oversubscribed request on a 1-core box degenerates to one
-        // thread per role — the smallest split that keeps the pipeline
-        // stages alive.
-        assert_eq!(WorkerSplit::auto_for_cores(8, 1), WorkerSplit::new(1, 1, 1));
-        // Clamping to `cores` is the same as asking for `cores` outright.
-        assert_eq!(
-            WorkerSplit::auto_for_cores(10, 5),
-            WorkerSplit::auto_for_cores(5, 64)
-        );
-        // A request that fits is untouched by the clamp.
-        assert_eq!(
-            WorkerSplit::auto_for_cores(5, 64),
-            WorkerSplit::new(2, 1, 2)
-        );
-        // `auto` itself never plans more threads than the machine has,
-        // modulo the one-thread-per-role floor.
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        assert!(WorkerSplit::auto(usize::MAX).total() <= cores.max(3));
     }
 }

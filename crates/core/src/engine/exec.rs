@@ -9,14 +9,11 @@
 //! is a [`ChunkExecutor`] driven through a *streaming* stage protocol —
 //! [`begin_stage`](ChunkExecutor::begin_stage), one
 //! [`submit`](ChunkExecutor::submit) per chunk group, then
-//! [`end_stage`](ChunkExecutor::end_stage) as the stage barrier — so an
-//! executor may overlap the decompress → apply → recompress roles of
-//! different groups inside a stage:
+//! [`end_stage`](ChunkExecutor::end_stage) as the stage barrier:
 //!
 //! * [`CpuWorkerExecutor`](super::cpu::CpuWorkerExecutor) — "idle core"
-//!   workers decompress → apply → recompress each group (paper Fig. 2
-//!   step 5), overlapped across a bounded in-flight window when
-//!   `cfg.pipeline_depth > 1`;
+//!   workers carry each group through decompress → apply → recompress
+//!   (paper Fig. 2 step 5), one flat group-parallel loop at the barrier;
 //! * [`DevicePipelineExecutor`](super::hybrid::DevicePipelineExecutor) —
 //!   the three-role producer/device/completer pipeline (Fig. 2 steps 1–6),
 //!   a [`StageBatchExecutor`] bridged by [`SerialAdapter`].
@@ -29,7 +26,7 @@
 //! [`RunReport`] assembly for free, which is the seam heterogeneous
 //! scheduling (routing stages per-executor) will plug into.
 
-use crate::config::{FusionLevel, LayoutPolicy, MemQSimConfig, ShardPolicy};
+use crate::config::{LayoutPolicy, MemQSimConfig, ShardPolicy};
 use crate::engine::report::RunReport;
 use crate::engine::{EngineError, Granularity, StoreTelemetryGuard};
 use crate::planner::chunk_groups;
@@ -328,19 +325,8 @@ impl<E: StageBatchExecutor> ChunkExecutor for SerialAdapter<E> {
 }
 
 /// Builds the plan for `circuit` under `cfg` at the given granularity,
-/// optionally running the commutation-aware reorder pass first and the
-/// per-stage fusion pass (`cfg.fusion`) last.
+/// optionally running the commutation-aware reorder pass first.
 pub fn build_plan(circuit: &Circuit, cfg: &MemQSimConfig, granularity: Granularity) -> Plan {
-    build_plan_counted(circuit, cfg, granularity).0
-}
-
-/// [`build_plan`] that also reports how many gates per-stage fusion
-/// eliminated (0 when `cfg.fusion` is [`FusionLevel::Off`]).
-pub(crate) fn build_plan_counted(
-    circuit: &Circuit,
-    cfg: &MemQSimConfig,
-    granularity: Granularity,
-) -> (Plan, usize) {
     let chunk_bits = cfg.effective_chunk_bits(circuit.n_qubits());
     let reordered;
     let circuit = if cfg.reorder {
@@ -349,7 +335,7 @@ pub(crate) fn build_plan_counted(
     } else {
         circuit
     };
-    let mut plan = match granularity {
+    match granularity {
         Granularity::Staged => {
             let pcfg = PartitionConfig {
                 chunk_bits,
@@ -365,35 +351,7 @@ pub(crate) fn build_plan_counted(
         // Per-gate plans stay fixed-layout: each gate is its own stage, so
         // there is no lookahead window for a remap to pay for itself.
         Granularity::PerGate => partition_per_gate(circuit, chunk_bits),
-    };
-    let gates_fused = fuse_plan_stages(&mut plan, cfg.fusion, circuit.n_qubits());
-    (plan, gates_fused)
-}
-
-/// Fuses each stage's gate list in place, never crossing a stage barrier.
-/// Gates touching qubits at or above `chunk_bits` (the stage's cross-chunk
-/// pairing set lives there) pass through unfused, so the stage's
-/// `high_qubits` and the specializer's index mapping stay valid. Returns
-/// the number of gates eliminated.
-fn fuse_plan_stages(plan: &mut Plan, level: FusionLevel, n_qubits: u32) -> usize {
-    if level == FusionLevel::Off {
-        return 0;
     }
-    let mut fused_away = 0usize;
-    for stage in &mut plan.stages {
-        let mut staged = Circuit::new(n_qubits);
-        for g in &stage.gates {
-            staged.push(g.clone());
-        }
-        let fused = match level {
-            FusionLevel::Runs1q => mq_circuit::fusion::fuse_1q_runs_below(&staged, plan.chunk_bits),
-            FusionLevel::Blocks2q => mq_circuit::fusion::fuse_to_2q_below(&staged, plan.chunk_bits),
-            FusionLevel::Off => unreachable!(),
-        };
-        fused_away += stage.gates.len().saturating_sub(fused.len());
-        stage.gates = fused.gates().to_vec();
-    }
-    fused_away
 }
 
 /// Assigns one stage's groups to devices under `policy`. `load` is the
@@ -560,11 +518,7 @@ pub fn run_with_executor(
     // ordering groups residency-first.
     let cache_enabled = cfg.cache_bytes > 0;
 
-    let (plan, gates_fused) = build_plan_counted(circuit, cfg, granularity);
-    if gates_fused > 0 {
-        telemetry.add(Counter::GatesFused, gates_fused as u64);
-    }
-    let plan = Arc::new(plan);
+    let plan = Arc::new(build_plan(circuit, cfg, granularity));
     let ctx = ExecContext {
         store: Arc::clone(store),
         plan: Arc::clone(&plan),
@@ -730,7 +684,6 @@ pub fn run_with_executor(
         chunk_visits,
         gates_applied: stats.gates_applied,
         scalars_applied: stats.scalars_applied,
-        gates_fused: record.counter(Counter::GatesFused) as usize,
         apply_passes_saved: record.counter(Counter::ApplyPassesSaved) as usize,
         remap_passes: record.counter(Counter::RemapPasses) as usize,
         chunk_visits_saved_by_layout: record.counter(Counter::ChunkVisitsSavedByLayout) as usize,
@@ -753,14 +706,13 @@ pub fn run_with_executor(
 /// Per-stage error allowances for a run with a fidelity budget (`None`
 /// without one): the end-state infidelity `1 - target` is converted into a
 /// total per-amplitude (per re/im plane) error allowance via the worst-case
-/// L2 relation `1 - F <= 2 * 2^n * E^2`, then split across stages by the
-/// configured [`BudgetPolicy`](crate::config::BudgetPolicy) — per-stage
-/// errors add at worst linearly per amplitude, so bounds summing to `E`
-/// keep the end-state claim.
+/// L2 relation `1 - F <= 2 * 2^n * E^2`, then split evenly across stages
+/// — per-stage errors add at worst linearly per amplitude, so bounds
+/// summing to `E` keep the end-state claim.
 pub fn stage_error_bounds(cfg: &MemQSimConfig, n_qubits: u32, n_stages: usize) -> Option<Vec<f64>> {
     cfg.fidelity_budget.map(|target| {
         let total = ((1.0 - target) / (2.0 * (2f64).powi(n_qubits as i32))).sqrt();
-        cfg.budget_policy.allocate(total, n_stages)
+        vec![total / n_stages as f64; n_stages]
     })
 }
 
@@ -773,7 +725,7 @@ pub(crate) struct ApplyCounters {
 
 /// Decompresses `group`'s chunks into consecutive `chunk_amps`-sized slots
 /// of `buffer` (no telemetry span — callers hold the right role span).
-pub(crate) fn load_group(
+fn load_group(
     store: &dyn ChunkStore,
     group: &[usize],
     buffer: &mut [Complex64],
@@ -787,7 +739,7 @@ pub(crate) fn load_group(
 
 /// Recompresses `group`'s chunks from consecutive `chunk_amps`-sized slots
 /// of `buffer` (no telemetry span — callers hold the right role span).
-pub(crate) fn store_group(
+fn store_group(
     store: &dyn ChunkStore,
     group: &[usize],
     buffer: &[Complex64],
@@ -860,10 +812,10 @@ pub(crate) fn specialize_stage(
 
 /// Applies one stage's gates, specialized for the group based at
 /// `base_chunk`, to a decompressed group `buffer` — the single apply body
-/// behind the serial loop and the pipelined apply pool (and, through the
-/// device stream's kernel command, the device pipeline): specialize, then
-/// one cache-blocked [`apply_all_tiled`] sweep.
-pub(crate) fn apply_stage_to_group(
+/// behind the CPU chunk loop (and, through the device stream's kernel
+/// command, the device pipeline): specialize, then one cache-blocked
+/// [`apply_all_tiled`] sweep.
+fn apply_stage_to_group(
     stage: &Stage,
     chunk_bits: u32,
     base_chunk: usize,
@@ -880,8 +832,8 @@ pub(crate) fn apply_stage_to_group(
 
 /// Processes a slice of one stage's groups entirely on CPU workers:
 /// decompress → specialize+apply → recompress, distributed with
-/// `par_for_with`. The single implementation behind the serial CPU executor
-/// path and the hybrid executor's "idle core" share (paper Fig. 2 step 5).
+/// `par_for_with`. The single implementation behind the CPU executor and
+/// the hybrid executor's "idle core" share (paper Fig. 2 step 5).
 pub(crate) fn process_groups_on_cpu(
     ctx: &ExecContext,
     work: &StageWork<'_>,

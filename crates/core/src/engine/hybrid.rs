@@ -29,7 +29,7 @@
 //! flush, report) lives in [`exec::run_with_executor`](super::exec); this
 //! module contributes only the [`DevicePipelineExecutor`] compute path.
 
-use crate::config::{FusionLevel, MemQSimConfig, TransferMode};
+use crate::config::{MemQSimConfig, TransferMode};
 use crate::engine::exec::{
     apply_remap_on_store, process_groups_on_cpu, run_with_executor, specialize_stage,
     ApplyCounters, ExecContext, ExecutorStats, SerialAdapter, StageBatchExecutor, StageWork,
@@ -354,12 +354,10 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
         let stage = work.stage;
         let chunk_bits = ctx.plan.chunk_bits;
         // A group's op list is one kernel command whose body is the CPU
-        // path's blocked sweep. Fusion only changes the modeled charge: one
-        // launch for the list instead of one per gate.
-        let fuse_kernels = ctx.cfg.fusion != FusionLevel::Off;
-        let run_gates = move |s: &Stream, db: DeviceBuffer, work: &mut Work| {
+        // path's blocked sweep.
+        let run_gates = |s: &Stream, db: DeviceBuffer, work: &mut Work| {
             let ops = std::mem::take(&mut work.ops);
-            s.run_gates_region(db, work.amps, ops, fuse_kernels);
+            s.run_gates_region(db, work.amps, ops);
         };
 
         let stage_groups_device = AtomicUsize::new(0);

@@ -45,8 +45,6 @@ pub struct RunReport {
     pub gates_applied: usize,
     /// Outside-qubit scalar factors applied (folded into the apply sweep).
     pub scalars_applied: usize,
-    /// Gates eliminated by plan-level fusion (0 with `FusionLevel::Off`).
-    pub gates_fused: usize,
     /// Amplitude-buffer passes the blocked apply sweep avoided against one
     /// pass per applied gate and scalar, summed over every chunk visit:
     /// `gates_applied + scalars_applied - apply_passes_saved` passes were

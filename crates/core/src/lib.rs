@@ -56,8 +56,7 @@ pub use backend::{
     run_on_all, Backend, BackendRun, CompressedCpuBackend, DenseCpuBackend, HybridBackend,
 };
 pub use config::{
-    BudgetPolicy, FusionLevel, LayoutPolicy, MemQSimConfig, MemQSimConfigBuilder, ShardPolicy,
-    StoreKind, TransferMode, WorkerSplit,
+    LayoutPolicy, MemQSimConfig, MemQSimConfigBuilder, ShardPolicy, StoreKind, TransferMode,
 };
 pub use engine::{
     run_with_executor, ChunkExecutor, EngineError, ExecContext, ExecutorStats, Granularity,

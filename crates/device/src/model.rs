@@ -125,16 +125,6 @@ impl DeviceSpec {
         secs_to_duration(self.kernel_launch_overhead + amps as f64 / self.kernel_amp_throughput)
     }
 
-    /// Modeled duration of one *fused* kernel applying `n_gates` gates over
-    /// `amps` amplitudes: a single launch overhead is charged (that is the
-    /// fusion win), while amplitude work still scales with the gate count.
-    pub fn fused_kernel_time(&self, amps: usize, n_gates: usize) -> Duration {
-        secs_to_duration(
-            self.kernel_launch_overhead
-                + (n_gates.max(1) * amps) as f64 / self.kernel_amp_throughput,
-        )
-    }
-
     /// Modeled duration of a scatter/gather kernel over `amps` amplitudes.
     pub fn scatter_time(&self, amps: usize) -> Duration {
         secs_to_duration(self.kernel_launch_overhead + amps as f64 / self.scatter_amp_throughput)
@@ -269,21 +259,6 @@ mod tests {
         let t1 = spec.kernel_time(1 << 20).as_secs_f64();
         let t2 = spec.kernel_time(1 << 21).as_secs_f64();
         assert!(t2 > t1 * 1.8 && t2 < t1 * 2.2);
-    }
-
-    #[test]
-    fn fused_kernel_saves_exactly_the_extra_launches() {
-        let spec = DeviceSpec::pcie_gen3();
-        let amps = 1usize << 20;
-        for n_gates in [1usize, 4, 16] {
-            let fused = spec.fused_kernel_time(amps, n_gates).as_secs_f64();
-            let separate = n_gates as f64 * spec.kernel_time(amps).as_secs_f64();
-            let want_saved = (n_gates - 1) as f64 * spec.kernel_launch_overhead;
-            // Durations are rounded to whole nanoseconds.
-            assert!((separate - fused - want_saved).abs() < 1e-7);
-        }
-        // Degenerate empty batch still costs one launch.
-        assert_eq!(spec.fused_kernel_time(amps, 0), spec.kernel_time(amps));
     }
 
     #[test]

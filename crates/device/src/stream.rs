@@ -283,8 +283,6 @@ enum Command {
         buf: DeviceBuffer,
         amps: usize,
         ops: Vec<SweepOp>,
-        /// Modeled as one launch for the whole list instead of one per gate.
-        fused: bool,
     },
     DecodeChunk {
         payload: Vec<u8>,
@@ -450,28 +448,21 @@ impl Stream {
     /// Enqueues a gate kernel over the whole buffer (the gate's qubit
     /// indices address within the buffer).
     pub fn run_gate(&self, buf: DeviceBuffer, gate: Gate) {
-        self.run_gates_region(buf, buf.len(), vec![SweepOp::Gate(gate)], false);
+        self.run_gates_region(buf, buf.len(), vec![SweepOp::Gate(gate)]);
     }
 
     /// Enqueues `ops`, in order, on the leading `amps` amplitudes of the
     /// buffer (`amps` must be a power of two; a working buffer may be larger
     /// than the live group staged in it). The body is the host engine's
     /// cache-blocked [`apply_all_tiled`] sweep, so device and host results
-    /// are bit-identical. `fused` picks the *modeled* charge only: one
-    /// kernel launch (and `kernel_launches` tick) per gate, or a single
-    /// launch for the whole list with the amplitude work still charged per
-    /// gate ([`DeviceSpec::fused_kernel_time`]). Scalars ride a kernel for
-    /// free. No-op for a list without a gate or scalar.
-    pub fn run_gates_region(&self, buf: DeviceBuffer, amps: usize, ops: Vec<SweepOp>, fused: bool) {
+    /// are bit-identical. The *modeled* charge is one kernel launch (and
+    /// `kernel_launches` tick) per gate; scalars ride a kernel for free.
+    /// No-op for a list without a gate or scalar.
+    pub fn run_gates_region(&self, buf: DeviceBuffer, amps: usize, ops: Vec<SweepOp>) {
         if ops.iter().all(|op| matches!(op, SweepOp::Cut)) {
             return;
         }
-        self.send(Command::RunGates {
-            buf,
-            amps,
-            ops,
-            fused,
-        });
+        self.send(Command::RunGates { buf, amps, ops });
     }
 
     /// Enqueues a compressed upload: ships `payload` over the H2D link and
@@ -764,25 +755,16 @@ fn execute(
             }
             Ok(())
         }
-        Command::RunGates {
-            buf,
-            amps,
-            ops,
-            fused,
-        } => {
+        Command::RunGates { buf, amps, ops } => {
             assert!(amps.is_power_of_two(), "kernel region must be 2^m amps");
             let mut arena = device.arena.lock();
             let range = arena.resolve(buf, 0, amps)?;
             let applied = apply_all_tiled(&mut arena.storage[range], &ops, 1, DEFAULT_TILE_AMPS);
-            let (t, launches) = match applied.gates {
-                0 => (Duration::ZERO, 0),
-                n if fused => (spec.fused_kernel_time(amps, n), 1),
-                n => (spec.kernel_time(amps) * n as u32, n),
-            };
+            let t = spec.kernel_time(amps) * applied.gates as u32;
             stats.modeled += t;
             stats.modeled_kernel += t;
             if let Some(tele) = device.telemetry.read().as_ref() {
-                tele.add(Counter::KernelLaunches, launches as u64);
+                tele.add(Counter::KernelLaunches, applied.gates as u64);
                 if applied.passes_saved() > 0 {
                     tele.add(Counter::ApplyPassesSaved, applied.passes_saved() as u64);
                 }
@@ -969,8 +951,8 @@ mod tests {
     }
 
     #[test]
-    fn fused_gates_match_per_gate_and_charge_one_launch() {
-        let run = |fused: bool| {
+    fn gate_list_command_charges_one_launch_per_gate() {
+        let run = |one_command: bool| {
             let dev = tiny_device(1024);
             let stream = dev.create_stream();
             let buf = dev.alloc(8).unwrap();
@@ -979,9 +961,9 @@ mod tests {
             let src = PinnedBuffer::from_slice(&init);
             stream.h2d(&src, 0, buf, 0, 8);
             let gates = vec![Gate::H(0), Gate::Cx(0, 1), Gate::Cx(1, 2)];
-            if fused {
+            if one_command {
                 let ops = gates.into_iter().map(SweepOp::Gate).collect();
-                stream.run_gates_region(buf, 8, ops, true);
+                stream.run_gates_region(buf, 8, ops);
             } else {
                 for g in gates {
                     stream.run_gate(buf, g);
@@ -992,17 +974,15 @@ mod tests {
             (stream.synchronize().unwrap(), out.to_vec())
         };
         let (per_gate, want) = run(false);
-        let (fused, got) = run(true);
+        let (list, got) = run(true);
         for (a, b) in want.iter().zip(&got) {
             assert!(a.approx_eq(*b, 1e-12));
         }
-        // One batched command replaces three, saving two launch overheads
-        // on the modeled clock while the amplitude work stays identical.
-        assert_eq!(per_gate.commands, fused.commands + 2);
-        let saved = (per_gate.modeled_kernel - fused.modeled_kernel).as_secs_f64();
-        let want = 2.0 * DeviceSpec::pcie_gen3().kernel_launch_overhead;
-        // Whole-nanosecond rounding per command.
-        assert!((saved - want).abs() < 1e-8, "saved {saved} want {want}");
+        // One command replaces three, but the modeled clock still charges
+        // one launch per gate.
+        assert_eq!(per_gate.commands, list.commands + 2);
+        assert_eq!(per_gate.modeled_kernel, list.modeled_kernel);
+        assert!(list.modeled_kernel > Duration::ZERO);
     }
 
     #[test]
@@ -1010,15 +990,15 @@ mod tests {
         let dev = tiny_device(64);
         let stream = dev.create_stream();
         let buf = dev.alloc(8).unwrap();
-        stream.run_gates_region(buf, 8, Vec::new(), true);
-        stream.run_gates_region(buf, 8, vec![SweepOp::Cut], false);
+        stream.run_gates_region(buf, 8, Vec::new());
+        stream.run_gates_region(buf, 8, vec![SweepOp::Cut]);
         assert_eq!(stream.synchronize().unwrap().commands, 0);
 
         // A scalar with no gate to ride still scales the region, at no
         // modeled kernel charge.
         let src = PinnedBuffer::from_slice(&[Complex64::ONE; 8]);
         stream.h2d(&src, 0, buf, 0, 8);
-        stream.run_gates_region(buf, 8, vec![SweepOp::Scalar(c64(0.0, 1.0))], false);
+        stream.run_gates_region(buf, 8, vec![SweepOp::Scalar(c64(0.0, 1.0))]);
         let out = PinnedBuffer::new(8);
         stream.d2h(buf, 0, &out, 0, 8);
         let stats = stream.synchronize().unwrap();
@@ -1045,18 +1025,16 @@ mod tests {
             .collect();
         let mut want = amps.clone();
         apply_all_tiled(&mut want, &ops, 1, DEFAULT_TILE_AMPS);
-        for fused in [false, true] {
-            let dev = tiny_device(64);
-            let stream = dev.create_stream();
-            let buf = dev.alloc(16).unwrap();
-            let src = PinnedBuffer::from_slice(&amps);
-            stream.h2d(&src, 0, buf, 0, 8);
-            stream.run_gates_region(buf, 8, ops.clone(), fused);
-            let out = PinnedBuffer::new(8);
-            stream.d2h(buf, 0, &out, 0, 8);
-            stream.synchronize().unwrap();
-            assert_eq!(out.to_vec(), want, "fused={fused}");
-        }
+        let dev = tiny_device(64);
+        let stream = dev.create_stream();
+        let buf = dev.alloc(16).unwrap();
+        let src = PinnedBuffer::from_slice(&amps);
+        stream.h2d(&src, 0, buf, 0, 8);
+        stream.run_gates_region(buf, 8, ops);
+        let out = PinnedBuffer::new(8);
+        stream.d2h(buf, 0, &out, 0, 8);
+        stream.synchronize().unwrap();
+        assert_eq!(out.to_vec(), want);
     }
 
     #[test]

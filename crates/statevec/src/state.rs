@@ -1,7 +1,6 @@
 //! The dense state vector and circuit execution.
 
 use crate::apply::apply_gate;
-use mq_circuit::fusion;
 use mq_circuit::Circuit;
 use mq_num::aligned::AlignedVec;
 use mq_num::{bits, metrics, Complex64};
@@ -11,16 +10,11 @@ use mq_num::{bits, metrics, Complex64};
 pub struct CpuConfig {
     /// Worker threads for the gate kernels.
     pub workers: usize,
-    /// Run the 1q-run fusion pass before execution.
-    pub fuse: bool,
 }
 
 impl Default for CpuConfig {
     fn default() -> Self {
-        CpuConfig {
-            workers: 1,
-            fuse: false,
-        }
+        CpuConfig { workers: 1 }
     }
 }
 
@@ -142,15 +136,8 @@ impl State {
     /// Runs a whole circuit in place.
     pub fn run(&mut self, circuit: &Circuit, cfg: &CpuConfig) {
         assert_eq!(circuit.n_qubits(), self.n_qubits, "width mismatch");
-        if cfg.fuse {
-            let fused = fusion::fuse_1q_runs(circuit);
-            for g in fused.gates() {
-                apply_gate(self.amps.as_mut_slice(), g, cfg.workers);
-            }
-        } else {
-            for g in circuit.gates() {
-                apply_gate(self.amps.as_mut_slice(), g, cfg.workers);
-            }
+        for g in circuit.gates() {
+            apply_gate(self.amps.as_mut_slice(), g, cfg.workers);
         }
     }
 }
@@ -208,20 +195,7 @@ mod tests {
     #[test]
     fn run_matches_oracle_for_suite() {
         for c in library::standard_suite(6) {
-            for cfg in [
-                CpuConfig {
-                    workers: 1,
-                    fuse: false,
-                },
-                CpuConfig {
-                    workers: 2,
-                    fuse: false,
-                },
-                CpuConfig {
-                    workers: 1,
-                    fuse: true,
-                },
-            ] {
+            for cfg in [CpuConfig { workers: 1 }, CpuConfig { workers: 2 }] {
                 let s = run_circuit(&c, &cfg);
                 let want = run_dense(&c, 0);
                 assert!(

@@ -105,9 +105,6 @@ pub enum Counter {
     SpillBytesWritten,
     /// Compressed chunk bytes read back from spill files on disk.
     SpillBytesRead,
-    /// Gates eliminated by plan-level fusion (original minus fused gate
-    /// count, summed over stages).
-    GatesFused,
     /// Full amplitude-buffer passes avoided by the blocked apply sweep
     /// (gates and scalars applied minus memory sweeps actually made).
     ApplyPassesSaved,
@@ -148,7 +145,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 26] = [
         Counter::BytesDecompressed,
         Counter::BytesCompressed,
         Counter::BytesH2d,
@@ -162,7 +159,6 @@ impl Counter {
         Counter::Evictions,
         Counter::SpillBytesWritten,
         Counter::SpillBytesRead,
-        Counter::GatesFused,
         Counter::ApplyPassesSaved,
         Counter::BytesH2dCompressed,
         Counter::BytesD2hCompressed,
@@ -194,7 +190,6 @@ impl Counter {
             Counter::Evictions => "evictions",
             Counter::SpillBytesWritten => "spill_bytes_written",
             Counter::SpillBytesRead => "spill_bytes_read",
-            Counter::GatesFused => "gates_fused",
             Counter::ApplyPassesSaved => "apply_passes_saved",
             Counter::BytesH2dCompressed => "bytes_h2d_compressed",
             Counter::BytesD2hCompressed => "bytes_d2h_compressed",
@@ -226,20 +221,19 @@ impl Counter {
             Counter::Evictions => 10,
             Counter::SpillBytesWritten => 11,
             Counter::SpillBytesRead => 12,
-            Counter::GatesFused => 13,
-            Counter::ApplyPassesSaved => 14,
-            Counter::BytesH2dCompressed => 15,
-            Counter::BytesD2hCompressed => 16,
-            Counter::DeviceDecodeTime => 17,
-            Counter::DeviceEncodeTime => 18,
-            Counter::RemapPasses => 19,
-            Counter::ChunkVisitsSavedByLayout => 20,
-            Counter::CodecPicksZeroRle => 21,
-            Counter::CodecPicksFpc => 22,
-            Counter::CodecPicksShuffleLzss => 23,
-            Counter::CodecPicksSz => 24,
-            Counter::MixedPrecisionChunks => 25,
-            Counter::LossyEncodes => 26,
+            Counter::ApplyPassesSaved => 13,
+            Counter::BytesH2dCompressed => 14,
+            Counter::BytesD2hCompressed => 15,
+            Counter::DeviceDecodeTime => 16,
+            Counter::DeviceEncodeTime => 17,
+            Counter::RemapPasses => 18,
+            Counter::ChunkVisitsSavedByLayout => 19,
+            Counter::CodecPicksZeroRle => 20,
+            Counter::CodecPicksFpc => 21,
+            Counter::CodecPicksShuffleLzss => 22,
+            Counter::CodecPicksSz => 23,
+            Counter::MixedPrecisionChunks => 24,
+            Counter::LossyEncodes => 25,
         }
     }
 }

@@ -91,28 +91,6 @@ pub mod channel {
 
     impl std::error::Error for RecvTimeoutError {}
 
-    /// Returned by `try_recv`.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        Empty,
-        Disconnected,
-    }
-
-    /// Returned by `try_send`; carries the value back like crossbeam's.
-    pub enum TrySendError<T> {
-        Full(T),
-        Disconnected(T),
-    }
-
-    impl<T> fmt::Debug for TrySendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TrySendError::Full(_) => f.write_str("Full(..)"),
-                TrySendError::Disconnected(_) => f.write_str("Disconnected(..)"),
-            }
-        }
-    }
-
     fn new_chan<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
             inner: Mutex::new(Inner {
@@ -167,34 +145,6 @@ pub mod channel {
             drop(inner);
             self.chan.not_empty.notify_one();
             Ok(())
-        }
-
-        /// Non-blocking send: fails immediately instead of waiting for
-        /// room, returning the value either way.
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            let mut inner = lock(&self.chan);
-            if inner.receivers == 0 {
-                return Err(TrySendError::Disconnected(value));
-            }
-            if let Some(cap) = inner.cap {
-                if inner.queue.len() >= cap {
-                    return Err(TrySendError::Full(value));
-                }
-            }
-            inner.queue.push_back(value);
-            drop(inner);
-            self.chan.not_empty.notify_one();
-            Ok(())
-        }
-
-        /// Messages currently queued in the channel.
-        pub fn len(&self) -> usize {
-            lock(&self.chan).queue.len()
-        }
-
-        /// Whether the channel holds no queued messages.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
         }
     }
 
@@ -265,31 +215,6 @@ pub mod channel {
                     .wait_timeout(inner, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
                 inner = guard;
-            }
-        }
-
-        /// Messages currently queued in the channel.
-        pub fn len(&self) -> usize {
-            lock(&self.chan).queue.len()
-        }
-
-        /// Whether the channel holds no queued messages.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut inner = lock(&self.chan);
-            if let Some(v) = inner.queue.pop_front() {
-                drop(inner);
-                self.chan.not_full.notify_one();
-                return Ok(v);
-            }
-            if inner.senders == 0 {
-                Err(TryRecvError::Disconnected)
-            } else {
-                Err(TryRecvError::Empty)
             }
         }
     }
@@ -392,24 +317,6 @@ mod tests {
         let (tx, rx) = channel::unbounded();
         drop(rx);
         assert!(tx.send(7).is_err());
-    }
-
-    #[test]
-    fn try_send_reports_full_and_disconnected_without_blocking() {
-        let (tx, rx) = channel::bounded(1);
-        assert!(tx.try_send(1).is_ok());
-        assert_eq!(tx.len(), 1);
-        assert!(matches!(
-            tx.try_send(2),
-            Err(channel::TrySendError::Full(2))
-        ));
-        assert_eq!(rx.recv(), Ok(1));
-        assert!(rx.is_empty());
-        drop(rx);
-        assert!(matches!(
-            tx.try_send(3),
-            Err(channel::TrySendError::Disconnected(3))
-        ));
     }
 
     #[test]

@@ -35,10 +35,10 @@ pub use mq_telemetry as telemetry;
 // re-exported at the crate root so `use memqsim_suite::{Backend, ...}`
 // works without knowing which member crate owns what.
 pub use memqsim_core::{
-    Backend, BackendRun, BudgetPolicy, CachePolicy, ChunkExecutor, ChunkStore,
-    CompressedCpuBackend, DenseCpuBackend, EngineError, FusionLevel, HybridBackend, LayoutPolicy,
-    MemQSim, MemQSimConfig, MemQSimConfigBuilder, RunReport, RunTelemetry, ShardPolicy,
-    StageBatchExecutor, StoreCounters, StoreKind, TransferMode, WorkerSplit,
+    Backend, BackendRun, CachePolicy, ChunkExecutor, ChunkStore, CompressedCpuBackend,
+    DenseCpuBackend, EngineError, HybridBackend, LayoutPolicy, MemQSim, MemQSimConfig,
+    MemQSimConfigBuilder, RunReport, RunTelemetry, ShardPolicy, StageBatchExecutor, StoreCounters,
+    StoreKind, TransferMode,
 };
 pub use mq_compress::{CodecSpec, Precision};
 pub use mq_device::{DeviceSpec, DeviceTopology};

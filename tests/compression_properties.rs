@@ -147,19 +147,6 @@ proptest! {
         let err = max_amp_err(&a.to_dense().unwrap(), &b.to_dense().unwrap());
         prop_assert!(err < 1e-12);
     }
-
-    #[test]
-    fn fusion_preserves_random_circuits(gates in prop::collection::vec(arb_gate(5), 1..20)) {
-        let mut circuit = Circuit::new(5);
-        for g in gates {
-            circuit.push(g);
-        }
-        let fused1 = mq_circuit::fusion::fuse_1q_runs(&circuit);
-        let fused2 = mq_circuit::fusion::fuse_to_2q(&circuit);
-        let want = run_dense(&circuit, 0);
-        prop_assert!(max_amp_err(&run_dense(&fused1, 0), &want) < 1e-10);
-        prop_assert!(max_amp_err(&run_dense(&fused2, 0), &want) < 1e-10);
-    }
 }
 
 proptest! {

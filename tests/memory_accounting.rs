@@ -123,6 +123,46 @@ fn working_buffer_peak_scales_with_group_size() {
     assert!(large_groups.peak_buffer_bytes > small_groups.peak_buffer_bytes);
 }
 
+/// The flat chunk loop's memory claim: each worker owns one group buffer,
+/// so the working-buffer peak is `min(workers, groups per stage) ×
+/// group_bytes` (worst stage) — and the worker count moves nothing else:
+/// the final state is bit-identical on a lossless codec.
+#[test]
+fn flat_loop_peak_buffer_is_workers_times_group_bytes() {
+    let circuit = library::qft(9);
+    let run = |workers: usize| {
+        let cfg = MemQSimConfig {
+            chunk_bits: 3,
+            max_high_qubits: 2,
+            codec: CodecSpec::Fpc,
+            workers,
+            ..Default::default()
+        };
+        let store = memqsim_core::build_store(9, &cfg).expect("store");
+        let report = memqsim_core::engine::cpu::run(&store, &circuit, &cfg, Granularity::Staged)
+            .expect("run failed");
+        let plan = memqsim_core::engine::cpu::build_plan(&circuit, &cfg, Granularity::Staged);
+        let want = plan
+            .stages
+            .iter()
+            .map(|stage| {
+                let groups = store.chunk_count() / stage.group_size();
+                workers.min(groups) * stage.group_size() * store.chunk_amps() * 16
+            })
+            .max()
+            .unwrap();
+        assert_eq!(report.peak_buffer_bytes, want, "workers {workers}");
+        (store.to_dense().expect("dense"), report.peak_buffer_bytes)
+    };
+    let (one, peak1) = run(1);
+    let (two, peak2) = run(2);
+    let (four, peak4) = run(4);
+    assert_eq!(one, two);
+    assert_eq!(one, four);
+    // 64 chunks in groups of at most 4: every stage has >= 4 groups.
+    assert_eq!((peak2, peak4), (2 * peak1, 4 * peak1));
+}
+
 #[test]
 fn cumulative_stats_count_every_store() {
     let circuit = library::ghz(10);
