@@ -2,7 +2,7 @@
 //! eviction service times against the raw codec round-trip each one replaces.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use memqsim_core::{build_store_from_amplitudes, CachePolicy, ChunkStore, MemQSimConfig};
+use memqsim_core::{build_store_from_amplitudes, ChunkStore, MemQSimConfig};
 use mq_circuit::library;
 use mq_compress::CodecSpec;
 use mq_num::Complex64;
@@ -20,7 +20,6 @@ fn qft_store(cache_entries: usize) -> Arc<dyn ChunkStore> {
         chunk_bits: CHUNK_BITS,
         codec: CodecSpec::Sz { eb: 1e-10 },
         cache_bytes: cache_entries * ENTRY_BYTES,
-        cache_policy: CachePolicy::WriteBack,
         ..Default::default()
     };
     build_store_from_amplitudes(state.amplitudes(), &cfg).expect("store construction failed")

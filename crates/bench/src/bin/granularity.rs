@@ -25,7 +25,7 @@ fn run_once(
     chunk_bits: u32,
     granularity: Granularity,
 ) -> (memqsim_core::engine::RunReport, f64) {
-    run_once_with(n, chunk_bits, granularity, false, 0)
+    run_once_with(n, chunk_bits, granularity, 0)
 }
 
 /// Half the working set (dense state + one group staging buffer) — the
@@ -38,7 +38,6 @@ fn run_once_with(
     n: u32,
     chunk_bits: u32,
     granularity: Granularity,
-    reorder: bool,
     cache_bytes: usize,
 ) -> (memqsim_core::engine::RunReport, f64) {
     let cfg = MemQSimConfig {
@@ -46,7 +45,6 @@ fn run_once_with(
         max_high_qubits: 2,
         codec: CodecSpec::Sz { eb: 1e-10 },
         workers: 1,
-        reorder,
         cache_bytes,
         ..Default::default()
     };
@@ -137,7 +135,7 @@ fn main() {
     for cb in [6u32, 8, 10, 12] {
         for cached in [false, true] {
             let cache_bytes = if cached { half_working_set(n, cb) } else { 0 };
-            let (r, _) = run_once_with(n, cb, Granularity::Staged, false, cache_bytes);
+            let (r, _) = run_once_with(n, cb, Granularity::Staged, cache_bytes);
             t.row(&[
                 format!("2^{cb}"),
                 if cached {
@@ -171,31 +169,6 @@ fn main() {
         Err(e) => eprintln!("\ncould not write results JSON: {e}"),
     }
 
-    // Sweep 4: commutation-aware reordering (vqe's interleaved rotation +
-    // ladder layers benefit; see mq_circuit::reorder).
-    println!("\n## Commutation-aware reordering (vqe ansatz, per-stage)\n");
-    let mut t = Table::new(&["reorder", "stages", "chunk visits", "wall"]);
-    for (label, reorder) in [("off", false), ("on", true)] {
-        let cfg = MemQSimConfig {
-            chunk_bits,
-            max_high_qubits: 2,
-            codec: CodecSpec::Sz { eb: 1e-10 },
-            workers: 1,
-            reorder,
-            ..Default::default()
-        };
-        let circuit = mq_circuit::library::hardware_efficient_ansatz(n, 2, 7);
-        let store = build_store(n, &cfg).expect("store construction failed");
-        let r = memqsim_core::engine::cpu::run(&store, &circuit, &cfg, Granularity::Staged)
-            .expect("engine run failed");
-        t.row(&[
-            label.to_string(),
-            r.stages.to_string(),
-            r.chunk_visits.to_string(),
-            format!("{:.1} ms", r.wall.as_secs_f64() * 1e3),
-        ]);
-    }
-    println!("{t}");
     println!("\nCoarser chunks: fewer visits & bigger transient working set;");
     println!("finer chunks: more per-chunk overhead and lower ratio — the paper's");
     println!("granularity trade-off, quantified.");

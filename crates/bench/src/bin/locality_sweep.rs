@@ -1,14 +1,17 @@
 //! **Experiment L1 — qubit-layout locality sweep.**
 //!
-//! `LayoutPolicy::Greedy` lets the planner *move* hot cross-chunk qubits
-//! below the chunk boundary instead of repeatedly paying cross-chunk
-//! stages for them. This sweep pins the three claims that make the layout
-//! machinery worth having:
+//! The shipped planner reorders commuting gates and then lets the greedy
+//! layout *move* hot cross-chunk qubits below the chunk boundary instead of
+//! repeatedly paying cross-chunk stages for them. This sweep runs the
+//! shipped plan against two hand-built baselines — the fixed-layout
+//! `partition(..)` of the circuit as written (`fixed`) and of the reordered
+//! gate list (`reorder-only`) — and pins the three claims that make the
+//! layout machinery worth having:
 //!
-//! * safety: the greedy plan never visits more chunks than the fixed plan
-//!   (the planner falls back to fixed whenever remapping would not
-//!   strictly win), and the greedy state is bit-identical to the
-//!   reorder-only state it extends;
+//! * safety: the shipped plan never visits more chunks than either
+//!   baseline (the planner falls back to the fixed layout whenever
+//!   remapping would not strictly win), and its state is bit-identical to
+//!   the reorder-only state it extends;
 //! * a real win: on at least one random/QAOA workload the greedy layout
 //!   cuts chunk visits ≥ 1.5x below the *reorder-only* baseline — gains
 //!   commutation-aware gate reordering cannot reach, because the hot
@@ -18,17 +21,22 @@
 //!   zero chunk visits, so no decode is ever charged for it.
 //!
 //! Workloads: a seeded random circuit, a random circuit with rotating hot
-//! high targets, a QAOA ring, and QFT, each at chunk_bits 6–8. Everything
-//! lands in `results/BENCH_locality.json`.
+//! high targets, a QAOA ring, and QFT, each at chunk_bits 6–8, with the
+//! measured wall time of every run beside its visit count (`--qubits 20`
+//! is the seconds-scale row set). Everything lands in
+//! `results/BENCH_locality.json`.
 //!
 //! Usage: `cargo run -p mq-bench --release --bin locality_sweep
 //!         [--qubits 16] [--check]`
 //!
 //! `--check` exits non-zero if any gate fails — the CI smoke gate.
 
-use memqsim_core::engine::{cpu, Granularity};
-use memqsim_core::{build_store, LayoutPolicy, MemQSimConfig, RunReport};
-use mq_bench::{write_results_json, Args, Table};
+use memqsim_core::engine::cpu::CpuWorkerExecutor;
+use memqsim_core::engine::{build_plan, Granularity};
+use memqsim_core::{build_store, run_plan_with_executor, MemQSimConfig, RunReport};
+use mq_bench::{fmt_secs, write_results_json, Args, Table};
+use mq_circuit::partition::{partition, PartitionConfig, Plan};
+use mq_circuit::reorder::reorder_for_locality;
 use mq_circuit::{library, Circuit};
 use mq_compress::CodecSpec;
 use mq_num::metrics::max_amp_err;
@@ -66,29 +74,20 @@ fn workloads(n: u32) -> Vec<(&'static str, Circuit)> {
     ]
 }
 
-#[derive(Clone, Copy)]
-enum Policy {
-    Fixed,
-    ReorderOnly,
-    Greedy,
-}
-
-fn run(circuit: &Circuit, chunk_bits: u32, policy: Policy) -> (Vec<Complex64>, RunReport) {
-    let cfg = MemQSimConfig {
+fn config(chunk_bits: u32) -> MemQSimConfig {
+    MemQSimConfig {
         chunk_bits,
         max_high_qubits: 2,
         codec: CodecSpec::Fpc, // lossless: parity must be bit-exact
         workers: 1,
-        reorder: !matches!(policy, Policy::Fixed),
-        layout_policy: if matches!(policy, Policy::Greedy) {
-            LayoutPolicy::Greedy
-        } else {
-            LayoutPolicy::Fixed
-        },
         ..Default::default()
-    };
-    let store = build_store(circuit.n_qubits(), &cfg).expect("store construction failed");
-    let report = cpu::run(&store, circuit, &cfg, Granularity::Staged).expect("engine run failed");
+    }
+}
+
+fn run(plan: Plan, cfg: &MemQSimConfig) -> (Vec<Complex64>, RunReport) {
+    let store = build_store(plan.n_qubits, cfg).expect("store construction failed");
+    let report = run_plan_with_executor(&store, plan, cfg, &mut CpuWorkerExecutor::new())
+        .expect("engine run failed");
     (store.to_dense().expect("store is readable"), report)
 }
 
@@ -109,16 +108,23 @@ fn main() {
             "chunk_bits",
             "fixed",
             "reorder-only",
-            "greedy",
+            "shipped",
             "vs reorder",
             "remaps",
             "saved",
+            "wall s (measured) fixed / reorder / shipped",
             "parity",
         ]);
         for chunk_bits in [6u32, 7, 8] {
-            let (fixed_state, fixed) = run(&circuit, chunk_bits, Policy::Fixed);
-            let (reorder_state, reorder) = run(&circuit, chunk_bits, Policy::ReorderOnly);
-            let (greedy_state, greedy) = run(&circuit, chunk_bits, Policy::Greedy);
+            let cfg = config(chunk_bits);
+            let pcfg = PartitionConfig {
+                chunk_bits,
+                max_high_qubits: cfg.max_high_qubits,
+            };
+            let (fixed_state, fixed) = run(partition(&circuit, &pcfg), &cfg);
+            let reordered = reorder_for_locality(&circuit, chunk_bits);
+            let (reorder_state, reorder) = run(partition(&reordered, &pcfg), &cfg);
+            let (greedy_state, greedy) = run(build_plan(&circuit, &cfg, Granularity::Staged), &cfg);
             let tag = format!("{workload} cb{chunk_bits}");
 
             // Layout must be a bit-level no-op against the same base
@@ -127,21 +133,21 @@ fn main() {
             // held to numeric tolerance instead.
             let bit_identical = reorder_state == greedy_state;
             if !bit_identical {
-                failures.push(format!("{tag}: greedy diverged from reorder-only"));
+                failures.push(format!("{tag}: shipped diverged from reorder-only"));
             }
             let err = max_amp_err(&fixed_state, &greedy_state);
             if err > 1e-10 {
-                failures.push(format!("{tag}: greedy vs fixed err {err:.3e}"));
+                failures.push(format!("{tag}: shipped vs fixed err {err:.3e}"));
             }
             if greedy.chunk_visits > fixed.chunk_visits {
                 failures.push(format!(
-                    "{tag}: greedy visits {} > fixed {}",
+                    "{tag}: shipped visits {} > fixed {}",
                     greedy.chunk_visits, fixed.chunk_visits
                 ));
             }
             if greedy.chunk_visits > reorder.chunk_visits {
                 failures.push(format!(
-                    "{tag}: greedy visits {} > reorder-only {}",
+                    "{tag}: shipped visits {} > reorder-only {}",
                     greedy.chunk_visits, reorder.chunk_visits
                 ));
             }
@@ -179,6 +185,12 @@ fn main() {
                 format!("{ratio:.2}x"),
                 greedy.remap_passes.to_string(),
                 greedy.chunk_visits_saved_by_layout.to_string(),
+                format!(
+                    "{} / {} / {}",
+                    fmt_secs(fixed.wall.as_secs_f64()),
+                    fmt_secs(reorder.wall.as_secs_f64()),
+                    fmt_secs(greedy.wall.as_secs_f64())
+                ),
                 if bit_identical {
                     "exact".to_string()
                 } else {
@@ -188,14 +200,18 @@ fn main() {
             json_rows.push(format!(
                 "    {{\"workload\": \"{workload}\", \"chunk_bits\": {chunk_bits}, \
                  \"fixed_visits\": {}, \"reorder_only_visits\": {}, \
-                 \"greedy_visits\": {}, \"reduction_vs_reorder\": {ratio:.4}, \
+                 \"shipped_visits\": {}, \"reduction_vs_reorder\": {ratio:.4}, \
                  \"remap_passes\": {}, \"visits_saved\": {}, \
-                 \"bit_identical\": {bit_identical}}}",
+                 \"fixed_wall_s_measured\": {:.4}, \"reorder_only_wall_s_measured\": {:.4}, \
+                 \"shipped_wall_s_measured\": {:.4}, \"bit_identical\": {bit_identical}}}",
                 fixed.chunk_visits,
                 reorder.chunk_visits,
                 greedy.chunk_visits,
                 greedy.remap_passes,
-                greedy.chunk_visits_saved_by_layout
+                greedy.chunk_visits_saved_by_layout,
+                fixed.wall.as_secs_f64(),
+                reorder.wall.as_secs_f64(),
+                greedy.wall.as_secs_f64()
             ));
         }
         println!("## {workload}{n}\n\n{t}");
@@ -203,7 +219,7 @@ fn main() {
 
     if best_ratio < 1.5 {
         failures.push(format!(
-            "best greedy-vs-reorder reduction {best_ratio:.2}x < 1.5x on every random/QAOA workload"
+            "best shipped-vs-reorder reduction {best_ratio:.2}x < 1.5x on every random/QAOA workload"
         ));
     }
     if !payload_swaps_proven {
@@ -212,7 +228,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"experiment\": \"locality\",\n  \"qubits\": {n},\n  \
-         \"gates\": {{\"parity_exact\": true, \"greedy_never_worse\": true, \
+         \"gates\": {{\"parity_exact\": true, \"shipped_never_worse\": true, \
          \"reduction_1_5x_vs_reorder\": true, \"payload_swaps_no_decode\": true, \
          \"pass\": {}}},\n  \
          \"best_reduction_vs_reorder\": {best_ratio:.4},\n  \
@@ -228,7 +244,7 @@ fn main() {
     if failures.is_empty() {
         println!(
             "\nLocality: {best_ratio:.2}x best chunk-visit reduction vs reorder-only \
-             ({best_tag}), greedy never worse than fixed, states bit-identical, \
+             ({best_tag}), shipped never worse than either baseline, states bit-identical, \
              high-high remaps moved payloads without decode. [OK]"
         );
     } else {

@@ -9,8 +9,8 @@
 //!   state (and the accounting columns match), for every workload;
 //! * near-linear modeled scaling: the fleet makespan (max over device
 //!   lanes) shrinks ≥ 3.0x at 4 devices on at least one workload, and the
-//!   measured load imbalance stays close to 1 under the default
-//!   chunk-affinity shard policy.
+//!   measured load imbalance stays close to 1 under the chunk-affinity
+//!   shard rule.
 //!
 //! Workloads are the qubit_extension mix (GHZ, W state, BV, QAOA ring,
 //! QFT, random) at a sweep-friendly register size. Everything lands in
@@ -21,7 +21,7 @@
 //!
 //! `--check` exits non-zero if any gate fails — the CI smoke gate.
 
-use memqsim_core::{build_store, MemQSimConfig, RunReport, ShardPolicy};
+use memqsim_core::{build_store, MemQSimConfig, RunReport};
 use mq_bench::{fmt_secs, write_results_json, Args, Table};
 use mq_circuit::{library, Circuit};
 use mq_compress::CodecSpec;
@@ -52,7 +52,6 @@ fn run_fleet(circuit: &Circuit, chunk_bits: u32, devices: usize) -> (Vec<Complex
         codec: CodecSpec::Fpc,
         workers: 1,
         devices,
-        shard_policy: ShardPolicy::ChunkAffinity,
         ..Default::default()
     };
     let store = build_store(circuit.n_qubits(), &cfg).expect("store construction failed");

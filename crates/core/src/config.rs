@@ -1,6 +1,5 @@
 //! MEMQSIM configuration.
 
-use crate::store::CachePolicy;
 use mq_compress::{CodecSpec, Precision};
 
 /// Which base storage tier [`build_store`](crate::store::build_store)
@@ -39,46 +38,6 @@ pub enum TransferMode {
     Compressed,
 }
 
-/// How [`run_with_executor`](crate::engine::exec::run_with_executor)
-/// scatters each stage's chunk groups across an N-device fleet. Groups
-/// within a stage touch disjoint chunk sets, so every policy produces a
-/// bit-identical final state — policies only move modeled time and
-/// device-arena locality around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPolicy {
-    /// Rank groups by their base chunk and split the ranking into N
-    /// contiguous ranges, so a chunk range keeps hitting the same device's
-    /// arena across stages (the default).
-    #[default]
-    ChunkAffinity,
-    /// Deal groups out in submission order: group `seq` goes to device
-    /// `seq % N`.
-    RoundRobin,
-    /// Greedy least-loaded: each group goes to the device with the fewest
-    /// chunks assigned so far (load carries across stages), absorbing
-    /// heterogeneous group sizes.
-    LoadBalanced,
-}
-
-/// Whether the planner may re-map logical qubits onto physical state
-/// positions between stages. Remapping trades one-off permutation sweeps
-/// for fewer cross-chunk stages on circuits that keep hammering qubits
-/// above the chunk width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LayoutPolicy {
-    /// Logical qubit `q` stays at physical position `q` for the whole run
-    /// (the default; plans carry no remap transitions).
-    #[default]
-    Fixed,
-    /// Greedy cost-model layout ([`mq_circuit::layout::plan_greedy`]): the
-    /// planner may insert remap transitions swapping a hot cross-chunk
-    /// qubit with a cold intra-chunk one when the chunk visits saved over
-    /// a lookahead window beat the cost of the remap sweep. Falls back to
-    /// the fixed plan whenever remapping would not strictly reduce chunk
-    /// visits; applies to staged plans only (per-gate plans stay fixed).
-    Greedy,
-}
-
 /// Configuration shared by the MEMQSIM engines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemQSimConfig {
@@ -104,18 +63,11 @@ pub struct MemQSimConfig {
     /// 3: "initiates the GPU kernel asynchronously during the CPU-GPU data
     /// transfer").
     pub dual_stream: bool,
-    /// Run the commutation-aware reordering pass
-    /// (`mq_circuit::reorder::reorder_for_locality`) before partitioning,
-    /// clustering same-signature gates to cut stage count further.
-    pub reorder: bool,
-    /// Byte budget for the store's residency cache of decompressed hot
-    /// chunks (0 = disabled). Cache bytes count toward peak resident
-    /// memory, so the budget trades codec traffic against footprint.
+    /// Byte budget for the store's write-back residency cache of
+    /// decompressed hot chunks (0 = disabled). Cache bytes count toward
+    /// peak resident memory, so the budget trades codec traffic against
+    /// footprint.
     pub cache_bytes: usize,
-    /// When cached stores reach the compressed representation (write-back
-    /// defers recompression to eviction/flush; write-through keeps slots
-    /// always current).
-    pub cache_policy: CachePolicy,
     /// Which base storage tier holds the chunks (compressed, dense, or
     /// disk-spill).
     pub store_kind: StoreKind,
@@ -125,15 +77,10 @@ pub struct MemQSimConfig {
     /// Number of simulated devices the hybrid engine shards chunk groups
     /// across (1 = the classic single-GPU path). Each device gets its own
     /// stream, arena, staging buffers, and per-device stats; the modeled
-    /// run time becomes the makespan (max over devices).
+    /// run time becomes the makespan (max over devices). Each stage's
+    /// groups are ranked by base chunk and split into contiguous
+    /// per-device ranges.
     pub devices: usize,
-    /// How stage groups are scattered across the device fleet; ignored at
-    /// `devices == 1`.
-    pub shard_policy: ShardPolicy,
-    /// Whether the planner may insert remap transitions that permute the
-    /// logical→physical qubit layout between stages to cut chunk visits
-    /// (`Fixed` keeps the identity layout for the whole run).
-    pub layout_policy: LayoutPolicy,
     /// End-state fidelity target (`None` = no budget). When set (requires
     /// [`CodecSpec::Auto`]), the engine converts `1 - target` into a total
     /// per-amplitude error allowance, splits it evenly across stages, and
@@ -156,14 +103,10 @@ impl Default for MemQSimConfig {
             pipeline_buffers: 2,
             cpu_share: 0.0,
             dual_stream: false,
-            reorder: false,
             cache_bytes: 0,
-            cache_policy: CachePolicy::WriteBack,
             store_kind: StoreKind::Compressed,
             transfer_mode: TransferMode::Raw,
             devices: 1,
-            shard_policy: ShardPolicy::ChunkAffinity,
-            layout_policy: LayoutPolicy::Fixed,
             fidelity_budget: None,
             precision: Precision::F64,
         }
@@ -288,22 +231,10 @@ impl MemQSimConfigBuilder {
         self
     }
 
-    /// Run the commutation-aware reordering pass before partitioning.
-    pub fn reorder(mut self, reorder: bool) -> Self {
-        self.cfg.reorder = reorder;
-        self
-    }
-
     /// Byte budget for the residency cache of decompressed hot chunks
     /// (0 disables it).
     pub fn cache_bytes(mut self, cache_bytes: usize) -> Self {
         self.cfg.cache_bytes = cache_bytes;
-        self
-    }
-
-    /// When cached stores reach the compressed representation.
-    pub fn cache_policy(mut self, cache_policy: CachePolicy) -> Self {
-        self.cfg.cache_policy = cache_policy;
         self
     }
 
@@ -323,19 +254,6 @@ impl MemQSimConfigBuilder {
     /// (1 = single-GPU).
     pub fn devices(mut self, devices: usize) -> Self {
         self.cfg.devices = devices;
-        self
-    }
-
-    /// How stage groups are scattered across the device fleet.
-    pub fn shard_policy(mut self, shard_policy: ShardPolicy) -> Self {
-        self.cfg.shard_policy = shard_policy;
-        self
-    }
-
-    /// Whether the planner may permute the logical→physical qubit layout
-    /// between stages (`Fixed` = never, `Greedy` = when it cuts visits).
-    pub fn layout_policy(mut self, layout_policy: LayoutPolicy) -> Self {
-        self.cfg.layout_policy = layout_policy;
         self
     }
 
@@ -447,16 +365,12 @@ mod tests {
             .pipeline_buffers(4)
             .cpu_share(0.5)
             .dual_stream(true)
-            .reorder(true)
             .cache_bytes(1 << 20)
-            .cache_policy(CachePolicy::WriteThrough)
             .store_kind(StoreKind::Spill {
                 resident_budget: 1 << 24,
             })
             .transfer_mode(TransferMode::Compressed)
             .devices(4)
-            .shard_policy(ShardPolicy::RoundRobin)
-            .layout_policy(LayoutPolicy::Greedy)
             .build()
             .unwrap();
         let adaptive = MemQSimConfig::builder()
@@ -477,16 +391,12 @@ mod tests {
                 pipeline_buffers: 4,
                 cpu_share: 0.5,
                 dual_stream: true,
-                reorder: true,
                 cache_bytes: 1 << 20,
-                cache_policy: CachePolicy::WriteThrough,
                 store_kind: StoreKind::Spill {
                     resident_budget: 1 << 24,
                 },
                 transfer_mode: TransferMode::Compressed,
                 devices: 4,
-                shard_policy: ShardPolicy::RoundRobin,
-                layout_policy: LayoutPolicy::Greedy,
                 fidelity_budget: None,
                 precision: Precision::F64,
             }

@@ -26,15 +26,15 @@
 //! [`RunReport`] assembly for free, which is the seam heterogeneous
 //! scheduling (routing stages per-executor) will plug into.
 
-use crate::config::{LayoutPolicy, MemQSimConfig, ShardPolicy};
+use crate::config::MemQSimConfig;
 use crate::engine::report::RunReport;
 use crate::engine::{EngineError, Granularity, StoreTelemetryGuard};
 use crate::planner::chunk_groups;
 use crate::specialize::{specialize, GroupContext, Specialized};
 use crate::store::ChunkStore;
-use mq_circuit::partition::{
-    partition, partition_per_gate, PartitionConfig, Plan, RemapTransition, Stage,
-};
+use mq_circuit::layout::plan_greedy;
+use mq_circuit::partition::{partition_per_gate, PartitionConfig, Plan, RemapTransition, Stage};
+use mq_circuit::reorder::reorder_for_locality;
 use mq_circuit::Circuit;
 use mq_device::StreamStats;
 use mq_num::parallel::par_for_with;
@@ -99,8 +99,8 @@ pub struct GroupWork {
     /// The co-resident chunk indices of this group.
     pub chunks: Vec<usize>,
     /// The device index this group is sharded to (always 0 for
-    /// single-device configurations; see
-    /// [`ShardPolicy`]).
+    /// single-device configurations; fleets split each stage's groups,
+    /// ranked by base chunk, into contiguous per-device ranges).
     pub shard: usize,
 }
 
@@ -324,82 +324,43 @@ impl<E: StageBatchExecutor> ChunkExecutor for SerialAdapter<E> {
     }
 }
 
-/// Builds the plan for `circuit` under `cfg` at the given granularity,
-/// optionally running the commutation-aware reorder pass first.
+/// Builds the plan for `circuit` under `cfg` at the given granularity: the
+/// commutation-aware reorder pass clusters gates by cross-chunk signature,
+/// then staged plans go through the greedy layout planner, which returns
+/// the fixed-layout partition of the reordered circuit whenever remapping
+/// would not strictly cut chunk visits.
 pub fn build_plan(circuit: &Circuit, cfg: &MemQSimConfig, granularity: Granularity) -> Plan {
     let chunk_bits = cfg.effective_chunk_bits(circuit.n_qubits());
-    let reordered;
-    let circuit = if cfg.reorder {
-        reordered = mq_circuit::reorder::reorder_for_locality(circuit, chunk_bits);
-        &reordered
-    } else {
-        circuit
-    };
+    let circuit = reorder_for_locality(circuit, chunk_bits);
     match granularity {
-        Granularity::Staged => {
-            let pcfg = PartitionConfig {
+        Granularity::Staged => plan_greedy(
+            &circuit,
+            &PartitionConfig {
                 chunk_bits,
                 max_high_qubits: cfg.max_high_qubits,
-            };
-            match cfg.layout_policy {
-                LayoutPolicy::Fixed => partition(circuit, &pcfg),
-                // Greedy falls back to the fixed plan internally whenever
-                // remapping would not strictly reduce chunk visits.
-                LayoutPolicy::Greedy => mq_circuit::layout::plan_greedy(circuit, &pcfg),
-            }
-        }
+            },
+        ),
         // Per-gate plans stay fixed-layout: each gate is its own stage, so
         // there is no lookahead window for a remap to pay for itself.
-        Granularity::PerGate => partition_per_gate(circuit, chunk_bits),
+        Granularity::PerGate => partition_per_gate(&circuit, chunk_bits),
     }
 }
 
-/// Assigns one stage's groups to devices under `policy`. `load` is the
-/// per-device chunk count carried across stages (only `LoadBalanced` reads
-/// it; every policy updates it so telemetry can report imbalance).
+/// Assigns one stage's groups to devices: rank groups by base chunk, then
+/// split the ranking into `n_devices` contiguous ranges, so device `d` owns
+/// the `d`-th range of the chunk space and the same chunks land on the same
+/// device's arena in every stage (the stage's group *bases* shift with its
+/// high qubits, but ranking keeps the ranges balanced regardless).
 ///
 /// Groups within a stage touch disjoint chunk sets, so any assignment is
-/// bit-exact; policies only trade modeled makespan against arena locality.
-fn assign_shards(
-    policy: ShardPolicy,
-    n_devices: usize,
-    groups: &[Vec<usize>],
-    load: &mut [usize],
-) -> Vec<usize> {
-    if n_devices <= 1 || groups.is_empty() {
-        for (i, g) in groups.iter().enumerate() {
-            load[i % n_devices.max(1)] += g.len();
-        }
-        return vec![0; groups.len()];
-    }
-    let shards: Vec<usize> = match policy {
-        ShardPolicy::ChunkAffinity => {
-            // Rank groups by base chunk, then split the ranking into N
-            // contiguous ranges: device d owns the d-th range of the chunk
-            // space, so the same chunks land on the same device's arena in
-            // every stage (the stage's group *bases* shift with its high
-            // qubits, but ranking keeps the ranges balanced regardless).
-            let mut order: Vec<usize> = (0..groups.len()).collect();
-            order.sort_by_key(|&i| groups[i].first().copied().unwrap_or(0));
-            let mut shards = vec![0usize; groups.len()];
-            for (rank, &gi) in order.iter().enumerate() {
-                shards[gi] = rank * n_devices / groups.len();
-            }
-            shards
-        }
-        ShardPolicy::RoundRobin => (0..groups.len()).map(|seq| seq % n_devices).collect(),
-        ShardPolicy::LoadBalanced => groups
-            .iter()
-            .map(|g| {
-                let d = (0..n_devices).min_by_key(|&d| load[d]).unwrap_or(0);
-                load[d] += g.len();
-                d
-            })
-            .collect(),
-    };
-    if policy != ShardPolicy::LoadBalanced {
-        for (gi, &d) in shards.iter().enumerate() {
-            load[d] += groups[gi].len();
+/// bit-exact; this one keeps arena locality and a balanced makespan.
+fn assign_shards(n_devices: usize, groups: &[Vec<usize>]) -> Vec<usize> {
+    let mut shards = vec![0usize; groups.len()];
+    if n_devices > 1 {
+        let mut order: Vec<usize> = (0..groups.len()).collect();
+        order.sort_by_key(|&i| groups[i].first().copied().unwrap_or(0));
+        for (rank, &gi) in order.iter().enumerate() {
+            shards[gi] = rank * n_devices / groups.len();
         }
     }
     shards
@@ -481,11 +442,9 @@ pub fn apply_remap_on_store(
 
 /// Runs `circuit` against `store`, streaming every stage's chunk groups
 /// through `executor`. This is the one engine driver: `cpu::run` and
-/// `hybrid::run` are thin constructors over it.
-///
-/// Geometry mismatches surface as typed errors
-/// ([`EngineError::WidthMismatch`] / [`EngineError::ChunkMismatch`]) rather
-/// than panics.
+/// `hybrid::run` are thin constructors over it. Validates the
+/// configuration, builds the plan with [`build_plan`] and hands it to
+/// [`run_plan_with_executor`].
 pub fn run_with_executor(
     store: &Arc<dyn ChunkStore>,
     circuit: &Circuit,
@@ -493,19 +452,52 @@ pub fn run_with_executor(
     granularity: Granularity,
     executor: &mut dyn ChunkExecutor,
 ) -> Result<RunReport, EngineError> {
+    // The planner asserts on gates wider than `max_high_qubits` allows, so
+    // a bad configuration must be refused before it runs.
     cfg.validate().map_err(EngineError::Config)?;
-    if store.n_qubits() != circuit.n_qubits() {
+    let plan = build_plan(circuit, cfg, granularity);
+    run_plan_with_executor(store, plan, cfg, executor)
+}
+
+/// Executes an already-built `plan` against `store` through `executor`:
+/// everything [`run_with_executor`] does after planning. Callers that build
+/// a plan by hand (the fixed-layout [`partition`](mq_circuit::partition)
+/// reference the parity tests and `locality_sweep` compare against) enter
+/// here.
+///
+/// Geometry mismatches between the plan and the store surface as typed
+/// errors ([`EngineError::WidthMismatch`] / [`EngineError::ChunkMismatch`])
+/// rather than panics, and so does a stage whose chunk groups are larger
+/// than the `2^max_high_qubits` chunks executors size their buffers for.
+pub fn run_plan_with_executor(
+    store: &Arc<dyn ChunkStore>,
+    plan: Plan,
+    cfg: &MemQSimConfig,
+    executor: &mut dyn ChunkExecutor,
+) -> Result<RunReport, EngineError> {
+    cfg.validate().map_err(EngineError::Config)?;
+    if store.n_qubits() != plan.n_qubits {
         return Err(EngineError::WidthMismatch {
             store_qubits: store.n_qubits(),
-            circuit_qubits: circuit.n_qubits(),
+            circuit_qubits: plan.n_qubits,
         });
     }
-    let chunk_bits = cfg.effective_chunk_bits(circuit.n_qubits());
-    if store.chunk_bits() != chunk_bits {
+    if store.chunk_bits() != plan.chunk_bits {
         return Err(EngineError::ChunkMismatch {
             store_chunk_bits: store.chunk_bits(),
-            config_chunk_bits: chunk_bits,
+            config_chunk_bits: plan.chunk_bits,
         });
+    }
+    if let Some(stage) = plan
+        .stages
+        .iter()
+        .find(|s| s.high_qubits.len() > cfg.max_high_qubits as usize)
+    {
+        return Err(EngineError::Config(format!(
+            "plan stage pairs {} high qubits but max_high_qubits is {}",
+            stage.high_qubits.len(),
+            cfg.max_high_qubits
+        )));
     }
 
     // One telemetry record for the whole run; the store stack's telemetry
@@ -518,7 +510,7 @@ pub fn run_with_executor(
     // ordering groups residency-first.
     let cache_enabled = cfg.cache_bytes > 0;
 
-    let plan = Arc::new(build_plan(circuit, cfg, granularity));
+    let plan = Arc::new(plan);
     let ctx = ExecContext {
         store: Arc::clone(store),
         plan: Arc::clone(&plan),
@@ -531,12 +523,10 @@ pub fn run_with_executor(
     // spend is attributed by diffing the store's lossy-encode counter
     // around each stage: a stage that only picked lossless backends spends
     // nothing even though it had an allowance.
-    let stage_bounds = stage_error_bounds(cfg, circuit.n_qubits(), plan.stages.len());
+    let stage_bounds = stage_error_bounds(cfg, plan.n_qubits, plan.stages.len());
     let mut error_spend: Vec<StageErrorSpend> = Vec::new();
     let mut lossy_mark = store.counters().lossy_encodes;
 
-    let n_devices = cfg.devices.max(1);
-    let mut device_load = vec![0usize; n_devices];
     let mut chunk_visits = 0usize;
     let mut run_err: Option<EngineError> = None;
     match executor.prepare(&ctx) {
@@ -547,14 +537,10 @@ pub fn run_with_executor(
                     store.set_error_allowance(Some(bounds[si]));
                 }
                 if let Some(transition) = &stage.transition {
-                    // Remap before the stage: chunk identities change, so
-                    // per-device load tracking restarts (ChunkAffinity
-                    // re-ranks per stage; LoadBalanced re-seeds).
                     match executor.remap(&ctx, transition) {
                         Ok(v) => {
                             chunk_visits += v;
                             telemetry.add(Counter::RemapPasses, 1);
-                            device_load.iter_mut().for_each(|l| *l = 0);
                         }
                         Err(e) => {
                             run_err = Some(e);
@@ -584,7 +570,7 @@ pub fn run_with_executor(
                     }
                 }
                 chunk_visits += groups.iter().map(Vec::len).sum::<usize>();
-                let shards = assign_shards(cfg.shard_policy, n_devices, &groups, &mut device_load);
+                let shards = assign_shards(cfg.devices, &groups);
                 let si = si as u32;
                 if let Err(e) = executor.begin_stage(&ctx, si, groups.len()) {
                     run_err = Some(e);
@@ -1135,7 +1121,19 @@ mod tests {
             }) => {}
             other => panic!("expected ChunkMismatch, got {other:?}"),
         }
-        // Neither failed run reached the executor.
+
+        // A hand-built plan whose groups outgrow the configured buffers.
+        let store = testkit::zero_store(8, 3, &cfg);
+        let wide = PartitionConfig {
+            chunk_bits: 3,
+            max_high_qubits: 3,
+        };
+        let plan = mq_circuit::partition::partition(&library::qft(8), &wide);
+        match run_plan_with_executor(&store, plan, &cfg, &mut mock) {
+            Err(EngineError::Config(msg)) => assert!(msg.contains("max_high_qubits"), "{msg}"),
+            other => panic!("expected Config, got {other:?}"),
+        }
+        // No failed run reached the executor.
         assert_eq!(mock.into_inner().prepared, 0);
     }
 

@@ -20,7 +20,7 @@
 //! With `cfg.devices > 1` the whole issuer/completer pair is instantiated
 //! once **per device**: each fleet member owns its own staging slots,
 //! device buffers and streams, and the producer routes every group to the
-//! device the driver's [`ShardPolicy`](crate::config::ShardPolicy) chose.
+//! device the driver sharded it to (contiguous chunk ranges per device).
 //! Groups within a stage touch disjoint chunk sets, so fleet runs are
 //! bit-identical to single-device runs; only the modeled makespan (max
 //! over devices) shrinks.
@@ -164,8 +164,8 @@ fn merge_stream_stats(into: &mut StreamStats, s: &StreamStats) {
 /// `pipeline_buffers` in-flight slots per device when `pipelined`, fully
 /// drained after every group when not (the Fig. 2 ablation baseline). A
 /// `cpu_share` fraction of each stage's groups bypasses the fleet entirely
-/// (step 5, "idle cores"); the rest land on the device the driver's
-/// [`ShardPolicy`](crate::config::ShardPolicy) picked.
+/// (step 5, "idle cores"); the rest land on the device the driver sharded
+/// them to.
 pub struct DevicePipelineExecutor<'d> {
     devices: &'d [Device],
     pipelined: bool,
@@ -196,11 +196,9 @@ impl<'d> DevicePipelineExecutor<'d> {
     /// Creates an executor over an N-device fleet. Every device gets its
     /// own staging slots, streams and issuer/completer pipeline; the driver
     /// routes groups by [`GroupWork::shard`](crate::engine::exec::GroupWork).
-    ///
-    /// # Panics
-    /// Panics if `devices` is empty.
+    /// An empty fleet is refused by [`prepare`](StageBatchExecutor::prepare)
+    /// with [`EngineError::Config`].
     pub fn new_fleet(devices: &'d [Device], pipelined: bool) -> DevicePipelineExecutor<'d> {
-        assert!(!devices.is_empty(), "a fleet needs at least one device");
         DevicePipelineExecutor {
             devices,
             pipelined,
@@ -243,6 +241,9 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
     }
 
     fn prepare(&mut self, ctx: &ExecContext) -> Result<(), EngineError> {
+        if self.devices.is_empty() {
+            return Err(EngineError::Config("fleet has no devices".to_string()));
+        }
         // Every fleet member feeds transfer/kernel counters into the same
         // run record (lanes split them back out per device at `finish`).
         for device in self.devices {
@@ -295,8 +296,7 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
         // high-high transpositions relabel whole chunks, so any device-side
         // affinity (sharding by chunk index) is stale after the transition.
         // The command moves no arena data — it charges one scatter-shaped
-        // pass so fleet makespans stay honest about re-sharding — and the
-        // driver re-balances `device_load` at the same boundary.
+        // pass so fleet makespans stay honest about re-sharding.
         let pairs = transition.chunk_exchange_pairs(ctx.plan.chunk_bits, ctx.store.chunk_count());
         if !pairs.is_empty() {
             for lane in &self.lanes {
@@ -711,7 +711,8 @@ pub fn run(
 /// disjoint chunk sets, so the result is bit-identical to [`run`] on one
 /// device; only the modeled makespan shrinks. `cfg.devices` is overridden
 /// by `devices.len()` so the driver's shard assignment always matches the
-/// fleet that actually executes.
+/// fleet that actually executes; an empty fleet is an
+/// [`EngineError::Config`].
 pub fn run_fleet(
     store: &Arc<dyn ChunkStore>,
     circuit: &Circuit,
@@ -941,24 +942,26 @@ mod tests {
     }
 
     #[test]
-    fn fleet_respects_every_shard_policy() {
-        let c = library::random_circuit(7, 6, 7);
-        let base = cfg(3);
-        let (reference, _) = run_fleet_n(&c, 1, true);
-        for policy in [
-            crate::config::ShardPolicy::ChunkAffinity,
-            crate::config::ShardPolicy::RoundRobin,
-            crate::config::ShardPolicy::LoadBalanced,
-        ] {
-            let config = MemQSimConfig {
-                shard_policy: policy,
-                ..base
-            };
-            let store = testkit::zero_store(7, 3, &config);
-            let fleet = DeviceTopology::homogeneous(3, DeviceSpec::tiny_test(1 << 12)).build();
-            run_fleet(&store, &c, &config, &fleet, true).unwrap();
-            assert_eq!(store.to_dense().unwrap(), reference, "{policy:?}");
-        }
+    fn empty_fleet_is_a_config_error_that_starts_nothing() {
+        let config = cfg(3);
+        let c = library::ghz(7);
+        let store = testkit::zero_store(7, 3, &config);
+        let no_devices = || EngineError::Config("fleet has no devices".to_string());
+        assert_eq!(
+            run_fleet(&store, &c, &config, &[], true).unwrap_err(),
+            no_devices()
+        );
+        // Lanes own every stream thread and device buffer the executor
+        // creates; the refusal comes before the first one.
+        let mut exec = SerialAdapter::new(DevicePipelineExecutor::new_fleet(&[], true));
+        let err = run_with_executor(&store, &c, &config, Granularity::Staged, &mut exec);
+        assert_eq!(err.unwrap_err(), no_devices());
+        assert!(exec.into_inner().lanes.is_empty());
+        // The store was not touched and runs normally afterwards.
+        let dev = testkit::tiny_device();
+        run(&store, &c, &config, &dev, true).unwrap();
+        assert_eq!(dev.used_amps(), 0);
+        assert!((store.probability(0).unwrap() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1249,7 +1252,6 @@ mod max_high_one_tests {
         let cfg = MemQSimConfig {
             max_high_qubits: 1,
             dual_stream: true,
-            reorder: true,
             ..testkit::cfg(3, CodecSpec::Fpc)
         };
         for circuit in [library::ghz(8), library::w_state(8)] {

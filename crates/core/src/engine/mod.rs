@@ -21,8 +21,8 @@ pub mod hybrid;
 pub mod report;
 
 pub use exec::{
-    build_plan, run_with_executor, stage_error_bounds, ChunkExecutor, ExecContext, ExecutorStats,
-    GroupWork, SerialAdapter, StageBatchExecutor, StageWork,
+    build_plan, run_plan_with_executor, run_with_executor, stage_error_bounds, ChunkExecutor,
+    ExecContext, ExecutorStats, GroupWork, SerialAdapter, StageBatchExecutor, StageWork,
 };
 pub use report::RunReport;
 

@@ -51,7 +51,8 @@ pub struct RunReport {
     /// made.
     pub apply_passes_saved: usize,
     /// Layout remap transitions executed (stage transitions plus the
-    /// restore-to-identity epilogue; 0 under `LayoutPolicy::Fixed`).
+    /// restore-to-identity epilogue; 0 when the planner kept the fixed
+    /// layout).
     pub remap_passes: usize,
     /// Chunk visits the greedy layout saved versus the fixed plan for the
     /// same circuit, remap sweeps already charged (0 when the planner kept

@@ -55,17 +55,15 @@ mod testkit;
 pub use backend::{
     run_on_all, Backend, BackendRun, CompressedCpuBackend, DenseCpuBackend, HybridBackend,
 };
-pub use config::{
-    LayoutPolicy, MemQSimConfig, MemQSimConfigBuilder, ShardPolicy, StoreKind, TransferMode,
-};
+pub use config::{MemQSimConfig, MemQSimConfigBuilder, StoreKind, TransferMode};
 pub use engine::{
-    run_with_executor, ChunkExecutor, EngineError, ExecContext, ExecutorStats, Granularity,
-    GroupWork, RunReport, SerialAdapter, StageBatchExecutor, StageWork,
+    run_plan_with_executor, run_with_executor, ChunkExecutor, EngineError, ExecContext,
+    ExecutorStats, Granularity, GroupWork, RunReport, SerialAdapter, StageBatchExecutor, StageWork,
 };
 pub use mq_compress::Precision;
 pub use mq_telemetry::{Counter, DeviceLane, Role, RunTelemetry, SpanRecord, Telemetry};
 pub use store::{
-    build_store, build_store_from_amplitudes, CachePolicy, ChunkStore, CompressedTier, DenseStore,
+    build_store, build_store_from_amplitudes, ChunkStore, CompressedTier, DenseStore,
     ResidencyCache, SpillStore, StoreCounters, TelemetryTier,
 };
 

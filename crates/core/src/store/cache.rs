@@ -10,18 +10,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// When cached stores reach the inner store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CachePolicy {
-    /// Stores dirty the resident copy; the inner store sees the data on
-    /// eviction or [`flush`](ChunkStore::flush) (the default).
-    #[default]
-    WriteBack,
-    /// Stores keep the resident copy *and* write through to the inner
-    /// store immediately, so the inner representation is never stale.
-    WriteThrough,
-}
-
 /// One decompressed chunk resident in the cache.
 struct CacheEntry {
     amps: Vec<Complex64>,
@@ -46,9 +34,8 @@ struct CacheState {
 /// Bounded write-back cache of decompressed chunks over any inner store.
 ///
 /// Loads of resident chunks skip the inner store (checksum and codec)
-/// entirely; stores replace the resident copy and mark it dirty
-/// ([`CachePolicy::WriteBack`]) — the inner store sees the data only on
-/// eviction or [`flush`](ChunkStore::flush), and clean evictions drop the
+/// entirely; stores replace the resident copy and mark it dirty — the
+/// inner store sees the data only on eviction or [`flush`](ChunkStore::flush), and clean evictions drop the
 /// buffer with zero inner traffic. A content fingerprint (FNV-1a over the
 /// amplitude bits) short-circuits stores of unmodified chunks.
 ///
@@ -75,7 +62,6 @@ pub struct ResidencyCache {
     /// Capacity in entries (`cache_bytes / decompressed chunk size`);
     /// 0 = passthrough.
     capacity: usize,
-    policy: CachePolicy,
     entry_bytes: usize,
     state: Mutex<CacheState>,
     /// Per-chunk write versions, bumped (under the cache lock) whenever
@@ -97,14 +83,13 @@ impl ResidencyCache {
     /// Wraps `inner` with up to `cache_bytes` of decompressed resident
     /// chunks (rounded down to whole chunks; budgets below one chunk make
     /// the cache a passthrough).
-    pub fn new(inner: Arc<dyn ChunkStore>, cache_bytes: usize, policy: CachePolicy) -> Self {
+    pub fn new(inner: Arc<dyn ChunkStore>, cache_bytes: usize) -> Self {
         let entry_bytes = inner.chunk_amps() * 16;
         let capacity = cache_bytes / entry_bytes;
         let chunk_count = inner.chunk_count();
         ResidencyCache {
             inner,
             capacity,
-            policy,
             entry_bytes,
             state: Mutex::new(CacheState {
                 map: HashMap::new(),
@@ -316,8 +301,8 @@ impl ChunkStore for ResidencyCache {
             return self.inner.store_chunk(i, amps);
         }
         let fp = fingerprint_amps(amps);
-        let (skipped, gen) = loop {
-            // None = no room yet; Some((skipped, gen)) = entry updated.
+        let skipped = loop {
+            // None = no room yet; Some(skipped) = entry updated.
             let mut outcome = None;
             let mut inserted = false;
             {
@@ -328,13 +313,13 @@ impl ChunkStore for ResidencyCache {
                 if let Some(e) = cache.map.get_mut(&i) {
                     e.tick = tick;
                     if e.fingerprint == fp {
-                        outcome = Some((true, e.gen));
+                        outcome = Some(true);
                     } else {
                         e.amps.copy_from_slice(amps);
                         e.fingerprint = fp;
                         e.dirty = true;
                         e.gen = gen;
-                        outcome = Some((false, gen));
+                        outcome = Some(false);
                     }
                 } else if cache.map.len() < self.capacity {
                     cache.map.insert(
@@ -347,7 +332,7 @@ impl ChunkStore for ResidencyCache {
                             tick,
                         },
                     );
-                    outcome = Some((false, gen));
+                    outcome = Some(false);
                     inserted = true;
                     let cur = cache.map.len() * self.entry_bytes;
                     self.cache_bytes_now.store(cur, Ordering::Relaxed);
@@ -364,8 +349,6 @@ impl ChunkStore for ResidencyCache {
         };
         if skipped {
             self.skipped.fetch_add(1, Ordering::Relaxed);
-        } else if self.policy == CachePolicy::WriteThrough {
-            self.writeback(i, amps, gen)?;
         }
         Ok(())
     }
@@ -556,7 +539,6 @@ impl std::fmt::Debug for ResidencyCache {
         f.debug_struct("ResidencyCache")
             .field("inner", &self.inner.kind())
             .field("capacity_chunks", &self.capacity)
-            .field("policy", &self.policy)
             .field("cache_resident_bytes", &self.cache_resident_bytes())
             .finish()
     }
@@ -577,11 +559,7 @@ mod tests {
             4,
             Arc::new(SzCodec::new(1e-12)),
         ));
-        let cache = ResidencyCache::new(
-            inner.clone(),
-            entries * inner.chunk_amps() * 16,
-            CachePolicy::WriteBack,
-        );
+        let cache = ResidencyCache::new(inner.clone(), entries * inner.chunk_amps() * 16);
         (inner, cache)
     }
 
@@ -691,29 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn write_through_policy_keeps_inner_current() {
-        let inner: Arc<dyn ChunkStore> = Arc::new(CompressedTier::zero_state(
-            8,
-            4,
-            Arc::new(SzCodec::new(1e-12)),
-        ));
-        let store = ResidencyCache::new(inner.clone(), 4 * 16 * 16, CachePolicy::WriteThrough);
-        let baseline = store.counters().bytes_compressed;
-        let buf: Vec<Complex64> = (0..16).map(|k| c64(0.05 * k as f64, 0.0)).collect();
-        store.store_chunk(3, &buf).unwrap();
-        assert!(
-            store.counters().bytes_compressed > baseline,
-            "write-through compresses immediately"
-        );
-        // The inner store is current without any flush.
-        let mut back = vec![Complex64::ZERO; 16];
-        inner.load_chunk(3, &mut back).unwrap();
-        for (a, b) in back.iter().zip(&buf) {
-            assert!((a.re - b.re).abs() <= 1e-9);
-        }
-    }
-
-    #[test]
     fn cache_budget_bounds_resident_bytes() {
         let (_, store) = cached_store(3);
         let budget = 3 * store.chunk_amps() * 16;
@@ -764,11 +719,7 @@ mod tests {
             Arc::new(SzCodec::new(1e-12)),
         ));
         // Tiny cache: constant eviction churn under contention.
-        let store = Arc::new(ResidencyCache::new(
-            inner,
-            3 * 32 * 16,
-            CachePolicy::WriteBack,
-        ));
+        let store = Arc::new(ResidencyCache::new(inner, 3 * 32 * 16));
         std::thread::scope(|s| {
             for t in 0..4usize {
                 let store = store.clone();
@@ -902,7 +853,7 @@ mod tests {
             4,
             Arc::new(SzCodec::new(1e-12)),
         ));
-        let store = ResidencyCache::new(inner, 8, CachePolicy::WriteBack);
+        let store = ResidencyCache::new(inner, 8);
         let mut buf = vec![Complex64::ZERO; 16];
         store.load_chunk(0, &mut buf).unwrap();
         assert!(store.resident_chunks().is_empty());

@@ -33,7 +33,7 @@ pub mod dense;
 pub mod spill;
 pub mod telemetry_tier;
 
-pub use cache::{CachePolicy, ResidencyCache};
+pub use cache::ResidencyCache;
 pub use compressed::CompressedTier;
 pub use dense::DenseStore;
 pub use spill::SpillStore;
@@ -477,7 +477,7 @@ pub fn build_store_from_amplitudes(
 fn wrap_middleware(base: Arc<dyn ChunkStore>, cfg: &MemQSimConfig) -> Arc<dyn ChunkStore> {
     let entry_bytes = base.chunk_amps() * 16;
     let cached: Arc<dyn ChunkStore> = if cfg.cache_bytes >= entry_bytes {
-        Arc::new(ResidencyCache::new(base, cfg.cache_bytes, cfg.cache_policy))
+        Arc::new(ResidencyCache::new(base, cfg.cache_bytes))
     } else {
         base
     };

@@ -214,7 +214,7 @@ impl std::fmt::Debug for TelemetryTier {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{CachePolicy, CompressedTier, ResidencyCache};
+    use super::super::{CompressedTier, ResidencyCache};
     use super::*;
     use mq_compress::SzCodec;
 
@@ -225,11 +225,7 @@ mod tests {
             Arc::new(SzCodec::new(1e-12)),
         ));
         let inner: Arc<dyn ChunkStore> = if cache_entries > 0 {
-            Arc::new(ResidencyCache::new(
-                base,
-                cache_entries * 16 * 16,
-                CachePolicy::WriteBack,
-            ))
+            Arc::new(ResidencyCache::new(base, cache_entries * 16 * 16))
         } else {
             base
         };

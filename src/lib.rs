@@ -35,10 +35,9 @@ pub use mq_telemetry as telemetry;
 // re-exported at the crate root so `use memqsim_suite::{Backend, ...}`
 // works without knowing which member crate owns what.
 pub use memqsim_core::{
-    Backend, BackendRun, CachePolicy, ChunkExecutor, ChunkStore, CompressedCpuBackend,
-    DenseCpuBackend, EngineError, HybridBackend, LayoutPolicy, MemQSim, MemQSimConfig,
-    MemQSimConfigBuilder, RunReport, RunTelemetry, ShardPolicy, StageBatchExecutor, StoreCounters,
-    StoreKind, TransferMode,
+    Backend, BackendRun, ChunkExecutor, ChunkStore, CompressedCpuBackend, DenseCpuBackend,
+    EngineError, HybridBackend, MemQSim, MemQSimConfig, MemQSimConfigBuilder, RunReport,
+    RunTelemetry, StageBatchExecutor, StoreCounters, StoreKind, TransferMode,
 };
 pub use mq_compress::{CodecSpec, Precision};
 pub use mq_device::{DeviceSpec, DeviceTopology};

@@ -4,8 +4,8 @@
 //! measurement must see dirty cached writes without an explicit flush.
 
 use memqsim_core::{
-    build_store, engine::cpu, measure, CachePolicy, ChunkStore, CompressedTier, Counter,
-    Granularity, MemQSimConfig, ResidencyCache, RunReport,
+    build_store, engine::cpu, measure, ChunkStore, CompressedTier, Counter, Granularity,
+    MemQSimConfig, ResidencyCache, RunReport,
 };
 use mq_circuit::unitary::run_dense;
 use mq_circuit::{library, Circuit, Gate};
@@ -101,7 +101,7 @@ fn corruption_is_detected_on_miss_and_bypassed_on_hit() {
         Arc::from(CodecSpec::Fpc.build()),
     ));
     // Cache sized for 4 of the 8 chunks, layered explicitly over the codec tier.
-    let store = ResidencyCache::new(inner, 4 * 8 * 16, CachePolicy::WriteBack);
+    let store = ResidencyCache::new(inner, 4 * 8 * 16);
 
     // A corrupted chunk that is NOT resident fails its checksum at decode.
     let mut buf = vec![Complex64::ZERO; 8];
@@ -140,7 +140,7 @@ fn dirty_cached_writes_are_visible_to_measurement_without_flush() {
         2,
         Arc::from(CodecSpec::Fpc.build()),
     ));
-    let store = ResidencyCache::new(inner.clone(), 4 * 4 * 16, CachePolicy::WriteBack);
+    let store = ResidencyCache::new(inner.clone(), 4 * 4 * 16);
 
     // Move all amplitude mass from |000000> to |000001> through the cache:
     // the compressed slot still holds the old chunk until eviction/flush.
@@ -195,23 +195,16 @@ proptest! {
         gates in prop::collection::vec(arb_gate(6), 1..20),
         chunk_bits in 1u32..=4,
         cache_entries in 1usize..=5,
-        write_through in any::<bool>(),
     ) {
         let mut circuit = Circuit::new(6);
         for g in gates {
             circuit.push(g);
         }
-        let mut cfg = cached_cfg(
-            chunk_bits,
-            cache_entries * (1usize << chunk_bits) * 16,
-        );
-        if write_through {
-            cfg.cache_policy = CachePolicy::WriteThrough;
-        }
+        let cfg = cached_cfg(chunk_bits, cache_entries * (1usize << chunk_bits) * 16);
         let (plain, _) = run_cpu(&circuit, &cached_cfg(chunk_bits, 0));
         let (cached, report) = run_cpu(&circuit, &cfg);
         let err = max_amp_err(&plain.to_dense().unwrap(), &cached.to_dense().unwrap());
-        prop_assert!(err < 1e-12, "cache changed the result by {} ({:?})", err, cfg.cache_policy);
+        prop_assert!(err < 1e-12, "cache changed the result by {}", err);
         // The hit/miss accounting identity holds on every run shape.
         let hits = report.telemetry.counter(Counter::CacheHits);
         let misses = report.telemetry.counter(Counter::CacheMisses);

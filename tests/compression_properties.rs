@@ -165,13 +165,12 @@ proptest! {
         // Reorder standalone preserves the unitary...
         let reordered = mq_circuit::reorder::reorder_for_locality(&circuit, chunk_bits);
         prop_assert!(max_amp_err(&run_dense(&reordered, 0), &want) < 1e-10);
-        // ...and the engine with reorder=true matches the oracle.
+        // ...and the engine, which always reorders, matches the oracle.
         let cfg = MemQSimConfig {
             chunk_bits,
             max_high_qubits: 2,
             codec: CodecSpec::Fpc,
             workers: 1,
-            reorder: true,
             ..Default::default()
         };
         let store: Arc<dyn ChunkStore> =

@@ -161,12 +161,11 @@ fn two_qubit_minimum_register() {
 
 #[test]
 fn optimization_flags_change_nothing_observable() {
-    // reorder + dual_stream are pure optimizations: same amplitudes.
+    // dual_stream is a pure optimization: same amplitudes.
     let circuit = library::hardware_efficient_ansatz(8, 2, 3);
     let oracle = run_dense(&circuit, 0);
     let plain = cfg(3, CodecSpec::Fpc);
     let optimized = MemQSimConfig {
-        reorder: true,
         dual_stream: true,
         ..plain
     };

@@ -6,14 +6,18 @@
 //! which controlled gates vanish from a group, where stages end — so the
 //! engine keys it on the stage's own gate list instead (see
 //! `specialize_stage`). These circuits put phase gates on exactly the qubits
-//! a remap moves and hold `Greedy` to the bits `Fixed` produced.
+//! a remap moves and hold the shipped (greedy-layout) plan to the bits the
+//! hand-built fixed-layout `partition(..)` plan of the same gate list
+//! produced.
 
+use memqsim_core::engine::cpu::CpuWorkerExecutor;
 use memqsim_core::engine::hybrid::DevicePipelineExecutor;
-use memqsim_core::engine::{cpu, Granularity};
+use memqsim_core::engine::{build_plan, Granularity};
 use memqsim_core::{
-    build_store, run_with_executor, ChunkStore, LayoutPolicy, MemQSimConfig, RunReport,
-    SerialAdapter,
+    build_store, run_plan_with_executor, ChunkStore, MemQSimConfig, RunReport, SerialAdapter,
 };
+use mq_circuit::partition::{partition, PartitionConfig, Plan};
+use mq_circuit::reorder::reorder_for_locality;
 use mq_circuit::{Circuit, Gate};
 use mq_compress::CodecSpec;
 use mq_device::{DeviceSpec, DeviceTopology};
@@ -65,27 +69,25 @@ fn phased_hot_targets(blocks: usize, seed: u64) -> Circuit {
     c
 }
 
-fn run(
-    circuit: &Circuit,
-    policy: LayoutPolicy,
-    chunk_bits: u32,
-    hybrid: bool,
-) -> (Vec<Complex64>, RunReport) {
-    let cfg = MemQSimConfig {
+fn config(chunk_bits: u32) -> MemQSimConfig {
+    MemQSimConfig {
         chunk_bits,
         max_high_qubits: 2,
         codec: CodecSpec::Fpc,
         workers: 1,
-        layout_policy: policy,
         ..Default::default()
-    };
-    let store = build_store(circuit.n_qubits(), &cfg).expect("store");
+    }
+}
+
+fn run(plan: Plan, chunk_bits: u32, hybrid: bool) -> (Vec<Complex64>, RunReport) {
+    let cfg = config(chunk_bits);
+    let store = build_store(plan.n_qubits, &cfg).expect("store");
     let report = if hybrid {
         let fleet = DeviceTopology::homogeneous(1, DeviceSpec::tiny_test(1 << 13)).build();
         let mut executor = SerialAdapter::new(DevicePipelineExecutor::new_fleet(&fleet, true));
-        run_with_executor(&store, circuit, &cfg, Granularity::Staged, &mut executor).expect("run")
+        run_plan_with_executor(&store, plan, &cfg, &mut executor).expect("run")
     } else {
-        cpu::run(&store, circuit, &cfg, Granularity::Staged).expect("run")
+        run_plan_with_executor(&store, plan, &cfg, &mut CpuWorkerExecutor::new()).expect("run")
     };
     (store.to_dense().expect("dense"), report)
 }
@@ -99,9 +101,17 @@ fn greedy_keeps_the_bits_of_fixed_when_phases_sit_on_the_remapped_qubits() {
         for chunk_bits in [5, 9] {
             for hybrid in [false, true] {
                 let tag = format!("seed {seed} cb{chunk_bits} hybrid={hybrid}");
-                let (fixed_state, fixed) = run(&circuit, LayoutPolicy::Fixed, chunk_bits, hybrid);
-                let (greedy_state, greedy) =
-                    run(&circuit, LayoutPolicy::Greedy, chunk_bits, hybrid);
+                let cfg = config(chunk_bits);
+                let fixed_plan = partition(
+                    &reorder_for_locality(&circuit, chunk_bits),
+                    &PartitionConfig {
+                        chunk_bits,
+                        max_high_qubits: cfg.max_high_qubits,
+                    },
+                );
+                let (fixed_state, fixed) = run(fixed_plan, chunk_bits, hybrid);
+                let shipped = build_plan(&circuit, &cfg, Granularity::Staged);
+                let (greedy_state, greedy) = run(shipped, chunk_bits, hybrid);
                 assert_eq!(fixed_state, greedy_state, "state diverged: {tag}");
                 assert_eq!(fixed.remap_passes, 0, "{tag}");
                 remapped += usize::from(greedy.remap_passes > 0);

@@ -1,31 +1,40 @@
-//! Layout parity: `LayoutPolicy::Greedy` must be an observational no-op
-//! relative to `Fixed` — same bits on every workload, executor and
-//! granularity — because remap transitions are exact permutations and the
-//! engine restores the identity layout before it returns. Only the chunk
-//! *accounting* is allowed to move, and only downward: the planner keeps
-//! the fixed plan unless remapping strictly reduces chunk visits.
+//! Layout parity: the shipped plan (commutation-aware reorder, then the
+//! greedy layout) must be an observational no-op relative to the
+//! fixed-layout `partition(..)` plan of the same reordered gate list — same
+//! bits on every workload, executor and granularity — because remap
+//! transitions are exact permutations and the engine restores the identity
+//! layout before it returns. Only the chunk *accounting* is allowed to
+//! move, and only downward: the planner keeps the fixed plan unless
+//! remapping strictly reduces chunk visits. The fixed plan is no user mode;
+//! it is built by hand here and run through the plan-taking entry.
 
+use memqsim_core::engine::cpu::CpuWorkerExecutor;
 use memqsim_core::engine::hybrid::DevicePipelineExecutor;
-use memqsim_core::engine::{cpu, Granularity};
+use memqsim_core::engine::{build_plan, Granularity};
 use memqsim_core::{
-    build_store, run_with_executor, ChunkStore, Counter, LayoutPolicy, MemQSimConfig, RunReport,
+    build_store, run_plan_with_executor, ChunkStore, Counter, MemQSimConfig, RunReport,
     SerialAdapter,
 };
-use mq_circuit::{library, Circuit};
+use mq_circuit::partition::{partition, partition_per_gate, PartitionConfig, Plan};
+use mq_circuit::reorder::reorder_for_locality;
+use mq_circuit::unitary::{circuit_unitary, run_dense};
+use mq_circuit::{library, Circuit, Gate};
 use mq_compress::CodecSpec;
 use mq_device::{DeviceSpec, DeviceTopology};
+use mq_num::metrics::max_amp_err;
 use mq_num::Complex64;
+use proptest::prelude::*;
 
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Exec {
     Cpu,
     Hybrid,
-    Fleet2,
+    Fleet4,
 }
 
-const EXECUTORS: [Exec; 3] = [Exec::Cpu, Exec::Hybrid, Exec::Fleet2];
+const EXECUTORS: [Exec; 3] = [Exec::Cpu, Exec::Hybrid, Exec::Fleet4];
 
-fn config(policy: LayoutPolicy, chunk_bits: u32) -> MemQSimConfig {
+fn config(chunk_bits: u32) -> MemQSimConfig {
     MemQSimConfig {
         chunk_bits,
         max_high_qubits: 2,
@@ -36,31 +45,70 @@ fn config(policy: LayoutPolicy, chunk_bits: u32) -> MemQSimConfig {
         // Residency cache on, so the hits + misses == visits identity is
         // exercised (it holds vacuously with the cache disabled).
         cache_bytes: 1 << 16,
-        layout_policy: policy,
         ..Default::default()
     }
 }
 
-fn run(
+/// The fixed-layout plan of `circuit` at `cfg`'s geometry, optionally over
+/// the reordered gate list the shipped planner partitions.
+fn fixed_plan(
     circuit: &Circuit,
-    policy: LayoutPolicy,
-    exec: Exec,
+    cfg: &MemQSimConfig,
     granularity: Granularity,
-    chunk_bits: u32,
-) -> (Vec<Complex64>, RunReport) {
-    let mut cfg = config(policy, chunk_bits);
-    let store = build_store(circuit.n_qubits(), &cfg).expect("store");
+    reorder: bool,
+) -> Plan {
+    let chunk_bits = cfg.effective_chunk_bits(circuit.n_qubits());
+    let reordered;
+    let circuit = if reorder {
+        reordered = reorder_for_locality(circuit, chunk_bits);
+        &reordered
+    } else {
+        circuit
+    };
+    match granularity {
+        Granularity::Staged => partition(
+            circuit,
+            &PartitionConfig {
+                chunk_bits,
+                max_high_qubits: cfg.max_high_qubits,
+            },
+        ),
+        Granularity::PerGate => partition_per_gate(circuit, chunk_bits),
+    }
+}
+
+/// One run's final state and report.
+type Run = (Vec<Complex64>, RunReport);
+
+/// Runs `plan` from `|0..0>` on a fresh store.
+fn run_plan(plan: Plan, mut cfg: MemQSimConfig, exec: Exec) -> Run {
+    let store = build_store(plan.n_qubits, &cfg).expect("store");
     let report = match exec {
-        Exec::Cpu => cpu::run(&store, circuit, &cfg, granularity).expect("cpu run"),
-        Exec::Hybrid | Exec::Fleet2 => {
-            let n = if exec == Exec::Fleet2 { 2 } else { 1 };
-            cfg.devices = n;
-            let fleet = DeviceTopology::homogeneous(n, DeviceSpec::tiny_test(1 << 12)).build();
+        Exec::Cpu => {
+            run_plan_with_executor(&store, plan, &cfg, &mut CpuWorkerExecutor::new()).expect("run")
+        }
+        Exec::Hybrid | Exec::Fleet4 => {
+            cfg.devices = if exec == Exec::Fleet4 { 4 } else { 1 };
+            let fleet =
+                DeviceTopology::homogeneous(cfg.devices, DeviceSpec::tiny_test(1 << 12)).build();
             let mut executor = SerialAdapter::new(DevicePipelineExecutor::new_fleet(&fleet, true));
-            run_with_executor(&store, circuit, &cfg, granularity, &mut executor).expect("run")
+            run_plan_with_executor(&store, plan, &cfg, &mut executor).expect("run")
         }
     };
     (store.to_dense().expect("dense"), report)
+}
+
+/// The fixed reference run and the shipped run of one circuit.
+fn fixed_and_shipped(
+    circuit: &Circuit,
+    exec: Exec,
+    granularity: Granularity,
+    chunk_bits: u32,
+) -> (Run, Run) {
+    let cfg = config(chunk_bits);
+    let fixed = run_plan(fixed_plan(circuit, &cfg, granularity, true), cfg, exec);
+    let shipped = run_plan(build_plan(circuit, &cfg, granularity), cfg, exec);
+    (fixed, shipped)
 }
 
 /// A workload the greedy layout provably wins: three high targets rotating
@@ -93,18 +141,24 @@ fn assert_accounting(r: &RunReport, tag: &str) {
     }
 }
 
-/// Every suite workload, both granularities, all three executors: the
-/// greedy run lands on exactly the bits the fixed run produced, never
-/// visits more chunks, and keeps the visit-accounting identity.
+/// Every suite workload, both granularities, all three executors, chunk
+/// widths 3–6: the shipped run lands on exactly the bits the fixed run
+/// produced, never visits more chunks, and keeps the visit-accounting
+/// identity.
 #[test]
 fn greedy_is_bit_identical_to_fixed_everywhere() {
-    for granularity in [Granularity::Staged, Granularity::PerGate] {
+    for (granularity, widths) in [
+        (Granularity::Staged, 3..=6u32),
+        (Granularity::PerGate, 3..=3),
+    ] {
         for circuit in library::standard_suite(7) {
-            for exec in EXECUTORS {
-                let tag = format!("{} {exec:?} {granularity:?}", circuit.name());
-                let (fixed_state, fixed) = run(&circuit, LayoutPolicy::Fixed, exec, granularity, 3);
-                let (greedy_state, greedy) =
-                    run(&circuit, LayoutPolicy::Greedy, exec, granularity, 3);
+            for (exec, chunk_bits) in EXECUTORS
+                .into_iter()
+                .flat_map(|e| widths.clone().map(move |cb| (e, cb)))
+            {
+                let tag = format!("{} {exec:?} {granularity:?} cb{chunk_bits}", circuit.name());
+                let ((fixed_state, fixed), (greedy_state, greedy)) =
+                    fixed_and_shipped(&circuit, exec, granularity, chunk_bits);
                 assert_eq!(fixed_state, greedy_state, "state diverged: {tag}");
                 assert!(
                     greedy.chunk_visits <= fixed.chunk_visits,
@@ -133,9 +187,8 @@ fn greedy_actually_remaps_and_wins_on_rotating_targets() {
     let circuit = rotating_high_targets(7, 10);
     for exec in EXECUTORS {
         let tag = format!("{exec:?}");
-        let (fixed_state, fixed) = run(&circuit, LayoutPolicy::Fixed, exec, Granularity::Staged, 3);
-        let (greedy_state, greedy) =
-            run(&circuit, LayoutPolicy::Greedy, exec, Granularity::Staged, 3);
+        let ((fixed_state, fixed), (greedy_state, greedy)) =
+            fixed_and_shipped(&circuit, exec, Granularity::Staged, 3);
         assert_eq!(fixed_state, greedy_state, "state diverged: {tag}");
         assert!(greedy.remap_passes > 0, "no remap pass: {tag}");
         assert!(
@@ -155,31 +208,19 @@ fn greedy_actually_remaps_and_wins_on_rotating_targets() {
 
 /// Fleet aggregation stays exact under remapping: `modeled` is the
 /// makespan, every other column is the sum of the per-device lanes, and
-/// both devices hear about the chunk-identity changes.
+/// every device hears about the chunk-identity changes.
 #[test]
 fn per_device_stats_sum_to_fleet_totals_under_greedy() {
     // QFT's tail swap network is absorbed as high-high transpositions, so
     // the epilogue exchanges whole chunks — the path that notifies lanes.
     let circuit = library::qft(9);
-    let (fixed_state, _) = run(
-        &circuit,
-        LayoutPolicy::Fixed,
-        Exec::Fleet2,
-        Granularity::Staged,
-        3,
-    );
-    let (state, r) = run(
-        &circuit,
-        LayoutPolicy::Greedy,
-        Exec::Fleet2,
-        Granularity::Staged,
-        3,
-    );
+    let ((fixed_state, _), (state, r)) =
+        fixed_and_shipped(&circuit, Exec::Fleet4, Granularity::Staged, 3);
     assert_eq!(fixed_state, state, "state diverged");
     assert!(r.remap_passes > 0, "qft epilogue should remap");
 
     let lanes = &r.per_device;
-    assert_eq!(lanes.len(), 2);
+    assert_eq!(lanes.len(), 4);
     let makespan = lanes.iter().map(|s| s.modeled).max().expect("lanes");
     assert_eq!(r.device.modeled, makespan);
     assert_eq!(
@@ -210,7 +251,7 @@ fn per_device_stats_sum_to_fleet_totals_under_greedy() {
         r.device.commands,
         lanes.iter().map(|s| s.commands).sum::<usize>()
     );
-    // Both lanes were told about the identity changes, and the notice is
+    // Every lane was told about the identity changes, and the notice is
     // the only thing that charges scatter time in an engine run.
     for (i, lane) in lanes.iter().enumerate() {
         assert!(
@@ -226,20 +267,8 @@ fn per_device_stats_sum_to_fleet_totals_under_greedy() {
 #[test]
 fn high_high_remaps_move_payloads_without_codec_work() {
     let circuit = library::qft(9);
-    let (fixed_state, fixed) = run(
-        &circuit,
-        LayoutPolicy::Fixed,
-        Exec::Cpu,
-        Granularity::Staged,
-        3,
-    );
-    let (state, greedy) = run(
-        &circuit,
-        LayoutPolicy::Greedy,
-        Exec::Cpu,
-        Granularity::Staged,
-        3,
-    );
+    let ((fixed_state, fixed), (state, greedy)) =
+        fixed_and_shipped(&circuit, Exec::Cpu, Granularity::Staged, 3);
     assert_eq!(fixed_state, state);
     assert!(greedy.remap_passes > 0, "qft tail should be absorbed");
     // The absorbed swap network removes whole stages; the epilogue that
@@ -253,21 +282,18 @@ fn high_high_remaps_move_payloads_without_codec_work() {
 /// *measurably* cut chunk visits — the engine's own visit counters, not
 /// stage counts, are the evidence. Random and QAOA circuits interleave
 /// chunk-crossing and local gates, which is exactly the shape the pass
-/// exists to fix.
+/// exists to fix. Both sides run fixed-layout plans, so the difference is
+/// the reorder pass alone.
 #[test]
 fn reorder_pass_measurably_cuts_chunk_visits() {
+    let cfg = MemQSimConfig {
+        workers: 2,
+        cache_bytes: 0,
+        ..config(3)
+    };
     let run_with = |circuit: &Circuit, reorder: bool| {
-        let config = MemQSimConfig {
-            chunk_bits: 3,
-            max_high_qubits: 2,
-            codec: CodecSpec::Fpc,
-            workers: 2,
-            reorder,
-            ..Default::default()
-        };
-        let store = build_store(circuit.n_qubits(), &config).expect("store");
-        let report = cpu::run(&store, circuit, &config, Granularity::Staged).expect("run");
-        (store.to_dense().expect("dense"), report)
+        let plan = fixed_plan(circuit, &cfg, Granularity::Staged, reorder);
+        run_plan(plan, cfg, Exec::Cpu)
     };
     let graph = library::ring_graph(8);
     let workloads = vec![
@@ -280,7 +306,7 @@ fn reorder_pass_measurably_cuts_chunk_visits() {
         let (base_state, base) = run_with(circuit, false);
         let (reordered_state, reordered) = run_with(circuit, true);
         // Correctness first: reordering is semantics-preserving.
-        let err = mq_num::metrics::max_amp_err(&base_state, &reordered_state);
+        let err = max_amp_err(&base_state, &reordered_state);
         assert!(err < 1e-10, "{}: reorder drifted by {err}", circuit.name());
         // Never worse, on any workload.
         assert!(
@@ -299,4 +325,81 @@ fn reorder_pass_measurably_cuts_chunk_visits() {
         "reorder pass reduced chunk visits on only {improved}/{} workloads",
         workloads.len()
     );
+}
+
+// --- the two passes are on every run's path: properties over random circuits --
+
+const N: u32 = 7;
+
+/// A random gate over [`N`] qubits: 1q, controlled, diagonal (Cz/Cp/Rzz)
+/// and SWAP — the classes the commutation rules and the layout planner
+/// tell apart.
+fn arb_gate() -> impl Strategy<Value = Gate> {
+    let pair = || (0..N, 0..N).prop_filter_map("distinct", |(a, b)| (a != b).then_some((a, b)));
+    prop_oneof![
+        (0..N).prop_map(Gate::H),
+        (0..N).prop_map(Gate::T),
+        (0..N, -3.0f64..3.0).prop_map(|(q, t)| Gate::Ry(q, t)),
+        (0..N, -3.0f64..3.0).prop_map(|(q, t)| Gate::Rz(q, t)),
+        pair().prop_map(|(a, b)| Gate::Cx(a, b)),
+        pair().prop_map(|(a, b)| Gate::Cz(a, b)),
+        (pair(), -3.0f64..3.0).prop_map(|((a, b), l)| Gate::Cp(a, b, l)),
+        (pair(), -3.0f64..3.0).prop_map(|((a, b), t)| Gate::Rzz(a, b, t)),
+        pair().prop_map(|(a, b)| Gate::Swap(a, b)),
+    ]
+}
+
+fn circuit_of(gates: Vec<Gate>) -> Circuit {
+    let mut circuit = Circuit::new(N);
+    for g in gates {
+        circuit.push(g);
+    }
+    circuit
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn reorder_preserves_the_circuit_unitary(
+        gates in prop::collection::vec(arb_gate(), 1..40),
+        chunk_bits in 2u32..=4,
+    ) {
+        let circuit = circuit_of(gates);
+        let reordered = reorder_for_locality(&circuit, chunk_bits);
+        prop_assert_eq!(reordered.len(), circuit.len());
+        let (want, got) = (circuit_unitary(&circuit), circuit_unitary(&reordered));
+        prop_assert!(max_amp_err(want.data(), got.data()) < 1e-12);
+    }
+
+    #[test]
+    fn shipped_plan_never_visits_more_chunks_than_the_fixed_partition(
+        gates in prop::collection::vec(arb_gate(), 1..60),
+        chunk_bits in 2u32..=4,
+    ) {
+        let circuit = circuit_of(gates);
+        let cfg = config(chunk_bits);
+        let shipped = build_plan(&circuit, &cfg, Granularity::Staged);
+        let fixed = fixed_plan(&circuit, &cfg, Granularity::Staged, false);
+        prop_assert!(
+            shipped.chunk_visits() <= fixed.chunk_visits(),
+            "shipped {} > fixed {}", shipped.chunk_visits(), fixed.chunk_visits()
+        );
+        if shipped.remap_passes() > 0 {
+            prop_assert!(shipped.layout_visits_saved > 0);
+        }
+    }
+
+    #[test]
+    fn engine_on_the_shipped_plan_matches_the_dense_oracle(
+        gates in prop::collection::vec(arb_gate(), 1..40),
+        chunk_bits in 2u32..=4,
+        workers in 1usize..=2,
+    ) {
+        let circuit = circuit_of(gates);
+        let cfg = MemQSimConfig { workers, ..config(chunk_bits) };
+        let (state, _) = run_plan(build_plan(&circuit, &cfg, Granularity::Staged), cfg, Exec::Cpu);
+        let err = max_amp_err(&state, &run_dense(&circuit, 0));
+        prop_assert!(err < 1e-12, "err = {} at chunk_bits {} workers {}", err, chunk_bits, workers);
+    }
 }

@@ -62,11 +62,20 @@ fn random_states_do_not_compress() {
 #[test]
 fn peak_tracks_the_worst_moment_not_the_end() {
     // A circuit that inflates mid-run (uniform superposition) then returns
-    // to a basis state: the peak must exceed the final footprint.
+    // to a basis state: the peak must exceed the final footprint. The CX
+    // ladder across the chunk boundary (and its inverse) commutes with
+    // neither H layer, so the always-on reorder pass cannot pair the H's up
+    // and cancel the inflation inside one stage.
     let n = 12u32;
     let mut circuit = Circuit::named(n, "inflate-deflate");
     for q in 0..n {
         circuit.h(q);
+    }
+    for q in 0..n - 1 {
+        circuit.cx(q, q + 1);
+    }
+    for q in (0..n - 1).rev() {
+        circuit.cx(q, q + 1);
     }
     for q in 0..n {
         circuit.h(q);

@@ -2,7 +2,12 @@
 //! simulate compressed, compare against the dense oracle — plus emitter
 //! round trips of generated circuits.
 
-use memqsim_core::{Backend, CompressedCpuBackend, MemQSimConfig};
+use memqsim_core::engine::cpu::CpuWorkerExecutor;
+use memqsim_core::{
+    build_store, run_plan_with_executor, Backend, CompressedCpuBackend, MemQSimConfig,
+};
+use mq_circuit::partition::{partition, PartitionConfig};
+use mq_circuit::reorder::reorder_for_locality;
 use mq_circuit::unitary::run_dense;
 use mq_circuit::{library, qasm};
 use mq_compress::CodecSpec;
@@ -67,13 +72,13 @@ fn emitted_circuits_reparse_to_equivalent_unitaries() {
     }
 }
 
-/// A parsed QASM program through the greedy layout: bit-identical to the
-/// fixed-layout run and within lossy tolerance of the dense oracle. QASM
+/// A parsed QASM program through the shipped planner: bit-identical to the
+/// hand-built fixed-layout plan of the same reordered gate list and within
+/// lossy tolerance of the dense oracle. QASM
 /// swap statements become `Gate::Swap`s the greedy planner may absorb, so
 /// this exercises the parse → absorb → remap → restore chain end to end.
 #[test]
 fn parsed_qasm_under_greedy_layout_matches_fixed_and_oracle() {
-    use memqsim_core::LayoutPolicy;
     let src = r#"
         OPENQASM 2.0;
         include "qelib1.inc";
@@ -93,25 +98,30 @@ fn parsed_qasm_under_greedy_layout_matches_fixed_and_oracle() {
     "#;
     let circuit = qasm::parse(src).expect("parse failed").circuit;
 
-    let policy_backend = |policy: LayoutPolicy| {
-        CompressedCpuBackend::new(MemQSimConfig {
-            chunk_bits: 3,
-            max_high_qubits: 2,
-            codec: CodecSpec::Sz { eb: 1e-12 },
-            layout_policy: policy,
-            ..Default::default()
-        })
+    let cfg = MemQSimConfig {
+        chunk_bits: 3,
+        max_high_qubits: 2,
+        codec: CodecSpec::Sz { eb: 1e-12 },
+        ..Default::default()
     };
-    let fixed = policy_backend(LayoutPolicy::Fixed)
-        .run(&circuit)
+    let fixed_plan = partition(
+        &reorder_for_locality(&circuit, cfg.chunk_bits),
+        &PartitionConfig {
+            chunk_bits: cfg.chunk_bits,
+            max_high_qubits: cfg.max_high_qubits,
+        },
+    );
+    let store = build_store(circuit.n_qubits(), &cfg).expect("store");
+    let fixed = run_plan_with_executor(&store, fixed_plan, &cfg, &mut CpuWorkerExecutor::new())
         .expect("fixed run");
-    let greedy = policy_backend(LayoutPolicy::Greedy)
+    let fixed_amplitudes = store.to_dense().expect("dense");
+    let greedy = CompressedCpuBackend::new(cfg)
         .run(&circuit)
         .expect("greedy run");
 
     // Same codec, same per-chunk contents at every store boundary in
     // logical space: the two runs must agree bit for bit, lossy or not.
-    assert_eq!(fixed.amplitudes, greedy.amplitudes);
+    assert_eq!(fixed_amplitudes, greedy.amplitudes);
     let oracle = run_dense(&circuit, 0);
     assert!(max_amp_err(&oracle, &greedy.amplitudes) < 1e-8);
     use memqsim_core::Counter;

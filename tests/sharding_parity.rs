@@ -5,31 +5,25 @@
 //! makespan (max over device lanes) is allowed to move.
 
 use memqsim_core::engine::hybrid;
-use memqsim_core::{build_store, ChunkStore, MemQSimConfig, RunReport, ShardPolicy};
+use memqsim_core::{build_store, ChunkStore, MemQSimConfig, RunReport};
 use mq_circuit::{library, Circuit};
 use mq_compress::CodecSpec;
 use mq_device::{DeviceSpec, DeviceTopology};
 use mq_num::Complex64;
 
-fn config(devices: usize, policy: ShardPolicy) -> MemQSimConfig {
+fn config(devices: usize) -> MemQSimConfig {
     MemQSimConfig {
         chunk_bits: 3,
         max_high_qubits: 2,
         codec: CodecSpec::Fpc,
         workers: 1,
         devices,
-        shard_policy: policy,
         ..Default::default()
     }
 }
 
-fn run_fleet(
-    circuit: &Circuit,
-    devices: usize,
-    policy: ShardPolicy,
-    pipelined: bool,
-) -> (Vec<Complex64>, RunReport) {
-    let cfg = config(devices, policy);
+fn run_fleet(circuit: &Circuit, devices: usize, pipelined: bool) -> (Vec<Complex64>, RunReport) {
+    let cfg = config(devices);
     let store = build_store(circuit.n_qubits(), &cfg).expect("store");
     let fleet = DeviceTopology::homogeneous(devices, DeviceSpec::tiny_test(1 << 12)).build();
     let report = hybrid::run_fleet(&store, circuit, &cfg, &fleet, pipelined).expect("run");
@@ -42,10 +36,9 @@ fn run_fleet(
 fn sharded_runs_are_bit_identical_to_single_device() {
     for pipelined in [true, false] {
         for circuit in library::standard_suite(7) {
-            let (one_state, one) = run_fleet(&circuit, 1, ShardPolicy::ChunkAffinity, pipelined);
+            let (one_state, one) = run_fleet(&circuit, 1, pipelined);
             for devices in [2usize, 4] {
-                let (state, r) =
-                    run_fleet(&circuit, devices, ShardPolicy::ChunkAffinity, pipelined);
+                let (state, r) = run_fleet(&circuit, devices, pipelined);
                 let tag = format!("{} x{devices} pipelined={pipelined}", circuit.name());
                 assert_eq!(one_state, state, "state diverged: {tag}");
                 assert_eq!(r.gates_applied, one.gates_applied, "{tag}");
@@ -59,20 +52,15 @@ fn sharded_runs_are_bit_identical_to_single_device() {
     }
 }
 
-/// Every shard policy routes differently but computes identically.
+/// Every fleet size — including one that does not divide the group count —
+/// routes differently but computes identically.
 #[test]
-fn every_shard_policy_is_a_semantic_noop() {
+fn every_fleet_size_is_a_semantic_noop() {
     let circuit = library::random_circuit(7, 6, 11);
-    let (reference, _) = run_fleet(&circuit, 1, ShardPolicy::ChunkAffinity, true);
-    for policy in [
-        ShardPolicy::ChunkAffinity,
-        ShardPolicy::RoundRobin,
-        ShardPolicy::LoadBalanced,
-    ] {
-        for devices in [2usize, 3, 4] {
-            let (state, _) = run_fleet(&circuit, devices, policy, true);
-            assert_eq!(reference, state, "{policy:?} x{devices}");
-        }
+    let (reference, _) = run_fleet(&circuit, 1, true);
+    for devices in [2usize, 3, 4] {
+        let (state, _) = run_fleet(&circuit, devices, true);
+        assert_eq!(reference, state, "x{devices}");
     }
 }
 
@@ -80,8 +68,8 @@ fn every_shard_policy_is_a_semantic_noop() {
 /// lanes: `modeled` is the makespan (max), every other column sums.
 #[test]
 fn per_device_stats_sum_to_fleet_totals() {
-    for devices in [1usize, 2, 4] {
-        let (_, r) = run_fleet(&library::qft(7), devices, ShardPolicy::ChunkAffinity, true);
+    for devices in [1usize, 2, 3, 4] {
+        let (_, r) = run_fleet(&library::qft(7), devices, true);
         let lanes = &r.per_device;
         assert_eq!(lanes.len(), devices);
         let makespan = lanes.iter().map(|s| s.modeled).max().expect("lanes");
@@ -144,13 +132,13 @@ fn per_device_stats_sum_to_fleet_totals() {
 /// name, one lane equal to the aggregate, neutral imbalance.
 #[test]
 fn one_device_fleet_reproduces_the_single_device_report() {
-    let (_, r) = run_fleet(&library::qft(7), 1, ShardPolicy::ChunkAffinity, true);
+    let (_, r) = run_fleet(&library::qft(7), 1, true);
     assert_eq!(r.executor, "device-pipeline[pipelined]");
     assert_eq!(r.per_device.len(), 1);
     assert_eq!(r.per_device[0], r.device);
     assert_eq!(r.telemetry.load_imbalance(), 1.0);
 
-    let (_, serial) = run_fleet(&library::qft(7), 1, ShardPolicy::ChunkAffinity, false);
+    let (_, serial) = run_fleet(&library::qft(7), 1, false);
     assert_eq!(serial.executor, "device-pipeline[serial]");
     assert!(!serial.telemetry.has_role_overlap());
 }
@@ -160,9 +148,9 @@ fn one_device_fleet_reproduces_the_single_device_report() {
 #[test]
 fn more_devices_shrink_the_modeled_makespan() {
     let circuit = library::qft(8);
-    let (_, r1) = run_fleet(&circuit, 1, ShardPolicy::ChunkAffinity, true);
-    let (_, r2) = run_fleet(&circuit, 2, ShardPolicy::ChunkAffinity, true);
-    let (_, r4) = run_fleet(&circuit, 4, ShardPolicy::ChunkAffinity, true);
+    let (_, r1) = run_fleet(&circuit, 1, true);
+    let (_, r2) = run_fleet(&circuit, 2, true);
+    let (_, r4) = run_fleet(&circuit, 4, true);
     assert!(r2.device.modeled < r1.device.modeled);
     assert!(r4.device.modeled < r2.device.modeled);
 }
