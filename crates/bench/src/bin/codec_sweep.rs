@@ -5,13 +5,85 @@
 //! over mid-circuit state-vector snapshots (the actual data the store
 //! compresses) and reports ratio, throughput and worst-case error.
 //!
+//! A second table times the SZ codec alone from 2^7 to 2^17 values per call:
+//! the store calls it once per chunk, and a small chunk must not pay for
+//! tables sized for a large one.
+//!
 //! Usage: `cargo run -p mq-bench --release --bin codec_sweep [--qubits 16]`
 
 use mq_bench::workloads::codec_workloads;
 use mq_bench::{Args, Table};
-use mq_compress::CodecSpec;
+use mq_compress::{Codec, CodecSpec, SzCodec};
 use mq_num::stats::format_throughput;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 use std::time::Instant;
+
+/// Median over five batches of the time one call of `f` takes per value,
+/// in ns; a batch makes enough calls to cover 2^22 values.
+fn ns_per_value(values: usize, mut f: impl FnMut()) -> f64 {
+    let calls = (1usize << 22) / values;
+    let mut batches: Vec<f64> = (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..calls {
+                f();
+            }
+            t0.elapsed().as_secs_f64() * 1e9 / (calls * values) as f64
+        })
+        .collect();
+    batches.sort_by(f64::total_cmp);
+    batches[2]
+}
+
+/// SZ encode/decode cost per value against the input length, on the three
+/// shapes a chunk takes: untouched (zeros), one amplitude value per plane
+/// (constant), and incompressible (random, nearly every value an outlier).
+fn sz_cost_by_input_length() {
+    let codec = SzCodec::new(1e-10);
+    let mut t = Table::new(&[
+        "values",
+        "shape",
+        "bytes",
+        "encode ns/value",
+        "decode ns/value",
+    ]);
+    for values in [1usize << 7, 1 << 12, 1 << 17] {
+        let mut rng = StdRng::seed_from_u64(7);
+        let random = (0..values).map(|_| rng.gen_range(-1e-3..1e-3)).collect();
+        let constant = (0..values)
+            .map(|i| if i < values / 2 { 4.8828125e-4 } else { 0.0 })
+            .collect();
+        let shapes: [(&str, Vec<f64>); 3] = [
+            ("zeros", vec![0.0; values]),
+            ("constant", constant),
+            ("random", random),
+        ];
+        for (shape, data) in shapes {
+            let bytes = codec.compress(&data);
+            let mut out = vec![0.0f64; values];
+            let encode = ns_per_value(values, || {
+                black_box(codec.compress(black_box(&data)));
+            });
+            let decode = ns_per_value(values, || {
+                codec
+                    .decompress(black_box(&bytes), &mut out)
+                    .expect("round trip failed");
+                black_box(&out);
+            });
+            t.row(&[
+                values.to_string(),
+                shape.to_string(),
+                bytes.len().to_string(),
+                format!("{encode:.1}"),
+                format!("{decode:.1}"),
+            ]);
+        }
+    }
+    println!("## sz:1e-10 cost per value against input length\n");
+    println!("{t}\n");
+}
 
 fn main() {
     let args = Args::capture();
@@ -61,6 +133,7 @@ fn main() {
         }
         println!("{t}\n");
     }
+    sz_cost_by_input_length();
     println!("Reading: sparse/structured states compress by orders of magnitude (GHZ, W);");
     println!("smooth superpositions favor the SZ-style predictor; Porter–Thomas random");
     println!("states barely compress — the compressibility spectrum behind the paper's");

@@ -230,4 +230,62 @@ mod tests {
         let mut out = vec![0.0f64; 100];
         assert!(decode(&buf, &mut out).is_err());
     }
+
+    /// The payload is `BitWriter` output, and stored payloads are compared
+    /// byte for byte (device vs host encodes, fingerprint-equal write-backs):
+    /// these bytes come from the bit-at-a-time writer this crate started
+    /// with, and the word-at-a-time one must keep producing them.
+    #[test]
+    fn golden_bytes_pin_the_lsb_first_layout() {
+        fn fnv1a(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            })
+        }
+        let small = [
+            0.0,
+            1.0,
+            1.0,
+            -2.5,
+            1e-300,
+            f64::NAN,
+            0.1,
+            0.1 + f64::EPSILON,
+            -0.0,
+            3.0,
+            3.0,
+            1e300,
+        ];
+        let mut buf = Vec::new();
+        encode(&small, &mut buf);
+        let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "0c480e000000000000f03f0e000000000000f4ff90358f2ffce1161a0c59f3f8c21f6e5d7ea0\
+             99999999991904c43000a09a9999999999fb0b00000000000008c00e9c7500883ce43f3e"
+        );
+        round_trip(&small);
+
+        // A thousand values of every tail width, so runs cross many word
+        // boundaries at every bit offset.
+        let mut seed = 1u64;
+        let big: Vec<f64> = (0..1000)
+            .map(|i| {
+                seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                match i % 5 {
+                    0 => 0.0,
+                    1 => (seed >> 11) as f64 / (1u64 << 53) as f64,
+                    2 => 0.25,
+                    3 => f64::from_bits(seed),
+                    _ => (i as f64).sqrt(),
+                }
+            })
+            .collect();
+        let mut buf = Vec::new();
+        encode(&big, &mut buf);
+        assert_eq!((buf.len(), fnv1a(&buf)), (8293, 0xd9ec_fe20_67e7_2956));
+        round_trip(&big);
+    }
 }

@@ -48,7 +48,6 @@ pub mod shuffle;
 pub mod szlike;
 pub mod varint;
 
-use mq_num::complex::{as_f64_slice, as_f64_slice_mut};
 use mq_num::Complex64;
 use std::fmt;
 
@@ -499,18 +498,36 @@ impl CompressionStats {
 
 // --- complex helpers ------------------------------------------------------------
 
+thread_local! {
+    /// The plane buffer of [`compress_complex`] / [`decompress_complex`]:
+    /// two f64 per amplitude, kept per thread so a chunk-sized call neither
+    /// allocates nor zeroes it again.
+    static PLANES: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's plane buffer resized to `len` values (contents
+/// unspecified). The buffer is out of its slot meanwhile, so a codec that
+/// re-enters these helpers gets a fresh one.
+fn with_planes<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    let mut planes = PLANES.take();
+    planes.resize(len, 0.0);
+    let result = f(&mut planes);
+    PLANES.set(planes);
+    result
+}
+
 /// Compresses interleaved complex amplitudes by first splitting them into a
 /// real plane followed by an imaginary plane (predictors behave much better
 /// within a plane than across the re/im interleave).
 pub fn compress_complex(codec: &dyn Codec, amps: &[Complex64]) -> Vec<u8> {
-    let n = amps.len();
-    let interleaved = as_f64_slice(amps);
-    let mut planes = vec![0.0f64; n * 2];
-    for i in 0..n {
-        planes[i] = interleaved[2 * i];
-        planes[n + i] = interleaved[2 * i + 1];
-    }
-    codec.compress(&planes)
+    with_planes(amps.len() * 2, |planes| {
+        let (re, im) = planes.split_at_mut(amps.len());
+        for ((a, re), im) in amps.iter().zip(re).zip(im) {
+            *re = a.re;
+            *im = a.im;
+        }
+        codec.compress(planes)
+    })
 }
 
 /// Inverse of [`compress_complex`].
@@ -519,15 +536,14 @@ pub fn decompress_complex(
     bytes: &[u8],
     out: &mut [Complex64],
 ) -> Result<(), CodecError> {
-    let n = out.len();
-    let mut planes = vec![0.0f64; n * 2];
-    codec.decompress(bytes, &mut planes)?;
-    let interleaved = as_f64_slice_mut(out);
-    for i in 0..n {
-        interleaved[2 * i] = planes[i];
-        interleaved[2 * i + 1] = planes[n + i];
-    }
-    Ok(())
+    with_planes(out.len() * 2, |planes| {
+        codec.decompress(bytes, planes)?;
+        let (re, im) = planes.split_at(out.len());
+        for ((a, &re), &im) in out.iter_mut().zip(re).zip(im) {
+            *a = Complex64 { re, im };
+        }
+        Ok(())
+    })
 }
 
 // --- compression backends -------------------------------------------------------
@@ -605,7 +621,7 @@ impl CompressionBackend for HostCodecBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mq_num::complex::c64;
+    use mq_num::complex::{as_f64_slice, c64};
 
     fn sample_data() -> Vec<f64> {
         (0..4096)
@@ -766,176 +782,11 @@ mod tests {
     }
 }
 
-// --- adaptive codec -------------------------------------------------------------
-
-/// Picks the best backend codec *per block*: tries zero-RLE (wins on sparse
-/// chunks), FPC (wins on lossless-compressible data) and — when an error
-/// bound is configured — the SZ-style lossy codec, and keeps whichever
-/// output is smallest. A one-byte tag selects the decoder.
-///
-/// This is the paper's "adaptable to accommodate various compression
-/// algorithms" point made concrete: the store takes any [`Codec`], including
-/// this meta-codec.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveCodec {
-    /// Error bound for the lossy candidate; `None` restricts the choice to
-    /// lossless backends.
-    pub eb: Option<f64>,
-}
-
-impl AdaptiveCodec {
-    /// Adaptive lossless-only codec.
-    pub fn lossless() -> AdaptiveCodec {
-        AdaptiveCodec { eb: None }
-    }
-
-    /// Adaptive codec allowed to go lossy within `eb`.
-    pub fn lossy(eb: f64) -> AdaptiveCodec {
-        assert!(eb.is_finite() && eb > 0.0, "error bound must be positive");
-        AdaptiveCodec { eb: Some(eb) }
-    }
-}
+// --- auto codec (probe-guided, self-describing) ---------------------------------
 
 const TAG_ZERO_RLE: u8 = 1;
 const TAG_FPC: u8 = 2;
 const TAG_SZ: u8 = 3;
-
-impl Codec for AdaptiveCodec {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-    fn is_lossless(&self) -> bool {
-        self.eb.is_none()
-    }
-    fn error_bound(&self) -> Option<f64> {
-        self.eb
-    }
-    fn compress(&self, data: &[f64]) -> Vec<u8> {
-        let mut best = {
-            let mut out = vec![TAG_ZERO_RLE];
-            rle::encode(data, &mut out);
-            out
-        };
-        let fpc = {
-            let mut out = vec![TAG_FPC];
-            fpc::encode(data, &mut out);
-            out
-        };
-        if fpc.len() < best.len() {
-            best = fpc;
-        }
-        if let Some(eb) = self.eb {
-            let mut out = vec![TAG_SZ];
-            szlike::encode(data, eb, &mut out);
-            if out.len() < best.len() {
-                best = out;
-            }
-        }
-        best
-    }
-    fn decompress(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
-        let (tag, body) = bytes
-            .split_first()
-            .ok_or_else(|| CodecError::Corrupt("empty adaptive block".into()))?;
-        match *tag {
-            TAG_ZERO_RLE => rle::decode(body, out).map_err(|e| match e {
-                rle::RleError::LengthMismatch { expected, got } => {
-                    CodecError::LengthMismatch { expected, got }
-                }
-                other => CodecError::Corrupt(other.to_string()),
-            }),
-            TAG_FPC => fpc::decode(body, out).map_err(|e| match e {
-                fpc::FpcError::LengthMismatch { expected, got } => {
-                    CodecError::LengthMismatch { expected, got }
-                }
-                other => CodecError::Corrupt(other.to_string()),
-            }),
-            TAG_SZ => szlike::decode(body, out).map(|_| ()).map_err(|e| match e {
-                szlike::SzError::LengthMismatch { expected, got } => {
-                    CodecError::LengthMismatch { expected, got }
-                }
-                other => CodecError::Corrupt(other.to_string()),
-            }),
-            t => Err(CodecError::Corrupt(format!("unknown adaptive tag {t}"))),
-        }
-    }
-}
-
-#[cfg(test)]
-mod adaptive_tests {
-    use super::*;
-
-    #[test]
-    fn picks_rle_on_sparse_data() {
-        let mut data = vec![0.0f64; 4096];
-        data[7] = 1.0;
-        let adaptive = AdaptiveCodec::lossless();
-        let bytes = adaptive.compress(&data);
-        assert_eq!(bytes[0], TAG_ZERO_RLE);
-        // And it beats plain FPC on this input.
-        assert!(bytes.len() < FpcCodec.compress(&data).len());
-        let mut out = vec![1.0f64; 4096];
-        adaptive.decompress(&bytes, &mut out).unwrap();
-        for (a, b) in data.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn picks_sz_on_smooth_data_when_lossy_allowed() {
-        let data: Vec<f64> = (0..8192).map(|i| (i as f64 * 1e-3).sin() * 0.01).collect();
-        let adaptive = AdaptiveCodec::lossy(1e-8);
-        let bytes = adaptive.compress(&data);
-        assert_eq!(bytes[0], TAG_SZ);
-        let mut out = vec![0.0f64; data.len()];
-        adaptive.decompress(&bytes, &mut out).unwrap();
-        for (a, b) in data.iter().zip(&out) {
-            assert!((a - b).abs() <= 1e-8);
-        }
-    }
-
-    #[test]
-    fn lossless_mode_never_uses_sz() {
-        let data: Vec<f64> = (0..4096).map(|i| (i as f64 * 1e-3).sin()).collect();
-        let adaptive = AdaptiveCodec::lossless();
-        let bytes = adaptive.compress(&data);
-        assert_ne!(bytes[0], TAG_SZ);
-        let mut out = vec![0.0f64; data.len()];
-        adaptive.decompress(&bytes, &mut out).unwrap();
-        for (a, b) in data.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn adaptive_never_loses_to_its_backends_by_more_than_a_tag() {
-        for data in [
-            vec![0.0f64; 1000],
-            (0..1000).map(|i| i as f64).collect::<Vec<_>>(),
-            (0..1000)
-                .map(|i| ((i * 2654435761usize) % 997) as f64 / 997.0)
-                .collect(),
-        ] {
-            let adaptive = AdaptiveCodec::lossy(1e-9).compress(&data).len();
-            let rle = ZeroRleCodec.compress(&data).len();
-            let fpc = FpcCodec.compress(&data).len();
-            let sz = SzCodec::new(1e-9).compress(&data).len();
-            let best = rle.min(fpc).min(sz);
-            assert!(adaptive <= best + 1, "adaptive {adaptive} vs best {best}");
-        }
-    }
-
-    #[test]
-    fn rejects_unknown_tag_and_empty() {
-        let adaptive = AdaptiveCodec::lossless();
-        let mut out = vec![0.0f64; 4];
-        assert!(adaptive.decompress(&[], &mut out).is_err());
-        assert!(adaptive.decompress(&[99, 0, 0], &mut out).is_err());
-    }
-}
-
-// --- auto codec (probe-guided, self-describing) ---------------------------------
-
 const TAG_SHUFFLE_LZSS: u8 = 4;
 const TAG_NULL: u8 = 5;
 /// Low bits of the header byte carry the backend tag...

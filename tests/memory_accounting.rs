@@ -226,17 +226,17 @@ fn engine_surfaces_corruption_as_engine_error() {
 
 #[test]
 fn adaptive_codec_runs_the_engine_and_beats_fixed_rle_on_mixed_states() {
-    use mq_compress::{AdaptiveCodec, Codec};
+    use mq_compress::{AutoCodec, Codec, Precision};
     // Run a circuit whose state is sparse early and dense late.
     let circuit = library::qft(10);
     let cfg = MemQSimConfig {
         chunk_bits: 5,
         max_high_qubits: 2,
-        codec: CodecSpec::Fpc, // placeholder; store below uses adaptive
+        codec: CodecSpec::Fpc, // placeholder; store below uses the auto codec
         workers: 1,
         ..Default::default()
     };
-    let adaptive: Arc<dyn Codec> = Arc::new(AdaptiveCodec::lossy(1e-11));
+    let adaptive: Arc<dyn Codec> = Arc::new(AutoCodec::new(Some(1e-11), Precision::F64));
     let store: Arc<dyn ChunkStore> = Arc::new(CompressedTier::zero_state(10, 5, adaptive));
     memqsim_core::engine::cpu::run(&store, &circuit, &cfg, Granularity::Staged).unwrap();
     let got = store.to_dense().unwrap();
