@@ -232,7 +232,7 @@ mod tests {
     }
 
     /// The payload is `BitWriter` output, and stored payloads are compared
-    /// byte for byte (device vs host encodes, fingerprint-equal write-backs):
+    /// byte for byte (device vs host encodes):
     /// these bytes come from the bit-at-a-time writer this crate started
     /// with, and the word-at-a-time one must keep producing them.
     #[test]

@@ -1,7 +1,7 @@
 //! The write-back residency-cache middleware: hot decompressed chunks in
 //! front of any inner [`ChunkStore`].
 
-use super::{expect_chunk_len, fingerprint_amps, ChunkStore, StoreCounters};
+use super::{expect_chunk_len, ChunkStore, StoreCounters};
 use mq_compress::{CodecError, CompressionStats};
 use mq_num::Complex64;
 use mq_telemetry::Telemetry;
@@ -18,11 +18,18 @@ struct CacheEntry {
     /// Monotonic generation stamp; write-backs commit only if it still
     /// matches their snapshot, so a concurrent store supersedes them.
     gen: u64,
-    /// Content fingerprint of `amps` — stores of identical content skip
-    /// the write entirely (and don't re-dirty a clean entry).
-    fingerprint: u64,
     /// Recency clock value of the last touch (drives victim selection).
     tick: u64,
+}
+
+/// Bitwise equality of two chunks, stopping at the first difference.
+/// `==` on the floats would be wrong here: it calls `-0.0` and `+0.0` equal
+/// (a skipped store would then lose the sign) and `NaN` unequal to itself.
+fn same_bits(a: &[Complex64], b: &[Complex64]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
 }
 
 struct CacheState {
@@ -36,8 +43,10 @@ struct CacheState {
 /// Loads of resident chunks skip the inner store (checksum and codec)
 /// entirely; stores replace the resident copy and mark it dirty — the
 /// inner store sees the data only on eviction or [`flush`](ChunkStore::flush), and clean evictions drop the
-/// buffer with zero inner traffic. A content fingerprint (FNV-1a over the
-/// amplitude bits) short-circuits stores of unmodified chunks.
+/// buffer with zero inner traffic. A store whose amplitudes are bit for bit
+/// the resident copy's — an exact compare that stops at the first
+/// difference, not a hash, so a changed chunk can never be taken for an
+/// unchanged one — is skipped and does not re-dirty a clean entry.
 ///
 /// Eviction is *scan-resistant*: entries carry a recency clock, but on
 /// overflow the **most** recently touched entry is evicted — the engines
@@ -219,7 +228,6 @@ impl ResidencyCache {
     /// slot changed since the decode or the chunk raced in some other way.
     fn admit_clean(&self, i: usize, amps: &[Complex64], version: u64) -> Result<(), CodecError> {
         self.make_room()?;
-        let fp = fingerprint_amps(amps);
         let mut inserted = false;
         {
             let mut cache = self.state.lock();
@@ -236,7 +244,6 @@ impl ResidencyCache {
                         amps: amps.to_vec(),
                         dirty: false,
                         gen,
-                        fingerprint: fp,
                         tick,
                     },
                 );
@@ -293,14 +300,13 @@ impl ChunkStore for ResidencyCache {
     }
 
     /// Replaces the resident copy and marks it dirty (write-back) — the
-    /// inner store sees the data on eviction or flush — unless the content
-    /// fingerprint matches, which skips the store entirely.
+    /// inner store sees the data on eviction or flush — unless `amps` is
+    /// bit for bit the resident copy, which skips the store entirely.
     fn store_chunk(&self, i: usize, amps: &[Complex64]) -> Result<(), CodecError> {
         expect_chunk_len(self.chunk_amps(), amps.len())?;
         if self.capacity == 0 {
             return self.inner.store_chunk(i, amps);
         }
-        let fp = fingerprint_amps(amps);
         let skipped = loop {
             // None = no room yet; Some(skipped) = entry updated.
             let mut outcome = None;
@@ -312,11 +318,10 @@ impl ChunkStore for ResidencyCache {
                 let (tick, gen) = (cache.tick, cache.gen);
                 if let Some(e) = cache.map.get_mut(&i) {
                     e.tick = tick;
-                    if e.fingerprint == fp {
+                    if same_bits(&e.amps, amps) {
                         outcome = Some(true);
                     } else {
                         e.amps.copy_from_slice(amps);
-                        e.fingerprint = fp;
                         e.dirty = true;
                         e.gen = gen;
                         outcome = Some(false);
@@ -328,7 +333,6 @@ impl ChunkStore for ResidencyCache {
                             amps: amps.to_vec(),
                             dirty: true,
                             gen,
-                            fingerprint: fp,
                             tick,
                         },
                     );
@@ -548,7 +552,7 @@ impl std::fmt::Debug for ResidencyCache {
 mod tests {
     use super::super::CompressedTier;
     use super::*;
-    use mq_compress::SzCodec;
+    use mq_compress::{FpcCodec, SzCodec};
     use mq_num::complex::c64;
 
     /// A store with every chunk already written once (8 qubits, 16 chunks
@@ -608,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_skips_recompression_of_unmodified_chunks() {
+    fn identical_store_is_skipped_and_leaves_the_entry_clean() {
         let (_, store) = cached_store(4);
         let baseline = store.counters().bytes_compressed;
         let mut buf = vec![Complex64::ZERO; 16];
@@ -621,6 +625,57 @@ mod tests {
             baseline,
             "unmodified store must not dirty the entry"
         );
+        let c = store.counters();
+        assert_eq!(c.cache_hits + c.cache_misses, c.chunk_visits);
+    }
+
+    /// The skip is an exact compare: differences a 64-bit hash could only
+    /// promise to catch with probability, and `==` on floats would miss.
+    #[test]
+    fn store_differing_in_one_bit_pattern_is_not_skipped() {
+        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        let resident: Vec<Complex64> = (0..16).map(|k| c64(0.0, 0.125 * k as f64)).collect();
+        let mut zero_sign = resident.clone();
+        zero_sign[3].re = -0.0; // equal under `==`, different bits
+        let mut last_amp = resident.clone();
+        last_amp[15].im = f64::from_bits(last_amp[15].im.to_bits() + 1);
+        let visits_add_up = |store: &ResidencyCache| {
+            let c = store.counters();
+            assert_eq!(c.cache_hits + c.cache_misses, c.chunk_visits);
+        };
+        for changed in [zero_sign, last_amp] {
+            assert_ne!(bits(&changed), bits(&resident));
+            // FPC is lossless, so the inner tier must give the bits back too.
+            let inner: Arc<dyn ChunkStore> =
+                Arc::new(CompressedTier::zero_state(8, 4, Arc::new(FpcCodec)));
+            let store = ResidencyCache::new(inner.clone(), 4 * 16 * 16);
+            store.store_chunk(2, &resident).unwrap();
+            store.flush().unwrap(); // resident copy clean
+            let compressed = store.counters().bytes_compressed;
+
+            store.store_chunk(2, &resident).unwrap(); // identical: skipped
+            assert_eq!(store.counters().recompress_skipped, 1);
+            store.store_chunk(2, &changed).unwrap();
+            assert_eq!(store.counters().recompress_skipped, 1, "not skipped");
+            visits_add_up(&store);
+
+            let mut back = vec![Complex64::ZERO; 16];
+            store.load_chunk(2, &mut back).unwrap(); // hit on the dirty copy
+            assert_eq!(bits(&back), bits(&changed));
+            visits_add_up(&store);
+            store.drain().unwrap(); // dirty: written back, then dropped
+            assert!(store.counters().bytes_compressed > compressed);
+            inner.load_chunk(2, &mut back).unwrap();
+            assert_eq!(bits(&back), bits(&changed));
+            store.load_chunk(2, &mut back).unwrap(); // miss
+            assert_eq!(bits(&back), bits(&changed));
+
+            let c = store.counters();
+            assert_eq!((c.cache_hits, c.cache_misses), (1, 1));
+            visits_add_up(&store);
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! The codec + checksum base tier: chunks resident as compressed bytes.
+//! The codec + checksum base tier: chunks resident as compressed bytes,
+//! each guarded by a `checksum64` taken at commit and verified before
+//! every decode and every payload hand-out.
 
-use super::{expect_chunk_len, fnv1a, ChunkStore, StoreCounters};
+use super::{checksum64, expect_chunk_len, verify_checksum, ChunkStore, StoreCounters};
 use mq_compress::{compress_complex, decompress_complex, Codec, CodecError, CompressionStats};
 use mq_num::{bits, Complex64};
 use parking_lot::Mutex;
@@ -16,11 +18,11 @@ struct ChunkSlot {
 
 /// The compressed chunk tier — MEMQSIM's headline representation.
 ///
-/// Every chunk lives in CPU memory as codec-compressed bytes guarded by an
-/// FNV-1a checksum, individually locked so pipeline threads and "idle core"
-/// workers stream different chunks concurrently. Running totals of resident
-/// compressed bytes and their peak are the numbers behind the paper's
-/// "+5 qubits in the same memory" claim.
+/// Every chunk lives in CPU memory as codec-compressed bytes guarded by a
+/// word-parallel `checksum64`, individually locked so pipeline threads and
+/// "idle core" workers stream different chunks concurrently. Running totals
+/// of resident compressed bytes and their peak are the numbers behind the
+/// paper's "+5 qubits in the same memory" claim.
 ///
 /// This tier is deliberately minimal: no residency cache, no telemetry.
 /// Wrap it in a [`ResidencyCache`](super::ResidencyCache) and a
@@ -82,9 +84,15 @@ impl CompressedTier {
         let mut buf = vec![Complex64::ZERO; chunk_amps];
         buf[0] = Complex64::ONE;
         store.write_slot(0, &buf);
-        buf[0] = Complex64::ZERO;
-        for i in 1..chunk_count {
-            store.write_slot(i, &buf);
+        if chunk_count > 1 {
+            // Every other chunk is the same all-zero buffer: encode it once
+            // and commit a copy of the payload per slot, with the accounting
+            // of a real encode.
+            buf[0] = Complex64::ZERO;
+            let zero = compress_complex(store.codec.as_ref(), &buf);
+            for i in 1..chunk_count {
+                store.commit_encoded(i, zero.clone());
+            }
         }
         store
     }
@@ -112,7 +120,11 @@ impl CompressedTier {
 
     /// Compresses `amps` and commits the result to slot `i`.
     fn write_slot(&self, i: usize, amps: &[Complex64]) {
-        let bytes = compress_complex(self.codec.as_ref(), amps);
+        self.commit_encoded(i, compress_complex(self.codec.as_ref(), amps));
+    }
+
+    /// Commits `bytes` to slot `i` as the output of a host encode.
+    fn commit_encoded(&self, i: usize, bytes: Vec<u8>) {
         let new_len = bytes.len();
         self.commit_slot(i, bytes);
         self.bytes_compressed
@@ -125,7 +137,7 @@ impl CompressedTier {
     /// old chunk's length.
     fn commit_slot(&self, i: usize, bytes: Vec<u8>) {
         let new_len = bytes.len();
-        let checksum = fnv1a(&bytes);
+        let checksum = checksum64(&bytes);
         if let Some(meta) = self.codec.payload_meta(&bytes) {
             let pick = match meta.codec {
                 "zero-rle" => Some(&self.picks_zero_rle),
@@ -178,11 +190,7 @@ impl ChunkStore for CompressedTier {
     fn load_chunk(&self, i: usize, out: &mut [Complex64]) -> Result<(), CodecError> {
         expect_chunk_len(self.chunk_amps(), out.len())?;
         let guard = self.chunks[i].lock();
-        if fnv1a(&guard.bytes) != guard.checksum {
-            return Err(CodecError::Corrupt(format!(
-                "chunk {i} failed its integrity checksum"
-            )));
-        }
+        verify_checksum(i, &guard.bytes, guard.checksum)?;
         self.visits.fetch_add(1, Ordering::Relaxed);
         self.bytes_decompressed
             .fetch_add(guard.bytes.len() as u64, Ordering::Relaxed);
@@ -200,11 +208,7 @@ impl ChunkStore for CompressedTier {
     /// wherever the payload is shipped.
     fn load_chunk_payload(&self, i: usize) -> Result<Option<Vec<u8>>, CodecError> {
         let guard = self.chunks[i].lock();
-        if fnv1a(&guard.bytes) != guard.checksum {
-            return Err(CodecError::Corrupt(format!(
-                "chunk {i} failed its integrity checksum"
-            )));
-        }
+        verify_checksum(i, &guard.bytes, guard.checksum)?;
         self.visits.fetch_add(1, Ordering::Relaxed);
         Ok(Some(guard.bytes.clone()))
     }

@@ -16,7 +16,7 @@
 //! Two middleware tiers wrap any inner store:
 //!
 //! * [`ResidencyCache`] — the write-back hot-chunk cache (recency tracking,
-//!   content-fingerprint recompress skip, scan-resistant eviction), lifted
+//!   exact-compare recompress skip, scan-resistant eviction), lifted
 //!   out of the old monolithic store so it composes with every base tier.
 //! * [`TelemetryTier`] — owns counter emission: it diffs the inner stack's
 //!   plain atomic totals into an attached [`Telemetry`] handle after every
@@ -45,26 +45,76 @@ use mq_num::{bits, Complex64};
 use mq_telemetry::Telemetry;
 use std::sync::Arc;
 
-/// FNV-1a 64-bit hash — the chunk integrity checksum.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+/// Independent lanes of [`checksum64`]. Four multiply chains read a payload
+/// that misses cache at 13–14 GB/s; eight gain 3 µs on a 243 KB payload, under
+/// 1 % of the run that has the most of them (EXPERIMENTS.md A8).
+const CHECKSUM_LANES: usize = 4;
 
-/// FNV-1a over the raw amplitude bits — the cache's content fingerprint.
-pub(crate) fn fingerprint_amps(amps: &[Complex64]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for z in amps {
-        for b in z.re.to_le_bytes().into_iter().chain(z.im.to_le_bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
+/// Odd multipliers, one per lane; the first also drives the final fold.
+const CHECKSUM_MUL: [u64; CHECKSUM_LANES] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0xff51_afd7_ed55_8ccd,
+];
+
+/// The chunk integrity checksum every codec tier stores at commit and
+/// verifies before each decode or payload hand-out.
+///
+/// The payload is read as little-endian `u64` words (so the value does not
+/// depend on the platform or on where the slice sits in memory), word `k`
+/// going to lane `k mod 4`: `lane = rotl((lane ^ word) · odd, 29)`. The
+/// chains are independent, so the loop runs one word per multiply
+/// *throughput* slot, where a single chain over bytes runs one byte per
+/// multiply *latency*. The last `len mod 8` bytes are zero-padded into one
+/// more word, and the lanes are folded, starting from the length, by the
+/// same step.
+///
+/// Every step is a bijection of the lane for a fixed word and of the word
+/// for a fixed lane (xor, multiply by an odd constant and rotate are all
+/// invertible mod 2^64). So two payloads of equal length that differ only
+/// inside one 8-byte word (offsets `8k..8k+8` from the slice start) or
+/// only inside the sub-word tail *always* hash differently, as do two
+/// whose words and padded tail agree but whose lengths differ — every bit
+/// flip and byte overwrite, not all but 2⁻⁶⁴ of them. Wider damage is
+/// caught with the usual 1 − 2⁻⁶⁴. Not keyed: it detects faults, not
+/// adversaries.
+pub(crate) fn checksum64(bytes: &[u8]) -> u64 {
+    /// One step of up to `CHECKSUM_LANES` lanes: word `k` into lane `k`.
+    fn absorb<'a>(lanes: &mut [u64; CHECKSUM_LANES], words: impl Iterator<Item = &'a [u8]>) {
+        for ((lane, word), mul) in lanes.iter_mut().zip(words).zip(CHECKSUM_MUL) {
+            let word = u64::from_le_bytes(word.try_into().expect("an 8-byte word"));
+            *lane = (*lane ^ word).wrapping_mul(mul).rotate_left(29);
         }
     }
-    h
+    let mut lanes = CHECKSUM_MUL;
+    let mut blocks = bytes.chunks_exact(8 * CHECKSUM_LANES);
+    for block in &mut blocks {
+        absorb(&mut lanes, block.chunks_exact(8));
+    }
+    // Under one block is left: up to three whole words, then the tail,
+    // zero-padded, in the lane after them.
+    let words = blocks.remainder().chunks_exact(8);
+    let mut tail = [0u8; 8];
+    let rest = words.remainder();
+    tail[..rest.len()].copy_from_slice(rest);
+    absorb(&mut lanes, words.chain([&tail[..]]));
+    let folded = lanes.iter().fold(bytes.len() as u64, |h, lane| {
+        (h ^ lane).wrapping_mul(CHECKSUM_MUL[0]).rotate_left(29)
+    });
+    folded ^ (folded >> 32)
+}
+
+/// Verify-on-load: chunk `i`'s stored `bytes` must still hash to the
+/// `checksum` taken when they were committed.
+pub(crate) fn verify_checksum(i: usize, bytes: &[u8], checksum: u64) -> Result<(), CodecError> {
+    if checksum64(bytes) == checksum {
+        Ok(())
+    } else {
+        Err(CodecError::Corrupt(format!(
+            "chunk {i} failed its integrity checksum"
+        )))
+    }
 }
 
 /// Typed precondition: a chunk buffer must match the store's chunk size.
@@ -94,7 +144,7 @@ pub struct StoreCounters {
     pub cache_hits: u64,
     /// Loads that fell through a residency cache to the inner store.
     pub cache_misses: u64,
-    /// Stores whose content fingerprint matched the resident copy.
+    /// Stores whose content was bit-identical to the resident copy.
     pub recompress_skipped: u64,
     /// Cache entries evicted.
     pub evictions: u64,
@@ -497,6 +547,126 @@ mod tests {
         }
     }
 
+    /// Deterministic filler with no zero-heavy structure.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x2545_f491_4f6c_dd1du64 ^ len as u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// Every single-bit flip at each of `positions` and every overwrite of
+    /// that byte (all 255 other values, or three when `!every_value`), and
+    /// every change of length by 1..=9 bytes, must move the checksum.
+    fn assert_damage_is_seen(
+        payload: &[u8],
+        positions: impl Iterator<Item = usize>,
+        every_value: bool,
+    ) {
+        let len = payload.len();
+        let clean = checksum64(payload);
+        let mut buf = payload.to_vec();
+        for pos in positions {
+            let byte = buf[pos];
+            let flips = (0..8).map(|bit| byte ^ (1 << bit));
+            let overwrites: Vec<u8> = if every_value {
+                (0..=255).collect()
+            } else {
+                flips.chain([0x00, 0xFF, byte.wrapping_add(1)]).collect()
+            };
+            for other in overwrites.into_iter().filter(|&b| b != byte) {
+                buf[pos] = other;
+                assert_ne!(
+                    checksum64(&buf),
+                    clean,
+                    "len {len} byte {pos} -> {other:#x}"
+                );
+            }
+            buf[pos] = byte;
+        }
+        for cut in 1..=len.min(9) {
+            assert_ne!(
+                checksum64(&buf[..len - cut]),
+                clean,
+                "len {len} cut by {cut}"
+            );
+        }
+        for _ in 1..=9 {
+            buf.push(0);
+            assert_ne!(checksum64(&buf), clean, "len {len} grown to {}", buf.len());
+        }
+    }
+
+    #[test]
+    fn checksum_sees_every_single_byte_change_and_length_change() {
+        for len in 0..=100 {
+            assert_damage_is_seen(&noise(len), 0..len, true);
+        }
+        // All-zero and all-ones payloads are as well guarded as noisy ones.
+        for fill in [0u8, 0xFF] {
+            assert_damage_is_seen(&[fill; 77], 0..77, true);
+        }
+        // A payload-sized input through the block loop. One hash per
+        // (position, value) over all of it is 10^12 byte reads, so this
+        // takes both ends in full (every lane, the trailing whole words, the
+        // 5-byte tail) and between them a stride coprime to the 32-byte
+        // block, which lands on every lane and byte offset; at each
+        // position the 8 bit flips and three overwrites.
+        let len = (64 << 10) + 5;
+        let ends = 40;
+        let sampled = (0..ends)
+            .chain((ends..len - ends).step_by(4093))
+            .chain(len - ends..len);
+        assert_damage_is_seen(&noise(len), sampled, false);
+    }
+
+    #[test]
+    fn checksum_reads_content_not_address() {
+        // Word reads are relative to the slice start: the same bytes at
+        // every alignment within one buffer hash the same.
+        for len in [0, 1, 7, 8, 9, 31, 32, 33, 64, 100] {
+            let content = noise(len);
+            let expect = checksum64(&content);
+            let mut buf = vec![0xA5u8; len + 16];
+            for off in 0..16 {
+                buf.fill(0xA5);
+                buf[off..off + len].copy_from_slice(&content);
+                assert_eq!(
+                    checksum64(&buf[off..off + len]),
+                    expect,
+                    "len {len} at +{off}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_values_are_pinned() {
+        // Little-endian word reads: these hold on every platform. A change
+        // here is a change of what stored checksums mean.
+        let ramp: Vec<u8> = (0..1000u32).map(|i| (i * 7 + 3) as u8).collect();
+        assert_eq!(checksum64(b""), 0xab62_dcd0_6813_a223);
+        assert_eq!(checksum64(b"MEMQSim"), 0xdeb9_83d3_b95f_e902);
+        assert_eq!(checksum64(&ramp), 0xf8ea_d83e_f0ff_73e7);
+    }
+
+    #[test]
+    fn verify_checksum_is_a_typed_corrupt_error() {
+        let bytes = noise(40);
+        assert_eq!(verify_checksum(3, &bytes, checksum64(&bytes)), Ok(()));
+        match verify_checksum(3, &bytes, !checksum64(&bytes)) {
+            Err(CodecError::Corrupt(msg)) => {
+                assert!(msg.contains("chunk 3") && msg.contains("checksum"), "{msg}")
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn factory_builds_every_kind_as_zero_state() {
         for kind in [
@@ -513,6 +683,47 @@ mod tests {
             let dense = store.to_dense().unwrap();
             assert!((dense[0].re - 1.0).abs() < 1e-9, "{kind:?}");
             assert!(dense[1..].iter().all(|z| z.norm() < 1e-9), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn zero_state_accounts_like_encoding_every_chunk() {
+        // `zero_state` encodes the all-zero chunk once and commits copies;
+        // every total must read as if each chunk had been encoded, which is
+        // what `from_amplitudes` of the same state does.
+        let mut basis0 = vec![Complex64::ZERO; 1 << 8];
+        basis0[0] = Complex64::ONE;
+        for kind in [
+            StoreKind::Compressed,
+            StoreKind::Spill {
+                resident_budget: 1 << 16,
+            },
+            StoreKind::Spill {
+                resident_budget: 100, // a few payloads: the rest spill
+            },
+        ] {
+            for codec in [CodecSpec::Sz { eb: 1e-10 }, CodecSpec::Auto { eb: None }] {
+                let mut c = cfg(kind);
+                c.codec = codec;
+                let zero = build_store(8, &c).unwrap();
+                let encoded = build_store_from_amplitudes(&basis0, &c).unwrap();
+                let what = format!("{kind:?} {codec:?}");
+                assert_eq!(zero.counters(), encoded.counters(), "{what}");
+                assert!(zero.counters().bytes_compressed > 0, "{what}");
+                assert_eq!(
+                    zero.cumulative_stats(),
+                    encoded.cumulative_stats(),
+                    "{what}"
+                );
+                assert_eq!(zero.cumulative_stats().blocks, 16, "{what}");
+                assert_eq!(zero.state_bytes(), encoded.state_bytes(), "{what}");
+                assert_eq!(
+                    zero.peak_state_bytes(),
+                    encoded.peak_state_bytes(),
+                    "{what}"
+                );
+                assert_eq!(zero.to_dense().unwrap(), encoded.to_dense().unwrap());
+            }
         }
     }
 

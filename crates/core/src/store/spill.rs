@@ -1,7 +1,7 @@
 //! The disk-spill base tier: compressed chunks under a resident-byte
 //! budget, overflow spilled to temp files.
 
-use super::{expect_chunk_len, fnv1a, ChunkStore, StoreCounters};
+use super::{checksum64, expect_chunk_len, verify_checksum, ChunkStore, StoreCounters};
 use mq_compress::{compress_complex, decompress_complex, Codec, CodecError, CompressionStats};
 use mq_num::{bits, Complex64};
 use parking_lot::Mutex;
@@ -35,9 +35,9 @@ struct SpillState {
 /// transiently (a chunk larger than the whole budget goes straight to
 /// disk). Loads of spilled chunks read the file back but do **not**
 /// promote — residency changes only on stores, which keeps the budget
-/// invariant trivial under concurrent sweeps. Both tiers carry the FNV-1a
-/// integrity checksum, so bit rot in memory *or* on disk surfaces as a
-/// typed [`CodecError::Corrupt`].
+/// invariant trivial under concurrent sweeps. Both tiers carry the
+/// `checksum64` integrity word, verified before every decode, so bit rot
+/// in memory *or* on disk surfaces as a typed [`CodecError::Corrupt`].
 ///
 /// The spill directory is unique per store
 /// (`$TMPDIR/mq-spill-<pid>-<seq>`) and removed on drop.
@@ -106,9 +106,15 @@ impl SpillStore {
         let mut buf = vec![Complex64::ZERO; chunk_amps];
         buf[0] = Complex64::ONE;
         store.store_chunk(0, &buf)?;
-        buf[0] = Complex64::ZERO;
-        for i in 1..chunk_count {
-            store.store_chunk(i, &buf)?;
+        if chunk_count > 1 {
+            // Every other chunk is the same all-zero buffer: encode it once
+            // and commit a copy of the payload per slot, with the accounting
+            // of a real encode.
+            buf[0] = Complex64::ZERO;
+            let zero = compress_complex(store.codec.as_ref(), &buf);
+            for i in 1..chunk_count {
+                store.commit_encoded(i, zero.clone())?;
+            }
         }
         Ok(store)
     }
@@ -174,6 +180,42 @@ impl SpillStore {
         Ok(bytes)
     }
 
+    /// Commits `bytes` — this store's codec's encoding of one chunk — to
+    /// slot `i`, in memory if the budget allows and on disk otherwise.
+    fn commit_encoded(&self, i: usize, bytes: Vec<u8>) -> Result<(), CodecError> {
+        let new_len = bytes.len();
+        let checksum = checksum64(&bytes);
+        let mut state = self.state.lock();
+        // Retire the old slot's accounting first.
+        let old_len = match &state.slots[i] {
+            Some(SpillSlot::InMemory { bytes: old, .. }) => old.len(),
+            _ => 0,
+        };
+        state.resident -= old_len;
+        state.slots[i] = None;
+        if new_len > self.budget {
+            // Never fits: straight to disk, resident bytes untouched.
+            self.write_file(i, &bytes)?;
+            state.slots[i] = Some(SpillSlot::OnDisk {
+                len: new_len,
+                checksum,
+            });
+        } else {
+            // Make room *before* admitting, so the in-memory total never
+            // exceeds the budget even transiently.
+            self.make_room(&mut state, i, new_len)?;
+            state.resident += new_len;
+            state.slots[i] = Some(SpillSlot::InMemory { bytes, checksum });
+            self.peak_resident
+                .fetch_max(state.resident, Ordering::Relaxed);
+        }
+        drop(state);
+        self.stats.lock().record(self.chunk_amps() * 16, new_len);
+        self.bytes_compressed
+            .fetch_add(new_len as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
     /// Spills earliest-indexed resident chunks (≠ `keep`) until `need`
     /// more bytes fit in the budget. Called under the state lock.
     fn make_room(
@@ -225,56 +267,27 @@ impl ChunkStore for SpillStore {
     fn load_chunk(&self, i: usize, out: &mut [Complex64]) -> Result<(), CodecError> {
         expect_chunk_len(self.chunk_amps(), out.len())?;
         let state = self.state.lock();
-        let (bytes, checksum) = match &state.slots[i] {
-            Some(SpillSlot::InMemory { bytes, checksum }) => (bytes.clone(), *checksum),
-            Some(SpillSlot::OnDisk { len, checksum }) => (self.read_file(i, *len)?, *checksum),
+        // A resident payload is verified and decoded in place; only the
+        // on-disk arm owns a buffer.
+        let disk;
+        let (bytes, checksum): (&[u8], u64) = match &state.slots[i] {
+            Some(SpillSlot::InMemory { bytes, checksum }) => (bytes, *checksum),
+            Some(SpillSlot::OnDisk { len, checksum }) => {
+                disk = self.read_file(i, *len)?;
+                (&disk, *checksum)
+            }
             None => return Err(CodecError::Corrupt(format!("chunk {i} was never stored"))),
         };
-        if fnv1a(&bytes) != checksum {
-            return Err(CodecError::Corrupt(format!(
-                "chunk {i} failed its integrity checksum"
-            )));
-        }
+        verify_checksum(i, bytes, checksum)?;
         self.visits.fetch_add(1, Ordering::Relaxed);
         self.bytes_decompressed
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        decompress_complex(self.codec.as_ref(), &bytes, out)
+        decompress_complex(self.codec.as_ref(), bytes, out)
     }
 
     fn store_chunk(&self, i: usize, amps: &[Complex64]) -> Result<(), CodecError> {
         expect_chunk_len(self.chunk_amps(), amps.len())?;
-        let bytes = compress_complex(self.codec.as_ref(), amps);
-        let new_len = bytes.len();
-        let checksum = fnv1a(&bytes);
-        let mut state = self.state.lock();
-        // Retire the old slot's accounting first.
-        let old_len = match &state.slots[i] {
-            Some(SpillSlot::InMemory { bytes: old, .. }) => old.len(),
-            _ => 0,
-        };
-        state.resident -= old_len;
-        state.slots[i] = None;
-        if new_len > self.budget {
-            // Never fits: straight to disk, resident bytes untouched.
-            self.write_file(i, &bytes)?;
-            state.slots[i] = Some(SpillSlot::OnDisk {
-                len: new_len,
-                checksum,
-            });
-        } else {
-            // Make room *before* admitting, so the in-memory total never
-            // exceeds the budget even transiently.
-            self.make_room(&mut state, i, new_len)?;
-            state.resident += new_len;
-            state.slots[i] = Some(SpillSlot::InMemory { bytes, checksum });
-            self.peak_resident
-                .fetch_max(state.resident, Ordering::Relaxed);
-        }
-        drop(state);
-        self.stats.lock().record(amps.len() * 16, new_len);
-        self.bytes_compressed
-            .fetch_add(new_len as u64, Ordering::Relaxed);
-        Ok(())
+        self.commit_encoded(i, compress_complex(self.codec.as_ref(), amps))
     }
 
     /// Swaps the two slots wholesale under the state lock. In-memory bytes

@@ -95,7 +95,7 @@ pub enum Counter {
     /// resident in the cache. Only counted while a cache is configured, so
     /// `CacheHits + CacheMisses == ChunkVisits` holds for cached runs.
     CacheMisses,
-    /// Chunk stores whose content fingerprint matched the resident copy —
+    /// Chunk stores whose content was bit-identical to the resident copy —
     /// the recompression was skipped entirely.
     RecompressSkipped,
     /// Cache entries evicted (dirty evictions recompress; clean evictions

@@ -1,0 +1,109 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of the BENCHMARK.json benchmark.
+#
+#   scripts/perf_pairs.sh <parent-checkout> <change-checkout> [pairs=10]
+#
+# Each checkout is built once by its own copy of the BENCHMARK.json command
+# into its own CARGO_TARGET_DIR, then pair i (seed i) runs every workload on
+# both sides, the parent first when i is odd and the change first when it is
+# even, for the benchmark's own run_seconds. Prints, per workload and
+# end-to-end metric, each side's median [q1, q3], the ratio of the medians
+# and how many pairs the change won (ties count for neither), then every raw
+# run. Run it on a quiet machine: nothing else should compile or compute
+# while it times. Raw outputs stay in the directory it names at the end.
+set -euo pipefail
+
+if [ $# -lt 2 ] || [ $# -gt 3 ]; then
+    sed -n '2,5p' "$0" >&2
+    exit 2
+fi
+parent=$(cd "$1" && pwd)
+change=$(cd "$2" && pwd)
+pairs=${3:-10}
+out=$(mktemp -d "${TMPDIR:-/tmp}/perf_pairs.XXXXXX")
+
+# The benchmark's command, workloads and run length come from the change's
+# BENCHMARK.json; a pair means nothing if the parent declares another one.
+spec="$change/BENCHMARK.json"
+cmp -s "$spec" "$parent/BENCHMARK.json" ||
+    echo "warning: the two checkouts' BENCHMARK.json differ; using the change's" >&2
+mapfile -t cmd < <(python3 -c 'import json,sys; print(*json.load(open(sys.argv[1]))["command"], sep="\n")' "$spec")
+mapfile -t workloads < <(python3 -c 'import json,sys; print(*[w["name"] for w in json.load(open(sys.argv[1]))["workloads"]], sep="\n")' "$spec")
+seconds=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$spec")
+
+# bench <side> <args...>: the BENCHMARK.json command from that checkout.
+bench() {
+    local side=$1 dir
+    shift
+    if [ "$side" = parent ]; then dir=$parent; else dir=$change; fi
+    (cd "$dir" && CARGO_TARGET_DIR="$out/target-$side" "${cmd[@]}" "$@")
+}
+
+for side in parent change; do
+    echo "building $side ..." >&2
+    bench "$side" --print-benchmark-json >/dev/null
+done
+
+for i in $(seq 1 "$pairs"); do
+    if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+    for w in "${workloads[@]}"; do
+        for side in $order; do
+            echo "pair $i/$pairs  $w  $side" >&2
+            # A run with failed operations exits 1; its JSON still counts.
+            bench "$side" --workload "$w" --seed "$i" --seconds "$seconds" --trace 0 \
+                >"$out/$side.$w.$i.txt" 2>"$out/$side.$w.$i.err" || true
+        done
+    done
+done
+
+python3 - "$spec" "$out" "$pairs" <<'EOF'
+import json, statistics, sys
+
+bench, out, pairs = json.load(open(sys.argv[1])), sys.argv[2], int(sys.argv[3])
+
+def run(side, workload, i):
+    lines = open(f"{out}/{side}.{workload}.{i}.txt").read().strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return None
+
+def g(v):
+    # Six digits for times; byte counts in full, so equality is visible.
+    return f"{v:.6g}" if abs(v) < 1e6 else f"{v:.1f}".removesuffix(".0")
+
+def summary(values):
+    if len(values) < 2:
+        return g(values[0]) if values else "no runs"
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return f"{g(med)} [{g(q1)}, {g(q3)}]"
+
+raw, ops = [], []
+print(f"| workload | metric | parent | change | change/parent | change wins of {pairs} |")
+print("|---|---|---|---|---|---|")
+for w in (w["name"] for w in bench["workloads"]):
+    runs = [(run("parent", w, i), run("change", w, i)) for i in range(1, pairs + 1)]
+    for side, col in (("parent", 0), ("change", 1)):
+        done = [r[col] for r in runs if r[col]]
+        ops.append(f"{w} {side}: {sum(r['failed'] for r in done)} failed of "
+                   f"{sum(r['attempted'] for r in done)} operations, "
+                   f"{len(runs) - len(done)} runs without a result")
+    for m in bench["end_to_end"]:
+        name = m["name"]
+        both = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                for p, c in runs if p and c and name in p["metrics"] and name in c["metrics"]]
+        ps, cs = [p for p, _ in both], [c for _, c in both]
+        lower = m["better"] == "lower"
+        wins = sum((c < p) if lower else (c > p) for p, c in both)
+        ties = sum(c == p for p, c in both)
+        ratio = (f"{statistics.median(cs) / statistics.median(ps):.3f}"
+                 if ps and statistics.median(ps) else "-")
+        print(f"| {w} | {name} ({m['unit']}) | {summary(ps)} | {summary(cs)} | {ratio} | "
+              f"{wins}" + (f" ({ties} ties)" if ties else "") + " |")
+        raw.append(f"{w} {name} parent/change by seed: "
+                   + ", ".join(f"{g(p)}/{g(c)}" for p, c in both))
+print()
+print("\n".join(ops + raw))
+EOF
+rm -rf "$out/target-parent" "$out/target-change"
+echo "raw outputs: $out" >&2

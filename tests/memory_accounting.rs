@@ -243,3 +243,75 @@ fn adaptive_codec_runs_the_engine_and_beats_fixed_rle_on_mixed_states() {
     let want = mq_circuit::unitary::run_dense(&circuit, 0);
     assert!(mq_num::metrics::max_amp_err(&got, &want) < 1e-6);
 }
+
+/// Every place a stored payload is verified, one row each: a corrupted
+/// chunk comes back as a typed checksum error from the tier itself and from
+/// a whole engine run over it — never a panic, never decoded garbage.
+#[test]
+fn every_verifying_load_path_reports_corruption_as_a_checksum_error() {
+    use memqsim_core::{EngineError, ResidencyCache, SpillStore};
+    use mq_compress::{Codec, CodecError};
+    use mq_num::Complex64;
+
+    fn load(store: &dyn ChunkStore, i: usize) -> Result<(), CodecError> {
+        let mut buf = vec![Complex64::ZERO; store.chunk_amps()];
+        store.load_chunk(i, &mut buf)
+    }
+    fn payload(store: &dyn ChunkStore, i: usize) -> Result<(), CodecError> {
+        store.load_chunk_payload(i).map(|p| assert!(p.is_some()))
+    }
+    fn assert_checksum_error(what: &str, result: Result<(), CodecError>) {
+        match result {
+            Err(CodecError::Corrupt(msg)) => assert!(msg.contains("checksum"), "{what}: {msg}"),
+            other => panic!("{what}: corruption not detected: {other:?}"),
+        }
+    }
+    let codec = || -> Arc<dyn Codec> { Arc::from(CodecSpec::Fpc.build()) };
+    let compressed =
+        || -> Arc<dyn ChunkStore> { Arc::new(CompressedTier::zero_state(8, 4, codec())) };
+    type Access = fn(&dyn ChunkStore, usize) -> Result<(), CodecError>;
+    let rows: Vec<(&str, Arc<dyn ChunkStore>, Access)> = vec![
+        ("CompressedTier::load_chunk", compressed(), load),
+        ("CompressedTier::load_chunk_payload", compressed(), payload),
+        (
+            "SpillStore, slot in memory",
+            Arc::new(SpillStore::zero_state(8, 4, codec(), 1 << 20).unwrap()),
+            load,
+        ),
+        (
+            "SpillStore, slot on disk",
+            Arc::new(SpillStore::zero_state(8, 4, codec(), 0).unwrap()),
+            load,
+        ),
+        (
+            "ResidencyCache miss",
+            Arc::new(ResidencyCache::new(compressed(), 4 * 16 * 16)),
+            load,
+        ),
+        (
+            "ResidencyCache payload miss",
+            Arc::new(ResidencyCache::new(compressed(), 4 * 16 * 16)),
+            payload,
+        ),
+    ];
+    let cfg = MemQSimConfig {
+        chunk_bits: 4,
+        max_high_qubits: 2,
+        codec: CodecSpec::Fpc,
+        workers: 1,
+        ..Default::default()
+    };
+    for (what, store, access) in rows {
+        // Chunk 6 must not have been read before (a cache would hold it).
+        store.debug_corrupt_chunk(6);
+        assert_checksum_error(what, access(&*store, 6));
+        access(&*store, 5).unwrap_or_else(|e| panic!("{what}: untouched chunk: {e}"));
+
+        let run =
+            memqsim_core::engine::cpu::run(&store, &library::qft(8), &cfg, Granularity::Staged);
+        match run {
+            Err(EngineError::Codec(e)) => assert_checksum_error(what, Err(e)),
+            other => panic!("{what}: engine run over a corrupt chunk: {other:?}"),
+        }
+    }
+}
