@@ -32,8 +32,8 @@ use mq_compress::CodecSpec;
 struct Workload {
     name: &'static str,
     build: fn(u32) -> Circuit,
-    /// Cap to keep single-core runtime sane (structured circuits are cheap
-    /// to push further; dense random ones are not).
+    /// Cap to keep the one-worker runtime sane (structured circuits are
+    /// cheap to push further; dense random ones are not).
     cap: u32,
 }
 
@@ -183,8 +183,11 @@ fn main() {
             "[FAIL]"
         }
     );
-    println!("\nNote on \"without slowing down\": on this host both engines run on one CPU");
-    println!("core, so compression work is serialized with simulation (the wall-clock");
-    println!("slowdown column). In the paper's design the (de)compression overlaps GPU");
-    println!("kernels across idle cores — see `pipeline_breakdown` for the modeled overlap.");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("\nNote on \"without slowing down\": both engines are pinned to one worker here");
+    println!("(`workers: 1` is a config field on either side, not a property of the host,");
+    println!("which reports {cores} cores), so compression work is serialized with simulation");
+    println!("(the wall-clock slowdown column). In the paper's design the (de)compression");
+    println!("overlaps GPU kernels across idle cores — see `pipeline_breakdown` for the");
+    println!("modeled overlap.");
 }

@@ -139,9 +139,9 @@ impl Backend for CompressedCpuBackend {
             peak_working_bytes: report.peak_buffer_bytes,
             modeled_device: Duration::ZERO,
             detail: format!(
-                "{} stages, {} chunk visits, ratio {:.1}x",
+                "{} stages, {}, ratio {:.1}x",
                 report.stages,
-                report.chunk_visits,
+                report.visits_summary(),
                 store.current_ratio()
             ),
             telemetry: report.telemetry,

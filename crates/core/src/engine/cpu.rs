@@ -6,7 +6,10 @@
 //! to the group), and the chunks are recompressed — the "idle core" loop of
 //! paper Fig. 2, step 5. Groups of a stage are distributed over
 //! `cfg.workers` flat workers, each carrying a group through decompress →
-//! apply → recompress back to back so it stays in that core's cache.
+//! apply → recompress back to back so it stays in that core's cache. The
+//! workers draw groups one at a time, and a group that decompresses to all
+//! zeros ends there: nothing to apply, nothing to write back (see
+//! [`exec`](super::exec) on zero groups).
 //!
 //! The streaming skeleton (validation, plan, cache, ordering, accounting,
 //! flush, report) lives in [`exec::run_with_executor`](super::exec); this

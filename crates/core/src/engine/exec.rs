@@ -18,6 +18,26 @@
 //!   the three-role producer/device/completer pipeline (Fig. 2 steps 1–6),
 //!   a [`StageBatchExecutor`] bridged by [`SerialAdapter`].
 //!
+//! **Zero groups are never streamed.** Every gate is a linear map, so a
+//! chunk group that holds only zeros still holds only zeros after its
+//! stage — and early in a structured circuit that is most of the register.
+//! For one run the driver wraps the caller's store in a `ZeroTracker`, a
+//! forwarding [`ChunkStore`] with one flag per chunk that records whether
+//! the last amplitudes read from or written to the chunk were all `±0.0`,
+//! and hands that out as [`ExecContext::store`]. The flags change what
+//! happens in three places, and nowhere else: the driver does not submit a
+//! group whose members are all flagged ([`RunReport::chunk_visits_elided`]
+//! counts those visits; stages still open and close), and the CPU group
+//! loop and the device pipeline's producer drop a group that has just
+//! *loaded* as all zero before specializing, applying or storing it — which
+//! is what covers stage 0, where nothing is known yet. A flag never stands
+//! in for a load: no amplitude is ever served from it, every member of a
+//! surviving group is loaded and checksum-verified as before, and the map
+//! is dropped with the run. It lives on the engine's side of the
+//! [`ChunkStore`] trait, not in the store as a slot state, so that any
+//! store stack — including a caller's own wrappers, which forward only the
+//! trait's methods — takes the same path.
+//!
 //! Batch-shaped compute paths (and test mocks) implement
 //! [`StageBatchExecutor`] — the old whole-stage callback — and ride the
 //! streaming driver through [`SerialAdapter`], which buffers submissions
@@ -31,18 +51,19 @@ use crate::engine::report::RunReport;
 use crate::engine::{EngineError, Granularity, StoreTelemetryGuard};
 use crate::planner::chunk_groups;
 use crate::specialize::{specialize, GroupContext, Specialized};
-use crate::store::ChunkStore;
+use crate::store::{ChunkStore, StoreCounters};
 use mq_circuit::layout::plan_greedy;
 use mq_circuit::partition::{partition_per_gate, PartitionConfig, Plan, RemapTransition, Stage};
 use mq_circuit::reorder::reorder_for_locality;
 use mq_circuit::Circuit;
+use mq_compress::{CodecError, CompressionStats};
 use mq_device::StreamStats;
 use mq_num::parallel::par_for_with;
 use mq_num::Complex64;
 use mq_statevec::apply::{apply_all_tiled, SweepOp, DEFAULT_TILE_AMPS, DIAG_MAX_BITS};
 use mq_telemetry::{Counter, Role, StageErrorSpend, Telemetry};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Everything the driver hands an executor: the store being simulated, the
@@ -54,7 +75,9 @@ use std::sync::Arc;
 /// `submit`/`end_stage` boundaries.
 #[derive(Clone)]
 pub struct ExecContext {
-    /// The chunked state the run mutates (any [`ChunkStore`] stack).
+    /// The chunked state the run mutates: the caller's [`ChunkStore`] stack
+    /// behind the run's known-zero chunk map (see the module docs), which
+    /// forwards every call.
     pub store: Arc<dyn ChunkStore>,
     /// The offline plan (stages, geometry) the driver streams.
     pub plan: Arc<Plan>,
@@ -62,9 +85,18 @@ pub struct ExecContext {
     pub cfg: MemQSimConfig,
     /// The run's shared telemetry handle (already attached to the store).
     pub telemetry: Telemetry,
+    /// The known-zero chunk map; `store` is this same object.
+    zero: Arc<ZeroTracker>,
 }
 
 impl ExecContext {
+    /// Whether every chunk of `group` is known to hold only zeros. Asked
+    /// right after loading the group it is the post-load skip: a linear map
+    /// sends zeros to zeros, so there is nothing to apply or write back.
+    pub(crate) fn group_is_zero(&self, group: &[usize]) -> bool {
+        self.zero.all_flagged(group)
+    }
+
     /// Amplitudes per chunk.
     pub fn chunk_amps(&self) -> usize {
         self.store.chunk_amps()
@@ -440,6 +472,163 @@ pub fn apply_remap_on_store(
     Ok(visits)
 }
 
+/// Whether every amplitude is `+0.0` or `-0.0`. Blocks are OR-folded so an
+/// all-zero chunk scans at memory speed, and the first block holding a set
+/// bit ends the scan: O(1) on a dense chunk.
+fn all_zero(amps: &[Complex64]) -> bool {
+    amps.chunks(64).all(|block| {
+        let bits = block
+            .iter()
+            .fold(0u64, |acc, z| acc | z.re.to_bits() | z.im.to_bits());
+        bits << 1 == 0 // the sign of zero does not count
+    })
+}
+
+/// The run's known-zero chunk map: a [`ChunkStore`] middleware the driver
+/// wraps around the caller's store for one run and hands out as
+/// [`ExecContext::store`], so every executor, mock and remap path keeps it
+/// current without knowing it exists.
+///
+/// Flag `i` set means: the last amplitudes this run read from or wrote to
+/// chunk `i` were all `±0.0`, and nothing has touched the chunk since. It
+/// is decided by [`all_zero`] over what [`load_chunk`](ChunkStore::load_chunk)
+/// returned and what [`store_chunk`](ChunkStore::store_chunk) was given,
+/// moves with a successful [`swap_chunks`](ChunkStore::swap_chunks), and is
+/// cleared by a payload store (whose content is never seen) and by any
+/// failed call. A flag never stands in for a load — nothing is served from
+/// it; the driver only uses it to *not visit* a group whose members are all
+/// flagged. Flags die with the run.
+///
+/// Every [`ChunkStore`] method is forwarded by hand: a method added to the
+/// trait with a default body must be added here too, or the run would see
+/// the default instead of the caller's store.
+struct ZeroTracker {
+    inner: Arc<dyn ChunkStore>,
+    /// Written by the workers of a stage and read by the driver after that
+    /// stage's barrier; `SeqCst` so no pairing has to be argued.
+    zero: Vec<AtomicBool>,
+}
+
+impl ZeroTracker {
+    fn new(inner: Arc<dyn ChunkStore>) -> ZeroTracker {
+        ZeroTracker {
+            zero: (0..inner.chunk_count())
+                .map(|_| AtomicBool::new(false))
+                .collect(),
+            inner,
+        }
+    }
+
+    fn set(&self, i: usize, zero: bool) {
+        self.zero[i].store(zero, Ordering::SeqCst);
+    }
+
+    fn all_flagged(&self, group: &[usize]) -> bool {
+        group.iter().all(|&i| self.zero[i].load(Ordering::SeqCst))
+    }
+}
+
+impl ChunkStore for ZeroTracker {
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+
+    fn n_qubits(&self) -> u32 {
+        self.inner.n_qubits()
+    }
+
+    fn chunk_bits(&self) -> u32 {
+        self.inner.chunk_bits()
+    }
+
+    fn load_chunk(&self, i: usize, out: &mut [Complex64]) -> Result<(), CodecError> {
+        let result = self.inner.load_chunk(i, out);
+        self.set(i, result.is_ok() && all_zero(out));
+        result
+    }
+
+    fn store_chunk(&self, i: usize, amps: &[Complex64]) -> Result<(), CodecError> {
+        let result = self.inner.store_chunk(i, amps);
+        self.set(i, result.is_ok() && all_zero(amps));
+        result
+    }
+
+    fn load_chunk_payload(&self, i: usize) -> Result<Option<Vec<u8>>, CodecError> {
+        let payload = self.inner.load_chunk_payload(i);
+        if payload.is_err() {
+            self.set(i, false);
+        }
+        payload
+    }
+
+    fn store_chunk_payload(&self, i: usize, payload: Vec<u8>) -> Result<bool, CodecError> {
+        self.set(i, false);
+        self.inner.store_chunk_payload(i, payload)
+    }
+
+    fn swap_chunks(&self, i: usize, j: usize) -> Result<bool, CodecError> {
+        match self.inner.swap_chunks(i, j) {
+            Ok(true) => {
+                // Remaps run between stages on the driver's thread, so the
+                // two flags need not move as one.
+                let was_i = self.zero[i].load(Ordering::SeqCst);
+                self.set(i, self.zero[j].swap(was_i, Ordering::SeqCst));
+                Ok(true)
+            }
+            Ok(false) => Ok(false),
+            Err(e) => {
+                self.set(i, false);
+                self.set(j, false);
+                Err(e)
+            }
+        }
+    }
+
+    fn flush(&self) -> Result<(), CodecError> {
+        self.inner.flush()
+    }
+
+    fn state_bytes(&self) -> usize {
+        self.inner.state_bytes()
+    }
+
+    fn peak_state_bytes(&self) -> usize {
+        self.inner.peak_state_bytes()
+    }
+
+    fn peak_resident_bytes(&self) -> usize {
+        self.inner.peak_resident_bytes()
+    }
+
+    fn counters(&self) -> StoreCounters {
+        self.inner.counters()
+    }
+
+    fn cumulative_stats(&self) -> CompressionStats {
+        self.inner.cumulative_stats()
+    }
+
+    fn resident_chunks(&self) -> Vec<usize> {
+        self.inner.resident_chunks()
+    }
+
+    fn attach_telemetry(&self, telemetry: Telemetry) {
+        self.inner.attach_telemetry(telemetry)
+    }
+
+    fn detach_telemetry(&self) {
+        self.inner.detach_telemetry()
+    }
+
+    fn set_error_allowance(&self, eb: Option<f64>) {
+        self.inner.set_error_allowance(eb)
+    }
+
+    fn debug_corrupt_chunk(&self, i: usize) {
+        self.inner.debug_corrupt_chunk(i)
+    }
+}
+
 /// Runs `circuit` against `store`, streaming every stage's chunk groups
 /// through `executor`. This is the one engine driver: `cpu::run` and
 /// `hybrid::run` are thin constructors over it. Validates the
@@ -511,11 +700,13 @@ pub fn run_plan_with_executor(
     let cache_enabled = cfg.cache_bytes > 0;
 
     let plan = Arc::new(plan);
+    let zero = Arc::new(ZeroTracker::new(Arc::clone(store)));
     let ctx = ExecContext {
-        store: Arc::clone(store),
+        store: Arc::clone(&zero) as Arc<dyn ChunkStore>,
         plan: Arc::clone(&plan),
         cfg: *cfg,
         telemetry: telemetry.clone(),
+        zero: Arc::clone(&zero),
     };
 
     // Run-level fidelity budget: convert the end-state target into a total
@@ -528,6 +719,7 @@ pub fn run_plan_with_executor(
     let mut lossy_mark = store.counters().lossy_encodes;
 
     let mut chunk_visits = 0usize;
+    let mut chunk_visits_elided = 0usize;
     let mut run_err: Option<EngineError> = None;
     match executor.prepare(&ctx) {
         Err(e) => run_err = Some(e),
@@ -549,6 +741,14 @@ pub fn run_plan_with_executor(
                     }
                 }
                 let mut groups = chunk_groups(plan.n_qubits, plan.chunk_bits, stage);
+                // Every gate is linear, so a group known to be all zero
+                // stays all zero: it is never submitted. The stage itself
+                // still opens and closes.
+                let planned: usize = groups.iter().map(Vec::len).sum();
+                groups.retain(|g| !zero.all_flagged(g));
+                let performed: usize = groups.iter().map(Vec::len).sum();
+                chunk_visits += performed;
+                chunk_visits_elided += planned - performed;
                 if cache_enabled {
                     // Visit groups with the most cache-resident members
                     // first so a stage harvests its hits before misses
@@ -569,7 +769,6 @@ pub fn run_plan_with_executor(
                         groups = counted.into_iter().map(|(_, g)| g).collect();
                     }
                 }
-                chunk_visits += groups.iter().map(Vec::len).sum::<usize>();
                 let shards = assign_shards(cfg.devices, &groups);
                 let si = si as u32;
                 if let Err(e) = executor.begin_stage(&ctx, si, groups.len()) {
@@ -668,6 +867,7 @@ pub fn run_plan_with_executor(
         per_device: stats.per_device,
         stages: plan.stages.len(),
         chunk_visits,
+        chunk_visits_elided,
         gates_applied: stats.gates_applied,
         scalars_applied: stats.scalars_applied,
         apply_passes_saved: record.counter(Counter::ApplyPassesSaved) as usize,
@@ -817,9 +1017,12 @@ fn apply_stage_to_group(
 }
 
 /// Processes a slice of one stage's groups entirely on CPU workers:
-/// decompress → specialize+apply → recompress, distributed with
-/// `par_for_with`. The single implementation behind the CPU executor and
-/// the hybrid executor's "idle core" share (paper Fig. 2 step 5).
+/// decompress → specialize+apply → recompress, handed out one group at a
+/// time by `par_for_with` (the groups that survive elision differ 50x in
+/// cost, so fixed blocks would leave workers idle). A group that loads as
+/// all zero stops after the load. The single implementation behind the CPU
+/// executor and the hybrid executor's "idle core" share (paper Fig. 2
+/// step 5).
 pub(crate) fn process_groups_on_cpu(
     ctx: &ExecContext,
     work: &StageWork<'_>,
@@ -845,6 +1048,9 @@ pub(crate) fn process_groups_on_cpu(
                 *first_error.lock() = Some(e);
                 return;
             }
+        }
+        if ctx.group_is_zero(group) {
+            return;
         }
 
         // Apply all stage gates, specialized to this group.
@@ -1135,6 +1341,138 @@ mod tests {
         }
         // No failed run reached the executor.
         assert_eq!(mock.into_inner().prepared, 0);
+    }
+
+    #[test]
+    fn zero_scan_ignores_the_sign_of_zero_and_nothing_else() {
+        let mut amps = vec![Complex64::ZERO; 200];
+        assert!(all_zero(&amps));
+        assert!(all_zero(&[]));
+        amps[3] = Complex64::new(-0.0, 0.0);
+        amps[199] = Complex64::new(0.0, -0.0);
+        assert!(all_zero(&amps));
+        // Any set bit below the sign, in either plane, at any position.
+        for at in [0, 63, 64, 199] {
+            for z in [
+                Complex64::new(1e-300, 0.0),
+                Complex64::new(0.0, -1e-300),
+                Complex64::new(f64::MIN_POSITIVE / 8.0, 0.0),
+                Complex64::new(0.0, f64::NAN),
+            ] {
+                let mut amps = vec![Complex64::ZERO; 200];
+                amps[at] = z;
+                assert!(!all_zero(&amps), "{z:?} at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_tracker_flag_follows_every_load_store_swap_and_failure() {
+        // |0..0> in 4 chunks of 8: chunk 0 holds the one, chunks 1..4 zeros.
+        let cfg = testkit::cfg(3, CodecSpec::Fpc);
+        let tracker = ZeroTracker::new(testkit::zero_store(5, 3, &cfg));
+        let flags = |t: &ZeroTracker| -> Vec<bool> {
+            t.zero.iter().map(|f| f.load(Ordering::SeqCst)).collect()
+        };
+        let mut buf = vec![Complex64::ZERO; 8];
+
+        // Nothing is known until a chunk has been read or written.
+        assert_eq!(flags(&tracker), [false; 4]);
+        assert!(tracker.all_flagged(&[]));
+        for i in 0..4 {
+            tracker.load_chunk(i, &mut buf).unwrap();
+        }
+        assert_eq!(flags(&tracker), [false, true, true, true]);
+        assert!(tracker.all_flagged(&[1, 3]) && !tracker.all_flagged(&[0, 1]));
+
+        // A store decides the flag from what it was given.
+        let mut amps = vec![Complex64::ZERO; 8];
+        amps[5] = Complex64::new(0.0, 1e-300);
+        tracker.store_chunk(1, &amps).unwrap();
+        assert_eq!(flags(&tracker), [false, false, true, true]);
+        amps[5] = Complex64::new(-0.0, -0.0);
+        tracker.store_chunk(1, &amps).unwrap();
+        tracker.store_chunk(0, &amps).unwrap();
+        assert_eq!(flags(&tracker), [true; 4]);
+        amps[0] = Complex64::ONE;
+        tracker.store_chunk(0, &amps).unwrap();
+        assert_eq!(flags(&tracker), [false, true, true, true]);
+
+        // A payload-level exchange moves the flags with the contents.
+        assert!(tracker.swap_chunks(0, 2).unwrap());
+        assert_eq!(flags(&tracker), [true, true, false, true]);
+        tracker.load_chunk(2, &mut buf).unwrap();
+        assert_eq!(buf, amps);
+        assert!(tracker.swap_chunks(3, 3).unwrap());
+        assert_eq!(flags(&tracker), [true, true, false, true]);
+
+        // A payload store is opaque: the flag goes, whatever the payload.
+        let payload = tracker.load_chunk_payload(3).unwrap().expect("codec tier");
+        assert_eq!(flags(&tracker), [true, true, false, true]);
+        assert!(tracker.store_chunk_payload(3, payload).unwrap());
+        assert_eq!(flags(&tracker), [true, true, false, false]);
+        tracker.load_chunk(3, &mut buf).unwrap();
+        assert_eq!(flags(&tracker), [true, true, false, true]);
+
+        // Failed calls leave the flag cleared: a store of the wrong length,
+        // then loads (amplitudes and payload) of a corrupted chunk.
+        assert!(tracker.store_chunk(1, &amps[..4]).is_err());
+        assert_eq!(flags(&tracker), [true, false, false, true]);
+        tracker.debug_corrupt_chunk(0);
+        assert!(tracker.load_chunk_payload(0).is_err());
+        assert_eq!(flags(&tracker), [false, false, false, true]);
+        tracker.debug_corrupt_chunk(3);
+        assert!(tracker.load_chunk(3, &mut buf).is_err());
+        assert_eq!(flags(&tracker), [false; 4]);
+    }
+
+    #[test]
+    fn zero_tracker_forwards_the_whole_store_interface() {
+        let cfg = MemQSimConfig {
+            cache_bytes: 4 * 8 * 16,
+            ..testkit::cfg(3, CodecSpec::Auto { eb: None })
+        };
+        let inner = testkit::zero_store(6, 3, &cfg);
+        let tracker = ZeroTracker::new(Arc::clone(&inner));
+        assert_eq!(tracker.kind(), inner.kind());
+        assert_eq!(
+            (
+                tracker.n_qubits(),
+                tracker.chunk_bits(),
+                tracker.chunk_count()
+            ),
+            (6, 3, 8)
+        );
+        let mut buf = vec![Complex64::ZERO; 8];
+        tracker.load_chunk(2, &mut buf).unwrap();
+        tracker.store_chunk(2, &buf).unwrap();
+        assert_eq!(tracker.resident_chunks(), inner.resident_chunks());
+        assert_eq!(tracker.resident_chunks(), vec![2]);
+        assert_eq!(tracker.counters(), inner.counters());
+        assert_eq!(tracker.counters().chunk_visits, 1);
+        assert_eq!(tracker.cumulative_stats(), inner.cumulative_stats());
+        tracker.flush().unwrap();
+        assert_eq!(tracker.state_bytes(), inner.state_bytes());
+        assert_eq!(tracker.peak_state_bytes(), inner.peak_state_bytes());
+        assert_eq!(tracker.peak_resident_bytes(), inner.peak_resident_bytes());
+        // The telemetry tier and the codec's bound sit below the tracker.
+        let telemetry = Telemetry::new();
+        tracker.attach_telemetry(telemetry.clone());
+        tracker.load_chunk(5, &mut buf).unwrap();
+        assert_eq!(telemetry.counter(Counter::ChunkVisits), 1);
+        tracker.detach_telemetry();
+        tracker.load_chunk(5, &mut buf).unwrap();
+        assert_eq!(telemetry.counter(Counter::ChunkVisits), 1);
+        for (k, z) in buf.iter_mut().enumerate() {
+            *z = Complex64::cis(0.37 * k as f64);
+        }
+        tracker.store_chunk(6, &buf).unwrap();
+        tracker.flush().unwrap();
+        assert_eq!(inner.counters().lossy_encodes, 0);
+        tracker.set_error_allowance(Some(1e-3));
+        tracker.store_chunk(7, &buf).unwrap();
+        tracker.flush().unwrap();
+        assert!(inner.counters().lossy_encodes > 0);
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //!    CPU (`cpu_share`);
 //! 6. the CPU recompresses the group back into main memory.
 //!
+//! A group staged raw whose chunks all decompress to zeros stops after
+//! step 1: the producer hands its staging slot back and moves on, exactly
+//! where the CPU loop drops such a group (see [`exec`](super::exec) on zero
+//! groups). Compressed transfers move payloads only, so that mode never
+//! sees a zero and skips nothing.
+//!
 //! In pipelined mode three roles run concurrently — decompressor, device
 //! issuer, recompressor — connected by bounded channels with
 //! `pipeline_buffers` in-flight staging slots (2 = double buffering), so
@@ -369,6 +375,7 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
             // device its shard names.
             let mut to_device_txs = Vec::with_capacity(n_dev);
             let mut pool_rxs = Vec::with_capacity(n_dev);
+            let mut pool_txs = Vec::with_capacity(n_dev);
             let mut drain_ack_rxs = Vec::with_capacity(n_dev);
             for di in 0..n_dev {
                 let (to_device_tx, to_device_rx) = bounded::<ToDevice>(slots);
@@ -380,6 +387,7 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
                 }
                 to_device_txs.push(to_device_tx);
                 pool_rxs.push(pool_rx);
+                pool_txs.push(pool_tx.clone());
                 drain_ack_rxs.push(drain_ack_rx);
 
                 // --- device issuer (one per device) -------------------------
@@ -586,6 +594,16 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
                 if let Some(e) = failed {
                     *error.lock() = Some(e.into());
                     break 'groups;
+                }
+                // A group staged raw that loaded as all zero has nothing to
+                // upload, apply or write back (the CPU loop's post-load
+                // skip): its slot goes straight back to the pool. It still
+                // counts as a group of this lane.
+                if payloads.is_none() && ctx.group_is_zero(group) {
+                    stage_groups_device.fetch_add(1, Ordering::Relaxed);
+                    lane_groups[di].fetch_add(1, Ordering::Relaxed);
+                    let _ = pool_txs[di].send(slot);
+                    continue;
                 }
 
                 let ops = specialize_stage(stage, chunk_bits, group[0], counters);
@@ -1068,11 +1086,21 @@ mod compressed_transfer_tests {
 
     #[test]
     fn compressed_mode_matches_accounting_and_cuts_link_bytes() {
+        // From a state with no zero chunk, so no group is skipped: only the
+        // raw mode sees amplitudes, and only it can tell a group is zero.
         let circuit = library::qft(7);
-        let (_, raw) = run_mode(&circuit, CodecSpec::Fpc, TransferMode::Raw, true);
-        let (_, comp) = run_mode(&circuit, CodecSpec::Fpc, TransferMode::Compressed, true);
+        let start = run_dense(&library::random_circuit(7, 4, 3), 0);
+        let run_from_start = |mode| {
+            let config = cfg(CodecSpec::Fpc, mode);
+            let store = crate::store::build_store_from_amplitudes(&start, &config).unwrap();
+            let dev = Device::new(DeviceSpec::tiny_test(1 << 12));
+            run(&store, &circuit, &config, &dev, true).unwrap()
+        };
+        let raw = run_from_start(TransferMode::Raw);
+        let comp = run_from_start(TransferMode::Compressed);
         // Same work happened: gate, scalar, visit, stage and group
         // accounting are identical between the modes.
+        assert_eq!((raw.chunk_visits_elided, comp.chunk_visits_elided), (0, 0));
         assert_eq!(raw.gates_applied, comp.gates_applied);
         assert_eq!(raw.scalars_applied, comp.scalars_applied);
         assert_eq!(raw.chunk_visits, comp.chunk_visits);

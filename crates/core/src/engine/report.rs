@@ -39,8 +39,16 @@ pub struct RunReport {
     pub per_device: Vec<StreamStats>,
     /// Number of stages executed.
     pub stages: usize,
-    /// Total chunk visits (decompress+recompress rounds).
+    /// Chunk visits performed: every chunk a stage or remap loaded (as
+    /// amplitudes or as a payload). Equals the run's
+    /// [`Counter::ChunkVisits`](mq_telemetry::Counter::ChunkVisits).
     pub chunk_visits: usize,
+    /// Chunk visits the plan asked for that were never made, because every
+    /// chunk of the group was known to be all zero when its stage began (a
+    /// linear map leaves such a group all zero). With `chunk_visits` it
+    /// adds up to [`planned_visits`](Self::planned_visits): what the same
+    /// plan costs on a state with no zero chunks.
+    pub chunk_visits_elided: usize,
     /// Gates applied (after specialization; skipped gates not counted).
     pub gates_applied: usize,
     /// Outside-qubit scalar factors applied (folded into the apply sweep).
@@ -58,9 +66,11 @@ pub struct RunReport {
     /// same circuit, remap sweeps already charged (0 when the planner kept
     /// the fixed layout).
     pub chunk_visits_saved_by_layout: usize,
-    /// Chunk groups routed through the device (0 for CPU executors).
+    /// Chunk groups handed to a device lane (0 for CPU executors),
+    /// including those dropped after loading as all zero.
     pub groups_device: usize,
-    /// Chunk groups handled by CPU workers.
+    /// Chunk groups handed to CPU workers, including those dropped after
+    /// loading as all zero.
     pub groups_cpu: usize,
     /// Peak resident compressed bytes during the run.
     pub peak_compressed_bytes: usize,
@@ -99,6 +109,23 @@ impl RunReport {
     /// Total CPU-side busy time (decompress + apply + recompress).
     pub fn cpu_busy(&self) -> Duration {
         self.decompress + self.cpu_apply + self.compress
+    }
+
+    /// The visits the run's plan asked for: performed plus elided. Plans
+    /// (fixed vs greedy layout, raw vs compressed transfers) compare on
+    /// this, because how many of a plan's visits find an all-zero group
+    /// depends on where it leaves a sparse state.
+    pub fn planned_visits(&self) -> usize {
+        self.chunk_visits + self.chunk_visits_elided
+    }
+
+    /// `"N chunk visits (+M elided)"`: the performed and the skipped visits
+    /// side by side, as every report line prints them.
+    pub fn visits_summary(&self) -> String {
+        format!(
+            "{} chunk visits (+{} elided)",
+            self.chunk_visits, self.chunk_visits_elided
+        )
     }
 
     /// Total transient working bytes (group buffers + pinned staging).

@@ -8,6 +8,7 @@
 //! host may have a single core).
 
 use crossbeam::thread;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `f(start, chunk)` over `data` split into at most `workers` contiguous
 /// near-equal pieces, in parallel. `start` is the offset of `chunk` within
@@ -45,11 +46,14 @@ where
     .expect("worker thread panicked");
 }
 
-/// Parallel index loop with per-worker state: distributes blocks of the
-/// indices `0..n` over at most `workers` scoped threads. Each worker calls
-/// `init` once, and only if it has an index to run, then `f(&mut state, i)`
-/// for each of its indices — the place for a scratch buffer reused across
-/// iterations.
+/// Parallel index loop with per-worker state: at most `workers` scoped
+/// threads take the indices `0..n` one at a time from a shared counter, so
+/// a worker that drew cheap indices comes back for more instead of idling
+/// beside one that drew the expensive ones. Each worker calls `init` once,
+/// and only if it gets an index to run, then `f(&mut state, i)` for each
+/// index it takes — the place for a scratch buffer reused across
+/// iterations. Every index runs exactly once; which worker runs it, and in
+/// what order, is not fixed.
 pub fn par_for_with<S, I, F>(n: usize, workers: usize, init: I, f: F)
 where
     I: Fn() -> S + Sync,
@@ -66,19 +70,19 @@ where
         }
         return;
     }
-    let block = n.div_ceil(workers);
+    // Relaxed: the counter only hands out indices, it publishes no data.
+    let next = AtomicUsize::new(0);
     thread::scope(|s| {
-        for w in 0..workers {
-            let lo = w * block;
-            let hi = ((w + 1) * block).min(n);
-            if lo >= hi {
-                break;
-            }
-            let (init, f) = (&init, &f);
+        for _ in 0..workers {
+            let (next, init, f) = (&next, &init, &f);
             s.spawn(move |_| {
-                let mut state = init();
-                for i in lo..hi {
-                    f(&mut state, i);
+                let mut state = None;
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    f(state.get_or_insert_with(init), i);
                 }
             });
         }
@@ -141,7 +145,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn par_chunks_mut_touches_every_element_once() {
@@ -171,45 +174,49 @@ mod tests {
     }
 
     #[test]
-    fn par_for_with_visits_each_index_once() {
-        for workers in [1, 2, 5] {
-            let count = AtomicUsize::new(0);
-            let sum = AtomicUsize::new(0);
-            par_for_with(
-                100,
-                workers,
-                || (),
-                |(), i| {
-                    count.fetch_add(1, Ordering::Relaxed);
-                    sum.fetch_add(i, Ordering::Relaxed);
-                },
-            );
-            assert_eq!(count.load(Ordering::Relaxed), 100);
-            assert_eq!(sum.load(Ordering::Relaxed), 99 * 100 / 2);
+    fn par_for_with_runs_each_index_once_on_lazily_built_states() {
+        for workers in [1usize, 2, 3, 8] {
+            for n in [0, 1, workers - 1, workers, 1000] {
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let inits = AtomicUsize::new(0);
+                par_for_with(
+                    n,
+                    workers,
+                    || {
+                        inits.fetch_add(1, Ordering::Relaxed);
+                        0usize
+                    },
+                    |seen, i| {
+                        *seen += 1;
+                        runs[i].fetch_add(1, Ordering::Relaxed);
+                    },
+                );
+                let tag = format!("workers={workers} n={n}");
+                assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "{tag}");
+                // A worker builds its state only once it has drawn an index.
+                let inits = inits.load(Ordering::Relaxed);
+                assert!(inits <= workers.min(n), "{tag}: {inits} states");
+                assert_eq!(inits == 0, n == 0, "{tag}");
+            }
         }
     }
 
     #[test]
-    fn par_for_with_builds_one_state_per_worker() {
-        for workers in [1, 3, 8] {
-            let inits = AtomicUsize::new(0);
-            let sum = AtomicUsize::new(0);
-            par_for_with(
-                20,
-                workers,
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    0usize
-                },
-                |seen, i| {
-                    *seen += 1;
-                    sum.fetch_add(i, Ordering::Relaxed);
-                },
-            );
-            assert!(inits.load(Ordering::Relaxed) <= workers);
-            assert_eq!(sum.load(Ordering::Relaxed), 19 * 20 / 2);
-        }
-        par_for_with(0, 4, || panic!("must not run"), |(), _| {});
+    fn par_for_with_hands_a_free_worker_the_next_index() {
+        // Index 0 does not return until some other worker has run index 1:
+        // under fixed halves of 0..4 that index belonged to the blocked
+        // worker and this would never finish.
+        let (tx, rx) = crossbeam::channel::bounded::<()>(1);
+        par_for_with(
+            4,
+            2,
+            || (),
+            |(), i| match i {
+                0 => rx.recv().expect("index 1 never ran"),
+                1 => tx.send(()).expect("index 0 is waiting"),
+                _ => {}
+            },
+        );
     }
 
     #[test]

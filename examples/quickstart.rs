@@ -47,8 +47,9 @@ fn main() {
         outcome.compression_ratio
     );
     println!(
-        "Executed {} stages with {} chunk visits.",
-        outcome.report.stages, outcome.report.chunk_visits
+        "Executed {} stages with {}.",
+        outcome.report.stages,
+        outcome.report.visits_summary()
     );
 
     // 6. Per-run telemetry: every engine records a span/counter timeline.

@@ -69,6 +69,11 @@ fn main() {
         outcome.store.state_bytes(),
         outcome.compression_ratio
     );
+    println!(
+        "{} stages, {}",
+        outcome.report.stages,
+        outcome.report.visits_summary()
+    );
 
     let mut rng = StdRng::seed_from_u64(1);
     let counts = measure::sample_counts(&outcome.store, shots, &mut rng).expect("sampling failed");

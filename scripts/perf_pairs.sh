@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Alternating parent/change pairs of the BENCHMARK.json benchmark.
 #
-#   scripts/perf_pairs.sh <parent-checkout> <change-checkout> [pairs=10]
+#   scripts/perf_pairs.sh <parent-checkout> <change-checkout> [pairs=10] [trace]
 #
 # Each checkout is built once by its own copy of the BENCHMARK.json command
 # into its own CARGO_TARGET_DIR, then pair i (seed i) runs every workload on
@@ -9,10 +9,19 @@
 # even, for the benchmark's own run_seconds. Prints, per workload and
 # end-to-end metric, each side's median [q1, q3], the ratio of the medians
 # and how many pairs the change won (ties count for neither), then every raw
-# run. Run it on a quiet machine: nothing else should compile or compute
-# while it times. Raw outputs stay in the directory it names at the end.
+# run. With a trailing `trace`, one `--trace 1` invocation per side and
+# workload follows the timed pairs (seed 11, the harness default), and the
+# per-layer metrics that differ by more than 5 % are printed side by side:
+# where the saving appeared. Run it on a quiet machine: nothing else should
+# compile or compute while it times. Raw outputs stay in the directory it
+# names at the end.
 set -euo pipefail
 
+trace=0
+if [ $# -ge 3 ] && [ "${!#}" = trace ]; then
+    trace=1
+    set -- "${@:1:$#-1}"
+fi
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
     sed -n '2,5p' "$0" >&2
     exit 2
@@ -56,10 +65,21 @@ for i in $(seq 1 "$pairs"); do
     done
 done
 
-python3 - "$spec" "$out" "$pairs" <<'EOF'
+if [ "$trace" = 1 ]; then
+    for w in "${workloads[@]}"; do
+        for side in parent change; do
+            echo "trace  $w  $side" >&2
+            bench "$side" --workload "$w" --seed 11 --seconds "$seconds" --trace 1 \
+                >"$out/$side.$w.trace.txt" 2>"$out/$side.$w.trace.err" || true
+        done
+    done
+fi
+
+python3 - "$spec" "$out" "$pairs" "$trace" <<'EOF'
 import json, statistics, sys
 
 bench, out, pairs = json.load(open(sys.argv[1])), sys.argv[2], int(sys.argv[3])
+trace = sys.argv[4] == "1"
 
 def run(side, workload, i):
     lines = open(f"{out}/{side}.{workload}.{i}.txt").read().strip().splitlines()
@@ -104,6 +124,27 @@ for w in (w["name"] for w in bench["workloads"]):
                    + ", ".join(f"{g(p)}/{g(c)}" for p, c in both))
 print()
 print("\n".join(ops + raw))
+
+if trace:
+    print()
+    print("Per-layer metrics of one traced run a side (seed 11) that differ by more than 5 %:")
+    print()
+    print("| workload | metric | parent | change | change/parent |")
+    print("|---|---|---|---|---|")
+    for w in (w["name"] for w in bench["workloads"]):
+        p, c = run("parent", w, "trace"), run("change", w, "trace")
+        if not (p and c):
+            print(f"| {w} | no traced result on {'parent' if not p else 'change'} | | | |")
+            continue
+        for m in bench["per_layer"]:
+            name = m["name"]
+            if name not in p["metrics"] or name not in c["metrics"]:
+                continue
+            pv, cv = p["metrics"][name]["value"], c["metrics"][name]["value"]
+            if abs(cv - pv) <= 0.05 * abs(pv):
+                continue
+            ratio = f"{cv / pv:.3f}" if pv else "-"
+            print(f"| {w} | {name} ({m['unit']}) | {g(pv)} | {g(cv)} | {ratio} |")
 EOF
 rm -rf "$out/target-parent" "$out/target-change"
 echo "raw outputs: $out" >&2

@@ -161,10 +161,10 @@ fn greedy_is_bit_identical_to_fixed_everywhere() {
                     fixed_and_shipped(&circuit, exec, granularity, chunk_bits);
                 assert_eq!(fixed_state, greedy_state, "state diverged: {tag}");
                 assert!(
-                    greedy.chunk_visits <= fixed.chunk_visits,
+                    greedy.planned_visits() <= fixed.planned_visits(),
                     "greedy regressed visits ({} > {}): {tag}",
-                    greedy.chunk_visits,
-                    fixed.chunk_visits
+                    greedy.planned_visits(),
+                    fixed.planned_visits()
                 );
                 assert_eq!(fixed.remap_passes, 0, "fixed plan remapped: {tag}");
                 assert_eq!(fixed.chunk_visits_saved_by_layout, 0, "{tag}");
@@ -192,13 +192,13 @@ fn greedy_actually_remaps_and_wins_on_rotating_targets() {
         assert_eq!(fixed_state, greedy_state, "state diverged: {tag}");
         assert!(greedy.remap_passes > 0, "no remap pass: {tag}");
         assert!(
-            greedy.chunk_visits < fixed.chunk_visits,
+            greedy.planned_visits() < fixed.planned_visits(),
             "no win ({} vs {}): {tag}",
-            greedy.chunk_visits,
-            fixed.chunk_visits
+            greedy.planned_visits(),
+            fixed.planned_visits()
         );
         assert_eq!(
-            fixed.chunk_visits - greedy.chunk_visits,
+            fixed.planned_visits() - greedy.planned_visits(),
             greedy.chunk_visits_saved_by_layout,
             "planner promised different savings than delivered: {tag}"
         );
@@ -274,7 +274,7 @@ fn high_high_remaps_move_payloads_without_codec_work() {
     // The absorbed swap network removes whole stages; the epilogue that
     // undoes it rides the payload fast path, so visits strictly drop and
     // no decode is charged for the exchange.
-    assert!(greedy.chunk_visits < fixed.chunk_visits);
+    assert!(greedy.planned_visits() < fixed.planned_visits());
     assert_accounting(&greedy, "cpu qft");
 }
 
@@ -310,13 +310,13 @@ fn reorder_pass_measurably_cuts_chunk_visits() {
         assert!(err < 1e-10, "{}: reorder drifted by {err}", circuit.name());
         // Never worse, on any workload.
         assert!(
-            reordered.chunk_visits <= base.chunk_visits,
+            reordered.planned_visits() <= base.planned_visits(),
             "{}: reorder increased visits {} -> {}",
             circuit.name(),
-            base.chunk_visits,
-            reordered.chunk_visits
+            base.planned_visits(),
+            reordered.planned_visits()
         );
-        if reordered.chunk_visits < base.chunk_visits {
+        if reordered.planned_visits() < base.planned_visits() {
             improved += 1;
         }
     }

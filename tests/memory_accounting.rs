@@ -177,8 +177,29 @@ fn cumulative_stats_count_every_store() {
     let circuit = library::ghz(10);
     let (store, report) = run(&circuit, 5, CodecSpec::Fpc);
     let stats = store.cumulative_stats();
-    // Initial fill (32 chunks) + one store per chunk visit.
-    assert_eq!(stats.blocks, 32 + report.chunk_visits);
+    // Every group that was written back left one recompress span, and
+    // GHZ's plan never remaps, so the spans count the stores: initial fill
+    // (32 chunks) + one block per performed store.
+    let cfg = MemQSimConfig {
+        chunk_bits: 5,
+        max_high_qubits: 2,
+        ..Default::default()
+    };
+    let plan = memqsim_core::engine::cpu::build_plan(&circuit, &cfg, Granularity::Staged);
+    assert_eq!(report.remap_passes, 0);
+    let stores: usize = report
+        .telemetry
+        .spans()
+        .iter()
+        .filter(|s| s.role == mq_telemetry::Role::Recompress)
+        .map(|s| plan.stages[s.stage as usize].group_size())
+        .sum();
+    assert_eq!(stats.blocks, 32 + stores);
+    // A visited group is written back unless it loaded as all zero, and
+    // one that is known to be all zero is not visited at all.
+    assert!(stores > 0 && stores < report.chunk_visits);
+    assert!(report.chunk_visits_elided > 0);
+    assert_eq!(report.planned_visits(), plan.chunk_visits());
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! round trips of generated circuits.
 
 use memqsim_core::engine::cpu::CpuWorkerExecutor;
+use memqsim_core::engine::{build_plan, Granularity};
 use memqsim_core::{
     build_store, run_plan_with_executor, Backend, CompressedCpuBackend, MemQSimConfig,
 };
@@ -129,10 +130,12 @@ fn parsed_qasm_under_greedy_layout_matches_fixed_and_oracle() {
         greedy.telemetry.counter(Counter::RemapPasses) > 0,
         "rotating targets should trigger a remap"
     );
-    assert!(
-        greedy.telemetry.counter(Counter::ChunkVisits)
-            < fixed.telemetry.counter(Counter::ChunkVisits)
-    );
+    // The remap cuts the visits the plan asks for (performed + elided);
+    // how many of them find an all-zero group depends on where each layout
+    // leaves this sparse state.
+    let planned = build_plan(&circuit, &cfg, Granularity::Staged).chunk_visits();
+    assert!(planned < fixed.planned_visits());
+    assert!(greedy.telemetry.counter(Counter::ChunkVisits) <= planned as u64);
 }
 
 #[test]

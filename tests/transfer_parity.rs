@@ -1,6 +1,9 @@
-//! Transfer-mode parity: `TransferMode::Compressed` must be an accounting-
-//! and bit-level no-op relative to `TransferMode::Raw` — only the link
-//! traffic and the codec location change.
+//! Transfer-mode parity: `TransferMode::Compressed` must be a bit-level
+//! no-op relative to `TransferMode::Raw`, and an accounting no-op wherever
+//! the state has no all-zero chunk group — only the link traffic and the
+//! codec location change. (Zero groups are the one asymmetry: the raw mode
+//! sees amplitudes and skips them, the compressed mode moves payloads and
+//! learns nothing.)
 //!
 //! The device-side encode kernel folds the group scalar into the
 //! amplitudes *before* compressing, so the payloads it writes back are
@@ -9,7 +12,10 @@
 //! lossy codec.
 
 use memqsim_core::engine::hybrid;
-use memqsim_core::{build_store, ChunkStore, MemQSimConfig, RunReport, TransferMode};
+use memqsim_core::{
+    build_store, build_store_from_amplitudes, ChunkStore, MemQSimConfig, RunReport, TransferMode,
+};
+use mq_circuit::unitary::run_dense;
 use mq_circuit::{library, Circuit};
 use mq_compress::{compress_complex, CodecSpec, CompressionBackend, HostCodecBackend};
 use mq_device::{Device, DeviceCodecBackend, DeviceSpec};
@@ -28,35 +34,61 @@ fn config(codec: CodecSpec, mode: TransferMode) -> MemQSimConfig {
     }
 }
 
+/// Runs `circuit` from `start` (`|0..0>` when `None`).
 fn run_mode(
     circuit: &Circuit,
     codec: CodecSpec,
     mode: TransferMode,
     pipelined: bool,
+    start: Option<&[Complex64]>,
 ) -> (Vec<Complex64>, RunReport) {
     let cfg = config(codec, mode);
-    let store = build_store(circuit.n_qubits(), &cfg).expect("store");
+    let store = match start {
+        Some(amps) => build_store_from_amplitudes(amps, &cfg),
+        None => build_store(circuit.n_qubits(), &cfg),
+    }
+    .expect("store");
     let device = Device::new(DeviceSpec::tiny_test(1 << 12));
     let report = hybrid::run(&store, circuit, &cfg, &device, pipelined).expect("run");
     (store.to_dense().expect("dense"), report)
 }
 
 /// Every workload, both pipeline granularities, a lossless and a lossy
-/// codec: compressed transfers give bit-identical states and identical
-/// work accounting.
+/// codec: compressed transfers give bit-identical states over the same
+/// plan. From `|0..0>` the two modes do different amounts of *work* — only
+/// the raw mode sees amplitudes, so only it learns that a group is all
+/// zero and skips it — which is why the planned visits are compared here
+/// and the work accounting from a state with no zero chunk.
 #[test]
 fn compressed_transfers_are_a_semantic_noop() {
+    let dense_start = run_dense(&library::random_circuit(7, 4, 3), 0);
     for codec in [CodecSpec::Fpc, CodecSpec::Sz { eb: 1e-8 }] {
         for pipelined in [true, false] {
             for circuit in library::standard_suite(7) {
-                let (raw_state, raw) = run_mode(&circuit, codec, TransferMode::Raw, pipelined);
-                let (comp_state, comp) =
-                    run_mode(&circuit, codec, TransferMode::Compressed, pipelined);
+                let both = |start| {
+                    let raw = run_mode(&circuit, codec, TransferMode::Raw, pipelined, start);
+                    let comp =
+                        run_mode(&circuit, codec, TransferMode::Compressed, pipelined, start);
+                    (raw, comp)
+                };
                 let tag = format!("{} {codec} pipelined={pipelined}", circuit.name());
+
+                let ((raw_state, raw), (comp_state, comp)) = both(None);
                 assert_eq!(raw_state, comp_state, "state diverged: {tag}");
+                assert_eq!(raw.stages, comp.stages, "{tag}");
+                assert_eq!(raw.planned_visits(), comp.planned_visits(), "{tag}");
+                assert!(raw.chunk_visits <= comp.chunk_visits, "{tag}");
+
+                let ((raw_state, raw), (comp_state, comp)) = both(Some(&dense_start));
+                assert_eq!(
+                    raw_state, comp_state,
+                    "state diverged from a dense start: {tag}"
+                );
                 assert_eq!(raw.gates_applied, comp.gates_applied, "{tag}");
                 assert_eq!(raw.scalars_applied, comp.scalars_applied, "{tag}");
                 assert_eq!(raw.chunk_visits, comp.chunk_visits, "{tag}");
+                assert_eq!(raw.chunk_visits_elided, 0, "{tag}");
+                assert_eq!(comp.chunk_visits_elided, 0, "{tag}");
                 assert_eq!(raw.stages, comp.stages, "{tag}");
                 assert_eq!(raw.groups_device, comp.groups_device, "{tag}");
                 assert_eq!(raw.groups_cpu, comp.groups_cpu, "{tag}");
@@ -71,8 +103,14 @@ fn compressed_transfers_are_a_semantic_noop() {
 #[test]
 fn compressed_transfers_cut_traffic_without_changing_results() {
     let circuit = library::qft(7);
-    let (_, raw) = run_mode(&circuit, CodecSpec::Fpc, TransferMode::Raw, true);
-    let (_, comp) = run_mode(&circuit, CodecSpec::Fpc, TransferMode::Compressed, true);
+    let (_, raw) = run_mode(&circuit, CodecSpec::Fpc, TransferMode::Raw, true, None);
+    let (_, comp) = run_mode(
+        &circuit,
+        CodecSpec::Fpc,
+        TransferMode::Compressed,
+        true,
+        None,
+    );
     assert!(comp.device.bytes_h2d < raw.device.bytes_h2d);
     assert_eq!(comp.device.bytes_h2d, comp.device.bytes_h2d_compressed);
     assert!(comp.device.modeled_decode > std::time::Duration::ZERO);
@@ -103,7 +141,9 @@ fn compressed_transfers_survive_an_active_cache() {
             ..config(CodecSpec::Fpc, mode)
         };
         let circuit = library::qft(7);
-        let store = build_store(7, &cfg).expect("store");
+        // From a state with no zero chunk, so both modes do the same work.
+        let start = run_dense(&library::random_circuit(7, 4, 3), 0);
+        let store = build_store_from_amplitudes(&start, &cfg).expect("store");
         let device = Device::new(DeviceSpec::tiny_test(1 << 12));
         let report = hybrid::run(&store, &circuit, &cfg, &device, true).expect("run");
         (store.to_dense().expect("dense"), report)
