@@ -28,7 +28,6 @@ fn main() {
         max_high_qubits: 2,
         codec: CodecSpec::Sz { eb: 1e-11 },
         workers: 1,
-        cpu_share: 0.25,
         ..Default::default()
     };
 

@@ -1,10 +1,10 @@
 //! **Experiment F2 — Figure 2: the data-management pipeline.**
 //!
-//! Breaks a hybrid run into the paper's six steps (decompress, H2D, device
-//! kernels, D2H, CPU-side updates, recompress) and compares the pipelined
-//! execution against the serial ablation. Because this host has a single
-//! CPU core, the overlap benefit is reported on the *modeled* clock (the
-//! deterministic device/cost model), alongside measured wall time.
+//! Breaks a hybrid run into the paper's steps (decompress, H2D, device
+//! kernels, D2H, recompress) and compares the pipelined execution against
+//! the serial ablation and against a run with the residency cache on. The
+//! modeled clock (the deterministic device/cost model) is reported beside
+//! the measured role timeline and wall time, never added to them.
 //!
 //! Usage: `cargo run -p mq-bench --release --bin pipeline_breakdown
 //!         [--qubits 16] [--chunk-bits 12]`
@@ -40,20 +40,12 @@ fn main() {
     // (dense state + one group staging buffer).
     let cache_bytes = ((1usize << n) * 16 + (1usize << (chunk_bits + 2)) * 16) / 2;
     let mut rows = Vec::new();
-    for (key, label, pipelined, dual_stream, cache) in [
-        ("serial", "serial (no overlap)", false, false, 0),
-        ("pipelined", "pipelined (Fig. 2)", true, false, 0),
-        ("dual_stream", "pipelined + dual-stream", true, true, 0),
-        (
-            "cached",
-            "pipelined + residency cache",
-            true,
-            false,
-            cache_bytes,
-        ),
+    for (key, label, pipelined, cache) in [
+        ("serial", "serial (no overlap)", false, 0),
+        ("pipelined", "pipelined (Fig. 2)", true, 0),
+        ("cached", "pipelined + residency cache", true, cache_bytes),
     ] {
         let cfg = MemQSimConfig {
-            dual_stream,
             cache_bytes: cache,
             ..cfg
         };
@@ -119,7 +111,7 @@ fn main() {
         ]);
     }
     println!("Measured role timeline (mq-telemetry):\n\n{measured}");
-    let cached = &rows[3].2.telemetry;
+    let cached = &rows[2].2.telemetry;
     let uncached = &rows[1].2.telemetry;
     println!(
         "Residency cache: {} of {} chunk visits served without the codec; \
@@ -130,24 +122,12 @@ fn main() {
         cached.counter(Counter::BytesDecompressed),
     );
 
-    let dual = &rows[2].2;
-    let single = &rows[1].2;
-    let dual_busy = dual.device.modeled_h2d
-        + dual.device.modeled_d2h
-        + dual.device.modeled_kernel
-        + dual.device.modeled_scatter;
-    println!(
-        "\nDual-stream device overlap: end {:.2} ms vs busy sum {:.2} ms ({:.2}x hidden)",
-        dual.device.modeled.as_secs_f64() * 1e3,
-        dual_busy.as_secs_f64() * 1e3,
-        dual_busy.as_secs_f64() / dual.device.modeled.as_secs_f64().max(1e-12)
-    );
-    let r = single;
+    let r = &rows[1].2;
     let overlap_gain =
         r.modeled_serial.as_secs_f64() / r.modeled_overlapped.as_secs_f64().max(1e-12);
     println!(
-        "\nSteps executed: {} stages, {} device groups, {} CPU groups.",
-        r.stages, r.groups_device, r.groups_cpu
+        "\nSteps executed: {} stages, {} device groups.",
+        r.stages, r.groups_device
     );
     println!(
         "Staging: {} pinned + {} device buffer bytes.",
@@ -158,20 +138,17 @@ fn main() {
     println!("the paper's Fig. 2 pipelines decompression, transfer and kernels the same way.)");
 
     // Shape checks. The serial ablation's stage barrier makes role overlap
-    // structurally impossible; the pipelined runs must show *measured*
+    // structurally impossible; the pipelined run must show *measured*
     // overlap (busy union strictly below the busy sum) — but only when the
     // workload offers any (more than one group per stage; a single-chunk
     // degenerate run has nothing to pipeline).
     let serial = &rows[0].2;
     let model_ok = r.modeled_overlapped <= r.modeled_serial;
     let serial_ok = !serial.telemetry.has_role_overlap();
-    let pipelinable = r.groups_device + r.groups_cpu > r.stages;
+    let pipelinable = r.groups_device > r.stages;
     // The cached mode is excluded: cache hits remove most of the decompress
     // work, so there may legitimately be nothing left to overlap.
-    let piped_ok = !pipelinable
-        || rows[1..3]
-            .iter()
-            .all(|(_, _, r)| r.telemetry.union_busy() < r.telemetry.serial_sum());
+    let piped_ok = !pipelinable || r.telemetry.union_busy() < r.telemetry.serial_sum();
     let cache_ok =
         cached.counter(Counter::BytesDecompressed) < uncached.counter(Counter::BytesDecompressed);
     println!(
@@ -183,7 +160,7 @@ fn main() {
         if serial_ok { "[OK]" } else { "[FAIL]" }
     );
     println!(
-        "Shape {} — pipelined runs measured real overlap (union < sum).",
+        "Shape {} — pipelined run measured real overlap (union < sum).",
         if !pipelinable {
             "[n/a: one group per stage]"
         } else if piped_ok {

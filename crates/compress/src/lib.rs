@@ -546,78 +546,6 @@ pub fn decompress_complex(
     })
 }
 
-// --- compression backends -------------------------------------------------------
-
-/// Where codec work runs: the seam between the chunk pipeline and the
-/// encode/decode hardware.
-///
-/// A backend turns amplitude chunks into compressed payloads and back. The
-/// payload format is *owned by the codec*, not the backend — any two backends
-/// built over the same [`Codec`] produce interchangeable, byte-identical
-/// payloads, so a chunk encoded on the host can be decoded on a device and
-/// vice versa. [`HostCodecBackend`] runs the codec on the calling thread
-/// (today's CPU path); `mq-device` provides a `DeviceCodecBackend` that ships
-/// payloads over the modeled PCIe link and charges staged decode/encode
-/// kernels on a stream.
-pub trait CompressionBackend: Send + Sync {
-    /// Human-readable backend name for reports ("host", "device", ...).
-    fn name(&self) -> &str;
-
-    /// The codec this backend runs.
-    fn codec(&self) -> &std::sync::Arc<dyn Codec>;
-
-    /// Compresses a chunk of amplitudes into a payload.
-    fn encode(&self, amps: &[Complex64]) -> Result<Vec<u8>, CodecError>;
-
-    /// Decompresses a payload into exactly `out.len()` amplitudes.
-    fn decode(&self, payload: &[u8], out: &mut [Complex64]) -> Result<(), CodecError>;
-}
-
-/// The host-side [`CompressionBackend`]: runs the codec registry on the
-/// calling CPU thread via [`compress_complex`] / [`decompress_complex`].
-#[derive(Clone)]
-pub struct HostCodecBackend {
-    codec: std::sync::Arc<dyn Codec>,
-}
-
-impl HostCodecBackend {
-    /// Wraps a codec in the host backend.
-    pub fn new(codec: std::sync::Arc<dyn Codec>) -> HostCodecBackend {
-        HostCodecBackend { codec }
-    }
-
-    /// Builds the backend straight from a [`CodecSpec`].
-    pub fn from_spec(spec: CodecSpec) -> HostCodecBackend {
-        HostCodecBackend::new(std::sync::Arc::from(spec.build()))
-    }
-}
-
-impl fmt::Debug for HostCodecBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("HostCodecBackend")
-            .field("codec", &self.codec.name())
-            .finish()
-    }
-}
-
-impl CompressionBackend for HostCodecBackend {
-    fn name(&self) -> &str {
-        "host"
-    }
-
-    fn codec(&self) -> &std::sync::Arc<dyn Codec> {
-        &self.codec
-    }
-
-    fn encode(&self, amps: &[Complex64]) -> Result<Vec<u8>, CodecError> {
-        Ok(compress_complex(self.codec.as_ref(), amps))
-    }
-
-    fn decode(&self, payload: &[u8], out: &mut [Complex64]) -> Result<(), CodecError> {
-        decompress_complex(self.codec.as_ref(), payload, out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

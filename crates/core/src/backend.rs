@@ -174,10 +174,9 @@ impl HybridBackend {
 impl Backend for HybridBackend {
     fn name(&self) -> String {
         format!(
-            "hybrid[{}, 2^{} chunks, {} buffers{}]",
+            "hybrid[{}, 2^{} chunks{}]",
             self.cfg.codec,
             self.cfg.chunk_bits,
-            self.cfg.pipeline_buffers,
             if self.pipelined { "" } else { ", serial" }
         )
     }
@@ -191,12 +190,12 @@ impl Backend for HybridBackend {
             amplitudes,
             wall: report.wall,
             peak_state_bytes: report.peak_resident_bytes,
-            // Pinned staging plus the CPU share's group buffers.
+            // The pinned staging slots.
             peak_working_bytes: report.peak_working_bytes(),
             modeled_device: report.device.modeled,
             detail: format!(
-                "{} stages, {} device + {} cpu groups, modeled device {:?}",
-                report.stages, report.groups_device, report.groups_cpu, report.device.modeled
+                "{} stages, {} device groups, modeled device {:?}",
+                report.stages, report.groups_device, report.device.modeled
             ),
             telemetry: report.telemetry,
         })
@@ -238,10 +237,7 @@ mod tests {
     use mq_compress::CodecSpec;
 
     fn small_cfg() -> MemQSimConfig {
-        MemQSimConfig {
-            cpu_share: 0.25,
-            ..crate::testkit::cfg(3, CodecSpec::Fpc)
-        }
+        crate::testkit::cfg(3, CodecSpec::Fpc)
     }
 
     #[test]
@@ -266,7 +262,7 @@ mod tests {
         let n = CompressedCpuBackend::new(small_cfg()).name();
         assert!(n.contains("fpc"), "{n}");
         let h = HybridBackend::new(small_cfg(), DeviceSpec::tiny_test(64)).name();
-        assert!(h.contains("hybrid"), "{h}");
+        assert_eq!(h, "hybrid[fpc, 2^3 chunks]");
     }
 
     #[test]

@@ -48,21 +48,11 @@ pub struct MemQSimConfig {
     pub max_high_qubits: u32,
     /// Which codec compresses resident chunks.
     pub codec: CodecSpec,
-    /// CPU worker threads for decompress/apply/recompress ("idle cores",
-    /// paper Fig. 2 step 5).
+    /// CPU worker threads of the CPU engine's decompress → apply →
+    /// recompress group loop — the only CPU thread count there is. The
+    /// hybrid engine does not read it: its host side is three role threads
+    /// plus one stream worker per device.
     pub workers: usize,
-    /// In-flight staging buffers for the hybrid pipeline (2 = classic
-    /// double buffering).
-    pub pipeline_buffers: usize,
-    /// Fraction of chunk groups updated on the CPU instead of the device
-    /// in the hybrid engine (0.0 = all device, 1.0 = all CPU).
-    pub cpu_share: f64,
-    /// Hybrid engine: run transfers and kernels on *separate* device
-    /// streams linked by events, so the modeled device clock overlaps the
-    /// H2D of group `k+1` with the kernels of group `k` (paper Fig. 2 step
-    /// 3: "initiates the GPU kernel asynchronously during the CPU-GPU data
-    /// transfer").
-    pub dual_stream: bool,
     /// Byte budget for the store's write-back residency cache of
     /// decompressed hot chunks (0 = disabled). Cache bytes count toward
     /// peak resident memory, so the budget trades codec traffic against
@@ -100,9 +90,6 @@ impl Default for MemQSimConfig {
             max_high_qubits: 2,
             codec: CodecSpec::Sz { eb: 1e-10 },
             workers: 1,
-            pipeline_buffers: 2,
-            cpu_share: 0.0,
-            dual_stream: false,
             cache_bytes: 0,
             store_kind: StoreKind::Compressed,
             transfer_mode: TransferMode::Raw,
@@ -149,12 +136,6 @@ impl MemQSimConfig {
         }
         if self.max_high_qubits > 8 {
             return Err("max_high_qubits > 8 would need 256-chunk groups".into());
-        }
-        if self.pipeline_buffers == 0 {
-            return Err("pipeline_buffers must be >= 1".into());
-        }
-        if !(0.0..=1.0).contains(&self.cpu_share) {
-            return Err(format!("cpu_share {} outside [0, 1]", self.cpu_share));
         }
         if self.workers == 0 {
             return Err("workers must be >= 1".into());
@@ -207,27 +188,9 @@ impl MemQSimConfigBuilder {
         self
     }
 
-    /// CPU worker threads for decompress/apply/recompress.
+    /// CPU worker threads of the CPU engine's group loop.
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
-        self
-    }
-
-    /// In-flight staging buffers for the hybrid pipeline.
-    pub fn pipeline_buffers(mut self, pipeline_buffers: usize) -> Self {
-        self.cfg.pipeline_buffers = pipeline_buffers;
-        self
-    }
-
-    /// Fraction of chunk groups updated on the CPU instead of the device.
-    pub fn cpu_share(mut self, cpu_share: f64) -> Self {
-        self.cfg.cpu_share = cpu_share;
-        self
-    }
-
-    /// Run transfers and kernels on separate, event-linked device streams.
-    pub fn dual_stream(mut self, dual_stream: bool) -> Self {
-        self.cfg.dual_stream = dual_stream;
         self
     }
 
@@ -309,14 +272,6 @@ mod tests {
                 ..Default::default()
             },
             MemQSimConfig {
-                pipeline_buffers: 0,
-                ..Default::default()
-            },
-            MemQSimConfig {
-                cpu_share: 1.5,
-                ..Default::default()
-            },
-            MemQSimConfig {
                 workers: 0,
                 ..Default::default()
             },
@@ -357,14 +312,25 @@ mod tests {
 
     #[test]
     fn builder_round_trips_every_field() {
-        let cfg = MemQSimConfig::builder()
+        // Two builds, because `fidelity_budget` and `Precision::Adaptive`
+        // need the adaptive codec. No `..` in the pattern: a new field does
+        // not compile until it has a setter and a line here.
+        let MemQSimConfig {
+            chunk_bits,
+            max_high_qubits,
+            codec,
+            workers,
+            cache_bytes,
+            store_kind,
+            transfer_mode,
+            devices,
+            fidelity_budget,
+            precision,
+        } = MemQSimConfig::builder()
             .chunk_bits(10)
             .max_high_qubits(3)
             .codec(CodecSpec::Fpc)
             .workers(2)
-            .pipeline_buffers(4)
-            .cpu_share(0.5)
-            .dual_stream(true)
             .cache_bytes(1 << 20)
             .store_kind(StoreKind::Spill {
                 resident_budget: 1 << 24,
@@ -373,6 +339,18 @@ mod tests {
             .devices(4)
             .build()
             .unwrap();
+        assert_eq!((chunk_bits, max_high_qubits, workers), (10, 3, 2));
+        assert_eq!(codec, CodecSpec::Fpc);
+        assert_eq!(cache_bytes, 1 << 20);
+        assert_eq!(
+            store_kind,
+            StoreKind::Spill {
+                resident_budget: 1 << 24
+            }
+        );
+        assert_eq!(transfer_mode, TransferMode::Compressed);
+        assert_eq!(devices, 4);
+        assert_eq!((fidelity_budget, precision), (None, Precision::F64));
         let adaptive = MemQSimConfig::builder()
             .codec(CodecSpec::Auto { eb: Some(1e-8) })
             .fidelity_budget(0.999999)
@@ -381,26 +359,6 @@ mod tests {
             .unwrap();
         assert_eq!(adaptive.fidelity_budget, Some(0.999999));
         assert_eq!(adaptive.precision, Precision::Adaptive);
-        assert_eq!(
-            cfg,
-            MemQSimConfig {
-                chunk_bits: 10,
-                max_high_qubits: 3,
-                codec: CodecSpec::Fpc,
-                workers: 2,
-                pipeline_buffers: 4,
-                cpu_share: 0.5,
-                dual_stream: true,
-                cache_bytes: 1 << 20,
-                store_kind: StoreKind::Spill {
-                    resident_budget: 1 << 24,
-                },
-                transfer_mode: TransferMode::Compressed,
-                devices: 4,
-                fidelity_budget: None,
-                precision: Precision::F64,
-            }
-        );
     }
 
     #[test]
@@ -414,14 +372,7 @@ mod tests {
     #[test]
     fn builder_rejects_invalid_combinations_at_build_time() {
         assert!(MemQSimConfig::builder().workers(0).build().is_err());
-        assert!(MemQSimConfig::builder().cpu_share(-0.1).build().is_err());
-        assert!(MemQSimConfig::builder()
-            .pipeline_buffers(0)
-            .build()
-            .is_err());
         assert!(MemQSimConfig::builder().max_high_qubits(0).build().is_err());
-        let err = MemQSimConfig::builder().cpu_share(2.0).build().unwrap_err();
-        assert!(err.contains("cpu_share"), "{err}");
         let err = MemQSimConfig::builder().devices(0).build().unwrap_err();
         assert!(err.contains("devices"), "{err}");
         let err = MemQSimConfig::builder()

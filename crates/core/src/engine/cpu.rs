@@ -72,7 +72,7 @@ impl ChunkExecutor for CpuWorkerExecutor {
         self.peak_buffer_bytes = self
             .peak_buffer_bytes
             .max(ctx.cfg.workers.min(work.groups.len()) * group_amps * AMP_BYTES);
-        process_groups_on_cpu(ctx, &work, &work.groups, &self.counters)
+        process_groups_on_cpu(ctx, &work, &self.counters)
     }
 
     fn finish(&mut self, _ctx: &ExecContext) -> Result<ExecutorStats, EngineError> {

@@ -166,7 +166,7 @@ pub struct ExecutorStats {
     pub scalars_applied: usize,
     /// Groups routed through a device.
     pub groups_device: usize,
-    /// Groups handled by CPU workers.
+    /// Groups handled by CPU workers (the CPU executor only).
     pub groups_cpu: usize,
     /// Peak transient per-worker group-buffer bytes.
     pub peak_buffer_bytes: usize,
@@ -1016,19 +1016,17 @@ fn apply_stage_to_group(
     }
 }
 
-/// Processes a slice of one stage's groups entirely on CPU workers:
-/// decompress → specialize+apply → recompress, handed out one group at a
-/// time by `par_for_with` (the groups that survive elision differ 50x in
-/// cost, so fixed blocks would leave workers idle). A group that loads as
-/// all zero stops after the load. The single implementation behind the CPU
-/// executor and the hybrid executor's "idle core" share (paper Fig. 2
-/// step 5).
+/// Processes one stage's groups on CPU workers: decompress →
+/// specialize+apply → recompress, handed out one group at a time by
+/// `par_for_with` (the groups that survive elision differ 50x in cost, so
+/// fixed blocks would leave workers idle). A group that loads as all zero
+/// stops after the load. The CPU executor's stage body.
 pub(crate) fn process_groups_on_cpu(
     ctx: &ExecContext,
     work: &StageWork<'_>,
-    groups: &[Vec<usize>],
     counters: &ApplyCounters,
 ) -> Result<(), EngineError> {
+    let groups = &work.groups;
     let chunk_amps = ctx.chunk_amps();
     let chunk_bits = ctx.plan.chunk_bits;
     let first_error: Mutex<Option<EngineError>> = Mutex::new(None);

@@ -1,14 +1,16 @@
 //! The hybrid CPU/GPU pipeline engine — the paper's Figure 2.
 //!
-//! Per stage, every chunk group flows through the six steps:
+//! Per stage, every chunk group flows through the same lane:
 //!
 //! 1. CPU decompresses the group's chunks into a pinned staging buffer;
 //! 2. the buffer is copied host→device (bulk copy — the Table 1 winner);
-//! 3. the device executes the stage's (specialized) gate kernels
-//!    asynchronously;
+//! 3. the device executes the stage's (specialized) gate kernels;
 //! 4. results are copied device→host into the same pinned buffer;
-//! 5. "idle cores" optionally take a share of the groups entirely on the
-//!    CPU (`cpu_share`);
+//! 5. the host's cores run the decompressor and recompressor threads
+//!    beside the device — the paper's "idle cores". (A static split that
+//!    sent a share of the groups through the CPU loop instead ran before
+//!    device issue, overlapped nothing and lost on the clock:
+//!    EXPERIMENTS.md A10.)
 //! 6. the CPU recompresses the group back into main memory.
 //!
 //! A group staged raw whose chunks all decompress to zeros stops after
@@ -19,17 +21,20 @@
 //!
 //! In pipelined mode three roles run concurrently — decompressor, device
 //! issuer, recompressor — connected by bounded channels with
-//! `pipeline_buffers` in-flight staging slots (2 = double buffering), so
-//! step 1 of group `k+1` overlaps steps 2–4 of group `k`. Stage boundaries
-//! are barriers (a stage may read chunks the previous stage wrote).
+//! `STAGING_SLOTS` (2) in-flight staging slots per device, so step 1 of group
+//! `k+1` overlaps steps 2–4 of group `k`. Each device runs one in-order
+//! stream: upload, kernels and download of a group are charged back to back
+//! on its modeled clock. Stage boundaries are barriers (a stage may read
+//! chunks the previous stage wrote).
 //!
 //! With `cfg.devices > 1` the whole issuer/completer pair is instantiated
 //! once **per device**: each fleet member owns its own staging slots,
-//! device buffers and streams, and the producer routes every group to the
+//! device buffers and stream, and the producer routes every group to the
 //! device the driver sharded it to (contiguous chunk ranges per device).
 //! Groups within a stage touch disjoint chunk sets, so fleet runs are
 //! bit-identical to single-device runs; only the modeled makespan (max
-//! over devices) shrinks.
+//! over devices) shrinks. `cfg.workers` is not read here: the thread count
+//! is three roles plus one stream worker per device.
 //!
 //! The streaming skeleton (validation, plan, cache, ordering, accounting,
 //! flush, report) lives in [`exec::run_with_executor`](super::exec); this
@@ -37,8 +42,8 @@
 
 use crate::config::{MemQSimConfig, TransferMode};
 use crate::engine::exec::{
-    apply_remap_on_store, process_groups_on_cpu, run_with_executor, specialize_stage,
-    ApplyCounters, ExecContext, ExecutorStats, SerialAdapter, StageBatchExecutor, StageWork,
+    apply_remap_on_store, run_with_executor, specialize_stage, ApplyCounters, ExecContext,
+    ExecutorStats, SerialAdapter, StageBatchExecutor, StageWork,
 };
 use crate::engine::{EngineError, Granularity, RunReport};
 use crate::store::ChunkStore;
@@ -128,24 +133,24 @@ enum ToCompleter {
     Drain,
 }
 
+/// In-flight staging slots per device — classic double buffering: one
+/// group on the device while the host decodes the next. One slot serialises
+/// decode against the device (1.45x the wall) and a third buys no wall for
+/// half again the staging memory (EXPERIMENTS.md A10).
+const STAGING_SLOTS: usize = 2;
+
 /// One fleet member's run-scoped resources: its staging slots, device
-/// buffers and streams. A lane's slots are private to its device, so the
-/// per-device pipelines never contend for staging memory.
+/// buffers and in-order stream. A lane's slots are private to its device,
+/// so the per-device pipelines never contend for staging memory.
 struct Lane {
     pinned: Vec<PinnedBuffer>,
     dev_bufs: Vec<DeviceBuffer>,
-    copy_stream: Option<Stream>,
-    // Dual-stream mode actually uses three streams (upload / compute /
-    // download) so the next group's H2D overlaps this group's kernels and
-    // the previous group's D2H — the standard CUDA double-buffering shape.
-    extra_streams: Option<(Stream, Stream)>,
+    stream: Stream,
 }
 
-/// Folds `s` into `into` for streams that share a clock epoch: the merged
-/// end time is the latest stream's (`modeled = max`), while category busy
-/// times, bytes and command counts add. The same shape serves both merges
-/// this executor performs — a device's own streams, and the fleet's
-/// per-device totals into the makespan aggregate.
+/// Folds one device's totals into the fleet aggregate: devices run
+/// concurrently, so the merged end time is the makespan (`modeled = max`),
+/// while category busy times, bytes and command counts add.
 fn merge_stream_stats(into: &mut StreamStats, s: &StreamStats) {
     into.modeled = into.modeled.max(s.modeled);
     into.modeled_h2d += s.modeled_h2d;
@@ -167,15 +172,13 @@ fn merge_stream_stats(into: &mut StreamStats, s: &StreamStats) {
 /// simulated device fleet: a producer decompresses and specializes groups
 /// into pinned staging slots, a per-device issuer runs H2D → kernels → D2H,
 /// and a per-device completer recompresses results — overlapped across
-/// `pipeline_buffers` in-flight slots per device when `pipelined`, fully
-/// drained after every group when not (the Fig. 2 ablation baseline). A
-/// `cpu_share` fraction of each stage's groups bypasses the fleet entirely
-/// (step 5, "idle cores"); the rest land on the device the driver sharded
-/// them to.
+/// `STAGING_SLOTS` (2) in-flight slots per device when `pipelined`, fully
+/// drained after every group when not (the Fig. 2 ablation baseline).
+/// Every group lands on the device the driver sharded it to. One executor
+/// can serve any number of runs: `finish` leaves it as `new_fleet` made it.
 pub struct DevicePipelineExecutor<'d> {
     devices: &'d [Device],
     pipelined: bool,
-    slots: usize,
     max_group_amps: usize,
     lanes: Vec<Lane>,
     /// Groups executed per device, for the telemetry lanes.
@@ -186,9 +189,7 @@ pub struct DevicePipelineExecutor<'d> {
     /// byte-compatible across the two instances.
     codec: Option<Arc<dyn Codec>>,
     counters: ApplyCounters,
-    groups_cpu: usize,
     groups_device: usize,
-    peak_buffer_bytes: usize,
     telemetry_attached: bool,
 }
 
@@ -200,7 +201,7 @@ impl<'d> DevicePipelineExecutor<'d> {
     }
 
     /// Creates an executor over an N-device fleet. Every device gets its
-    /// own staging slots, streams and issuer/completer pipeline; the driver
+    /// own staging slots, stream and issuer/completer pipeline; the driver
     /// routes groups by [`GroupWork::shard`](crate::engine::exec::GroupWork).
     /// An empty fleet is refused by [`prepare`](StageBatchExecutor::prepare)
     /// with [`EngineError::Config`].
@@ -208,15 +209,12 @@ impl<'d> DevicePipelineExecutor<'d> {
         DevicePipelineExecutor {
             devices,
             pipelined,
-            slots: 0,
             max_group_amps: 0,
             lanes: Vec::new(),
             lane_groups: (0..devices.len()).map(|_| AtomicUsize::new(0)).collect(),
             codec: None,
             counters: ApplyCounters::default(),
-            groups_cpu: 0,
             groups_device: 0,
-            peak_buffer_bytes: 0,
             telemetry_attached: false,
         }
     }
@@ -258,26 +256,20 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
         self.telemetry_attached = true;
 
         self.max_group_amps = ctx.chunk_amps() << ctx.cfg.max_high_qubits;
-        self.slots = ctx.cfg.pipeline_buffers.max(1);
 
-        // Staging per device: `slots` pinned host buffers + matching device
-        // buffers on that device's own arena. Allocated one by one into
-        // `self` so a mid-way OOM still releases the successful allocations
-        // in `finish`.
+        // Staging per device: `STAGING_SLOTS` pinned host buffers + matching
+        // device buffers on that device's own arena. Allocated one by one
+        // into `self` so a mid-way OOM still releases the successful
+        // allocations in `finish`.
         for (di, device) in self.devices.iter().enumerate() {
             self.lanes.push(Lane {
-                pinned: (0..self.slots)
+                pinned: (0..STAGING_SLOTS)
                     .map(|_| PinnedBuffer::new(self.max_group_amps))
                     .collect(),
                 dev_bufs: Vec::new(),
-                copy_stream: Some(device.create_stream()),
-                extra_streams: if ctx.cfg.dual_stream {
-                    Some((device.create_stream(), device.create_stream()))
-                } else {
-                    None
-                },
+                stream: device.create_stream(),
             });
-            for _ in 0..self.slots {
+            for _ in 0..STAGING_SLOTS {
                 let buf = device.alloc(self.max_group_amps)?;
                 self.lanes[di].dev_bufs.push(buf);
             }
@@ -306,9 +298,7 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
         let pairs = transition.chunk_exchange_pairs(ctx.plan.chunk_bits, ctx.store.chunk_count());
         if !pairs.is_empty() {
             for lane in &self.lanes {
-                if let Some(stream) = &lane.copy_stream {
-                    stream.remap_chunks(pairs.clone());
-                }
+                lane.stream.remap_chunks(pairs.clone());
             }
         }
         apply_remap_on_store(ctx, transition)
@@ -326,23 +316,7 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
         if let Some(codec) = &self.codec {
             codec.set_dynamic_bound(work.error_allowance);
         }
-        let n_cpu = ((work.groups.len() as f64) * ctx.cfg.cpu_share).round() as usize;
-        let n_cpu = n_cpu.min(work.groups.len());
-        let (cpu_groups, dev_groups) = work.groups.split_at(n_cpu);
-        let dev_shards = &work.shards[n_cpu..];
-
-        // Step 5: idle-core CPU share, processed before device issue so
-        // both halves of the stage stay within the stage barrier.
-        if !cpu_groups.is_empty() {
-            let group_amps = work.stage.group_size() * chunk_amps;
-            let amp_bytes = std::mem::size_of::<Complex64>();
-            self.peak_buffer_bytes = self
-                .peak_buffer_bytes
-                .max(ctx.cfg.workers.min(cpu_groups.len()) * group_amps * amp_bytes);
-            process_groups_on_cpu(ctx, work, cpu_groups, &self.counters)?;
-            self.groups_cpu += cpu_groups.len();
-        }
-        if dev_groups.is_empty() {
+        if work.groups.is_empty() {
             return Ok(());
         }
 
@@ -352,20 +326,12 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
         let lane_groups = &self.lane_groups;
         let n_dev = self.devices.len();
         let counters = &self.counters;
-        let slots = self.slots;
         let pipelined = self.pipelined;
         let codec = self.codec.clone();
         let compressed_mode = self.codec.is_some();
         let si = work.index;
         let stage = work.stage;
         let chunk_bits = ctx.plan.chunk_bits;
-        // A group's op list is one kernel command whose body is the CPU
-        // path's blocked sweep.
-        let run_gates = |s: &Stream, db: DeviceBuffer, work: &mut Work| {
-            let ops = std::mem::take(&mut work.ops);
-            s.run_gates_region(db, work.amps, ops);
-        };
-
         let stage_groups_device = AtomicUsize::new(0);
         let error: Mutex<Option<EngineError>> = Mutex::new(None);
 
@@ -378,11 +344,11 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
             let mut pool_txs = Vec::with_capacity(n_dev);
             let mut drain_ack_rxs = Vec::with_capacity(n_dev);
             for di in 0..n_dev {
-                let (to_device_tx, to_device_rx) = bounded::<ToDevice>(slots);
-                let (to_completer_tx, to_completer_rx) = bounded::<ToCompleter>(slots);
-                let (pool_tx, pool_rx) = bounded::<usize>(slots);
+                let (to_device_tx, to_device_rx) = bounded::<ToDevice>(STAGING_SLOTS);
+                let (to_completer_tx, to_completer_rx) = bounded::<ToCompleter>(STAGING_SLOTS);
+                let (pool_tx, pool_rx) = bounded::<usize>(STAGING_SLOTS);
                 let (drain_ack_tx, drain_ack_rx) = bounded::<()>(1);
-                for i in 0..slots {
+                for i in 0..STAGING_SLOTS {
                     pool_tx.send(i).expect("pool has capacity");
                 }
                 to_device_txs.push(to_device_tx);
@@ -395,10 +361,7 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
                 let issuer_codec = codec.clone();
                 scope.spawn(move |_| {
                     let lane = &lanes[di];
-                    let pinned = &lane.pinned;
-                    let dev_bufs = &lane.dev_bufs;
-                    let copy_stream = lane.copy_stream.as_ref().expect("prepared");
-                    let extra_streams = lane.extra_streams.as_ref();
+                    let stream = &lane.stream;
                     while let Ok(msg) = to_device_rx.recv() {
                         match msg {
                             ToDevice::Drain => {
@@ -409,20 +372,21 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
                             ToDevice::Work(mut work) => {
                                 let span =
                                     issuer_telemetry.stage_span(Role::DeviceIssue, work.stage);
-                                let pb = &pinned[work.slot];
-                                let db = dev_bufs[work.slot];
-                                // Compressed transfer: the payloads go over the
-                                // link as-is and a device-side codec kernel
-                                // inflates them; on the way back, an encode
-                                // kernel fills the payload cells that carry
-                                // the bytes home.
-                                let payloads = work.payloads.take();
-                                let device_codec = payloads.is_some();
-                                let upload = |s: &Stream| match payloads {
-                                    Some(ps) => {
+                                let pb = &lane.pinned[work.slot];
+                                let db = lane.dev_bufs[work.slot];
+                                // A group's op list is one kernel command whose
+                                // body is the CPU path's blocked sweep.
+                                let ops = std::mem::take(&mut work.ops);
+                                match work.payloads.take() {
+                                    // Compressed transfer: the payloads go over
+                                    // the link as-is and a device-side codec
+                                    // kernel inflates them; on the way back, an
+                                    // encode kernel fills the payload cells that
+                                    // carry the bytes home.
+                                    Some(payloads) => {
                                         let codec = issuer_codec.as_ref().expect("codec prepared");
-                                        for (j, p) in ps.into_iter().enumerate() {
-                                            s.decode_chunk(
+                                        for (j, p) in payloads.into_iter().enumerate() {
+                                            stream.decode_chunk(
                                                 p,
                                                 codec,
                                                 db,
@@ -430,48 +394,23 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
                                                 chunk_amps,
                                             );
                                         }
-                                    }
-                                    None => s.h2d(pb, 0, db, 0, work.amps),
-                                };
-                                let download = |s: &Stream, work: &mut Work| {
-                                    if device_codec {
-                                        let codec = issuer_codec.as_ref().expect("codec prepared");
+                                        stream.run_gates_region(db, work.amps, ops);
                                         for j in 0..work.group.len() {
-                                            work.cells.push(s.encode_chunk(
+                                            work.cells.push(stream.encode_chunk(
                                                 db,
                                                 j * chunk_amps,
                                                 chunk_amps,
                                                 codec,
                                             ));
                                         }
-                                    } else {
-                                        s.d2h(db, 0, pb, 0, work.amps);
-                                    }
-                                };
-                                let event = match extra_streams {
-                                    // Multi-stream: uploads, kernels and downloads
-                                    // each get their own in-order stream, linked by
-                                    // events, so group k+1's H2D overlaps group k's
-                                    // kernels and group k-1's D2H — the paper's
-                                    // step (3): kernels run "asynchronously during
-                                    // the CPU-GPU data transfer".
-                                    Some((compute, down)) => {
-                                        upload(copy_stream);
-                                        let uploaded = copy_stream.record_event();
-                                        compute.wait_event(&uploaded);
-                                        run_gates(compute, db, &mut work);
-                                        let kernels_done = compute.record_event();
-                                        down.wait_event(&kernels_done);
-                                        download(down, &mut work);
-                                        down.record_event()
                                     }
                                     None => {
-                                        upload(copy_stream);
-                                        run_gates(copy_stream, db, &mut work);
-                                        download(copy_stream, &mut work);
-                                        copy_stream.record_event()
+                                        stream.h2d(pb, 0, db, 0, work.amps);
+                                        stream.run_gates_region(db, work.amps, ops);
+                                        stream.d2h(db, 0, pb, 0, work.amps);
                                     }
-                                };
+                                }
+                                let event = stream.record_event();
                                 // Close before the send: a full channel is
                                 // backpressure wait, not device-issue work.
                                 drop(span);
@@ -542,7 +481,7 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
             }
 
             // --- producer (this thread): decompress + specialize ------------
-            'groups: for (group, &shard) in dev_groups.iter().zip(dev_shards) {
+            'groups: for (group, &shard) in work.groups.iter().zip(&work.shards) {
                 if error.lock().is_some() {
                     break 'groups;
                 }
@@ -645,34 +584,32 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
     }
 
     fn finish(&mut self, ctx: &ExecContext) -> Result<ExecutorStats, EngineError> {
-        // Drain every lane's streams first so all device counters have
-        // landed, then free its buffers; each lane yields one StreamStats.
-        let mut per_device = Vec::with_capacity(self.lanes.len());
-        for (i, lane) in self.lanes.iter_mut().enumerate() {
-            let mut lane_stats = StreamStats::default();
-            if let Some(copy_stream) = lane.copy_stream.take() {
-                lane_stats = copy_stream.synchronize()?;
-            }
-            if let Some((compute, down)) = lane.extra_streams.take() {
-                for s in [compute.synchronize()?, down.synchronize()?] {
-                    // Streams share their device's epoch: the device is done
-                    // when the last stream is; category busy-times add.
-                    merge_stream_stats(&mut lane_stats, &s);
+        // The run's state leaves `self`, which is again what `new_fleet` made
+        // and can serve another run. Dropping `run` detaches the devices'
+        // telemetry.
+        let fresh = DevicePipelineExecutor::new_fleet(self.devices, self.pipelined);
+        let mut run = std::mem::replace(self, fresh);
+        // Drain every lane's stream first so all device counters have
+        // landed, then free its buffers — every lane, even after a failure.
+        // Each lane yields one StreamStats.
+        let mut first_error: Option<EngineError> = None;
+        let mut per_device = Vec::with_capacity(run.lanes.len());
+        for (lane, device) in run.lanes.drain(..).zip(run.devices) {
+            match lane.stream.synchronize() {
+                Ok(stats) => per_device.push(stats),
+                Err(e) => {
+                    first_error.get_or_insert(e.into());
                 }
             }
-            for db in lane.dev_bufs.drain(..) {
-                self.devices[i].free(db)?;
+            for db in lane.dev_bufs {
+                if let Err(e) = device.free(db) {
+                    first_error.get_or_insert(e.into());
+                }
             }
-            per_device.push(lane_stats);
         }
-        if self.telemetry_attached {
-            for device in self.devices {
-                device.detach_telemetry();
-            }
-            self.telemetry_attached = false;
+        if let Some(e) = first_error {
+            return Err(e);
         }
-        // Fleet aggregate: devices run concurrently, so `modeled` is the
-        // makespan (max over lanes) while every other field sums.
         let mut device_stats = StreamStats::default();
         for s in &per_device {
             merge_stream_stats(&mut device_stats, s);
@@ -683,7 +620,7 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
                 .enumerate()
                 .map(|(i, s)| DeviceLane {
                     device: i,
-                    groups: self.lane_groups[i].load(Ordering::Relaxed) as u64,
+                    groups: run.lane_groups[i].load(Ordering::Relaxed) as u64,
                     bytes_h2d: s.bytes_h2d as u64,
                     bytes_d2h: s.bytes_d2h as u64,
                     kernel_time_ns: s.modeled_kernel.as_nanos() as u64,
@@ -691,20 +628,19 @@ impl StageBatchExecutor for DevicePipelineExecutor<'_> {
                 })
                 .collect(),
         );
-        let staging_bytes = self.devices.len()
-            * self.slots
-            * self.max_group_amps
+        let staging_bytes = run.devices.len()
+            * STAGING_SLOTS
+            * run.max_group_amps
             * std::mem::size_of::<Complex64>();
         Ok(ExecutorStats {
-            gates_applied: *self.counters.gates.get_mut(),
-            scalars_applied: *self.counters.scalars.get_mut(),
-            groups_device: self.groups_device,
-            groups_cpu: self.groups_cpu,
-            peak_buffer_bytes: self.peak_buffer_bytes,
+            gates_applied: *run.counters.gates.get_mut(),
+            scalars_applied: *run.counters.scalars.get_mut(),
+            groups_device: run.groups_device,
             pinned_bytes: staging_bytes,
             device_buffer_bytes: staging_bytes,
             device: device_stats,
             per_device,
+            ..ExecutorStats::default()
         })
     }
 }
@@ -773,39 +709,6 @@ mod tests {
     fn suite_matches_dense_reference_serial() {
         for c in library::standard_suite(6) {
             run_hybrid_and_compare(&c, &cfg(3), false, 1e-10);
-        }
-    }
-
-    #[test]
-    fn cpu_share_splits_work_and_stays_correct() {
-        let c = library::qft(7);
-        for share in [0.0, 0.3, 0.7, 1.0] {
-            let config = MemQSimConfig {
-                cpu_share: share,
-                ..cfg(3)
-            };
-            let r = run_hybrid_and_compare(&c, &config, true, 1e-10);
-            if share == 0.0 {
-                assert_eq!(r.groups_cpu, 0);
-            }
-            if share == 1.0 {
-                assert_eq!(r.groups_device, 0);
-            }
-            if share > 0.0 && share < 1.0 {
-                assert!(r.groups_cpu > 0 && r.groups_device > 0, "share {share}");
-            }
-        }
-    }
-
-    #[test]
-    fn more_pipeline_buffers_same_answer() {
-        let c = library::random_circuit(7, 6, 2);
-        for buffers in [1usize, 2, 4] {
-            let config = MemQSimConfig {
-                pipeline_buffers: buffers,
-                ..cfg(3)
-            };
-            run_hybrid_and_compare(&c, &config, true, 1e-10);
         }
     }
 
@@ -983,6 +886,35 @@ mod tests {
     }
 
     #[test]
+    fn one_executor_serves_run_after_run() {
+        // `finish` hands back every lane and per-run counter, so the second
+        // run starts from what `new_fleet` made, not behind stale lanes.
+        let config = MemQSimConfig {
+            devices: 2,
+            ..cfg(3)
+        };
+        let c = library::qft(7);
+        let fleet = DeviceTopology::homogeneous(2, DeviceSpec::tiny_test(1 << 12)).build();
+        let mut exec = SerialAdapter::new(DevicePipelineExecutor::new_fleet(&fleet, true));
+        let mut round = || {
+            let store = testkit::zero_store(7, 3, &config);
+            let r = run_with_executor(&store, &c, &config, Granularity::Staged, &mut exec);
+            (store.to_dense().unwrap(), r.unwrap())
+        };
+        let (first_state, first) = round();
+        let (second_state, second) = round();
+        assert_eq!(first_state, second_state);
+        assert!(first.groups_device > 0);
+        assert_eq!(first.groups_device, second.groups_device);
+        assert_eq!(first.gates_applied, second.gates_applied);
+        assert_eq!(
+            first.telemetry.device_lanes(),
+            second.telemetry.device_lanes()
+        );
+        assert!(fleet.iter().all(|d| d.used_amps() == 0));
+    }
+
+    #[test]
     fn grover_through_the_full_pipeline() {
         let n = 6;
         let marked = 0b110101u64;
@@ -1138,25 +1070,18 @@ mod compressed_transfer_tests {
     }
 
     #[test]
-    fn compressed_mode_works_serial_dual_stream_and_cpu_share() {
+    fn compressed_mode_works_serial_and_pipelined() {
         let circuit = library::qft(7);
         let want = run_dense(&circuit, 0);
-        for (pipelined, dual_stream, cpu_share) in
-            [(false, false, 0.0), (true, true, 0.0), (true, false, 0.5)]
-        {
-            let config = MemQSimConfig {
-                dual_stream,
-                cpu_share,
-                ..cfg(CodecSpec::Fpc, TransferMode::Compressed)
-            };
-            let store = testkit::zero_store(7, 3, &config);
-            let dev = Device::new(DeviceSpec::tiny_test(1 << 12));
-            run(&store, &circuit, &config, &dev, pipelined).unwrap();
-            let err = max_amp_err(&store.to_dense().unwrap(), &want);
-            assert!(
-                err < 1e-10,
-                "pipelined={pipelined} dual={dual_stream} share={cpu_share}: {err}"
+        for pipelined in [false, true] {
+            let (state, _) = run_mode(
+                &circuit,
+                CodecSpec::Fpc,
+                TransferMode::Compressed,
+                pipelined,
             );
+            let err = max_amp_err(&state, &want);
+            assert!(err < 1e-10, "pipelined={pipelined}: {err}");
         }
     }
 
@@ -1185,84 +1110,6 @@ mod compressed_transfer_tests {
 }
 
 #[cfg(test)]
-mod dual_stream_tests {
-    use super::*;
-    use crate::testkit;
-    use mq_circuit::library;
-    use mq_circuit::unitary::run_dense;
-    use mq_compress::CodecSpec;
-    use mq_device::DeviceSpec;
-    use mq_num::metrics::max_amp_err;
-
-    fn cfg(dual_stream: bool) -> MemQSimConfig {
-        MemQSimConfig {
-            dual_stream,
-            ..testkit::cfg(3, CodecSpec::Fpc)
-        }
-    }
-
-    #[test]
-    fn dual_stream_matches_single_stream_exactly() {
-        for circuit in library::standard_suite(7) {
-            let mk = |ds: bool| {
-                let store = testkit::zero_store(7, 3, &cfg(ds));
-                let dev = Device::new(DeviceSpec::tiny_test(1 << 12));
-                run(&store, &circuit, &cfg(ds), &dev, true).unwrap();
-                store.to_dense().unwrap()
-            };
-            let single = mk(false);
-            let dual = mk(true);
-            let err = max_amp_err(&single, &dual);
-            assert!(
-                err < 1e-12,
-                "{}: dual-stream drifted by {err}",
-                circuit.name()
-            );
-            assert!(max_amp_err(&dual, &run_dense(&circuit, 0)) < 1e-10);
-        }
-    }
-
-    #[test]
-    fn dual_stream_overlaps_the_modeled_device_clock() {
-        // Many groups with real kernel work: in dual-stream mode, group
-        // k+1's H2D overlaps group k's kernels, so the device finishes
-        // strictly earlier than the serial sum of its busy categories.
-        let circuit = library::supremacy_like(12, 6, 8);
-        let config = cfg(true);
-        let store = testkit::zero_store(12, 3, &config);
-        let dev = Device::new(DeviceSpec::tiny_test(1 << 14));
-        let r = run(&store, &circuit, &config, &dev, true).unwrap();
-        let busy = r.device.modeled_h2d
-            + r.device.modeled_d2h
-            + r.device.modeled_kernel
-            + r.device.modeled_scatter;
-        assert!(
-            r.device.modeled < busy,
-            "no overlap: end {:?} vs busy sum {:?}",
-            r.device.modeled,
-            busy
-        );
-        assert!(r.device.modeled_wait > Duration::ZERO);
-    }
-
-    #[test]
-    fn dual_stream_works_serial_and_with_cpu_share() {
-        let circuit = library::qft(8);
-        let want = run_dense(&circuit, 0);
-        for (pipelined, share) in [(false, 0.0), (true, 0.5)] {
-            let config = MemQSimConfig {
-                cpu_share: share,
-                ..cfg(true)
-            };
-            let store = testkit::zero_store(8, 3, &config);
-            let dev = Device::new(DeviceSpec::tiny_test(1 << 12));
-            run(&store, &circuit, &config, &dev, pipelined).unwrap();
-            assert!(max_amp_err(&store.to_dense().unwrap(), &want) < 1e-10);
-        }
-    }
-}
-
-#[cfg(test)]
 mod max_high_one_tests {
     use super::*;
     use crate::testkit;
@@ -1279,7 +1126,6 @@ mod max_high_one_tests {
         // set (GHZ/W/BV never need more).
         let cfg = MemQSimConfig {
             max_high_qubits: 1,
-            dual_stream: true,
             ..testkit::cfg(3, CodecSpec::Fpc)
         };
         for circuit in [library::ghz(8), library::w_state(8)] {

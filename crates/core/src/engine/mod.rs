@@ -11,8 +11,9 @@
 //!   the per-gate granularity baseline (Wu et al.\[6\]).
 //! * [`hybrid`] — [`hybrid::DevicePipelineExecutor`]: the full paper
 //!   pipeline (Fig. 2): CPU decompression, pinned staging buffers, H2D,
-//!   device gate kernels, D2H, CPU recompression, overlapped across
-//!   in-flight buffer slots.
+//!   device gate kernels, D2H, CPU recompression — one lane shape: two
+//!   in-flight staging slots and one in-order stream per device, every
+//!   group of a stage to the fleet.
 //! * [`report`] — the unified [`RunReport`] every run produces.
 
 pub mod cpu;

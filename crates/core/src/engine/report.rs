@@ -69,8 +69,9 @@ pub struct RunReport {
     /// Chunk groups handed to a device lane (0 for CPU executors),
     /// including those dropped after loading as all zero.
     pub groups_device: usize,
-    /// Chunk groups handed to CPU workers, including those dropped after
-    /// loading as all zero.
+    /// Chunk groups the CPU executor's workers took, including those
+    /// dropped after loading as all zero. The device pipeline sends every
+    /// group to its fleet and reports 0 here.
     pub groups_cpu: usize,
     /// Peak resident compressed bytes during the run.
     pub peak_compressed_bytes: usize,

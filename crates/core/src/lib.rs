@@ -170,7 +170,6 @@ mod tests {
     fn facade_hybrid_path() {
         let sim = MemQSim::new(MemQSimConfig {
             chunk_bits: 3,
-            dual_stream: true,
             ..Default::default()
         });
         let (store, report) = sim

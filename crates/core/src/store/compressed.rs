@@ -2,11 +2,12 @@
 //! each guarded by a `checksum64` taken at commit and verified before
 //! every decode and every payload hand-out.
 
+use super::accounting::PayloadAccounting;
 use super::{checksum64, expect_chunk_len, verify_checksum, ChunkStore, StoreCounters};
 use mq_compress::{compress_complex, decompress_complex, Codec, CodecError, CompressionStats};
 use mq_num::{bits, Complex64};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One resident chunk: compressed bytes + integrity checksum.
@@ -33,21 +34,9 @@ pub struct CompressedTier {
     chunk_bits: u32,
     codec: Arc<dyn Codec>,
     chunks: Vec<Mutex<ChunkSlot>>,
-    stats: Mutex<CompressionStats>,
     current_bytes: AtomicUsize,
     peak_bytes: AtomicUsize,
-    visits: AtomicU64,
-    bytes_decompressed: AtomicU64,
-    bytes_compressed: AtomicU64,
-    // Adaptive-codec pick histogram, populated from the payload headers of
-    // self-describing codecs (static codecs report no metadata and leave
-    // these at zero).
-    picks_zero_rle: AtomicU64,
-    picks_fpc: AtomicU64,
-    picks_shuffle_lzss: AtomicU64,
-    picks_sz: AtomicU64,
-    mixed_precision_chunks: AtomicU64,
-    lossy_encodes: AtomicU64,
+    accounting: PayloadAccounting,
 }
 
 impl CompressedTier {
@@ -60,18 +49,9 @@ impl CompressedTier {
             chunks: (0..chunk_count)
                 .map(|_| Mutex::new(ChunkSlot::default()))
                 .collect(),
-            stats: Mutex::new(CompressionStats::default()),
             current_bytes: AtomicUsize::new(0),
             peak_bytes: AtomicUsize::new(0),
-            visits: AtomicU64::new(0),
-            bytes_decompressed: AtomicU64::new(0),
-            bytes_compressed: AtomicU64::new(0),
-            picks_zero_rle: AtomicU64::new(0),
-            picks_fpc: AtomicU64::new(0),
-            picks_shuffle_lzss: AtomicU64::new(0),
-            picks_sz: AtomicU64::new(0),
-            mixed_precision_chunks: AtomicU64::new(0),
-            lossy_encodes: AtomicU64::new(0),
+            accounting: PayloadAccounting::default(),
         }
     }
 
@@ -125,37 +105,19 @@ impl CompressedTier {
 
     /// Commits `bytes` to slot `i` as the output of a host encode.
     fn commit_encoded(&self, i: usize, bytes: Vec<u8>) {
-        let new_len = bytes.len();
+        self.accounting.encoded_on_host(bytes.len());
         self.commit_slot(i, bytes);
-        self.bytes_compressed
-            .fetch_add(new_len as u64, Ordering::Relaxed);
     }
 
     /// Commits already-compressed `bytes` to slot `i`. The signed-delta
-    /// byte update and the stats recording happen while still serialized
-    /// on the slot, so `peak_bytes` cannot transiently overshoot by the
-    /// old chunk's length.
+    /// byte update happens while still serialized on the slot, so
+    /// `peak_bytes` cannot transiently overshoot by the old chunk's length.
     fn commit_slot(&self, i: usize, bytes: Vec<u8>) {
         let new_len = bytes.len();
         let checksum = checksum64(&bytes);
-        if let Some(meta) = self.codec.payload_meta(&bytes) {
-            let pick = match meta.codec {
-                "zero-rle" => Some(&self.picks_zero_rle),
-                "fpc" => Some(&self.picks_fpc),
-                "shuffle-lzss" => Some(&self.picks_shuffle_lzss),
-                "sz" => Some(&self.picks_sz),
-                _ => None,
-            };
-            if let Some(counter) = pick {
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
-            if meta.f32_packed {
-                self.mixed_precision_chunks.fetch_add(1, Ordering::Relaxed);
-            }
-            if !meta.lossless {
-                self.lossy_encodes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let meta = self.codec.payload_meta(&bytes);
+        self.accounting
+            .committed(meta, self.chunk_amps() * 16, new_len);
         let guard = &mut *self.chunks[i].lock();
         let old_len = guard.bytes.len();
         *guard = ChunkSlot { bytes, checksum };
@@ -167,7 +129,6 @@ impl CompressedTier {
             self.current_bytes.fetch_sub(d, Ordering::Relaxed) - d
         };
         self.peak_bytes.fetch_max(cur, Ordering::Relaxed);
-        self.stats.lock().record(self.chunk_amps() * 16, new_len);
     }
 }
 
@@ -191,9 +152,7 @@ impl ChunkStore for CompressedTier {
         expect_chunk_len(self.chunk_amps(), out.len())?;
         let guard = self.chunks[i].lock();
         verify_checksum(i, &guard.bytes, guard.checksum)?;
-        self.visits.fetch_add(1, Ordering::Relaxed);
-        self.bytes_decompressed
-            .fetch_add(guard.bytes.len() as u64, Ordering::Relaxed);
+        self.accounting.decoding_on_host(guard.bytes.len());
         decompress_complex(self.codec.as_ref(), &guard.bytes, out)
     }
 
@@ -209,7 +168,7 @@ impl ChunkStore for CompressedTier {
     fn load_chunk_payload(&self, i: usize) -> Result<Option<Vec<u8>>, CodecError> {
         let guard = self.chunks[i].lock();
         verify_checksum(i, &guard.bytes, guard.checksum)?;
-        self.visits.fetch_add(1, Ordering::Relaxed);
+        self.accounting.visited();
         Ok(Some(guard.bytes.clone()))
     }
 
@@ -254,22 +213,11 @@ impl ChunkStore for CompressedTier {
     }
 
     fn counters(&self) -> StoreCounters {
-        StoreCounters {
-            chunk_visits: self.visits.load(Ordering::Relaxed),
-            bytes_decompressed: self.bytes_decompressed.load(Ordering::Relaxed),
-            bytes_compressed: self.bytes_compressed.load(Ordering::Relaxed),
-            codec_picks_zero_rle: self.picks_zero_rle.load(Ordering::Relaxed),
-            codec_picks_fpc: self.picks_fpc.load(Ordering::Relaxed),
-            codec_picks_shuffle_lzss: self.picks_shuffle_lzss.load(Ordering::Relaxed),
-            codec_picks_sz: self.picks_sz.load(Ordering::Relaxed),
-            mixed_precision_chunks: self.mixed_precision_chunks.load(Ordering::Relaxed),
-            lossy_encodes: self.lossy_encodes.load(Ordering::Relaxed),
-            ..StoreCounters::default()
-        }
+        self.accounting.counters()
     }
 
     fn cumulative_stats(&self) -> CompressionStats {
-        *self.stats.lock()
+        self.accounting.stats()
     }
 
     fn set_error_allowance(&self, eb: Option<f64>) {

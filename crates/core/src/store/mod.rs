@@ -27,6 +27,7 @@
 //!
 //! [`Telemetry`]: mq_telemetry::Telemetry
 
+mod accounting;
 pub mod cache;
 pub mod compressed;
 pub mod dense;

@@ -1,6 +1,7 @@
 //! The disk-spill base tier: compressed chunks under a resident-byte
 //! budget, overflow spilled to temp files.
 
+use super::accounting::PayloadAccounting;
 use super::{checksum64, expect_chunk_len, verify_checksum, ChunkStore, StoreCounters};
 use mq_compress::{compress_complex, decompress_complex, Codec, CodecError, CompressionStats};
 use mq_num::{bits, Complex64};
@@ -48,11 +49,8 @@ pub struct SpillStore {
     budget: usize,
     dir: PathBuf,
     state: Mutex<SpillState>,
-    stats: Mutex<CompressionStats>,
     peak_resident: AtomicUsize,
-    visits: AtomicU64,
-    bytes_decompressed: AtomicU64,
-    bytes_compressed: AtomicU64,
+    accounting: PayloadAccounting,
     spill_written: AtomicU64,
     spill_read: AtomicU64,
 }
@@ -82,11 +80,8 @@ impl SpillStore {
                 slots: (0..chunk_count).map(|_| None).collect(),
                 resident: 0,
             }),
-            stats: Mutex::new(CompressionStats::default()),
             peak_resident: AtomicUsize::new(0),
-            visits: AtomicU64::new(0),
-            bytes_decompressed: AtomicU64::new(0),
-            bytes_compressed: AtomicU64::new(0),
+            accounting: PayloadAccounting::default(),
             spill_written: AtomicU64::new(0),
             spill_read: AtomicU64::new(0),
         })
@@ -185,6 +180,7 @@ impl SpillStore {
     fn commit_encoded(&self, i: usize, bytes: Vec<u8>) -> Result<(), CodecError> {
         let new_len = bytes.len();
         let checksum = checksum64(&bytes);
+        let meta = self.codec.payload_meta(&bytes);
         let mut state = self.state.lock();
         // Retire the old slot's accounting first.
         let old_len = match &state.slots[i] {
@@ -210,9 +206,9 @@ impl SpillStore {
                 .fetch_max(state.resident, Ordering::Relaxed);
         }
         drop(state);
-        self.stats.lock().record(self.chunk_amps() * 16, new_len);
-        self.bytes_compressed
-            .fetch_add(new_len as u64, Ordering::Relaxed);
+        self.accounting
+            .committed(meta, self.chunk_amps() * 16, new_len);
+        self.accounting.encoded_on_host(new_len);
         Ok(())
     }
 
@@ -279,9 +275,7 @@ impl ChunkStore for SpillStore {
             None => return Err(CodecError::Corrupt(format!("chunk {i} was never stored"))),
         };
         verify_checksum(i, bytes, checksum)?;
-        self.visits.fetch_add(1, Ordering::Relaxed);
-        self.bytes_decompressed
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        self.accounting.decoding_on_host(bytes.len());
         decompress_complex(self.codec.as_ref(), bytes, out)
     }
 
@@ -345,17 +339,14 @@ impl ChunkStore for SpillStore {
 
     fn counters(&self) -> StoreCounters {
         StoreCounters {
-            chunk_visits: self.visits.load(Ordering::Relaxed),
-            bytes_decompressed: self.bytes_decompressed.load(Ordering::Relaxed),
-            bytes_compressed: self.bytes_compressed.load(Ordering::Relaxed),
             spill_bytes_written: self.spill_written.load(Ordering::Relaxed),
             spill_bytes_read: self.spill_read.load(Ordering::Relaxed),
-            ..StoreCounters::default()
+            ..self.accounting.counters()
         }
     }
 
     fn cumulative_stats(&self) -> CompressionStats {
-        *self.stats.lock()
+        self.accounting.stats()
     }
 
     fn set_error_allowance(&self, eb: Option<f64>) {

@@ -10,16 +10,17 @@
 //!   allocator and typed OOM errors, plus pinned host staging buffers.
 //! * [`stream`] — CUDA-style in-order command streams on worker threads:
 //!   async H2D/D2H copies (bulk or per-element), scatter/gather kernels,
-//!   gate kernels, events, synchronize. Every command does its real data
-//!   movement *and* is charged a deterministic modeled duration, so
-//!   experiments report a reproducible simulated clock alongside wall time.
+//!   gate kernels, staged codec kernels (`decode_chunk` / `encode_chunk`:
+//!   chunks cross the link *compressed*), events, synchronize. Every
+//!   command does its real data movement *and* is charged a deterministic
+//!   modeled duration, so experiments report a reproducible simulated
+//!   clock alongside wall time. A stream's clock is its own: the engine
+//!   runs one in-order stream per device, and nothing orders commands
+//!   across streams.
 //! * [`topology`] — an N-device fleet description ([`DeviceTopology`]):
 //!   one spec per card, built into N fully independent [`Device`]s.
 //! * [`transfer`] — the Table 1 transfer strategies (plus the compressed
 //!   variant the paper left open) as reusable experiments.
-//! * [`codec_backend`] — the device-side
-//!   [`CompressionBackend`](mq_compress::CompressionBackend): chunks cross
-//!   the link *compressed* and staged decode/encode kernels run on-stream.
 //!
 //! What this deliberately does not model: SM-level parallelism, caches,
 //! warp scheduling. MEMQSIM's claims live at the data-management layer —
@@ -53,7 +54,6 @@
 //! assert!((bell[3].norm_sqr() - 0.5).abs() < 1e-12);
 //! ```
 
-pub mod codec_backend;
 pub mod error;
 pub mod memory;
 pub mod model;
@@ -61,7 +61,6 @@ pub mod stream;
 pub mod topology;
 pub mod transfer;
 
-pub use codec_backend::DeviceCodecBackend;
 pub use error::DeviceError;
 pub use memory::{DeviceBuffer, PinnedBuffer};
 pub use model::DeviceSpec;

@@ -165,7 +165,9 @@ pub struct StreamStats {
     pub modeled_decode: Duration,
     /// Modeled time in device encode kernels (`EncodeChunk`).
     pub modeled_encode: Duration,
-    /// Modeled idle time spent waiting on cross-stream events.
+    /// Modeled idle time spent waiting on another stream. No command
+    /// orders streams against each other, so this reads zero; the field
+    /// stays because `perf_suite` reports it.
     pub modeled_wait: Duration,
     /// Real execution time of all commands.
     pub real: Duration,
@@ -302,7 +304,6 @@ enum Command {
         pairs: Vec<(usize, usize)>,
     },
     RecordEvent(Event),
-    WaitEvent(Event),
     Sync(Sender<Result<StreamStats, DeviceError>>),
     Shutdown,
 }
@@ -537,14 +538,6 @@ impl Stream {
         e
     }
 
-    /// Makes this stream wait for an event recorded on *another* stream
-    /// (cudaStreamWaitEvent): execution blocks until the event has fired,
-    /// and the modeled clock advances to at least the event's modeled time
-    /// (streams share the device epoch).
-    pub fn wait_event(&self, event: &Event) {
-        self.send(Command::WaitEvent(event.clone()));
-    }
-
     /// Blocks until all enqueued commands have executed. Returns cumulative
     /// stats, or the first execution error (sticky).
     pub fn synchronize(&self) -> Result<StreamStats, DeviceError> {
@@ -581,16 +574,6 @@ fn stream_worker(device: Arc<DeviceInner>, rx: Receiver<Command>) {
                     modeled: stats.modeled,
                     real: stats.real,
                 });
-                continue;
-            }
-            Command::WaitEvent(e) => {
-                // Block for real, then advance the modeled clock to the
-                // event's modeled time (cross-stream dependency edge).
-                let record = e.wait();
-                if record.modeled > stats.modeled {
-                    stats.modeled_wait += record.modeled - stats.modeled;
-                    stats.modeled = record.modeled;
-                }
                 continue;
             }
             Command::Shutdown => break,
@@ -844,9 +827,7 @@ fn execute(
             }
             Ok(())
         }
-        Command::Sync(_) | Command::RecordEvent(_) | Command::WaitEvent(_) | Command::Shutdown => {
-            unreachable!()
-        }
+        Command::Sync(_) | Command::RecordEvent(_) | Command::Shutdown => unreachable!(),
     }
 }
 
@@ -1156,6 +1137,25 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_streams_beat_serial_on_the_model() {
+        // Two independent copies on two streams: each stream's modeled end is
+        // one copy, so the device-level end (max) is half the serial sum.
+        let dev = tiny_device(1 << 16);
+        let a = dev.create_stream();
+        let b = dev.create_stream();
+        let buf_a = dev.alloc(1 << 14).unwrap();
+        let buf_b = dev.alloc(1 << 14).unwrap();
+        let src = PinnedBuffer::new(1 << 14);
+        a.h2d(&src, 0, buf_a, 0, 1 << 14);
+        b.h2d(&src, 0, buf_b, 0, 1 << 14);
+        let sa = a.synchronize().unwrap();
+        let sb = b.synchronize().unwrap();
+        let overlapped = sa.modeled.max(sb.modeled);
+        let serial = sa.modeled + sb.modeled;
+        assert!(overlapped.as_secs_f64() < serial.as_secs_f64() * 0.6);
+    }
+
+    #[test]
     fn synchronize_on_empty_stream() {
         let dev = tiny_device(16);
         let stream = dev.create_stream();
@@ -1205,21 +1205,25 @@ mod codec_command_tests {
     fn encode_chunk_mirrors_host_compression() {
         let dev = Device::new(DeviceSpec::tiny_test(1024));
         let stream = dev.create_stream();
-        let codec: Arc<dyn Codec> = Arc::from(CodecSpec::ZeroRle.build());
         let amps = ramp(128);
         let buf = dev.alloc(128).unwrap();
         let src = PinnedBuffer::from_slice(&amps);
         stream.h2d(&src, 0, buf, 0, 128);
-        let cell = stream.encode_chunk(buf, 0, 128, &codec);
-        let stats = stream.synchronize().unwrap();
-        let payload = cell.take().expect("payload produced");
-        // Byte-identical to compressing the amplitudes on the host.
-        assert_eq!(payload, compress_complex(codec.as_ref(), &amps));
-        assert_eq!(stats.bytes_d2h, payload.len());
-        assert_eq!(stats.bytes_d2h_compressed, payload.len());
-        assert!(stats.modeled_encode > Duration::ZERO);
-        // The cell is emptied by take().
-        assert!(cell.take().is_none());
+        let mut shipped = 0;
+        for spec in CodecSpec::sweep_set() {
+            let codec: Arc<dyn Codec> = Arc::from(spec.build());
+            let cell = stream.encode_chunk(buf, 0, 128, &codec);
+            let stats = stream.synchronize().unwrap();
+            let payload = cell.take().expect("payload produced");
+            // Byte-identical to compressing the amplitudes on the host.
+            assert_eq!(payload, compress_complex(codec.as_ref(), &amps), "{spec}");
+            shipped += payload.len();
+            assert_eq!(stats.bytes_d2h, shipped);
+            assert_eq!(stats.bytes_d2h_compressed, shipped);
+            assert!(stats.modeled_encode > Duration::ZERO);
+            // The cell is emptied by take().
+            assert!(cell.take().is_none());
+        }
     }
 
     #[test]
@@ -1271,75 +1275,5 @@ mod codec_command_tests {
             Err(DeviceError::Codec(_)) => {}
             other => panic!("unexpected {other:?}"),
         }
-    }
-}
-
-#[cfg(test)]
-mod wait_event_tests {
-    use super::*;
-    use mq_circuit::Gate;
-
-    #[test]
-    fn cross_stream_wait_orders_execution() {
-        let dev = Device::new(DeviceSpec::tiny_test(1024));
-        let copy = dev.create_stream();
-        let compute = dev.create_stream();
-        let buf = dev.alloc(256).unwrap();
-        let mut init = vec![Complex64::ZERO; 256];
-        init[0] = Complex64::ONE;
-        let src = PinnedBuffer::from_slice(&init);
-
-        copy.h2d(&src, 0, buf, 0, 256);
-        let uploaded = copy.record_event();
-        // Compute must observe the uploaded data, not zeros.
-        compute.wait_event(&uploaded);
-        compute.run_gate(buf, Gate::H(0));
-        let computed = compute.record_event();
-        // Copy stream pulls the result back only after the kernel.
-        copy.wait_event(&computed);
-        let out = PinnedBuffer::new(256);
-        copy.d2h(buf, 0, &out, 0, 256);
-        copy.synchronize().unwrap();
-        compute.synchronize().unwrap();
-        let v = out.to_vec();
-        let r = std::f64::consts::FRAC_1_SQRT_2;
-        assert!(v[0].approx_eq(mq_num::complex::c64(r, 0.0), 1e-12));
-        assert!(v[1].approx_eq(mq_num::complex::c64(r, 0.0), 1e-12));
-    }
-
-    #[test]
-    fn wait_advances_modeled_clock_to_event_time() {
-        let dev = Device::new(DeviceSpec::tiny_test(1 << 16));
-        let a = dev.create_stream();
-        let b = dev.create_stream();
-        let buf = dev.alloc(1 << 14).unwrap();
-        let src = PinnedBuffer::new(1 << 14);
-        // Stream a does a big copy; stream b does nothing but wait.
-        a.h2d(&src, 0, buf, 0, 1 << 14);
-        let e = a.record_event();
-        b.wait_event(&e);
-        let sa = a.synchronize().unwrap();
-        let sb = b.synchronize().unwrap();
-        assert!(sb.modeled >= sa.modeled_h2d);
-        assert_eq!(sb.modeled_wait, sb.modeled);
-    }
-
-    #[test]
-    fn overlapping_streams_beat_serial_on_the_model() {
-        // Two independent copies on two streams: each stream's modeled end is
-        // one copy, so the device-level end (max) is half the serial sum.
-        let dev = Device::new(DeviceSpec::tiny_test(1 << 16));
-        let a = dev.create_stream();
-        let b = dev.create_stream();
-        let buf_a = dev.alloc(1 << 14).unwrap();
-        let buf_b = dev.alloc(1 << 14).unwrap();
-        let src = PinnedBuffer::new(1 << 14);
-        a.h2d(&src, 0, buf_a, 0, 1 << 14);
-        b.h2d(&src, 0, buf_b, 0, 1 << 14);
-        let sa = a.synchronize().unwrap();
-        let sb = b.synchronize().unwrap();
-        let overlapped = sa.modeled.max(sb.modeled);
-        let serial = sa.modeled + sb.modeled;
-        assert!(overlapped.as_secs_f64() < serial.as_secs_f64() * 0.6);
     }
 }

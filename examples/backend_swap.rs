@@ -28,8 +28,6 @@ fn main() {
     let cfg = MemQSimConfig::builder()
         .chunk_bits(7)
         .codec(CodecSpec::Sz { eb: 1e-10 })
-        .pipeline_buffers(2)
-        .cpu_share(0.25)
         .build()
         .expect("valid config");
     let dense = DenseCpuBackend::default();

@@ -37,7 +37,7 @@ pub use mq_telemetry as telemetry;
 pub use memqsim_core::{
     Backend, BackendRun, ChunkExecutor, ChunkStore, CompressedCpuBackend, DenseCpuBackend,
     EngineError, HybridBackend, MemQSim, MemQSimConfig, MemQSimConfigBuilder, RunReport,
-    RunTelemetry, StageBatchExecutor, StoreCounters, StoreKind, TransferMode,
+    RunTelemetry, StoreCounters, StoreKind, TransferMode,
 };
 pub use mq_compress::{CodecSpec, Precision};
 pub use mq_device::{DeviceSpec, DeviceTopology};

@@ -211,3 +211,59 @@ fn fidelity_budget_ledger_stays_within_budget() {
     let f = fidelity(&reference, &state);
     assert!(f >= target, "fidelity {f} below target {target}");
 }
+
+/// The ledger and the pick histogram come from what was encoded, not from
+/// where the payload landed: a spilling store books the same lossy encodes,
+/// the same picks and the same error spend as the in-memory tier.
+#[test]
+fn fidelity_ledger_and_codec_picks_do_not_depend_on_the_store_kind() {
+    use memqsim_core::{StoreCounters, StoreKind};
+    let circuit = library::qft(12);
+    let run_on = |store_kind| {
+        let cfg = MemQSimConfig {
+            chunk_bits: 6,
+            cache_bytes: 0,
+            fidelity_budget: Some(0.999),
+            store_kind,
+            ..config(CodecSpec::Auto { eb: None })
+        };
+        let store = build_store(12, &cfg).expect("store");
+        let report = cpu::run(&store, &circuit, &cfg, Granularity::Staged).expect("run");
+        (store.to_dense().expect("dense"), report, store.counters())
+    };
+    let (state, report, counters) = run_on(StoreKind::Compressed);
+    // Well under the 2.3 KiB of payloads the run peaks at, so chunks do go
+    // to disk.
+    let (spill_state, spill_report, spill_counters) = run_on(StoreKind::Spill {
+        resident_budget: 256,
+    });
+    assert!(spill_counters.spill_bytes_written > 0, "nothing spilled");
+    assert_eq!(state, spill_state);
+    assert!(counters.lossy_encodes > 0 && report.error_spent > 0.0);
+    assert_eq!(report.error_spent, spill_report.error_spent);
+    assert_eq!(
+        report.telemetry.error_spend(),
+        spill_report.telemetry.error_spend()
+    );
+    // Everything but the spill traffic itself: visits, codec bytes, the
+    // pick histogram, mixed-precision and lossy encodes.
+    assert_eq!(
+        counters,
+        StoreCounters {
+            spill_bytes_written: 0,
+            spill_bytes_read: 0,
+            ..spill_counters
+        }
+    );
+    for counter in [
+        Counter::LossyEncodes,
+        Counter::CodecPicksSz,
+        Counter::CodecPicksZeroRle,
+    ] {
+        assert_eq!(
+            report.telemetry.counter(counter),
+            spill_report.telemetry.counter(counter),
+            "{counter:?}"
+        );
+    }
+}

@@ -3,7 +3,7 @@
 
 use memqsim_core::{
     run_on_all, Backend, CompressedCpuBackend, DenseCpuBackend, EngineError, Granularity,
-    HybridBackend, MemQSimConfig,
+    HybridBackend, MemQSimConfig, TransferMode,
 };
 use mq_circuit::unitary::run_dense;
 use mq_circuit::{library, Circuit};
@@ -17,8 +17,6 @@ fn cfg(chunk_bits: u32, codec: CodecSpec) -> MemQSimConfig {
         .max_high_qubits(2)
         .codec(codec)
         .workers(2)
-        .pipeline_buffers(2)
-        .cpu_share(0.3)
         .build()
         .expect("valid test config")
 }
@@ -161,12 +159,14 @@ fn two_qubit_minimum_register() {
 
 #[test]
 fn optimization_flags_change_nothing_observable() {
-    // dual_stream is a pure optimization: same amplitudes.
+    // The residency cache and compressed transfers are pure
+    // optimizations: same amplitudes.
     let circuit = library::hardware_efficient_ansatz(8, 2, 3);
     let oracle = run_dense(&circuit, 0);
     let plain = cfg(3, CodecSpec::Fpc);
     let optimized = MemQSimConfig {
-        dual_stream: true,
+        cache_bytes: 8 * (1 << 3) * 16,
+        transfer_mode: TransferMode::Compressed,
         ..plain
     };
     for config in [plain, optimized] {

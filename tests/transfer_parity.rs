@@ -17,8 +17,8 @@ use memqsim_core::{
 };
 use mq_circuit::unitary::run_dense;
 use mq_circuit::{library, Circuit};
-use mq_compress::{compress_complex, CodecSpec, CompressionBackend, HostCodecBackend};
-use mq_device::{Device, DeviceCodecBackend, DeviceSpec};
+use mq_compress::{compress_complex, decompress_complex, Codec, CodecSpec};
+use mq_device::{Device, DeviceSpec, PinnedBuffer};
 use mq_num::Complex64;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -129,21 +129,26 @@ fn compressed_transfers_cut_traffic_without_changing_results() {
 /// With a lossless codec the cached compressed run stays bit-identical to
 /// the cached raw run while actually shipping compressed link traffic.
 ///
-/// `cpu_share: 0.5` matters here — the CPU half of every stage dirties the
-/// cache through plain `store_chunk`, so the device half keeps exercising
-/// the writeback-on-payload-load path, not just cold serves.
+/// The run starts with the cache full of *dirty* residents — half the
+/// chunks overwritten through plain `store_chunk`, newer than the stored
+/// payloads — so the compressed run has to take the
+/// writeback-on-payload-load path, not just cold serves, to end on the raw
+/// run's state.
 #[test]
 fn compressed_transfers_survive_an_active_cache() {
     let cached = |mode: TransferMode| {
         let cfg = MemQSimConfig {
             cache_bytes: 8 * (1 << 3) * 16, // half the chunks
-            cpu_share: 0.5,
             ..config(CodecSpec::Fpc, mode)
         };
         let circuit = library::qft(7);
         // From a state with no zero chunk, so both modes do the same work.
         let start = run_dense(&library::random_circuit(7, 4, 3), 0);
         let store = build_store_from_amplitudes(&start, &cfg).expect("store");
+        for (i, stored) in start.chunks(8).enumerate().take(8) {
+            let newer: Vec<Complex64> = stored.iter().map(|&a| a * 2.0).collect();
+            store.store_chunk(i, &newer).expect("dirty a resident");
+        }
         let device = Device::new(DeviceSpec::tiny_test(1 << 12));
         let report = hybrid::run(&store, &circuit, &cfg, &device, true).expect("run");
         (store.to_dense().expect("dense"), report)
@@ -156,6 +161,14 @@ fn compressed_transfers_survive_an_active_cache() {
     assert!(
         comp.device.bytes_h2d_compressed > 0,
         "active cache must serve payloads, not fall back to raw staging"
+    );
+    // Compressed transfers leave the host codec idle except to write a
+    // dirty resident back before its payload ships.
+    assert!(
+        comp.telemetry
+            .counter(mq_telemetry::Counter::BytesCompressed)
+            > 0,
+        "dirty residents must be written back on payload load"
     );
     for r in [&raw, &comp] {
         let hits = r.telemetry.counter(mq_telemetry::Counter::CacheHits);
@@ -187,9 +200,9 @@ fn adversarial_f64() -> impl Strategy<Value = f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Host-encoded payloads decode identically through the device codec
-    /// path, and device-encoded payloads are byte-identical to host ones —
-    /// the two backends are interchangeable on adversarial amplitudes.
+    /// Host-encoded payloads decode identically through the device's codec
+    /// commands, and device-encoded payloads are byte-identical to host
+    /// ones — the two sides are interchangeable on adversarial amplitudes.
     #[test]
     fn device_codec_backend_round_trips_adversarial_amplitudes(
         reim in prop::collection::vec((adversarial_f64(), adversarial_f64()), 16..=16),
@@ -197,24 +210,30 @@ proptest! {
         let amps: Vec<Complex64> =
             reim.iter().map(|&(r, i)| Complex64::new(r, i)).collect();
         let device = Device::new(DeviceSpec::tiny_test(1 << 10));
+        let stream = device.create_stream();
+        let buf = device.alloc(amps.len()).unwrap();
+        let upload = PinnedBuffer::from_slice(&amps);
+        let download = PinnedBuffer::new(amps.len());
         for spec in [
             CodecSpec::ZeroRle,
             CodecSpec::Fpc,
             CodecSpec::ShuffleLzss,
             CodecSpec::Sz { eb: 1e-8 },
         ] {
-            let codec = Arc::from(spec.build());
-            let host = HostCodecBackend::new(Arc::clone(&codec));
-            let dev = DeviceCodecBackend::new(&device, Arc::clone(&codec));
+            let codec: Arc<dyn Codec> = Arc::from(spec.build());
 
-            let host_payload = host.encode(&amps).unwrap();
-            let dev_payload = dev.encode(&amps).unwrap();
+            let host_payload = compress_complex(codec.as_ref(), &amps);
+            stream.h2d(&upload, 0, buf, 0, amps.len());
+            let encoded = stream.encode_chunk(buf, 0, amps.len(), &codec);
+            stream.decode_chunk(host_payload.clone(), &codec, buf, 0, amps.len());
+            stream.d2h(buf, 0, &download, 0, amps.len());
+            stream.synchronize().unwrap();
+            let dev_payload = encoded.take().expect("the encode command ran");
             prop_assert_eq!(&host_payload, &dev_payload, "payloads differ under {}", spec);
 
-            let mut via_device = vec![Complex64::ZERO; amps.len()];
-            dev.decode(&host_payload, &mut via_device).unwrap();
+            let via_device = download.to_vec();
             let mut via_host = vec![Complex64::ZERO; amps.len()];
-            host.decode(&host_payload, &mut via_host).unwrap();
+            decompress_complex(codec.as_ref(), &host_payload, &mut via_host).unwrap();
             prop_assert_eq!(&via_device, &via_host, "decodes differ under {}", spec);
 
             // Lossless codecs must round-trip the adversarial bits exactly.

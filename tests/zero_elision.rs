@@ -71,12 +71,9 @@ fn lattice() -> Vec<(&'static str, Engine, MemQSimConfig)> {
             with(|c| c.transfer_mode = TransferMode::Compressed),
         ),
         (
-            "hybrid cache cpu_share",
+            "hybrid cache",
             hybrid(true),
-            with(|c| {
-                c.cache_bytes = 8 * 8 * 16;
-                c.cpu_share = 0.5;
-            }),
+            with(|c| c.cache_bytes = 8 * 8 * 16),
         ),
         ("cpu per-gate", Engine::Cpu(Granularity::PerGate), base),
     ]
