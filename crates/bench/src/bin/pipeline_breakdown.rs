@@ -7,7 +7,12 @@
 //! the measured role timeline and wall time, never added to them.
 //!
 //! Usage: `cargo run -p mq-bench --release --bin pipeline_breakdown
-//!         [--qubits 16] [--chunk-bits 12]`
+//!         [--qubits 16] [--chunk-bits 10]`
+//!
+//! The default gives every stage 16 groups. The overlap witness is spans of
+//! different host roles open at once — the device's own thread records
+//! none — and four groups a stage through two staging slots (2^12-amp
+//! chunks) leave decode and recompress next to nothing to overlap.
 
 use memqsim_core::{build_store, engine::hybrid, Counter, MemQSimConfig};
 use mq_bench::{write_results_json, Args, Table};
@@ -23,7 +28,7 @@ fn fmt(d: Duration) -> String {
 fn main() {
     let args = Args::capture();
     let n: u32 = args.get("qubits", 16u32);
-    let chunk_bits: u32 = args.get("chunk-bits", 12u32);
+    let chunk_bits: u32 = args.get("chunk-bits", 10u32);
 
     let cfg = MemQSimConfig {
         chunk_bits,
@@ -55,40 +60,29 @@ fn main() {
         rows.push((key, label, r));
     }
 
-    let mut t = Table::new(&[
-        "mode",
-        "decompress",
-        "H2D (model)",
-        "kernels (model)",
-        "D2H (model)",
-        "recompress",
-        "modeled serial",
-        "modeled overlapped",
-        "wall",
-    ]);
-    for (_, label, r) in &rows {
-        t.row(&[
-            label.to_string(),
-            fmt(r.decompress),
-            fmt(r.device.modeled_h2d),
-            fmt(r.device.modeled_kernel),
-            fmt(r.device.modeled_d2h),
-            fmt(r.compress),
-            fmt(r.modeled_serial),
-            fmt(r.modeled_overlapped),
-            fmt(r.wall),
-        ]);
-    }
-    println!("{t}");
-
-    // Measured role timeline, straight from the mq-telemetry span record:
+    // Measured host timeline, straight from the mq-telemetry span record:
     // the union of busy intervals is what actually ran concurrently.
     let mut measured = Table::new(&[
         "mode",
-        "busy sum",
-        "busy union",
-        "measured overlap",
+        "decompress (measured)",
+        "recompress (measured)",
+        "busy sum (measured)",
+        "busy union (measured)",
+        "overlap (measured)",
         "roles overlap?",
+        "device real (measured)",
+        "wall (measured)",
+    ]);
+    // The deterministic device clock. The two clocks are never added.
+    let mut modeled = Table::new(&[
+        "mode",
+        "H2D (model)",
+        "kernels (model)",
+        "D2H (model)",
+        "device total (model)",
+    ]);
+    let mut counters = Table::new(&[
+        "mode",
         "H2D bytes",
         "D2H bytes",
         "kernel launches",
@@ -99,10 +93,24 @@ fn main() {
         let t = &r.telemetry;
         measured.row(&[
             label.to_string(),
+            fmt(r.decompress),
+            fmt(r.compress),
             fmt(t.serial_sum()),
             fmt(t.union_busy()),
             fmt(t.overlap()),
             t.has_role_overlap().to_string(),
+            fmt(r.device.real),
+            fmt(r.wall),
+        ]);
+        modeled.row(&[
+            label.to_string(),
+            fmt(r.device.modeled_h2d),
+            fmt(r.device.modeled_kernel),
+            fmt(r.device.modeled_d2h),
+            fmt(r.device.modeled),
+        ]);
+        counters.row(&[
+            label.to_string(),
             t.counter(Counter::BytesH2d).to_string(),
             t.counter(Counter::BytesD2h).to_string(),
             t.counter(Counter::KernelLaunches).to_string(),
@@ -110,7 +118,9 @@ fn main() {
             t.counter(Counter::CacheHits).to_string(),
         ]);
     }
-    println!("Measured role timeline (mq-telemetry):\n\n{measured}");
+    println!("Measured host timeline (mq-telemetry spans):\n\n{measured}");
+    println!("Modeled device clock:\n\n{modeled}");
+    println!("Counters:\n\n{counters}");
     let cached = &rows[2].2.telemetry;
     let uncached = &rows[1].2.telemetry;
     println!(
@@ -123,8 +133,6 @@ fn main() {
     );
 
     let r = &rows[1].2;
-    let overlap_gain =
-        r.modeled_serial.as_secs_f64() / r.modeled_overlapped.as_secs_f64().max(1e-12);
     println!(
         "\nSteps executed: {} stages, {} device groups.",
         r.stages, r.groups_device
@@ -133,9 +141,6 @@ fn main() {
         "Staging: {} pinned + {} device buffer bytes.",
         r.pinned_bytes, r.device_buffer_bytes
     );
-    println!("\nModeled overlap gain (serial / overlapped): {overlap_gain:.2}x");
-    println!("(Perfect double-buffering hides the smaller of CPU-side and device-side time;");
-    println!("the paper's Fig. 2 pipelines decompression, transfer and kernels the same way.)");
 
     // Shape checks. The serial ablation's stage barrier makes role overlap
     // structurally impossible; the pipelined run must show *measured*
@@ -143,7 +148,6 @@ fn main() {
     // workload offers any (more than one group per stage; a single-chunk
     // degenerate run has nothing to pipeline).
     let serial = &rows[0].2;
-    let model_ok = r.modeled_overlapped <= r.modeled_serial;
     let serial_ok = !serial.telemetry.has_role_overlap();
     let pipelinable = r.groups_device > r.stages;
     // The cached mode is excluded: cache hits remove most of the decompress
@@ -152,11 +156,7 @@ fn main() {
     let cache_ok =
         cached.counter(Counter::BytesDecompressed) < uncached.counter(Counter::BytesDecompressed);
     println!(
-        "\nShape {} — overlapped <= serial (model).",
-        if model_ok { "[OK]" } else { "[FAIL]" }
-    );
-    println!(
-        "Shape {} — serial run measured no role overlap.",
+        "\nShape {} — serial run measured no role overlap.",
         if serial_ok { "[OK]" } else { "[FAIL]" }
     );
     println!(
@@ -182,8 +182,7 @@ fn main() {
     let json = format!(
         "{{\n  \"experiment\": \"pipeline_breakdown\",\n  \"circuit\": \"qft{n}\",\n  \
          \"chunk_bits\": {chunk_bits},\n  \"cache_bytes\": {cache_bytes},\n  \
-         \"checks\": {{\"model_overlap\": {model_ok}, \
-         \"serial_no_overlap\": {serial_ok}, \"pipelined_overlap\": {piped_ok}, \
+         \"checks\": {{\"serial_no_overlap\": {serial_ok}, \"pipelined_overlap\": {piped_ok}, \
          \"cache_traffic_cut\": {cache_ok}}},\n  \
          \"modes\": {{\n{modes}\n  }}\n}}"
     );
@@ -192,7 +191,7 @@ fn main() {
         Err(e) => eprintln!("\ncould not write results JSON: {e}"),
     }
 
-    if !(model_ok && serial_ok && piped_ok && cache_ok) {
+    if !(serial_ok && piped_ok && cache_ok) {
         std::process::exit(1);
     }
 }

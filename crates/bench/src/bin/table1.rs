@@ -162,52 +162,6 @@ fn main() {
     }
     println!("{comp_table}");
 
-    // Layout row: a greedy-layout remap relabels chunks where they live.
-    // On the host the compressed payloads swap by pointer; the device hears
-    // one bookkeeping command (a scatter-shaped pass over the pair list).
-    // The alternative — realizing the permutation by re-shipping the state
-    // down and back up — pays the full vector on the link twice.
-    println!("## Layout remap (high-high chunk exchange) vs re-shipping the vector\n");
-    let mut remap_table = Table::new(&[
-        "qubits",
-        "chunk pairs",
-        "remap (model)",
-        "re-ship (model)",
-        "link bytes",
-    ]);
-    let mut remap_ok = true;
-    let mut remap_entries = Vec::new();
-    for &q in &qubit_rows {
-        let chunk_bits = q - 4; // 16 chunks: one high-high transposition
-        let chunk_count = 1usize << (q - chunk_bits);
-        let pairs: Vec<(usize, usize)> = (0..chunk_count / 2)
-            .map(|k| (k, k + chunk_count / 2))
-            .collect();
-        let stream = device.create_stream();
-        stream.remap_chunks(pairs.clone());
-        let stats = stream.synchronize().expect("remap stream failed");
-        let remap_s = stats.modeled.as_secs_f64();
-        let bytes = (1u64 << q) as f64 * 16.0;
-        let reship_s = bytes / device.spec().d2h_bandwidth
-            + bytes / device.spec().h2d_bandwidth
-            + device.spec().d2h_call_overhead
-            + device.spec().h2d_call_overhead;
-        remap_ok &= remap_s * 100.0 < reship_s && stats.bytes_h2d == 0 && stats.bytes_d2h == 0;
-        remap_table.row(&[
-            q.to_string(),
-            pairs.len().to_string(),
-            fmt_secs(remap_s),
-            fmt_secs(reship_s),
-            format!("0 vs {:.0e}", 2.0 * bytes),
-        ]);
-        remap_entries.push(format!(
-            "    {{\"qubits\": {q}, \"chunk_pairs\": {}, \"remap_model_s\": {remap_s}, \
-             \"reship_model_s\": {reship_s}, \"link_bytes\": 0}}",
-            pairs.len()
-        ));
-    }
-    println!("{remap_table}");
-
     println!("## Claim checks\n");
     let mut ok = true;
     for &(q, strategy, h2d, d2h) in &results {
@@ -264,12 +218,6 @@ fn main() {
         if comp_ok { "[OK]" } else { "[FAIL]" }
     );
     ok &= comp_ok;
-    println!(
-        "- L1: a layout remap is >= 100x cheaper than re-shipping the vector and moves \
-         zero link bytes {}",
-        if remap_ok { "[OK]" } else { "[FAIL]" }
-    );
-    ok &= remap_ok;
 
     let entries = telemetry_entries
         .iter()
@@ -286,12 +234,10 @@ fn main() {
     let json = format!(
         "{{\n  \"experiment\": \"table1\",\n  \"checks\": {{\"claims\": {}, \
          \"counters\": {counters_ok}, \"ordering\": {ordering_ok}, \
-         \"compressed_cut\": {comp_ok}, \"layout_remap\": {remap_ok}}},\n  \
-         \"entries\": [\n{entries}\n  ],\n  \"compressed\": [\n{}\n  ],\n  \
-         \"layout_remap\": [\n{}\n  ]\n}}",
+         \"compressed_cut\": {comp_ok}}},\n  \
+         \"entries\": [\n{entries}\n  ],\n  \"compressed\": [\n{}\n  ]\n}}",
         ok && counters_ok && ordering_ok,
-        comp_entries.join(",\n"),
-        remap_entries.join(",\n")
+        comp_entries.join(",\n")
     );
     match write_results_json("telemetry_table1", &json) {
         Ok(path) => println!("\nTelemetry written to {}.", path.display()),

@@ -68,29 +68,6 @@ impl RemapTransition {
             })
             .sum()
     }
-
-    /// The pairwise chunk exchanges the transition's high-high
-    /// transpositions perform, in application order: swapping two positions
-    /// at or above `chunk_bits` exchanges chunk `k` with `k` under the
-    /// corresponding chunk-index bit transposition. High-low and low-low
-    /// transpositions move amplitudes *within* existing chunk identities
-    /// and contribute no pairs.
-    pub fn chunk_exchange_pairs(&self, chunk_bits: u32, chunk_count: usize) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        for &(a, b) in &self.swaps {
-            let (a, b) = (a.min(b), a.max(b));
-            if a < chunk_bits {
-                continue;
-            }
-            let (b1, b2) = (1usize << (a - chunk_bits), 1usize << (b - chunk_bits));
-            for k in 0..chunk_count {
-                if k & b1 != 0 && k & b2 == 0 {
-                    pairs.push((k, k ^ b1 ^ b2));
-                }
-            }
-        }
-        pairs
-    }
 }
 
 /// One stage of the plan: a consecutive run of gates whose cross-chunk
@@ -453,35 +430,5 @@ mod tests {
         let plan = partition(&c, &cfg(2, 1));
         assert!(plan.stages.is_empty());
         assert_eq!(plan.gate_count(), 0);
-    }
-
-    #[test]
-    fn chunk_exchange_pairs_cover_only_high_high_swaps() {
-        // chunk_bits = 4, 16 chunks: swapping positions 5 and 7 transposes
-        // chunk-index bits 1 and 3 — chunks with (bit1, bit3) = (1, 0)
-        // exchange with their (0, 1) partners; everything else is fixed.
-        let t = RemapTransition {
-            swaps: vec![(5, 7)],
-        };
-        let pairs = t.chunk_exchange_pairs(4, 16);
-        assert_eq!(
-            pairs,
-            vec![
-                (0b0010, 0b1000),
-                (0b0011, 0b1001),
-                (0b0110, 0b1100),
-                (0b0111, 0b1101)
-            ]
-        );
-        // Each chunk appears at most once across the swap's pairs.
-        let mut seen: Vec<usize> = pairs.iter().flat_map(|&(i, j)| [i, j]).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), 2 * pairs.len());
-        // High-low and low-low transpositions keep chunk identities.
-        for swaps in [vec![(1u32, 6u32)], vec![(0, 2)]] {
-            let t = RemapTransition { swaps };
-            assert!(t.chunk_exchange_pairs(4, 16).is_empty());
-        }
     }
 }

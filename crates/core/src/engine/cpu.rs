@@ -18,7 +18,7 @@
 use crate::config::MemQSimConfig;
 use crate::engine::exec::{
     process_groups_on_cpu, run_with_executor, ApplyCounters, ChunkExecutor, ExecContext,
-    ExecutorStats, GroupWork, StageWork,
+    ExecutorStats, GroupWork,
 };
 use crate::engine::{EngineError, Granularity, RunReport};
 use crate::store::ChunkStore;
@@ -61,18 +61,13 @@ impl ChunkExecutor for CpuWorkerExecutor {
     }
 
     fn end_stage(&mut self, ctx: &ExecContext, index: u32) -> Result<(), EngineError> {
-        let work = StageWork {
-            index,
-            stage: ctx.stage(index),
-            groups: std::mem::take(&mut self.pending),
-            shards: Vec::new(),
-            error_allowance: ctx.stage_error_allowance(index),
-        };
-        let group_amps = work.stage.group_size() * ctx.chunk_amps();
+        let group_amps = ctx.stage(index).group_size() * ctx.chunk_amps();
         self.peak_buffer_bytes = self
             .peak_buffer_bytes
-            .max(ctx.cfg.workers.min(work.groups.len()) * group_amps * AMP_BYTES);
-        process_groups_on_cpu(ctx, &work, &self.counters)
+            .max(ctx.cfg.workers.min(self.pending.len()) * group_amps * AMP_BYTES);
+        let result = process_groups_on_cpu(ctx, index, &self.pending, &self.counters);
+        self.pending.clear();
+        result
     }
 
     fn finish(&mut self, _ctx: &ExecContext) -> Result<ExecutorStats, EngineError> {

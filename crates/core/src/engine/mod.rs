@@ -12,8 +12,8 @@
 //! * [`hybrid`] — [`hybrid::DevicePipelineExecutor`]: the full paper
 //!   pipeline (Fig. 2): CPU decompression, pinned staging buffers, H2D,
 //!   device gate kernels, D2H, CPU recompression — one lane shape: two
-//!   in-flight staging slots and one in-order stream per device, every
-//!   group of a stage to the fleet.
+//!   in-flight staging slots, one in-order stream and one recompressor
+//!   thread per device, every group of a stage to the fleet.
 //! * [`report`] — the unified [`RunReport`] every run produces.
 
 pub mod cpu;
@@ -23,7 +23,7 @@ pub mod report;
 
 pub use exec::{
     build_plan, run_plan_with_executor, run_with_executor, stage_error_bounds, ChunkExecutor,
-    ExecContext, ExecutorStats, GroupWork, SerialAdapter, StageBatchExecutor, StageWork,
+    ExecContext, ExecutorStats, GroupWork, SerialAdapter,
 };
 pub use report::RunReport;
 
@@ -54,6 +54,13 @@ pub enum EngineError {
         store_chunk_bits: u32,
         /// log2 amplitudes per chunk the config requires.
         config_chunk_bits: u32,
+    },
+    /// A thread the executor started for the run panicked. The run's other
+    /// threads were joined and its buffers released; the state in the store
+    /// is whatever the stages before the panic left.
+    WorkerPanicked {
+        /// The pipeline role the thread was running.
+        role: &'static str,
     },
     /// Two backends disagreed beyond tolerance on the same circuit.
     BackendDivergence {
@@ -88,6 +95,9 @@ impl fmt::Display for EngineError {
                 f,
                 "chunk geometry mismatch: the store uses 2^{store_chunk_bits}-amplitude chunks but the configuration requires 2^{config_chunk_bits}"
             ),
+            EngineError::WorkerPanicked { role } => {
+                write!(f, "the {role} thread panicked; the run was abandoned")
+            }
             EngineError::BackendDivergence {
                 first,
                 other,

@@ -85,11 +85,6 @@ pub struct RunReport {
     pub pinned_bytes: usize,
     /// Device working-buffer bytes held by the executor (0 for CPU-only).
     pub device_buffer_bytes: usize,
-    /// Modeled end-to-end time with no overlap (sum of all phases).
-    pub modeled_serial: Duration,
-    /// Modeled end-to-end time with perfect phase overlap
-    /// (max of CPU-side and device-side busy time).
-    pub modeled_overlapped: Duration,
     /// The run's end-state fidelity target (`None` when no budget was
     /// configured).
     pub fidelity_budget: Option<f64>,
@@ -107,11 +102,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Total CPU-side busy time (decompress + apply + recompress).
-    pub fn cpu_busy(&self) -> Duration {
-        self.decompress + self.cpu_apply + self.compress
-    }
-
     /// The visits the run's plan asked for: performed plus elided. Plans
     /// (fixed vs greedy layout, raw vs compressed transfers) compare on
     /// this, because how many of a plan's visits find an all-zero group

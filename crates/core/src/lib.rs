@@ -58,7 +58,7 @@ pub use backend::{
 pub use config::{MemQSimConfig, MemQSimConfigBuilder, StoreKind, TransferMode};
 pub use engine::{
     run_plan_with_executor, run_with_executor, ChunkExecutor, EngineError, ExecContext,
-    ExecutorStats, Granularity, GroupWork, RunReport, SerialAdapter, StageBatchExecutor, StageWork,
+    ExecutorStats, Granularity, GroupWork, RunReport, SerialAdapter,
 };
 pub use mq_compress::Precision;
 pub use mq_telemetry::{Counter, DeviceLane, Role, RunTelemetry, SpanRecord, Telemetry};

@@ -300,9 +300,6 @@ enum Command {
         codec: Arc<dyn Codec>,
         out: PayloadCell,
     },
-    RemapChunks {
-        pairs: Vec<(usize, usize)>,
-    },
     RecordEvent(Event),
     Sync(Sender<Result<StreamStats, DeviceError>>),
     Shutdown,
@@ -514,21 +511,6 @@ impl Stream {
             out: out.clone(),
         });
         out
-    }
-
-    /// Enqueues a chunk-identity remap notice: the host permuted the chunk
-    /// space by the given pairwise exchanges (a layout remap transition),
-    /// so any chunk-keyed affinity this device's pipelines assumed is now
-    /// stale. The command moves no arena data — staging buffers are
-    /// reloaded per group — but the modeled clock is charged one
-    /// scatter-shaped pass over the exchanged pairs, keeping fleet
-    /// makespans honest about re-sharding at transition boundaries. No-op
-    /// for an empty list.
-    pub fn remap_chunks(&self, pairs: Vec<(usize, usize)>) {
-        if pairs.is_empty() {
-            return;
-        }
-        self.send(Command::RemapChunks { pairs });
     }
 
     /// Enqueues an event; it signals when all prior commands have executed.
@@ -818,15 +800,6 @@ fn execute(
             out.fill(payload);
             Ok(())
         }
-        Command::RemapChunks { pairs } => {
-            let t = spec.scatter_time(pairs.len());
-            stats.modeled += t;
-            stats.modeled_scatter += t;
-            if let Some(tele) = device.telemetry.read().as_ref() {
-                tele.add(Counter::ScatterOps, 1);
-            }
-            Ok(())
-        }
         Command::Sync(_) | Command::RecordEvent(_) | Command::Shutdown => unreachable!(),
     }
 }
@@ -863,31 +836,6 @@ mod tests {
         assert_eq!(stats.bytes_h2d, 256 * std::mem::size_of::<Complex64>());
         assert_eq!(stats.bytes_d2h, 256 * std::mem::size_of::<Complex64>());
         assert!(stats.modeled > Duration::ZERO);
-    }
-
-    #[test]
-    fn remap_chunks_charges_a_scatter_pass() {
-        let dev = tiny_device(1024);
-        let stream = dev.create_stream();
-        stream.remap_chunks(vec![(0, 2), (1, 3)]);
-        let stats = stream.synchronize().unwrap();
-        assert_eq!(stats.commands, 1);
-        assert!(stats.modeled_scatter > Duration::ZERO);
-        assert_eq!(stats.modeled, stats.modeled_scatter);
-        // No arena data moves: nothing is charged to copies or kernels.
-        assert_eq!(stats.bytes_h2d, 0);
-        assert_eq!(stats.bytes_d2h, 0);
-        assert_eq!(stats.modeled_kernel, Duration::ZERO);
-    }
-
-    #[test]
-    fn remap_chunks_with_no_pairs_is_a_no_op() {
-        let dev = tiny_device(1024);
-        let stream = dev.create_stream();
-        stream.remap_chunks(vec![]);
-        let stats = stream.synchronize().unwrap();
-        assert_eq!(stats.commands, 0);
-        assert_eq!(stats.modeled, Duration::ZERO);
     }
 
     #[test]

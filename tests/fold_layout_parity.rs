@@ -13,9 +13,7 @@
 use memqsim_core::engine::cpu::CpuWorkerExecutor;
 use memqsim_core::engine::hybrid::DevicePipelineExecutor;
 use memqsim_core::engine::{build_plan, Granularity};
-use memqsim_core::{
-    build_store, run_plan_with_executor, ChunkStore, MemQSimConfig, RunReport, SerialAdapter,
-};
+use memqsim_core::{build_store, run_plan_with_executor, ChunkStore, MemQSimConfig, RunReport};
 use mq_circuit::partition::{partition, PartitionConfig, Plan};
 use mq_circuit::reorder::reorder_for_locality;
 use mq_circuit::{Circuit, Gate};
@@ -84,7 +82,7 @@ fn run(plan: Plan, chunk_bits: u32, hybrid: bool) -> (Vec<Complex64>, RunReport)
     let store = build_store(plan.n_qubits, &cfg).expect("store");
     let report = if hybrid {
         let fleet = DeviceTopology::homogeneous(1, DeviceSpec::tiny_test(1 << 13)).build();
-        let mut executor = SerialAdapter::new(DevicePipelineExecutor::new_fleet(&fleet, true));
+        let mut executor = DevicePipelineExecutor::new_fleet(&fleet, true);
         run_plan_with_executor(&store, plan, &cfg, &mut executor).expect("run")
     } else {
         run_plan_with_executor(&store, plan, &cfg, &mut CpuWorkerExecutor::new()).expect("run")

@@ -2,17 +2,22 @@
 //! tiny staging pools, many chunks, worker threads, device OOM, and
 //! sampling equivalence between dense and compressed paths.
 
+use memqsim_core::engine::hybrid::{self, DevicePipelineExecutor};
 use memqsim_core::{
-    build_store, engine::hybrid, measure, ChunkStore, Counter, EngineError, MemQSimConfig, Role,
-    Telemetry,
+    build_store, build_store_from_amplitudes, measure, run_with_executor, ChunkStore,
+    CompressedTier, Counter, EngineError, Granularity, MemQSimConfig, Role, Telemetry,
+    TransferMode,
 };
 use mq_circuit::library;
 use mq_circuit::unitary::run_dense;
-use mq_compress::CodecSpec;
-use mq_device::{Device, DeviceError, DeviceSpec};
+use mq_compress::{Codec, CodecError, CodecSpec};
+use mq_device::{Device, DeviceError, DeviceSpec, DeviceTopology};
 use mq_num::metrics::max_amp_err;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 fn cfg(chunk_bits: u32) -> MemQSimConfig {
     MemQSimConfig {
@@ -87,6 +92,130 @@ fn store_survives_a_failed_run() {
     assert_eq!(dense.len(), 256);
     // The |0..0> amplitude is still there (no gates committed).
     assert!((store.norm().unwrap() - 1.0).abs() < 1e-6);
+}
+
+#[test]
+fn corruption_mid_stage_is_typed_and_leaves_the_executor_reusable() {
+    // "submit fails → no end_stage → finish drains" against the real
+    // pipeline. No chunk of the start state is zero, so every group goes to
+    // a device, and chunk 15 is first loaded by the last group of stage 0,
+    // behind groups still in flight.
+    let circuit = library::qft(7);
+    let start = run_dense(&library::random_circuit(7, 4, 3), 0);
+    let mut want = None;
+    for (pipelined, devices, transfer_mode) in [
+        (true, 1, TransferMode::Raw),
+        (true, 1, TransferMode::Compressed),
+        (true, 2, TransferMode::Raw),
+        (true, 2, TransferMode::Compressed),
+        (false, 1, TransferMode::Raw),
+        (false, 1, TransferMode::Compressed),
+        (false, 2, TransferMode::Raw),
+        (false, 2, TransferMode::Compressed),
+    ] {
+        let what = format!("pipelined={pipelined} x{devices} {transfer_mode:?}");
+        let config = MemQSimConfig {
+            devices,
+            transfer_mode,
+            ..cfg(3)
+        };
+        let fleet = DeviceTopology::homogeneous(devices, DeviceSpec::tiny_test(1 << 12)).build();
+        let mut exec = DevicePipelineExecutor::new_fleet(&fleet, pipelined);
+        let mut round = |corrupt: bool| {
+            let store = build_store_from_amplitudes(&start, &config).unwrap();
+            if corrupt {
+                store.debug_corrupt_chunk(15);
+            }
+            let result =
+                run_with_executor(&store, &circuit, &config, Granularity::Staged, &mut exec);
+            (store, result)
+        };
+        let (store, result) = round(true);
+        match result {
+            Err(EngineError::Codec(CodecError::Corrupt(msg))) => {
+                assert!(
+                    msg.contains("chunk 15") && msg.contains("checksum"),
+                    "{what}: {msg}"
+                )
+            }
+            other => panic!("{what}: {other:?}"),
+        }
+        // Mid-stage: other groups were loaded before it (15 chunks under
+        // today's plan).
+        assert!(store.counters().chunk_visits >= 4, "{what}");
+        assert!(fleet.iter().all(|d| d.used_amps() == 0), "{what}");
+        // The same executor then runs clean, to the same bits in every cell.
+        let (store, result) = round(false);
+        result.unwrap_or_else(|e| panic!("{what}: {e}"));
+        let state = store.to_dense().unwrap();
+        assert_eq!(&state, want.get_or_insert_with(|| state.clone()), "{what}");
+    }
+    let mut whole = library::random_circuit(7, 4, 3);
+    whole.extend(&circuit);
+    assert!(max_amp_err(&want.unwrap(), &run_dense(&whole, 0)) < 1e-8);
+}
+
+/// FPC that panics on the `n`-th `compress` after `left` is set to `n`.
+struct PanickingCodec {
+    inner: Box<dyn Codec>,
+    left: AtomicIsize,
+}
+
+impl Codec for PanickingCodec {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn is_lossless(&self) -> bool {
+        true
+    }
+    fn compress(&self, data: &[f64]) -> Vec<u8> {
+        if self.left.fetch_sub(1, Ordering::SeqCst) == 1 {
+            panic!("injected codec panic");
+        }
+        self.inner.compress(data)
+    }
+    fn decompress(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
+        self.inner.decompress(bytes, out)
+    }
+}
+
+#[test]
+fn a_panicking_completer_is_a_typed_error_not_a_hang() {
+    // The whole scenario runs on a watchdog thread, so a regression fails
+    // the test instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let config = MemQSimConfig {
+            codec: CodecSpec::Fpc,
+            ..cfg(3)
+        };
+        let c = library::qft(9);
+        let dev = Device::new(DeviceSpec::tiny_test(1 << 12));
+        let mut exec = DevicePipelineExecutor::new(&dev, true);
+        let mut round = |store: &Arc<dyn ChunkStore>| {
+            run_with_executor(store, &c, &config, Granularity::Staged, &mut exec)
+        };
+
+        let codec = Arc::new(PanickingCodec {
+            inner: CodecSpec::Fpc.build(),
+            left: AtomicIsize::new(0),
+        });
+        let store: Arc<dyn ChunkStore> = Arc::new(CompressedTier::zero_state(9, 3, codec.clone()));
+        codec.left.store(8, Ordering::SeqCst);
+        let err = round(&store).unwrap_err();
+        assert_eq!(err, EngineError::WorkerPanicked { role: "recompress" });
+        assert_eq!(dev.used_amps(), 0);
+
+        // The same executor then serves a clean run, as a fresh one would.
+        let again = build_store(9, &config).unwrap();
+        round(&again).unwrap();
+        let fresh = build_store(9, &config).unwrap();
+        hybrid::run(&fresh, &c, &config, &dev, true).unwrap();
+        assert_eq!(again.to_dense().unwrap(), fresh.to_dense().unwrap());
+        tx.send(()).unwrap();
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("the run hung, or an assertion on its thread failed");
 }
 
 #[test]
