@@ -37,10 +37,10 @@ fn main() {
         "chunk-local",
         "stages",
         "staged visits",
-        "greedy-layout visits",
+        "scheduled visits",
         "per-gate visits",
         "fusion gain",
-        "layout gain",
+        "scheduling gain",
     ]);
     for c in &circuits {
         let p = locality_profile(c, chunk_bits);
@@ -54,10 +54,10 @@ fn main() {
             format!("{:.0}%", 100.0 * p.local_fraction()),
             p.stages.to_string(),
             p.staged_chunk_visits.to_string(),
-            p.greedy_chunk_visits.to_string(),
+            p.scheduled_chunk_visits.to_string(),
             p.per_gate_chunk_visits.to_string(),
             format!("{:.1}x", p.staging_gain()),
-            format!("{:.1}x", p.layout_gain()),
+            format!("{:.1}x", p.scheduling_gain()),
         ]);
     }
     println!("{t}");
@@ -69,7 +69,7 @@ fn main() {
         "chunk-local gates",
         "stages",
         "fusion gain",
-        "layout gain",
+        "scheduling gain",
     ]);
     for cb in (8..=n.min(22)).step_by(2) {
         let p = locality_profile(&qft, cb);
@@ -78,15 +78,15 @@ fn main() {
             format!("{:.0}%", 100.0 * p.local_fraction()),
             p.stages.to_string(),
             format!("{:.1}x", p.staging_gain()),
-            format!("{:.1}x", p.layout_gain()),
+            format!("{:.1}x", p.scheduling_gain()),
         ]);
     }
     println!("{t}");
     println!("\nReading: GHZ/QAOA are nearly chunk-local (cheap for MEMQSIM); QFT's");
     println!("controlled-phase cascade is diagonal (control-only, no pairing) so even it");
     println!("stages well; unstructured random circuits are the worst case — exactly the");
-    println!("algorithm-dependence the paper calls out. The layout column is the further");
-    println!("cut a greedy logical->physical remap takes off the staged plan (QFT's tail");
-    println!("swap network is absorbed outright; workloads the layout cannot help stay");
-    println!("at 1.0x because the planner falls back to the fixed plan).");
+    println!("algorithm-dependence the paper calls out. The scheduling column is the");
+    println!("further cut the dependency scheduler takes off the as-written plan (QFT's");
+    println!("tail swap network is absorbed outright; commuting gates share stages; hot");
+    println!("qubits are swapped below the chunk boundary inside a stage).");
 }

@@ -1,28 +1,26 @@
-//! **Experiment L1 — qubit-layout locality sweep.**
+//! **Experiment L1 — locality sweep: the circuit as written vs the shipped
+//! plan.**
 //!
-//! The shipped planner reorders commuting gates and then lets the greedy
-//! layout *move* hot cross-chunk qubits below the chunk boundary instead of
-//! repeatedly paying cross-chunk stages for them. This sweep runs the
-//! shipped plan against two hand-built baselines — the fixed-layout
-//! `partition(..)` of the circuit as written (`fixed`) and of the reordered
-//! gate list (`reorder-only`) — and pins the three claims that make the
-//! layout machinery worth having:
+//! Every run is planned by the dependency scheduler
+//! (`mq_circuit::schedule`): gates ordered only by the DAG of non-commuting
+//! overlaps, stages chosen by list scheduling, hot qubits swapped below the
+//! chunk boundary inside the stages, `Swap`s on two high positions absorbed.
+//! This sweep runs the shipped plan against two hand-built references — the
+//! fixed-layout `partition(..)` of the circuit *as written* and of the
+//! scheduler's own gate order — and pins the claims that make the scheduler
+//! worth having:
 //!
-//! * safety: the shipped plan never visits more chunks than either
-//!   baseline (the planner falls back to the fixed layout whenever
-//!   remapping would not strictly win), and its state is bit-identical to
-//!   the reorder-only state it extends;
-//! * a real win: on at least one random/QAOA workload the greedy layout
-//!   cuts chunk visits ≥ 1.5x below the *reorder-only* baseline — gains
-//!   commutation-aware gate reordering cannot reach, because the hot
-//!   targets share one non-diagonal control;
-//! * free transpositions: high-high remaps (QFT's absorbed tail swap
-//!   network) exchange whole compressed payloads — the remap pass adds
-//!   zero chunk visits, so no decode is ever charged for it.
+//! * safety: the shipped plan never asks for more chunk visits than the
+//!   circuit as written, and its state is bit-identical to `partition` of
+//!   the order it executes (inserted and absorbed swaps are exact
+//!   permutations);
+//! * a real win: ≥ 2x fewer planned visits on the random circuit and ≥ 5x
+//!   on the one whose hot targets rotate under a shared control — the second
+//!   out of reach of reordering alone, because no two of its CX commute.
 //!
 //! Workloads: a seeded random circuit, a random circuit with rotating hot
 //! high targets, a QAOA ring, and QFT, each at chunk_bits 6–8, with the
-//! measured wall time of every run beside its visit count (`--qubits 20`
+//! measured wall time of both runs beside their visit counts (`--qubits 20`
 //! is the seconds-scale row set). Visit counts are *planned* visits —
 //! performed plus the ones the engine elided because the group was known
 //! to be all zero — since that is what a plan costs; the shipped run's
@@ -39,8 +37,8 @@ use memqsim_core::engine::{build_plan, Granularity};
 use memqsim_core::{build_store, run_plan_with_executor, MemQSimConfig, RunReport};
 use mq_bench::{fmt_secs, write_results_json, Args, Table};
 use mq_circuit::partition::{partition, PartitionConfig, Plan};
-use mq_circuit::reorder::reorder_for_locality;
-use mq_circuit::{library, Circuit};
+use mq_circuit::schedule::schedule;
+use mq_circuit::{library, Circuit, Gate};
 use mq_compress::CodecSpec;
 use mq_num::metrics::max_amp_err;
 use mq_num::Complex64;
@@ -49,8 +47,8 @@ use rand::{Rng, SeedableRng};
 
 /// Random circuit whose two-qubit gates keep hitting the top three qubits
 /// under one shared low control. The shared non-diagonal control defeats
-/// commutation-aware reordering (no two CX gates commute), while one remap
-/// pass drops the targets below the chunk boundary for the whole body.
+/// reordering (no two CX gates commute), while two swaps inside the first
+/// stage drop the targets below the chunk boundary for the whole body.
 fn random_hot_targets(n: u32, blocks: usize, seed: u64) -> Circuit {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut c = Circuit::new(n);
@@ -99,108 +97,84 @@ fn main() {
     let n: u32 = args.get("qubits", 16u32);
     let check = args.has("check");
 
-    println!("# L1 — qubit-layout locality sweep ({n} qubits, chunk_bits 6-8)\n");
+    println!("# L1 — locality sweep: as written vs shipped ({n} qubits, chunk_bits 6-8)\n");
 
     let mut failures = Vec::new();
     let mut json_rows = Vec::new();
-    let mut best_ratio = 0.0f64;
-    let mut best_tag = String::new();
-    let mut payload_swaps_proven = false;
+    // Smallest planned-visit cut per workload, over the chunk widths.
+    let mut worst_cut: Vec<(&str, f64)> = Vec::new();
     for (workload, circuit) in workloads(n) {
         let mut t = Table::new(&[
             "chunk_bits",
-            "fixed",
-            "reorder-only",
+            "as written",
             "shipped",
             "shipped performed",
-            "vs reorder",
-            "remaps",
-            "saved",
-            "wall s (measured) fixed / reorder / shipped",
+            "cut",
+            "stages",
+            "swaps in stage",
+            "wall s (measured) as written / shipped",
             "parity",
         ]);
+        let mut cut = f64::INFINITY;
         for chunk_bits in [6u32, 7, 8] {
             let cfg = config(chunk_bits);
             let pcfg = PartitionConfig {
                 chunk_bits,
                 max_high_qubits: cfg.max_high_qubits,
             };
-            let (fixed_state, fixed) = run(partition(&circuit, &pcfg), &cfg);
-            let reordered = reorder_for_locality(&circuit, chunk_bits);
-            let (reorder_state, reorder) = run(partition(&reordered, &pcfg), &cfg);
-            let (greedy_state, greedy) = run(build_plan(&circuit, &cfg, Granularity::Staged), &cfg);
+            let scheduled = schedule(&circuit, &pcfg);
+            let plan = build_plan(&circuit, &cfg, Granularity::Staged);
+            let gates = plan.stages.iter().flat_map(|s| &s.gates);
+            let own_swaps = circuit
+                .gates()
+                .iter()
+                .filter(|g| matches!(g, Gate::Swap(..)));
+            let swaps = gates.filter(|g| matches!(g, Gate::Swap(..))).count() as i64
+                - own_swaps.count() as i64;
+            let (written_state, written) = run(partition(&circuit, &pcfg), &cfg);
+            let (order_state, _) = run(partition(&scheduled.linearized(&circuit), &pcfg), &cfg);
+            let (shipped_state, shipped) = run(plan, &cfg);
             let tag = format!("{workload} cb{chunk_bits}");
             // Plans are compared on the visits they ask for (performed +
             // elided): how many of them find an all-zero group depends on
             // where a layout leaves the early, sparse state.
-            let (fixed_visits, reorder_visits, greedy_visits) = (
-                fixed.planned_visits(),
-                reorder.planned_visits(),
-                greedy.planned_visits(),
-            );
+            let (written_visits, shipped_visits) =
+                (written.planned_visits(), shipped.planned_visits());
 
-            // Layout must be a bit-level no-op against the same base
-            // circuit (reorder-only); the reorder pass itself changes the
-            // floating-point evaluation order, so the fixed baseline is
+            // The layout must be a bit-level no-op against the gate order
+            // the plan executes; reordering itself changes the
+            // floating-point evaluation order, so the circuit as written is
             // held to numeric tolerance instead.
-            let bit_identical = reorder_state == greedy_state;
+            let bit_identical = order_state == shipped_state;
             if !bit_identical {
-                failures.push(format!("{tag}: shipped diverged from reorder-only"));
+                failures.push(format!(
+                    "{tag}: shipped diverged from partition of its own order"
+                ));
             }
-            let err = max_amp_err(&fixed_state, &greedy_state);
+            let err = max_amp_err(&written_state, &shipped_state);
             if err > 1e-10 {
-                failures.push(format!("{tag}: shipped vs fixed err {err:.3e}"));
+                failures.push(format!("{tag}: shipped vs as written err {err:.3e}"));
             }
-            if greedy_visits > fixed_visits {
+            if shipped_visits > written_visits {
                 failures.push(format!(
-                    "{tag}: shipped visits {greedy_visits} > fixed {fixed_visits}"
+                    "{tag}: shipped visits {shipped_visits} > as written {written_visits}"
                 ));
-            }
-            if greedy_visits > reorder_visits {
-                failures.push(format!(
-                    "{tag}: shipped visits {greedy_visits} > reorder-only {reorder_visits}"
-                ));
-            }
-            if greedy.remap_passes > 0 && greedy.chunk_visits_saved_by_layout == 0 {
-                failures.push(format!("{tag}: remapped without saving visits"));
-            }
-            // QFT's absorbed tail swaps are high-high: the epilogue that
-            // undoes them exchanges whole compressed payloads, so it adds
-            // remap passes but ZERO chunk visits — every decode in the run
-            // is a stage visit, and the totals divide exactly.
-            let chunk_count = 1usize << (n - chunk_bits);
-            if workload == "qft" && greedy.remap_passes > 0 {
-                if greedy_visits == greedy.stages * chunk_count {
-                    payload_swaps_proven = true;
-                } else {
-                    failures.push(format!(
-                        "{tag}: high-high remap decoded chunks (visits {greedy_visits} != stages {} x {chunk_count})",
-                        greedy.stages
-                    ));
-                }
             }
 
-            let ratio = reorder_visits as f64 / greedy_visits.max(1) as f64;
-            if (workload.starts_with("random") || workload.starts_with("qaoa"))
-                && ratio > best_ratio
-            {
-                best_ratio = ratio;
-                best_tag = tag.clone();
-            }
+            let ratio = written_visits as f64 / shipped_visits.max(1) as f64;
+            cut = cut.min(ratio);
             t.row(&[
                 chunk_bits.to_string(),
-                fixed_visits.to_string(),
-                reorder_visits.to_string(),
-                greedy_visits.to_string(),
-                greedy.chunk_visits.to_string(),
+                written_visits.to_string(),
+                shipped_visits.to_string(),
+                shipped.chunk_visits.to_string(),
                 format!("{ratio:.2}x"),
-                greedy.remap_passes.to_string(),
-                greedy.chunk_visits_saved_by_layout.to_string(),
+                format!("{} -> {}", written.stages, shipped.stages),
+                swaps.to_string(),
                 format!(
-                    "{} / {} / {}",
-                    fmt_secs(fixed.wall.as_secs_f64()),
-                    fmt_secs(reorder.wall.as_secs_f64()),
-                    fmt_secs(greedy.wall.as_secs_f64())
+                    "{} / {}",
+                    fmt_secs(written.wall.as_secs_f64()),
+                    fmt_secs(shipped.wall.as_secs_f64())
                 ),
                 if bit_identical {
                     "exact".to_string()
@@ -210,43 +184,49 @@ fn main() {
             ]);
             json_rows.push(format!(
                 "    {{\"workload\": \"{workload}\", \"chunk_bits\": {chunk_bits}, \
-                 \"fixed_visits\": {}, \"reorder_only_visits\": {}, \
-                 \"shipped_visits\": {}, \"shipped_visits_performed\": {}, \
-                 \"reduction_vs_reorder\": {ratio:.4}, \
-                 \"remap_passes\": {}, \"visits_saved\": {}, \
-                 \"fixed_wall_s_measured\": {:.4}, \"reorder_only_wall_s_measured\": {:.4}, \
+                 \"as_written_visits\": {written_visits}, \
+                 \"shipped_visits\": {shipped_visits}, \"shipped_visits_performed\": {}, \
+                 \"cut\": {ratio:.4}, \"as_written_stages\": {}, \"shipped_stages\": {}, \
+                 \"swaps_in_stage\": {swaps}, \"remap_passes\": {}, \
+                 \"as_written_wall_s_measured\": {:.4}, \
                  \"shipped_wall_s_measured\": {:.4}, \"bit_identical\": {bit_identical}}}",
-                fixed_visits,
-                reorder_visits,
-                greedy_visits,
-                greedy.chunk_visits,
-                greedy.remap_passes,
-                greedy.chunk_visits_saved_by_layout,
-                fixed.wall.as_secs_f64(),
-                reorder.wall.as_secs_f64(),
-                greedy.wall.as_secs_f64()
+                shipped.chunk_visits,
+                written.stages,
+                shipped.stages,
+                shipped.remap_passes,
+                written.wall.as_secs_f64(),
+                shipped.wall.as_secs_f64()
             ));
         }
         println!("## {workload}{n}\n\n{t}");
+        worst_cut.push((workload, cut));
     }
 
-    if best_ratio < 1.5 {
-        failures.push(format!(
-            "best shipped-vs-reorder reduction {best_ratio:.2}x < 1.5x on every random/QAOA workload"
-        ));
-    }
-    if !payload_swaps_proven {
-        failures.push("no qft config exercised a payload-moving high-high remap".to_string());
+    for (workload, floor) in [("random", 2.0), ("random-hot-targets", 5.0)] {
+        let cut = worst_cut
+            .iter()
+            .find(|(w, _)| *w == workload)
+            .expect("workload")
+            .1;
+        if cut < floor {
+            failures.push(format!(
+                "{workload}: planned-visit cut {cut:.2}x < {floor}x"
+            ));
+        }
     }
 
+    let cuts: Vec<String> = worst_cut
+        .iter()
+        .map(|(w, cut)| format!("\"{w}\": {cut:.4}"))
+        .collect();
     let json = format!(
         "{{\n  \"experiment\": \"locality\",\n  \"qubits\": {n},\n  \
          \"gates\": {{\"parity_exact\": true, \"shipped_never_worse\": true, \
-         \"reduction_1_5x_vs_reorder\": true, \"payload_swaps_no_decode\": true, \
+         \"random_cut_2x\": true, \"random_hot_targets_cut_5x\": true, \
          \"pass\": {}}},\n  \
-         \"best_reduction_vs_reorder\": {best_ratio:.4},\n  \
-         \"best_reduction_workload\": \"{best_tag}\",\n  \"sweep\": [\n{}\n  ]\n}}",
+         \"smallest_cut_vs_as_written\": {{{}}},\n  \"sweep\": [\n{}\n  ]\n}}",
         failures.is_empty(),
+        cuts.join(", "),
         json_rows.join(",\n")
     );
     match write_results_json("BENCH_locality", &json) {
@@ -255,10 +235,14 @@ fn main() {
     }
 
     if failures.is_empty() {
+        let cuts: Vec<String> = worst_cut
+            .iter()
+            .map(|(w, cut)| format!("{w} {cut:.2}x"))
+            .collect();
         println!(
-            "\nLocality: {best_ratio:.2}x best chunk-visit reduction vs reorder-only \
-             ({best_tag}), shipped never worse than either baseline, states bit-identical, \
-             high-high remaps moved payloads without decode. [OK]"
+            "\nLocality: planned chunk visits cut vs the circuit as written by at least {}; \
+             shipped never worse, states bit-identical to partition of the shipped order. [OK]",
+            cuts.join(", ")
         );
     } else {
         eprintln!("\nlocality sweep failures:");

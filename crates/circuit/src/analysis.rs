@@ -3,9 +3,10 @@
 //! "Different quantum algorithms' behaviors affect the access pattern on the
 //! state vector" — this module quantifies that: how chunk-local a circuit is
 //! for a given chunk size, how often qubits are touched, and how much
-//! staging the offline partitioner can save versus the per-gate baseline.
+//! staging the offline stage can save versus the per-gate baseline.
 
 use crate::partition::{partition, partition_per_gate, PartitionConfig};
+use crate::schedule::schedule;
 use crate::Circuit;
 
 /// Locality profile of a circuit for a given chunk size.
@@ -23,15 +24,14 @@ pub struct LocalityProfile {
     pub local_gates: usize,
     /// Gates with no pairing qubits at all (diagonal / control-only).
     pub diagonal_gates: usize,
-    /// Number of stages produced by the greedy planner (`max_high = 1`,
-    /// falling back to 2 if a gate demands it).
+    /// Number of stages packing the circuit as written takes (`max_high =
+    /// 1`, falling back to 2 if a gate demands it).
     pub stages: usize,
-    /// Chunk visits under the staged plan.
+    /// Chunk visits of that as-written plan.
     pub staged_chunk_visits: usize,
-    /// Chunk visits under the staged plan with a greedy qubit layout
-    /// (remap sweeps included; equals `staged_chunk_visits` when the
-    /// planner keeps the fixed layout).
-    pub greedy_chunk_visits: usize,
+    /// Chunk visits of the scheduler's plan for the same geometry (swap-only
+    /// tail sweeps included).
+    pub scheduled_chunk_visits: usize,
     /// Chunk visits under the per-gate baseline.
     pub per_gate_chunk_visits: usize,
     /// Per-qubit gate-touch counts (index = qubit).
@@ -56,14 +56,13 @@ impl LocalityProfile {
         self.per_gate_chunk_visits as f64 / self.staged_chunk_visits as f64
     }
 
-    /// Ratio of fixed-layout to greedy-layout chunk visits — the further
-    /// factor the remap machinery buys on top of staging (>= 1; exactly 1
-    /// when the planner keeps the fixed layout).
-    pub fn layout_gain(&self) -> f64 {
-        if self.greedy_chunk_visits == 0 {
+    /// Ratio of as-written to scheduled chunk visits — the further factor
+    /// planning by dependency buys on top of staging.
+    pub fn scheduling_gain(&self) -> f64 {
+        if self.scheduled_chunk_visits == 0 {
             return 1.0;
         }
-        self.staged_chunk_visits as f64 / self.greedy_chunk_visits as f64
+        self.staged_chunk_visits as f64 / self.scheduled_chunk_visits as f64
     }
 }
 
@@ -100,7 +99,7 @@ pub fn locality_profile(circuit: &Circuit, chunk_bits: u32) -> LocalityProfile {
         max_high_qubits: if needs_two_high { 2 } else { 1 },
     };
     let plan = partition(circuit, &cfg);
-    let greedy = crate::layout::plan_greedy(circuit, &cfg);
+    let scheduled = schedule(circuit, &cfg).plan;
     let per_gate = partition_per_gate(circuit, chunk_bits);
 
     LocalityProfile {
@@ -112,7 +111,7 @@ pub fn locality_profile(circuit: &Circuit, chunk_bits: u32) -> LocalityProfile {
         diagonal_gates,
         stages: plan.stages.len(),
         staged_chunk_visits: plan.chunk_visits(),
-        greedy_chunk_visits: greedy.chunk_visits(),
+        scheduled_chunk_visits: scheduled.chunk_visits(),
         per_gate_chunk_visits: per_gate.chunk_visits(),
         qubit_touches,
     }
@@ -152,21 +151,18 @@ mod tests {
     }
 
     #[test]
-    fn greedy_layout_never_profiles_worse_than_fixed() {
+    fn the_scheduler_never_profiles_worse_than_as_written() {
         for c in library::standard_suite(8) {
             let p = locality_profile(&c, 4);
-            assert!(
-                p.greedy_chunk_visits <= p.staged_chunk_visits,
-                "{}: greedy {} > fixed {}",
-                c.name(),
-                p.greedy_chunk_visits,
-                p.staged_chunk_visits
-            );
-            assert!(p.layout_gain() >= 1.0, "{}", c.name());
+            assert!(p.scheduling_gain() >= 1.0, "{}: {p:?}", c.name());
         }
         // QFT's absorbed tail swap network makes the gain strict.
         let p = locality_profile(&library::qft(10), 4);
-        assert!(p.layout_gain() > 1.0, "qft gain {}", p.layout_gain());
+        assert!(
+            p.scheduling_gain() > 1.0,
+            "qft gain {}",
+            p.scheduling_gain()
+        );
     }
 
     #[test]

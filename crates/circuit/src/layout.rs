@@ -1,51 +1,26 @@
-//! Logical→physical qubit layouts and the greedy remap-planning pass.
+//! Logical→physical qubit layouts.
 //!
-//! Gate *reordering* ([`crate::reorder`]) shuffles commuting gates but can
-//! never make a genuinely nonlocal gate local. Qubit *relabeling* can: a
-//! layout permutation assigns each logical qubit a physical bit position in
-//! the stored state, and a **remap transition** between stages physically
-//! swaps two bit positions so that upcoming hot cross-chunk qubits land in
-//! chunk-local positions. The three transposition classes have very
-//! different costs:
-//!
-//! * **high↔high** (both positions ≥ `chunk_bits`): a pure chunk-index
-//!   relabel — pairs of chunks exchange wholesale, no intra-chunk movement,
-//!   and a payload-capable store moves *compressed* bytes without a decode
-//!   (zero chunk visits).
-//! * **high↔low**: one full sweep — every chunk pair along the high bit is
-//!   gathered into one buffer and a strided intra-chunk gather swaps the
-//!   low bit with the chunk-selector bit (one visit per chunk).
-//! * **low↔low**: an intra-chunk bit swap per chunk (one visit per chunk).
-//!
-//! [`plan_greedy`] builds a [`Plan`] that may insert transitions between
-//! stages (greedy cost model: remap cost = one full-sweep pass, benefit =
-//! chunk visits saved over a lookahead window) and absorbs `Swap` gates
-//! whose physical qubits are both high into the layout for free. The final layout is
-//! restored to identity by the plan's epilogue transition, so a greedy run
-//! is bit-identical to a fixed-layout run. If the greedy plan does not
-//! strictly beat the fixed plan on total chunk visits (stage visits plus
-//! transition costs), the fixed plan is returned unchanged — greedy never
-//! loses.
+//! Gate *reordering* shuffles commuting gates but can never make a
+//! genuinely nonlocal gate local. Qubit *relabeling* can: a layout
+//! permutation assigns each logical qubit a physical bit position in the
+//! stored state. The scheduler ([`crate::schedule`]) moves the layout two
+//! ways: it folds a `Swap` gate on two high positions into the relabeling
+//! with no data movement, and it appends physical `Swap(low, high)` gates
+//! to a stage whose group buffer holds both positions anyway. The final
+//! layout is restored to identity before the plan ends, so a run under a
+//! moving layout lands on the same state as a fixed-layout run.
 
 use crate::gate::Gate;
-use crate::partition::{partition, PartitionConfig, Plan, RemapTransition, Stage};
-use crate::Circuit;
-
-/// How far ahead (in gates) the greedy pass looks when valuing a swap.
-const LOOKAHEAD: usize = 96;
 
 /// A logical→physical qubit layout: `phys_of(q)` is the bit position in the
 /// stored state that carries logical qubit `q`.
-///
-/// The empty layout is the identity for any register width (the default for
-/// plans built without a layout pass).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QubitLayout {
     phys_of_logical: Vec<u32>,
 }
 
 impl QubitLayout {
-    /// The explicit identity layout on `n` qubits.
+    /// The identity layout on `n` qubits.
     pub fn identity(n: u32) -> QubitLayout {
         QubitLayout {
             phys_of_logical: (0..n).collect(),
@@ -54,11 +29,7 @@ impl QubitLayout {
 
     /// Physical bit position of logical qubit `q`.
     pub fn phys(&self, q: u32) -> u32 {
-        if self.phys_of_logical.is_empty() {
-            q
-        } else {
-            self.phys_of_logical[q as usize]
-        }
+        self.phys_of_logical[q as usize]
     }
 
     /// True if every logical qubit sits at its own position.
@@ -71,9 +42,6 @@ impl QubitLayout {
 
     /// Logical qubit currently stored at physical position `p`.
     pub fn logical_at(&self, p: u32) -> u32 {
-        if self.phys_of_logical.is_empty() {
-            return p;
-        }
         self.phys_of_logical
             .iter()
             .position(|&x| x == p)
@@ -83,9 +51,6 @@ impl QubitLayout {
     /// Exchanges the logical qubits stored at physical positions `a` and
     /// `b` (the effect of executing a remap transposition `(a, b)`).
     pub fn swap_physical(&mut self, a: u32, b: u32) {
-        if self.phys_of_logical.is_empty() {
-            panic!("cannot mutate the implicit identity layout; use QubitLayout::identity(n)");
-        }
         let la = self.logical_at(a) as usize;
         let lb = self.logical_at(b) as usize;
         self.phys_of_logical[la] = b;
@@ -96,9 +61,6 @@ impl QubitLayout {
     /// qubits exchange physical positions with **no data movement** (the
     /// swap's basis permutation is deferred into the relabeling).
     pub fn absorb_logical_swap(&mut self, qa: u32, qb: u32) {
-        if self.phys_of_logical.is_empty() {
-            panic!("cannot mutate the implicit identity layout; use QubitLayout::identity(n)");
-        }
         self.phys_of_logical.swap(qa as usize, qb as usize);
     }
 
@@ -153,9 +115,6 @@ impl QubitLayout {
     /// resolve as free high↔high chunk exchanges; the low↔high crossings
     /// that genuinely moved data pay their sweep here.
     pub fn restore_to_identity(&self, chunk_bits: u32) -> Vec<(u32, u32)> {
-        if self.phys_of_logical.is_empty() {
-            return Vec::new();
-        }
         let n = self.phys_of_logical.len() as u32;
         let mut work = self.clone();
         let mut swaps = Vec::new();
@@ -175,287 +134,15 @@ impl QubitLayout {
     }
 }
 
-/// Sorted, deduplicated physical high pairing qubits of a physical-space
-/// gate.
-fn gate_high(g: &Gate, chunk_bits: u32) -> Vec<u32> {
-    let mut high: Vec<u32> = g
-        .pairing_qubits()
-        .into_iter()
-        .filter(|&q| q >= chunk_bits)
-        .collect();
-    high.sort_unstable();
-    high.dedup();
-    high
-}
-
-/// Counts the stages the greedy partitioner would need for `gates` (logical
-/// space) under `layout`, with `Swap` absorption applied the same way
-/// [`plan_greedy`] applies it. Returns `None` if some single gate would
-/// exceed `max_high` under this layout (the candidate is unschedulable).
-fn count_stages(
-    gates: &[Gate],
-    layout: &QubitLayout,
-    chunk_bits: u32,
-    max_high: u32,
-) -> Option<usize> {
-    let mut layout = layout.clone();
-    let mut stages = 0usize;
-    let mut cur_high: Vec<u32> = Vec::new();
-    let mut cur_open = false;
-    for g in gates {
-        if let Gate::Swap(a, b) = g {
-            let (pa, pb) = (layout.phys(*a), layout.phys(*b));
-            if pa.min(pb) >= chunk_bits {
-                layout.absorb_logical_swap(*a, *b);
-                continue;
-            }
-        }
-        let phys = layout.map_gate(g);
-        let high = gate_high(&phys, chunk_bits);
-        if high.len() > max_high as usize {
-            return None;
-        }
-        let mut union = cur_high.clone();
-        for &q in &high {
-            if !union.contains(&q) {
-                union.push(q);
-            }
-        }
-        if !cur_open || union.len() <= max_high as usize {
-            cur_high = union;
-            if !cur_open {
-                stages += 1;
-                cur_open = true;
-            }
-        } else {
-            stages += 1;
-            cur_high = high;
-        }
-    }
-    Some(stages)
-}
-
-/// Pairing-occurrence histogram over physical positions for a window of
-/// logical gates under `layout` (Swap gates that would be absorbed are
-/// tracked through the evolving layout, not counted).
-fn pairing_histogram(gates: &[Gate], layout: &QubitLayout, n: u32, chunk_bits: u32) -> Vec<usize> {
-    let mut layout = layout.clone();
-    let mut counts = vec![0usize; n as usize];
-    for g in gates {
-        if let Gate::Swap(a, b) = g {
-            let (pa, pb) = (layout.phys(*a), layout.phys(*b));
-            if pa.min(pb) >= chunk_bits {
-                layout.absorb_logical_swap(*a, *b);
-                continue;
-            }
-        }
-        let phys = layout.map_gate(g);
-        for q in phys.pairing_qubits() {
-            counts[q as usize] += 1;
-        }
-    }
-    counts
-}
-
-/// Best single high↔low transposition for the window, by simulated stage
-/// savings: returns `(low, high, stages_saved)` when some swap saves
-/// strictly more chunk visits than the one full sweep it costs.
-fn best_swap(
-    window: &[Gate],
-    rest: &[Gate],
-    layout: &QubitLayout,
-    n: u32,
-    chunk_bits: u32,
-    max_high: u32,
-) -> Option<(u32, u32, usize)> {
-    let base_stages = count_stages(window, layout, chunk_bits, max_high)?;
-    let hist = pairing_histogram(window, layout, n, chunk_bits);
-    // Hot high positions (most pairing work) and cold low positions
-    // (least), a handful of each — candidate pairs are their product.
-    let mut highs: Vec<u32> = (chunk_bits..n).filter(|&p| hist[p as usize] > 0).collect();
-    highs.sort_by_key(|&p| std::cmp::Reverse(hist[p as usize]));
-    highs.truncate(3);
-    let mut lows: Vec<u32> = (0..chunk_bits).collect();
-    lows.sort_by_key(|&p| hist[p as usize]);
-    lows.truncate(3);
-
-    let mut best: Option<(u32, u32, usize)> = None;
-    for &h in &highs {
-        for &l in &lows {
-            let mut cand = layout.clone();
-            cand.swap_physical(l, h);
-            // Every remaining gate must stay schedulable under the new
-            // labels, not just the window.
-            let Some(stages) = count_stages(window, &cand, chunk_bits, max_high) else {
-                continue;
-            };
-            if count_stages(rest, &cand, chunk_bits, max_high).is_none() {
-                continue;
-            }
-            let saved = base_stages.saturating_sub(stages);
-            // Benefit is `saved` full-sweep stage visits; cost is the one
-            // full-sweep gather pass the high↔low remap itself takes.
-            if saved > 1 && best.map(|(_, _, s)| saved > s).unwrap_or(true) {
-                best = Some((l, h, saved));
-            }
-        }
-    }
-    best
-}
-
-/// Builds a layout-aware plan for `circuit`: greedy remap transitions
-/// between stages, `Swap`-gate absorption into the layout, and an epilogue
-/// transition restoring identity. Falls back to the fixed-layout
-/// [`partition`] plan whenever greedy does not strictly reduce total chunk
-/// visits, so the returned plan never visits more chunks than the fixed
-/// one.
-pub fn plan_greedy(circuit: &Circuit, cfg: &PartitionConfig) -> Plan {
-    let fixed = partition(circuit, cfg);
-    let c = cfg.chunk_bits;
-    let n = circuit.n_qubits();
-    if n <= c || circuit.is_empty() {
-        return fixed;
-    }
-
-    let gates: Vec<Gate> = circuit.gates().to_vec();
-    let mut layout = QubitLayout::identity(n);
-    let mut stages: Vec<Stage> = Vec::new();
-    let mut pos = 0usize;
-    while pos < gates.len() {
-        // Absorb any leading Swap gates whose physical qubits are both high
-        // — a pure chunk relabel, free to execute and free to restore; a free
-        // relabel instead of a cross-chunk stage.
-        if let Gate::Swap(a, b) = &gates[pos] {
-            let (pa, pb) = (layout.phys(*a), layout.phys(*b));
-            if pa.min(pb) >= c {
-                layout.absorb_logical_swap(*a, *b);
-                pos += 1;
-                continue;
-            }
-        }
-
-        // Value remap transpositions at this stage boundary.
-        let mut swaps: Vec<(u32, u32)> = Vec::new();
-        loop {
-            let window_end = (pos + LOOKAHEAD).min(gates.len());
-            match best_swap(
-                &gates[pos..window_end],
-                &gates[window_end..],
-                &layout,
-                n,
-                c,
-                cfg.max_high_qubits,
-            ) {
-                Some((l, h, _)) if swaps.len() < n as usize => {
-                    layout.swap_physical(l, h);
-                    swaps.push((l, h));
-                }
-                _ => break,
-            }
-        }
-
-        // Pack one stage under the (possibly updated) layout.
-        let mut stage_gates: Vec<Gate> = Vec::new();
-        let mut cur_high: Vec<u32> = Vec::new();
-        while pos < gates.len() {
-            let g = &gates[pos];
-            if let Gate::Swap(a, b) = g {
-                let (pa, pb) = (layout.phys(*a), layout.phys(*b));
-                if pa.min(pb) >= c {
-                    // Absorption point: close the stage here so the next
-                    // boundary re-evaluates under the new labels.
-                    break;
-                }
-            }
-            let phys = layout.map_gate(g);
-            let high = gate_high(&phys, c);
-            assert!(
-                high.len() <= cfg.max_high_qubits as usize,
-                "gate {phys} needs {} high qubits under the layout but max_high_qubits is {}",
-                high.len(),
-                cfg.max_high_qubits
-            );
-            let mut union = cur_high.clone();
-            for &q in &high {
-                if !union.contains(&q) {
-                    union.push(q);
-                }
-            }
-            union.sort_unstable();
-            if union.len() <= cfg.max_high_qubits as usize || stage_gates.is_empty() {
-                cur_high = union;
-                stage_gates.push(phys);
-                pos += 1;
-            } else {
-                break;
-            }
-        }
-        if stage_gates.is_empty() {
-            continue; // the boundary only absorbed swaps
-        }
-        let mut stage = Stage::new(stage_gates, cur_high);
-        if !swaps.is_empty() {
-            stage.transition = Some(RemapTransition { swaps });
-        }
-        stage.layout = layout.clone();
-        stages.push(stage);
-    }
-
-    let restore = layout.restore_to_identity(c);
-    let epilogue = if restore.is_empty() {
-        None
-    } else {
-        Some(RemapTransition { swaps: restore })
-    };
-    let mut greedy = Plan {
-        n_qubits: n,
-        chunk_bits: c,
-        stages,
-        epilogue,
-        layout_visits_saved: 0,
-    };
-    let fixed_cost = fixed.chunk_visits();
-    let greedy_cost = greedy.chunk_visits();
-    if greedy.remap_passes() > 0 && greedy_cost < fixed_cost {
-        greedy.layout_visits_saved = fixed_cost - greedy_cost;
-        greedy
-    } else {
-        fixed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::library;
-
-    fn cfg(chunk_bits: u32, max_high: u32) -> PartitionConfig {
-        PartitionConfig {
-            chunk_bits,
-            max_high_qubits: max_high,
-        }
-    }
-
-    /// A circuit the reorder pass cannot improve (shared non-diagonal
-    /// control qubit) but relabeling collapses: three rotating high targets
-    /// with max_high 2, and cold low qubits that never pair.
-    fn rotating_high_targets(n: u32, rounds: usize) -> Circuit {
-        let mut c = Circuit::new(n);
-        for _ in 0..rounds {
-            c.cx(0, n - 1);
-            c.cx(0, n - 2);
-            c.cx(0, n - 3);
-        }
-        c
-    }
 
     #[test]
     fn identity_layout_maps_gates_unchanged() {
         let l = QubitLayout::identity(6);
         assert!(l.is_identity());
         assert_eq!(l.map_gate(&Gate::Cx(1, 4)), Gate::Cx(1, 4));
-        assert_eq!(QubitLayout::default().phys(3), 3);
-        assert!(QubitLayout::default().is_identity());
     }
 
     #[test]
@@ -503,88 +190,5 @@ mod tests {
             check.swap_physical(a, b);
         }
         assert!(check.is_identity());
-    }
-
-    #[test]
-    fn greedy_collapses_rotating_high_targets() {
-        let c = rotating_high_targets(10, 6);
-        let pcfg = cfg(5, 2);
-        let fixed = partition(&c, &pcfg);
-        let greedy = plan_greedy(&c, &pcfg);
-        assert!(greedy.remap_passes() > 0, "no remap inserted");
-        assert!(
-            greedy.chunk_visits() < fixed.chunk_visits(),
-            "greedy {} vs fixed {}",
-            greedy.chunk_visits(),
-            fixed.chunk_visits()
-        );
-        assert!(greedy.layout_visits_saved > 0);
-        // Every stage's layout is carried, and the epilogue restores it.
-        let last = greedy.stages.last().unwrap();
-        if last.layout.is_identity() {
-            assert!(greedy.epilogue.is_none());
-        } else {
-            assert!(greedy.epilogue.is_some());
-        }
-    }
-
-    #[test]
-    fn greedy_never_visits_more_chunks_than_fixed_on_the_suite() {
-        for c in library::standard_suite(8) {
-            for chunk_bits in [3u32, 5] {
-                let pcfg = cfg(chunk_bits, 2);
-                let fixed = partition(&c, &pcfg);
-                let greedy = plan_greedy(&c, &pcfg);
-                assert!(
-                    greedy.chunk_visits() <= fixed.chunk_visits(),
-                    "{} cb={chunk_bits}: greedy {} > fixed {}",
-                    c.name(),
-                    greedy.chunk_visits(),
-                    fixed.chunk_visits()
-                );
-                // The soundness coupling the engine counters rely on.
-                if greedy.remap_passes() > 0 {
-                    assert!(greedy.layout_visits_saved > 0, "{}", c.name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn qft_swap_network_is_absorbed() {
-        // QFT ends in a Swap reversal network; the high swaps should fold
-        // into the layout instead of occupying cross-chunk stages.
-        let c = library::qft(10);
-        let pcfg = cfg(4, 2);
-        let fixed = partition(&c, &pcfg);
-        let greedy = plan_greedy(&c, &pcfg);
-        assert!(greedy.chunk_visits() < fixed.chunk_visits());
-        assert!(greedy.gate_count() < fixed.gate_count(), "swaps absorbed");
-        assert!(greedy.epilogue.is_some());
-    }
-
-    #[test]
-    fn single_chunk_and_empty_circuits_stay_fixed() {
-        let empty = Circuit::new(5);
-        let plan = plan_greedy(&empty, &cfg(2, 1));
-        assert!(plan.stages.is_empty());
-        assert_eq!(plan.remap_passes(), 0);
-        let tiny = library::ghz(4);
-        let plan = plan_greedy(&tiny, &cfg(4, 1));
-        assert_eq!(plan.remap_passes(), 0);
-    }
-
-    #[test]
-    fn transition_costs_are_classified_by_position() {
-        let t = RemapTransition {
-            swaps: vec![(5, 7), (1, 6), (0, 2)],
-        };
-        // chunk_bits 4, 8 chunks: high-high free, high-low and low-low one
-        // visit per chunk.
-        assert_eq!(t.visit_cost(4, 8), 16);
-        let hh = RemapTransition {
-            swaps: vec![(4, 7)],
-        };
-        assert_eq!(hh.visit_cost(4, 8), 0);
     }
 }

@@ -5,14 +5,14 @@
 //! * [`gate`] / [`matrix`] — the gate set and its matrix algebra.
 //! * [`circuit`] — the flat circuit IR and chainable builder.
 //! * [`qasm`] — an OpenQASM 2.0 subset parser and emitter.
-//! * [`partition`] — the **offline stage** of MEMQSIM: splits a circuit into
-//!   stages executable against a chunked state vector with a bounded
-//!   cross-chunk working set.
-//! * [`reorder`] — commutation-aware gate clustering that reduces the
-//!   partitioner's stage count without changing the circuit's unitary.
-//! * [`layout`] — logical→physical qubit layouts and the greedy remap
-//!   planning pass: relabel qubits between stages so hot cross-chunk gates
-//!   become chunk-local (the lever reordering alone cannot pull).
+//! * [`partition`] — the plan types of MEMQSIM's **offline stage** (stages
+//!   executable against a chunked state vector with a bounded cross-chunk
+//!   working set) and the as-written reference partitioners.
+//! * [`schedule`] — the scheduler behind every plan: list scheduling over
+//!   the circuit's dependency DAG, with qubit swaps inside the stages.
+//! * [`reorder`] — the commutation rules the DAG is built from.
+//! * [`layout`] — logical→physical qubit layouts, which the scheduler moves
+//!   so hot cross-chunk gates become chunk-local.
 //! * [`analysis`] — locality/access-pattern statistics (paper design
 //!   challenge 3).
 //! * [`library`] — generators for the workloads used throughout the
@@ -49,6 +49,7 @@ pub mod matrix;
 pub mod partition;
 pub mod qasm;
 pub mod reorder;
+pub mod schedule;
 pub mod unitary;
 
 pub use circuit::Circuit;

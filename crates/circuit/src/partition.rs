@@ -7,14 +7,16 @@
 //! independently ("local"). A pairing qubit `q >= c` couples chunk `k` with
 //! chunk `k ^ 2^(q-c)`, so the engine must co-schedule groups of chunks.
 //!
-//! The planner greedily packs consecutive gates into [`Stage`]s whose union
-//! of high pairing qubits stays within `max_high_qubits`, bounding each
-//! stage's working set to `2^|H|` chunks. Applying *all* gates of a stage
-//! per decompress→recompress round is the paper's answer to design
-//! challenge (2): compression frequency drops from per-gate to per-stage.
+//! A [`Plan`] is a list of [`Stage`]s whose union of high pairing qubits
+//! stays within `max_high_qubits`, bounding each stage's working set to
+//! `2^|H|` chunks. Applying *all* gates of a stage per
+//! decompress→recompress round is the paper's answer to design challenge
+//! (2): compression frequency drops from per-gate to per-stage. The plan
+//! every run executes comes from [`crate::schedule`]; [`partition`] and
+//! [`partition_per_gate`] here pack the circuit *as written* and are the
+//! references it is held against.
 
 use crate::gate::Gate;
-use crate::layout::QubitLayout;
 use crate::Circuit;
 
 /// Planner configuration.
@@ -37,68 +39,36 @@ impl Default for PartitionConfig {
 }
 
 /// A remap transition: an ordered list of transpositions of *physical* bit
-/// positions applied to the stored state between stages (or, for a plan's
-/// epilogue, after the last stage). Each transposition `(a, b)` exchanges
-/// the amplitudes' bit positions `a` and `b`. Cost depends on where the
-/// positions fall relative to `chunk_bits`:
-///
-/// * both high — pairwise chunk exchange, no intra-chunk movement, and a
-///   payload-capable store swaps compressed bytes (zero chunk visits);
-/// * one high, one low — a full gather sweep over chunk pairs, one visit
-///   per chunk;
-/// * both low — an intra-chunk bit swap per chunk, one visit per chunk.
+/// positions `>= chunk_bits`, applied to the stored state after the plan's
+/// last stage. Each transposition `(a, b)` exchanges the amplitudes' bit
+/// positions `a` and `b` — a pairwise exchange of whole chunks with no
+/// intra-chunk movement, so a payload-capable store swaps compressed bytes
+/// and no chunk is visited. (A transposition that names a position inside
+/// the chunk would need a sweep of the register; the scheduler does those as
+/// `Swap` gates inside a stage instead, and the engine refuses one here.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemapTransition {
     /// Physical position transpositions, in application order.
     pub swaps: Vec<(u32, u32)>,
 }
 
-impl RemapTransition {
-    /// Chunk visits this transition costs on a state of `chunk_count`
-    /// chunks split at `chunk_bits`.
-    pub fn visit_cost(&self, chunk_bits: u32, chunk_count: usize) -> usize {
-        self.swaps
-            .iter()
-            .map(|&(a, b)| {
-                if a.min(b) >= chunk_bits {
-                    0
-                } else {
-                    chunk_count
-                }
-            })
-            .sum()
-    }
-}
-
-/// One stage of the plan: a consecutive run of gates whose cross-chunk
-/// coupling is limited to `high_qubits`.
+/// One stage of the plan: a list of gates whose cross-chunk coupling is
+/// limited to `high_qubits`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
-    /// The gates, in original circuit order. Under a non-identity layout
-    /// these are already rewritten into *physical* qubit positions, so
+    /// The gates, in execution order, in *physical* qubit positions (the
+    /// scheduler has already applied its layout), so
     /// `is_local`/`high_qubits`/`chunk_groups` need no layout awareness.
     pub gates: Vec<Gate>,
     /// Sorted, deduplicated global indices of pairing qubits `>= chunk_bits`
     /// used by the gates of this stage. Empty for fully chunk-local stages.
     pub high_qubits: Vec<u32>,
-    /// Remap applied to the stored state *before* this stage's gates run.
-    /// `None` for fixed-layout plans.
-    pub transition: Option<RemapTransition>,
-    /// Logical→physical layout in effect while this stage executes (after
-    /// `transition`). The default (empty) layout is the identity.
-    pub layout: QubitLayout,
 }
 
 impl Stage {
-    /// A stage with no transition under the identity layout — the only
-    /// constructor fixed-layout planning needs.
+    /// A stage of `gates` pairing the high positions `high_qubits`.
     pub fn new(gates: Vec<Gate>, high_qubits: Vec<u32>) -> Stage {
-        Stage {
-            gates,
-            high_qubits,
-            transition: None,
-            layout: QubitLayout::default(),
-        }
+        Stage { gates, high_qubits }
     }
 
     /// True if every gate applies within single chunks.
@@ -122,15 +92,10 @@ pub struct Plan {
     pub chunk_bits: u32,
     /// The stages, in execution order.
     pub stages: Vec<Stage>,
-    /// Remap restoring the identity layout after the last stage, so layout
-    /// plans stay bit-identical to fixed ones. `None` when the plan never
-    /// leaves the identity layout.
+    /// High↔high chunk exchanges restoring the identity layout after the
+    /// last stage, so the stored state ends in logical order. `None` when
+    /// the plan's last stage already leaves every qubit at home.
     pub epilogue: Option<RemapTransition>,
-    /// Chunk visits this plan saves relative to the fixed-layout plan for
-    /// the same circuit (stage visits avoided minus transition visit costs
-    /// paid). Zero for fixed-layout plans; strictly positive whenever the
-    /// plan contains remap transitions.
-    pub layout_visits_saved: usize,
 }
 
 impl Plan {
@@ -147,39 +112,10 @@ impl Plan {
 
     /// Total chunk visits over the whole plan: each stage decompresses and
     /// recompresses every chunk exactly once (in groups of
-    /// `stage.group_size()`), plus the visit cost of every remap transition
-    /// (including the epilogue). This is the quantity the paper's challenge
-    /// (2) minimizes and the quantity the layout pass trades against.
+    /// `stage.group_size()`); the epilogue exchanges payloads and visits
+    /// nothing. This is the quantity the paper's challenge (2) minimizes.
     pub fn chunk_visits(&self) -> usize {
-        self.stages.len() * self.chunk_count() + self.transition_visits()
-    }
-
-    /// Chunk visits spent on remap transitions alone (stage transitions
-    /// plus the epilogue); zero for fixed-layout plans.
-    pub fn transition_visits(&self) -> usize {
-        let cc = self.chunk_count();
-        let stage_cost: usize = self
-            .stages
-            .iter()
-            .filter_map(|s| s.transition.as_ref())
-            .map(|t| t.visit_cost(self.chunk_bits, cc))
-            .sum();
-        let epi_cost = self
-            .epilogue
-            .as_ref()
-            .map(|t| t.visit_cost(self.chunk_bits, cc))
-            .unwrap_or(0);
-        stage_cost + epi_cost
-    }
-
-    /// Number of remap transitions in the plan (stage transitions plus the
-    /// epilogue, if any).
-    pub fn remap_passes(&self) -> usize {
-        self.stages
-            .iter()
-            .filter(|s| s.transition.is_some())
-            .count()
-            + usize::from(self.epilogue.is_some())
+        self.stages.len() * self.chunk_count()
     }
 
     /// Per-gate baseline (Wu et al.\[6\]): one stage per gate. Used by the
@@ -189,7 +125,8 @@ impl Plan {
     }
 }
 
-/// Partitions `circuit` into stages per `cfg`.
+/// Partitions `circuit` as written into stages per `cfg`: consecutive gates
+/// share a stage while the union of their high pairing qubits fits.
 ///
 /// Invariants (property-tested): concatenating `stages[i].gates` in order
 /// reproduces `circuit.gates()` exactly; every stage satisfies
@@ -246,7 +183,6 @@ pub fn partition(circuit: &Circuit, cfg: &PartitionConfig) -> Plan {
         chunk_bits: c,
         stages,
         epilogue: None,
-        layout_visits_saved: 0,
     }
 }
 
@@ -269,7 +205,6 @@ pub fn partition_per_gate(circuit: &Circuit, chunk_bits: u32) -> Plan {
         chunk_bits,
         stages,
         epilogue: None,
-        layout_visits_saved: 0,
     }
 }
 

@@ -50,8 +50,9 @@ pub struct MemQSimConfig {
     pub codec: CodecSpec,
     /// CPU worker threads of the CPU engine's decompress → apply →
     /// recompress group loop — the only CPU thread count there is. The
-    /// hybrid engine does not read it: its host side is three role threads
-    /// plus one stream worker per device.
+    /// hybrid engine does not read it: its host side is the caller's thread
+    /// (decode and issue) and one completer thread per device, plus one
+    /// stream worker per device.
     pub workers: usize,
     /// Byte budget for the store's write-back residency cache of
     /// decompressed hot chunks (0 = disabled). Cache bytes count toward

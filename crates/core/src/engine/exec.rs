@@ -48,9 +48,8 @@ use crate::engine::{EngineError, Granularity, StoreTelemetryGuard};
 use crate::planner::chunk_groups;
 use crate::specialize::{specialize, GroupContext, Specialized};
 use crate::store::{ChunkStore, StoreCounters};
-use mq_circuit::layout::plan_greedy;
 use mq_circuit::partition::{partition_per_gate, PartitionConfig, Plan, RemapTransition, Stage};
-use mq_circuit::reorder::reorder_for_locality;
+use mq_circuit::schedule::schedule;
 use mq_circuit::Circuit;
 use mq_compress::{CodecError, CompressionStats};
 use mq_device::StreamStats;
@@ -202,8 +201,8 @@ pub trait ChunkExecutor {
     /// surfacing the first error any of them hit.
     fn end_stage(&mut self, ctx: &ExecContext, index: u32) -> Result<(), EngineError>;
 
-    /// Executes a layout remap transition. Called only between stages (no
-    /// stage open), so the store is coherent. Chunk identities may change
+    /// Executes a layout remap transition. Called only after the last stage
+    /// has closed, so the store is coherent. Chunk identities may change
     /// across the call — executors holding chunk-indexed state must
     /// invalidate or re-key it. Returns the chunk visits performed; the
     /// default runs the permutation directly against the store.
@@ -235,25 +234,21 @@ impl SerialAdapter {
     }
 }
 
-/// Builds the plan for `circuit` under `cfg` at the given granularity: the
-/// commutation-aware reorder pass clusters gates by cross-chunk signature,
-/// then staged plans go through the greedy layout planner, which returns
-/// the fixed-layout partition of the reordered circuit whenever remapping
-/// would not strictly cut chunk visits.
+/// Builds the plan for `circuit` under `cfg` at the given granularity:
+/// staged plans come from the dependency scheduler
+/// ([`mq_circuit::schedule`]), per-gate plans take the circuit as written,
+/// one gate a stage.
 pub fn build_plan(circuit: &Circuit, cfg: &MemQSimConfig, granularity: Granularity) -> Plan {
     let chunk_bits = cfg.effective_chunk_bits(circuit.n_qubits());
-    let circuit = reorder_for_locality(circuit, chunk_bits);
     match granularity {
-        Granularity::Staged => plan_greedy(
-            &circuit,
-            &PartitionConfig {
+        Granularity::Staged => {
+            let cfg = PartitionConfig {
                 chunk_bits,
                 max_high_qubits: cfg.max_high_qubits,
-            },
-        ),
-        // Per-gate plans stay fixed-layout: each gate is its own stage, so
-        // there is no lookahead window for a remap to pay for itself.
-        Granularity::PerGate => partition_per_gate(&circuit, chunk_bits),
+            };
+            schedule(circuit, &cfg).plan
+        }
+        Granularity::PerGate => partition_per_gate(circuit, chunk_bits),
     }
 }
 
@@ -278,18 +273,14 @@ fn assign_shards(n_devices: usize, groups: &[Vec<usize>]) -> Vec<usize> {
 }
 
 /// Executes one remap transition directly against the store, returning the
-/// chunk visits it performed. The permutation classes mirror
-/// [`RemapTransition::visit_cost`]:
-///
-/// * **high-high** — a pure chunk-pair exchange: the store's
-///   [`swap_chunks`](ChunkStore::swap_chunks) fast path moves compressed
-///   payloads without a decode (zero visits); a refusing tier falls back
-///   to a load/load/store/store round trip (two visits per pair);
-/// * **high-low** — chunks are paired along the high position's chunk bit,
-///   each pair is gathered into one buffer, and the transposition runs as
-///   a strided intra-buffer gather fused with the decode pass (two visits
-///   per pair, i.e. one full sweep);
-/// * **low-low** — a per-chunk intra-chunk bit swap (one visit per chunk).
+/// chunk visits it performed. Every transposition exchanges two positions
+/// above the chunk boundary, i.e. pairs of whole chunks: the store's
+/// [`swap_chunks`](ChunkStore::swap_chunks) fast path moves compressed
+/// payloads without a decode (zero visits); a refusing tier falls back to a
+/// load/load/store/store round trip (two visits per pair). A transposition
+/// naming a position inside the chunk is a hand-built plan's mistake — the
+/// scheduler moves those qubits with `Swap` gates inside a stage — and is
+/// refused as [`EngineError::Config`].
 pub fn apply_remap_on_store(
     ctx: &ExecContext,
     transition: &RemapTransition,
@@ -297,54 +288,31 @@ pub fn apply_remap_on_store(
     let store = &ctx.store;
     let c = store.chunk_bits();
     let chunk_amps = store.chunk_amps();
-    let chunk_count = store.chunk_count();
-    let workers = ctx.cfg.workers.max(1);
+    // Refuse before anything moves: a half-applied permutation is worse
+    // than none.
+    if let Some((a, b)) = transition.swaps.iter().find(|(a, b)| a.min(b) < &c) {
+        return Err(EngineError::Config(format!(
+            "remap transposition ({a}, {b}) names a position below chunk_bits {c}"
+        )));
+    }
     let mut visits = 0usize;
+    let mut buf_a = Vec::new();
+    let mut buf_b = Vec::new();
     for &(a, b) in &transition.swaps {
-        let (a, b) = (a.min(b), a.max(b));
-        if a >= c {
-            let (b1, b2) = (1usize << (a - c), 1usize << (b - c));
-            let mut buf_a = Vec::new();
-            let mut buf_b = Vec::new();
-            for k in 0..chunk_count {
-                if k & b1 == 0 || k & b2 != 0 {
-                    continue; // visit each pair once, from its (1, 0) side
-                }
-                let j = k ^ b1 ^ b2;
-                if !store.swap_chunks(k, j)? {
-                    buf_a.resize(chunk_amps, Complex64::ZERO);
-                    buf_b.resize(chunk_amps, Complex64::ZERO);
-                    store.load_chunk(k, &mut buf_a)?;
-                    store.load_chunk(j, &mut buf_b)?;
-                    store.store_chunk(k, &buf_b)?;
-                    store.store_chunk(j, &buf_a)?;
-                    visits += 2;
-                }
+        let (b1, b2) = (1usize << (a - c), 1usize << (b - c));
+        for k in 0..store.chunk_count() {
+            if k & b1 == 0 || k & b2 != 0 {
+                continue; // visit each pair once, from its (1, 0) side
             }
-        } else if b >= c {
-            // Bit `c` of the two-chunk gather buffer is global bit `b`, so
-            // the global (a, b) transposition is the buffer-local (a, c).
-            let hb = 1usize << (b - c);
-            let mut buf = vec![Complex64::ZERO; 2 * chunk_amps];
-            for k in 0..chunk_count {
-                if k & hb != 0 {
-                    continue;
-                }
-                let j = k | hb;
-                store.load_chunk(k, &mut buf[..chunk_amps])?;
-                store.load_chunk(j, &mut buf[chunk_amps..])?;
-                mq_statevec::apply::swap_index_bits(&mut buf, a, c, workers);
-                store.store_chunk(k, &buf[..chunk_amps])?;
-                store.store_chunk(j, &buf[chunk_amps..])?;
+            let j = k ^ b1 ^ b2;
+            if !store.swap_chunks(k, j)? {
+                buf_a.resize(chunk_amps, Complex64::ZERO);
+                buf_b.resize(chunk_amps, Complex64::ZERO);
+                store.load_chunk(k, &mut buf_a)?;
+                store.load_chunk(j, &mut buf_b)?;
+                store.store_chunk(k, &buf_b)?;
+                store.store_chunk(j, &buf_a)?;
                 visits += 2;
-            }
-        } else {
-            let mut buf = vec![Complex64::ZERO; chunk_amps];
-            for k in 0..chunk_count {
-                store.load_chunk(k, &mut buf)?;
-                mq_statevec::apply::swap_index_bits(&mut buf, a, b, workers);
-                store.store_chunk(k, &buf)?;
-                visits += 1;
             }
         }
     }
@@ -448,7 +416,7 @@ impl ChunkStore for ZeroTracker {
     fn swap_chunks(&self, i: usize, j: usize) -> Result<bool, CodecError> {
         match self.inner.swap_chunks(i, j) {
             Ok(true) => {
-                // Remaps run between stages on the driver's thread, so the
+                // Remaps run after the last stage on the driver's thread, so the
                 // two flags need not move as one.
                 let was_i = self.zero[i].load(Ordering::SeqCst);
                 self.set(i, self.zero[j].swap(was_i, Ordering::SeqCst));
@@ -520,9 +488,20 @@ pub fn run_with_executor(
     granularity: Granularity,
     executor: &mut dyn ChunkExecutor,
 ) -> Result<RunReport, EngineError> {
-    // The planner asserts on gates wider than `max_high_qubits` allows, so
-    // a bad configuration must be refused before it runs.
     cfg.validate().map_err(EngineError::Config)?;
+    // Every gate the scheduler accepts fits some stage: what does not fit
+    // `max_high_qubits` high positions is swapped below the chunk boundary
+    // first. Only a register cut into single-amplitude chunks has nowhere
+    // to swap to.
+    let fits = |g: &mq_circuit::Gate| g.pairing_qubits().len() <= cfg.max_high_qubits as usize;
+    if cfg.chunk_bits == 0 {
+        if let Some(gate) = circuit.gates().iter().find(|g| !fits(g)) {
+            return Err(EngineError::Config(format!(
+                "{gate} pairs more qubits than max_high_qubits {} and chunk_bits is 0",
+                cfg.max_high_qubits
+            )));
+        }
+    }
     let plan = build_plan(circuit, cfg, granularity);
     run_plan_with_executor(store, plan, cfg, executor)
 }
@@ -607,18 +586,6 @@ pub fn run_plan_with_executor(
                 if let Some(bounds) = &stage_bounds {
                     store.set_error_allowance(Some(bounds[si]));
                 }
-                if let Some(transition) = &stage.transition {
-                    match executor.remap(&ctx, transition) {
-                        Ok(v) => {
-                            chunk_visits += v;
-                            telemetry.add(Counter::RemapPasses, 1);
-                        }
-                        Err(e) => {
-                            run_err = Some(e);
-                            break;
-                        }
-                    }
-                }
                 let mut groups = chunk_groups(plan.n_qubits, plan.chunk_bits, stage);
                 // Every gate is linear, so a group known to be all zero
                 // stays all zero: it is never submitted. The stage itself
@@ -693,12 +660,6 @@ pub fn run_plan_with_executor(
                         Err(e) => run_err = Some(e),
                     }
                 }
-                if plan.layout_visits_saved > 0 {
-                    telemetry.add(
-                        Counter::ChunkVisitsSavedByLayout,
-                        plan.layout_visits_saved as u64,
-                    );
-                }
             }
         }
     }
@@ -750,7 +711,6 @@ pub fn run_plan_with_executor(
         scalars_applied: stats.scalars_applied,
         apply_passes_saved: record.counter(Counter::ApplyPassesSaved) as usize,
         remap_passes: record.counter(Counter::RemapPasses) as usize,
-        chunk_visits_saved_by_layout: record.counter(Counter::ChunkVisitsSavedByLayout) as usize,
         groups_device: stats.groups_device,
         groups_cpu: stats.groups_cpu,
         peak_compressed_bytes: store.peak_state_bytes(),
@@ -1185,6 +1145,22 @@ mod tests {
         }
         // No failed run reached the executor.
         assert_eq!(mock.prepared, 0);
+
+        // A hand-built epilogue that names a position inside the chunk: only
+        // a sweep could execute it, and sweeps are stages.
+        let mut plan = mq_circuit::partition::partition(&library::ghz(8), &wide);
+        plan.epilogue = Some(RemapTransition {
+            swaps: vec![(5, 7), (1, 6)],
+        });
+        let wide_cfg = MemQSimConfig {
+            max_high_qubits: 3,
+            ..cfg
+        };
+        match run_plan_with_executor(&store, plan, &wide_cfg, &mut mock) {
+            Err(EngineError::Config(msg)) => assert!(msg.contains("(1, 6)"), "{msg}"),
+            other => panic!("expected Config, got {other:?}"),
+        }
+        assert_eq!((mock.prepared, mock.finished), (1, 1));
     }
 
     #[test]

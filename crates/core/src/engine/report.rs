@@ -58,14 +58,11 @@ pub struct RunReport {
     /// `gates_applied + scalars_applied - apply_passes_saved` passes were
     /// made.
     pub apply_passes_saved: usize,
-    /// Layout remap transitions executed (stage transitions plus the
-    /// restore-to-identity epilogue; 0 when the planner kept the fixed
-    /// layout).
+    /// Layout remap transitions executed: 1 when the plan ends in a
+    /// restore-to-identity epilogue of whole-chunk exchanges, else 0. (The
+    /// scheduler's other layout moves are `Swap` gates inside stages and
+    /// count as gates.)
     pub remap_passes: usize,
-    /// Chunk visits the greedy layout saved versus the fixed plan for the
-    /// same circuit, remap sweeps already charged (0 when the planner kept
-    /// the fixed layout).
-    pub chunk_visits_saved_by_layout: usize,
     /// Chunk groups handed to a device lane (0 for CPU executors),
     /// including those dropped after loading as all zero.
     pub groups_device: usize,
@@ -103,7 +100,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// The visits the run's plan asked for: performed plus elided. Plans
-    /// (fixed vs greedy layout, raw vs compressed transfers) compare on
+    /// (as written vs scheduled, raw vs compressed transfers) compare on
     /// this, because how many of a plan's visits find an all-zero group
     /// depends on where it leaves a sparse state.
     pub fn planned_visits(&self) -> usize {

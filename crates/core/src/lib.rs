@@ -12,9 +12,9 @@
 //!   uncompressed baseline ([`store::DenseStore`]), a disk-spill tier
 //!   ([`store::SpillStore`]), plus residency-cache and telemetry
 //!   middleware ([`store::ResidencyCache`], [`store::TelemetryTier`]).
-//! * [`planner`] + `mq_circuit::partition` — the offline circuit
-//!   partitioner: stages with bounded cross-chunk working sets, chunk
-//!   groups per stage.
+//! * [`planner`] + `mq_circuit::schedule` — the offline stage: the
+//!   dependency scheduler's stages with bounded cross-chunk working sets,
+//!   chunk groups per stage.
 //! * [`specialize`] — rewrites each circuit gate for a chunk-group buffer
 //!   (remapped local/high qubits; outside qubits collapse to control
 //!   decisions or global scalars).

@@ -113,7 +113,7 @@ pub fn expect_z_product(store: &dyn ChunkStore, qubits: &[u32]) -> Result<f64, C
 
 /// [`expect_z_product`] against a store whose amplitudes are held under a
 /// non-identity logical→physical [`QubitLayout`] — the mid-run view of a
-/// greedy-layout plan, before the engine's restore-to-identity epilogue.
+/// scheduled plan, before the engine's restore-to-identity epilogue.
 ///
 /// Logical qubit `q` lives at physical position `layout.phys(q)`, so the
 /// diagonal Z mask is built from the physical positions. After a completed
@@ -344,7 +344,7 @@ mod tests {
 
         // Physically permute the state: logical qubits 1 and 5 trade places.
         let mut permuted = dense.amplitudes().to_vec();
-        mq_statevec::apply::swap_index_bits(&mut permuted, 1, 5, 1);
+        mq_statevec::apply::apply_swap(&mut permuted, 1, 5, 1);
         let permuted_store = build_store_from_amplitudes(&permuted, &cfg).unwrap();
         let mut layout = QubitLayout::identity(7);
         layout.swap_physical(1, 5);

@@ -1,4 +1,4 @@
-//! Execution planning: stages (delegated to `mq_circuit::partition`) plus
+//! Execution planning: stages (delegated to `mq_circuit::schedule`) plus
 //! chunk-group enumeration.
 //!
 //! For a stage with high pairing qubits `H`, the chunks of the state vector

@@ -146,18 +146,11 @@ fn num_workers_split(len: usize, workers: usize) -> usize {
     }
 }
 
-/// Applies SWAP between local qubits `a` and `b`.
-pub fn apply_swap(state: &mut [Complex64], a: u32, b: u32, workers: usize) {
-    swap_index_bits(state, a, b, workers);
-}
-
-/// The permutation kernel behind layout remaps: exchanges index bits `a`
+/// Applies SWAP between local qubits `a` and `b`: exchanges index bits `a`
 /// and `b` of the buffer, i.e. moves the amplitude at each index `i` to the
-/// index with bits `a` and `b` transposed. As a unitary this *is* the SWAP
-/// gate; the layout pass also uses it to swap a low buffer bit with the
-/// chunk-selector bit of a gathered chunk pair (a high↔low remap fused with
-/// the decode pass) and to permute bits inside a single chunk (low↔low).
-pub fn swap_index_bits(state: &mut [Complex64], a: u32, b: u32, workers: usize) {
+/// index with bits `a` and `b` transposed. The scheduler's layout moves are
+/// this gate, inside a stage's group buffer.
+pub fn apply_swap(state: &mut [Complex64], a: u32, b: u32, workers: usize) {
     let n = local_qubits(state.len());
     assert!(a < n && b < n && a != b, "bad qubit pair ({a},{b})");
     let (lo, hi) = (a.min(b), a.max(b));
@@ -1166,15 +1159,15 @@ mod tests {
     }
 
     #[test]
-    fn swap_index_bits_is_the_bit_transposition() {
-        // The permutation semantics the layout remaps rely on: amplitude at
+    fn swap_is_the_bit_transposition() {
+        // The permutation semantics the layout moves rely on: amplitude at
         // index i lands at i with bits (a, b) transposed.
         let n = 6u32;
         let (a, b) = (1u32, 4u32);
         let s0 = random_state(n, 9);
         for workers in [1usize, 4] {
             let mut s = s0.clone();
-            swap_index_bits(&mut s, a, b, workers);
+            apply_swap(&mut s, a, b, workers);
             for (i, amp) in s0.iter().enumerate() {
                 let ba = (i >> a) & 1;
                 let bb = (i >> b) & 1;
@@ -1185,14 +1178,14 @@ mod tests {
     }
 
     #[test]
-    fn swap_index_bits_matches_the_swap_gate_oracle() {
+    fn swap_matches_the_swap_gate_oracle() {
         check_gate_against_oracle(5, &Gate::Swap(0, 4), 1);
         check_gate_against_oracle(5, &Gate::Swap(2, 3), 2);
         // Self-inverse: applying twice is the identity.
         let mut s = random_state(5, 7);
         let before = s.clone();
-        swap_index_bits(&mut s, 0, 3, 1);
-        swap_index_bits(&mut s, 0, 3, 1);
+        apply_swap(&mut s, 0, 3, 1);
+        apply_swap(&mut s, 0, 3, 1);
         assert!(max_amp_err(&s, &before) < 1e-15);
     }
 

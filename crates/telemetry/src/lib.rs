@@ -121,13 +121,9 @@ pub enum Counter {
     /// Modeled nanoseconds spent in device-side encode kernels
     /// (`Command::EncodeChunk`).
     DeviceEncodeTime,
-    /// Remap transitions executed by the layout pass (each transition is a
-    /// batch of physical-qubit transpositions applied between stages).
+    /// Remap transitions executed: the plan's epilogue, a batch of
+    /// whole-chunk exchanges that restores the identity layout.
     RemapPasses,
-    /// Chunk visits the greedy layout saved relative to the fixed-layout
-    /// plan for the same circuit (stage visits avoided minus transition
-    /// visit costs paid).
-    ChunkVisitsSavedByLayout,
     /// Adaptive-codec chunks whose payload header picked zero-RLE.
     CodecPicksZeroRle,
     /// Adaptive-codec chunks whose payload header picked FPC.
@@ -145,7 +141,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 25] = [
         Counter::BytesDecompressed,
         Counter::BytesCompressed,
         Counter::BytesH2d,
@@ -165,7 +161,6 @@ impl Counter {
         Counter::DeviceDecodeTime,
         Counter::DeviceEncodeTime,
         Counter::RemapPasses,
-        Counter::ChunkVisitsSavedByLayout,
         Counter::CodecPicksZeroRle,
         Counter::CodecPicksFpc,
         Counter::CodecPicksShuffleLzss,
@@ -196,7 +191,6 @@ impl Counter {
             Counter::DeviceDecodeTime => "device_decode_time_ns",
             Counter::DeviceEncodeTime => "device_encode_time_ns",
             Counter::RemapPasses => "remap_passes",
-            Counter::ChunkVisitsSavedByLayout => "chunk_visits_saved_by_layout",
             Counter::CodecPicksZeroRle => "codec_picks_zero_rle",
             Counter::CodecPicksFpc => "codec_picks_fpc",
             Counter::CodecPicksShuffleLzss => "codec_picks_shuffle_lzss",
@@ -227,13 +221,12 @@ impl Counter {
             Counter::DeviceDecodeTime => 16,
             Counter::DeviceEncodeTime => 17,
             Counter::RemapPasses => 18,
-            Counter::ChunkVisitsSavedByLayout => 19,
-            Counter::CodecPicksZeroRle => 20,
-            Counter::CodecPicksFpc => 21,
-            Counter::CodecPicksShuffleLzss => 22,
-            Counter::CodecPicksSz => 23,
-            Counter::MixedPrecisionChunks => 24,
-            Counter::LossyEncodes => 25,
+            Counter::CodecPicksZeroRle => 19,
+            Counter::CodecPicksFpc => 20,
+            Counter::CodecPicksShuffleLzss => 21,
+            Counter::CodecPicksSz => 22,
+            Counter::MixedPrecisionChunks => 23,
+            Counter::LossyEncodes => 24,
         }
     }
 }

@@ -162,10 +162,11 @@ proptest! {
             circuit.push(g);
         }
         let want = run_dense(&circuit, 0);
-        // Reorder standalone preserves the unitary...
-        let reordered = mq_circuit::reorder::reorder_for_locality(&circuit, chunk_bits);
+        // The scheduler's gate order standalone preserves the unitary...
+        let pcfg = mq_circuit::partition::PartitionConfig { chunk_bits, max_high_qubits: 2 };
+        let reordered = mq_circuit::schedule::schedule(&circuit, &pcfg).linearized(&circuit);
         prop_assert!(max_amp_err(&run_dense(&reordered, 0), &want) < 1e-10);
-        // ...and the engine, which always reorders, matches the oracle.
+        // ...and the engine, which always runs that order, matches the oracle.
         let cfg = MemQSimConfig {
             chunk_bits,
             max_high_qubits: 2,

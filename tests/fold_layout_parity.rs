@@ -1,21 +1,22 @@
 //! Folded phase tables under a moving layout: the apply sweep folds each
 //! diagonal run of a stage into one phase table, and how a folded product
-//! rounds depends on which factors share a table and in what order. A
-//! greedy layout changes everything the fold could key on — which of a
-//! gate's qubits lie inside the group buffer, which collapse to scalars,
-//! which controlled gates vanish from a group, where stages end — so the
-//! engine keys it on the stage's own gate list instead (see
-//! `specialize_stage`). These circuits put phase gates on exactly the qubits
-//! a remap moves and hold the shipped (greedy-layout) plan to the bits the
-//! hand-built fixed-layout `partition(..)` plan of the same gate list
-//! produced.
+//! rounds depends on which factors share a table and in what order. The
+//! scheduler's in-stage swaps change everything the fold could key on —
+//! which of a gate's qubits lie inside the group buffer, which collapse to
+//! scalars, which controlled gates vanish from a group, where stages end —
+//! so the engine keys it on the stage's own gate list instead (see
+//! `specialize_stage`), and the scheduler never opens a stage in the middle
+//! of a diagonal run. These circuits put phase gates on exactly the qubits
+//! the swaps move and hold the shipped plan to the bits the hand-built
+//! fixed-layout `partition(..)` of the scheduler's own gate order produced.
 
 use memqsim_core::engine::cpu::CpuWorkerExecutor;
 use memqsim_core::engine::hybrid::DevicePipelineExecutor;
 use memqsim_core::engine::{build_plan, Granularity};
 use memqsim_core::{build_store, run_plan_with_executor, ChunkStore, MemQSimConfig, RunReport};
 use mq_circuit::partition::{partition, PartitionConfig, Plan};
-use mq_circuit::reorder::reorder_for_locality;
+use mq_circuit::schedule::schedule;
+use mq_circuit::unitary::run_dense;
 use mq_circuit::{Circuit, Gate};
 use mq_compress::CodecSpec;
 use mq_device::{DeviceSpec, DeviceTopology};
@@ -25,8 +26,8 @@ use rand::{Rng, SeedableRng};
 
 const N: u32 = 13;
 
-/// Three hot high targets under one shared low control (the shape a remap
-/// pays for), with a phase run after every CX: one- and two-qubit phases on
+/// Three hot high targets under one shared low control (the shape an
+/// in-stage swap pays for), with a phase run after every CX: one- and two-qubit phases on
 /// the targets, the other high qubits and the chunk-local ones, a
 /// three-control phase, and — every other block — a run over all 13 qubits,
 /// wider than one phase table, that ends in a single gate wider than one.
@@ -38,8 +39,10 @@ fn phased_hot_targets(blocks: usize, seed: u64) -> Circuit {
     }
     let hot = [N - 1, N - 2, N - 3];
     for block in 0..blocks {
-        for &t in &hot {
-            c.cx(0, t);
+        for (k, &t) in hot.iter().enumerate() {
+            // The phase on the target before last: outside the buffer of any
+            // stage that packs two of these CX as written.
+            c.cx(0, t).rz(hot[(k + 2) % 3], rng.gen_range(-3.0..3.0));
             for _ in 0..rng.gen_range(2..6) {
                 let angle = rng.gen_range(-3.0..3.0);
                 let a = hot[rng.gen_range(0..3usize)];
@@ -92,36 +95,45 @@ fn run(plan: Plan, chunk_bits: u32, hybrid: bool) -> (Vec<Complex64>, RunReport)
 
 #[test]
 fn greedy_keeps_the_bits_of_fixed_when_phases_sit_on_the_remapped_qubits() {
-    let mut remapped = 0;
+    let mut swapped = 0;
     let mut folded = 0;
     for seed in 0..6 {
         let circuit = phased_hot_targets(4, seed);
+        let oracle = run_dense(&circuit, 0);
         for chunk_bits in [5, 9] {
+            let cfg = config(chunk_bits);
+            let pcfg = PartitionConfig {
+                chunk_bits,
+                max_high_qubits: cfg.max_high_qubits,
+            };
+            let scheduled = schedule(&circuit, &pcfg);
+            let shipped = build_plan(&circuit, &cfg, Granularity::Staged);
+            assert_eq!(shipped, scheduled.plan);
+            // The circuit has no swap of its own: every one was inserted.
+            let gates = shipped.stages.iter().flat_map(|s| &s.gates);
+            let inserted = gates.filter(|g| matches!(g, Gate::Swap(..))).count();
+            let reference = partition(&scheduled.linearized(&circuit), &pcfg);
             for hybrid in [false, true] {
                 let tag = format!("seed {seed} cb{chunk_bits} hybrid={hybrid}");
-                let cfg = config(chunk_bits);
-                let fixed_plan = partition(
-                    &reorder_for_locality(&circuit, chunk_bits),
-                    &PartitionConfig {
-                        chunk_bits,
-                        max_high_qubits: cfg.max_high_qubits,
-                    },
-                );
-                let (fixed_state, fixed) = run(fixed_plan, chunk_bits, hybrid);
-                let shipped = build_plan(&circuit, &cfg, Granularity::Staged);
-                let (greedy_state, greedy) = run(shipped, chunk_bits, hybrid);
+                let (fixed_state, fixed) = run(reference.clone(), chunk_bits, hybrid);
+                let (greedy_state, greedy) = run(shipped.clone(), chunk_bits, hybrid);
                 assert_eq!(fixed_state, greedy_state, "state diverged: {tag}");
+                let err = mq_num::metrics::max_amp_err(&oracle, &greedy_state);
+                assert!(err < 1e-12, "{tag}: err {err}");
                 assert_eq!(fixed.remap_passes, 0, "{tag}");
-                remapped += usize::from(greedy.remap_passes > 0);
+                swapped += usize::from(inserted > 0);
                 folded += usize::from(fixed.apply_passes_saved > 0);
-                // The remap moved gates between the buffer and the scalars.
-                if greedy.remap_passes > 0 {
+                // The swaps moved gates between the buffer and the scalars.
+                if inserted > 0 {
                     assert_ne!(fixed.scalars_applied, greedy.scalars_applied, "{tag}");
                 }
             }
         }
     }
     // Not vacuous: the layouts differed and the tables folded.
-    assert!(remapped >= 12, "only {remapped} of 24 runs remapped");
+    assert!(
+        swapped >= 12,
+        "only {swapped} of 24 runs carry an in-stage swap"
+    );
     assert_eq!(folded, 24, "every run folds phase runs");
 }

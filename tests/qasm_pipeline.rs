@@ -8,7 +8,7 @@ use memqsim_core::{
     build_store, run_plan_with_executor, Backend, CompressedCpuBackend, MemQSimConfig,
 };
 use mq_circuit::partition::{partition, PartitionConfig};
-use mq_circuit::reorder::reorder_for_locality;
+use mq_circuit::schedule::schedule;
 use mq_circuit::unitary::run_dense;
 use mq_circuit::{library, qasm};
 use mq_compress::CodecSpec;
@@ -74,10 +74,10 @@ fn emitted_circuits_reparse_to_equivalent_unitaries() {
 }
 
 /// A parsed QASM program through the shipped planner: bit-identical to the
-/// hand-built fixed-layout plan of the same reordered gate list and within
-/// lossy tolerance of the dense oracle. QASM
-/// swap statements become `Gate::Swap`s the greedy planner may absorb, so
-/// this exercises the parse → absorb → remap → restore chain end to end.
+/// hand-built fixed-layout plan of the scheduler's own gate order and within
+/// rounding of the dense oracle. QASM swap statements become `Gate::Swap`s
+/// the scheduler may absorb, so this exercises the parse → absorb → swap in
+/// stage → restore chain end to end.
 #[test]
 fn parsed_qasm_under_greedy_layout_matches_fixed_and_oracle() {
     let src = r#"
@@ -99,19 +99,20 @@ fn parsed_qasm_under_greedy_layout_matches_fixed_and_oracle() {
     "#;
     let circuit = qasm::parse(src).expect("parse failed").circuit;
 
+    // Lossless: the two plans cut the circuit into stages at different
+    // places, and a lossy codec rounds at every stage boundary.
     let cfg = MemQSimConfig {
         chunk_bits: 3,
         max_high_qubits: 2,
-        codec: CodecSpec::Sz { eb: 1e-12 },
+        codec: CodecSpec::Fpc,
         ..Default::default()
     };
-    let fixed_plan = partition(
-        &reorder_for_locality(&circuit, cfg.chunk_bits),
-        &PartitionConfig {
-            chunk_bits: cfg.chunk_bits,
-            max_high_qubits: cfg.max_high_qubits,
-        },
-    );
+    let pcfg = PartitionConfig {
+        chunk_bits: cfg.chunk_bits,
+        max_high_qubits: cfg.max_high_qubits,
+    };
+    let scheduled = schedule(&circuit, &pcfg);
+    let fixed_plan = partition(&scheduled.linearized(&circuit), &pcfg);
     let store = build_store(circuit.n_qubits(), &cfg).expect("store");
     let fixed = run_plan_with_executor(&store, fixed_plan, &cfg, &mut CpuWorkerExecutor::new())
         .expect("fixed run");
@@ -120,22 +121,22 @@ fn parsed_qasm_under_greedy_layout_matches_fixed_and_oracle() {
         .run(&circuit)
         .expect("greedy run");
 
-    // Same codec, same per-chunk contents at every store boundary in
-    // logical space: the two runs must agree bit for bit, lossy or not.
     assert_eq!(fixed_amplitudes, greedy.amplitudes);
     let oracle = run_dense(&circuit, 0);
-    assert!(max_amp_err(&oracle, &greedy.amplitudes) < 1e-8);
-    use memqsim_core::Counter;
-    assert!(
-        greedy.telemetry.counter(Counter::RemapPasses) > 0,
-        "rotating targets should trigger a remap"
-    );
-    // The remap cuts the visits the plan asks for (performed + elided);
+    assert!(max_amp_err(&oracle, &greedy.amplitudes) < 1e-12);
+    // The rotating targets are swapped below the chunk boundary inside a
+    // stage, which cuts the visits the plan asks for (performed + elided);
     // how many of them find an all-zero group depends on where each layout
     // leaves this sparse state.
-    let planned = build_plan(&circuit, &cfg, Granularity::Staged).chunk_visits();
-    assert!(planned < fixed.planned_visits());
-    assert!(greedy.telemetry.counter(Counter::ChunkVisits) <= planned as u64);
+    let shipped = build_plan(&circuit, &cfg, Granularity::Staged);
+    assert_eq!(shipped, scheduled.plan);
+    assert!(
+        shipped.gate_count() > scheduled.order.len(),
+        "no swap inserted"
+    );
+    assert!(shipped.chunk_visits() < fixed.planned_visits());
+    use memqsim_core::Counter;
+    assert!(greedy.telemetry.counter(Counter::ChunkVisits) <= shipped.chunk_visits() as u64);
 }
 
 #[test]

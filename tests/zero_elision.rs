@@ -9,14 +9,12 @@
 use memqsim_core::engine::cpu::{self, CpuWorkerExecutor};
 use memqsim_core::engine::{build_plan, hybrid, Granularity};
 use memqsim_core::{
-    build_store, run_plan_with_executor, run_with_executor, ChunkExecutor, ChunkStore, Counter,
-    EngineError, ExecContext, ExecutorStats, GroupWork, MemQSimConfig, RunReport, StoreKind,
-    TransferMode,
+    build_store, run_with_executor, ChunkExecutor, ChunkStore, Counter, EngineError, ExecContext,
+    ExecutorStats, GroupWork, MemQSimConfig, RunReport, StoreKind, TransferMode,
 };
-use mq_circuit::layout::QubitLayout;
-use mq_circuit::partition::{Plan, RemapTransition, Stage};
+use mq_circuit::partition::RemapTransition;
 use mq_circuit::unitary::run_dense;
-use mq_circuit::{library, Circuit, Gate};
+use mq_circuit::{library, Circuit};
 use mq_compress::CodecSpec;
 use mq_device::{Device, DeviceSpec};
 use mq_num::metrics::max_amp_err;
@@ -127,8 +125,9 @@ fn every_lattice_point_matches_the_oracle_and_accounts_for_every_visit() {
                 assert_eq!(*want, state, "{tag}: differs from the first staged run");
             }
 
-            // Performed + elided is what the plan asked for, remap visits
-            // included; performed is what the store saw.
+            // Performed + elided is what the plan asked for (the swaps the
+            // scheduler inserts are gates, not visits); performed is what
+            // the store saw.
             let plan = build_plan(&circuit, &cfg, granularity);
             assert_eq!(r.planned_visits(), plan.chunk_visits(), "{tag}");
             assert_eq!(r.stages, plan.stages.len(), "{tag}");
@@ -139,7 +138,7 @@ fn every_lattice_point_matches_the_oracle_and_accounts_for_every_visit() {
                 let misses = r.telemetry.counter(Counter::CacheMisses);
                 assert_eq!(hits + misses, visits, "{tag}");
             }
-            if cfg.transfer_mode == TransferMode::Compressed && r.remap_passes == 0 {
+            if cfg.transfer_mode == TransferMode::Compressed {
                 // Payloads only: nothing is learned, nothing is skipped.
                 assert_eq!(r.chunk_visits_elided, 0, "{tag}");
             }
@@ -243,70 +242,26 @@ fn elision_is_confined_to_the_first_stages_of_a_random_circuit() {
     assert!(err < 1e-12, "err {err}");
 }
 
-/// A high↔high remap exchanges whole chunks at the payload level: no load,
-/// no store, nothing for the map to scan. The flags have to move with the
-/// chunks, or the stage after the remap skips the chunk that just became
-/// non-zero.
+/// The shipped planner's own high↔high exchanges (the epilogue that undoes
+/// absorbed SWAPs) on a state that is still sparse: flagged and unflagged
+/// chunks trade places at the payload level, on every store kind, and the
+/// run ends on the oracle's state.
 #[test]
-fn a_payload_level_chunk_swap_moves_the_zero_flags() {
-    // 5 qubits in 4 chunks of 8. Stage 0 flips qubit 3: the amplitude
-    // moves to chunk 1, and chunks 0, 2, 3 are known zero. Stage 1 opens
-    // with the high↔high transposition (3, 4), which exchanges chunks 1
-    // and 2, then applies a chunk-local H.
-    let mut swapped = QubitLayout::identity(5);
-    swapped.swap_physical(3, 4);
-    let mut after_remap = Stage::new(vec![Gate::H(0)], vec![]);
-    after_remap.transition = Some(RemapTransition {
-        swaps: vec![(3, 4)],
-    });
-    after_remap.layout = swapped;
-    let plan = Plan {
-        n_qubits: 5,
-        chunk_bits: 3,
-        stages: vec![Stage::new(vec![Gate::X(3)], vec![3]), after_remap],
-        epilogue: Some(RemapTransition {
-            swaps: vec![(3, 4)],
-        }),
-        layout_visits_saved: 0,
-    };
-    let mut logical = Circuit::new(5);
-    logical.x(3).h(0);
-    let oracle = run_dense(&logical, 0);
-
+fn greedy_epilogue_swaps_sparse_chunks_onto_the_right_state() {
+    let mut circuit = Circuit::new(7);
+    circuit.swap(6, 4).swap(5, 3);
+    circuit.x(6).h(0).cx(0, 5).h(1).x(4);
     for store_kind in [StoreKind::Compressed, StoreKind::Dense] {
         let cfg = MemQSimConfig {
             store_kind,
             ..base_cfg()
         };
-        let store = build_store(5, &cfg).expect("store");
-        let r = run_plan_with_executor(&store, plan.clone(), &cfg, &mut CpuWorkerExecutor::new())
-            .expect("run");
-        let state = store.to_dense().expect("dense");
-        assert!(
-            max_amp_err(&oracle, &state) < 1e-12,
-            "{store_kind:?}: {state:?}"
-        );
-        // Stage 0 loads all four chunks; stage 1 visits only the one the
-        // swap made non-zero; both swaps ride the payload fast path.
-        assert_eq!((r.chunk_visits, r.chunk_visits_elided), (5, 3));
-        assert_eq!(r.remap_passes, 2);
+        let plan = build_plan(&circuit, &cfg, Granularity::Staged);
+        assert!(plan.epilogue.is_some(), "the SWAPs should be absorbed");
+        let (state, r) = run(&circuit, Engine::Cpu(Granularity::Staged), &cfg);
+        assert!(max_amp_err(&run_dense(&circuit, 0), &state) < 1e-12);
+        assert_eq!(r.remap_passes, 1);
+        assert!(r.chunk_visits_elided > 0);
+        assert_eq!(r.planned_visits(), plan.chunk_visits());
     }
-}
-
-/// The shipped planner's own high↔high exchanges (the epilogue that undoes
-/// absorbed SWAPs) on a state that is still sparse: flagged and unflagged
-/// chunks trade places and the run ends on the oracle's state.
-#[test]
-fn greedy_epilogue_swaps_sparse_chunks_onto_the_right_state() {
-    let mut circuit = Circuit::new(7);
-    circuit.x(6).h(0).cx(0, 5);
-    circuit.swap(6, 4).swap(5, 3).h(1);
-    let cfg = base_cfg();
-    let plan = build_plan(&circuit, &cfg, Granularity::Staged);
-    assert!(plan.epilogue.is_some(), "the SWAPs should be absorbed");
-    let (state, r) = run(&circuit, Engine::Cpu(Granularity::Staged), &cfg);
-    assert!(max_amp_err(&run_dense(&circuit, 0), &state) < 1e-12);
-    assert!(r.remap_passes > 0);
-    assert!(r.chunk_visits_elided > 0);
-    assert_eq!(r.planned_visits(), plan.chunk_visits());
 }
