@@ -9,11 +9,15 @@
 //! the store calls it once per chunk, and a small chunk must not pay for
 //! tables sized for a large one.
 //!
+//! For the SZ rows both tables also say what the codec decided: how many of
+//! the stream's 128-value blocks it stored as a constant, copied verbatim,
+//! or quantised ([`szlike::block_mix`]).
+//!
 //! Usage: `cargo run -p mq-bench --release --bin codec_sweep [--qubits 16]`
 
 use mq_bench::workloads::codec_workloads;
 use mq_bench::{Args, Table};
-use mq_compress::{Codec, CodecSpec, SzCodec};
+use mq_compress::{szlike, Codec, CodecSpec, SzCodec};
 use mq_num::stats::format_throughput;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,15 +41,28 @@ fn ns_per_value(values: usize, mut f: impl FnMut()) -> f64 {
     batches[2]
 }
 
+/// The `const / verbatim / quantised` cell of an SZ payload: blocks per class,
+/// a repeat counted with the constants it repeats.
+fn block_mix_cell(payload: &[u8]) -> String {
+    let mix = szlike::block_mix(payload).expect("a stream the encoder just wrote");
+    format!(
+        "{} / {} / {}",
+        mix.constant + mix.repeat,
+        mix.verbatim,
+        mix.quantised
+    )
+}
+
 /// SZ encode/decode cost per value against the input length, on the three
 /// shapes a chunk takes: untouched (zeros), one amplitude value per plane
-/// (constant), and incompressible (random, nearly every value an outlier).
+/// (constant), and incompressible (random, every block copied verbatim).
 fn sz_cost_by_input_length() {
     let codec = SzCodec::new(1e-10);
     let mut t = Table::new(&[
         "values",
         "shape",
         "bytes",
+        "const / verbatim / quantised",
         "encode ns/value",
         "decode ns/value",
     ]);
@@ -76,6 +93,7 @@ fn sz_cost_by_input_length() {
                 values.to_string(),
                 shape.to_string(),
                 bytes.len().to_string(),
+                block_mix_cell(&bytes),
                 format!("{encode:.1}"),
                 format!("{decode:.1}"),
             ]);
@@ -101,6 +119,7 @@ fn main() {
             "decompress",
             "max |err|",
             "bound",
+            "const / verbatim / quantised",
         ]);
         for spec in CodecSpec::sweep_set() {
             let codec = spec.build();
@@ -129,6 +148,10 @@ fn main() {
                 bound
                     .map(|b| format!("{b:.0e}"))
                     .unwrap_or_else(|| "exact".into()),
+                match spec {
+                    CodecSpec::Sz { .. } => block_mix_cell(&bytes),
+                    _ => "-".into(),
+                },
             ]);
         }
         println!("{t}\n");

@@ -17,12 +17,17 @@
 //!
 //! Usage: `cargo run -p mq-bench --release --bin qubit_extension
 //!         [--budget-mib 1] [--cap 24] [--chunk-bits 10] [--eb 1e-10]
-//!         [--relative]`
+//!         [--relative] [--check]`
 //!
 //! `--relative` interprets `--eb` as a bound *relative to the natural
 //! amplitude scale* `2^(-n/2)` (SZ is typically run with value-range-relative
 //! bounds); the absolute default is the strictest possible reading of the
 //! claim.
+//!
+//! `--check` (the CI smoke step) exits non-zero when the printed shape check
+//! fails or a structured row extends by less than the committed
+//! `results/qubit_extension.txt` shows at the default settings: the guard
+//! for the bytes small chunks cost, which no wall-clock benchmark sees.
 
 use memqsim_core::{build_store, Granularity, MemQSimConfig};
 use mq_bench::{Args, Table};
@@ -35,6 +40,9 @@ struct Workload {
     /// Cap to keep the one-worker runtime sane (structured circuits are
     /// cheap to push further; dense random ones are not).
     cap: u32,
+    /// The extension `--check` holds a structured row to at the default
+    /// settings (from the committed table); `None` for the dense rows.
+    floor: Option<i64>,
 }
 
 fn workloads() -> Vec<Workload> {
@@ -43,31 +51,37 @@ fn workloads() -> Vec<Workload> {
             name: "ghz",
             build: library::ghz,
             cap: 26,
+            floor: Some(8),
         },
         Workload {
             name: "w-state",
             build: library::w_state,
             cap: 25,
+            floor: Some(8),
         },
         Workload {
             name: "bernstein-vazirani",
             build: |n| library::bernstein_vazirani(n - 1, 0b1011_0110_1011 & ((1 << (n - 1)) - 1)),
             cap: 24,
+            floor: Some(8),
         },
         Workload {
             name: "qaoa-ring(p=1)",
             build: |n| library::qaoa_maxcut(n, &library::ring_graph(n), &[0.5], &[0.4]),
             cap: 21,
+            floor: None,
         },
         Workload {
             name: "qft",
             build: library::qft,
             cap: 19,
+            floor: Some(3),
         },
         Workload {
             name: "random",
             build: |n| library::random_circuit(n, 8, 7),
             cap: 17,
+            floor: None,
         },
     ]
 }
@@ -91,6 +105,7 @@ fn main() {
     let chunk_bits: u32 = args.get("chunk-bits", 10u32);
     let eb: f64 = args.get("eb", 1e-10f64);
     let relative = args.has("relative");
+    let check = args.has("check");
     let budget = budget_mib << 20;
 
     // Dense limit: the largest n with 2^n * 16 <= budget.
@@ -134,6 +149,7 @@ fn main() {
         "slowdown@dense-max",
     ]);
     let mut extensions = Vec::new();
+    let mut below_floor = Vec::new();
 
     for w in workloads() {
         let w_cap = cap.min(w.cap);
@@ -161,12 +177,16 @@ fn main() {
 
         let best_n = best.unwrap_or(0);
         let capped = best_n == w_cap;
-        extensions.push((best_n as i64 - dense_max as i64) as f64);
+        let extension = best_n as i64 - dense_max as i64;
+        extensions.push(extension as f64);
+        if w.floor.is_some_and(|floor| extension < floor) {
+            below_floor.push(w.name);
+        }
         table.row(&[
             w.name.to_string(),
             dense_max.to_string(),
             format!("{}{}", best_n, if capped { "+ (capped)" } else { "" }),
-            format!("{:+}", best_n as i64 - dense_max as i64),
+            format!("{extension:+}"),
             mq_num::stats::format_bytes(peak_at_best),
             format!("{slowdown:.2}x"),
         ]);
@@ -175,13 +195,10 @@ fn main() {
 
     let mean = extensions.iter().sum::<f64>() / extensions.len() as f64;
     println!("\nMean extension: **{mean:+.1} qubits** (paper extrapolates ~+5 on average).");
+    let shape_ok = extensions[0] >= 3.0 && *extensions.last().expect("nonempty") <= 2.0;
     println!(
         "Shape check: structured workloads extend by >= 3, random by <= 2 — {}",
-        if extensions[0] >= 3.0 && *extensions.last().expect("nonempty") <= 2.0 {
-            "[OK]"
-        } else {
-            "[FAIL]"
-        }
+        if shape_ok { "[OK]" } else { "[FAIL]" }
     );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("\nNote on \"without slowing down\": both engines are pinned to one worker here");
@@ -190,4 +207,17 @@ fn main() {
     println!("(the wall-clock slowdown column). In the paper's design the (de)compression");
     println!("overlaps GPU kernels across idle cores — see `pipeline_breakdown` for the");
     println!("modeled overlap.");
+    if check {
+        println!(
+            "\nCheck: no structured row below the committed table — {}",
+            if below_floor.is_empty() {
+                "[OK]".to_string()
+            } else {
+                format!("[FAIL] {}", below_floor.join(", "))
+            }
+        );
+        if !shape_ok || !below_floor.is_empty() {
+            std::process::exit(1);
+        }
+    }
 }

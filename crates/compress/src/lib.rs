@@ -27,9 +27,9 @@
 //! use mq_compress::{Codec, CodecSpec};
 //!
 //! let codec = CodecSpec::parse("sz:1e-8").unwrap().build();
-//! let data: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.01).sin()).collect();
+//! let data: Vec<f64> = (0..1024).map(|i| (i as f64 * 1e-4).sin() * 0.01).collect();
 //! let compressed = codec.compress(&data);
-//! assert!(compressed.len() < data.len() * 8);
+//! assert!(compressed.len() * 4 < data.len() * 8);
 //!
 //! let mut out = vec![0.0; data.len()];
 //! codec.decompress(&compressed, &mut out).unwrap();
@@ -159,6 +159,24 @@ pub enum Precision {
     Adaptive,
 }
 
+/// Appends `values` to `out` as little-endian bytes.
+fn extend_le_bytes(out: &mut Vec<u8>, values: &[f64]) {
+    let start = out.len();
+    out.resize(start + values.len() * 8, 0);
+    for (bytes, x) in out[start..].chunks_exact_mut(8).zip(values) {
+        bytes.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// Reads `out.len()` values back from the little-endian `bytes` (eight a
+/// value, as [`extend_le_bytes`] wrote them).
+fn fill_from_le_bytes(bytes: &[u8], out: &mut [f64]) {
+    debug_assert_eq!(bytes.len(), out.len() * 8);
+    for (slot, bytes) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+        *slot = f64::from_le_bytes(bytes.try_into().expect("chunks of eight"));
+    }
+}
+
 // --- codec implementations --------------------------------------------------
 
 /// Identity codec: raw little-endian bytes. The "no compression" baseline.
@@ -173,11 +191,9 @@ impl Codec for NullCodec {
         true
     }
     fn compress(&self, data: &[f64]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + data.len() * 8);
+        let mut out = Vec::with_capacity(10 + data.len() * 8);
         varint::write_u64(&mut out, data.len() as u64);
-        for &x in data {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
+        extend_le_bytes(&mut out, data);
         out
     }
     fn decompress(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
@@ -190,13 +206,10 @@ impl Codec for NullCodec {
                 got: out.len(),
             });
         }
-        if pos + n * 8 > bytes.len() {
-            return Err(CodecError::Corrupt("truncated raw payload".into()));
-        }
-        for (i, slot) in out.iter_mut().enumerate() {
-            let s = pos + i * 8;
-            *slot = f64::from_le_bytes(bytes[s..s + 8].try_into().expect("bounds checked"));
-        }
+        let raw = bytes
+            .get(pos..pos + n * 8)
+            .ok_or_else(|| CodecError::Corrupt("truncated raw payload".into()))?;
+        fill_from_le_bytes(raw, out);
         Ok(())
     }
 }

@@ -37,6 +37,86 @@ fn adversarial_chunk() -> impl Strategy<Value = Vec<f64>> {
     ]
 }
 
+/// One run of a block-structured plane: what the SZ class scan tells apart.
+#[derive(Debug, Clone)]
+enum Run {
+    /// One value, repeated.
+    Flat(f64),
+    /// Values within half the bound of a level.
+    Jitter(f64),
+    /// Values nowhere near each other.
+    Noise,
+    /// A level with the values codecs fold away sprinkled in: those of
+    /// [`ODD`] the mask selects.
+    Sprinkled(f64, u8),
+}
+
+const ODD: [f64; 6] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -0.0, 0.0];
+
+fn run() -> impl Strategy<Value = (Run, usize)> {
+    let level = || prop_oneof![3 => -1.0f64..1.0, 1 => Just(0.0f64), 1 => Just(4.8828125e-4f64)];
+    let kind = prop_oneof![
+        3 => level().prop_map(Run::Flat),
+        2 => level().prop_map(Run::Jitter),
+        2 => Just(Run::Noise),
+        2 => (level(), 1u8..64).prop_map(|(level, mask)| Run::Sprinkled(level, mask)),
+    ];
+    // Run lengths around the 128-value block: shorter, equal, longer.
+    (kind, prop_oneof![1usize..40, 100usize..160, 250usize..700])
+}
+
+/// A plane of runs as its recipe — length, runs (taken in turn, as often as
+/// it takes), value seed — at lengths that straddle the SZ block (128
+/// values) and lane (a quarter of the input, in whole blocks) edges.
+fn block_structured_recipe() -> impl Strategy<Value = (usize, Vec<(Run, usize)>, u64)> {
+    let edges = [
+        1usize,
+        127,
+        128,
+        129,
+        511,
+        512,
+        513,
+        4 * 128 - 1,
+        4 * 128 + 1,
+    ];
+    let length = prop_oneof![
+        12 => (0..edges.len()).prop_map(move |i| edges[i]),
+        3 => 1usize..2048,
+        1 => Just(1usize << 17),
+    ];
+    (length, prop::collection::vec(run(), 1..12), any::<u64>())
+}
+
+/// The plane of a recipe, its jitter `eb / 2` wide.
+fn block_structured_plane(n: usize, runs: &[(Run, usize)], seed: u64, eb: f64) -> Vec<f64> {
+    let mut state = seed;
+    let mut uniform = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    };
+    let mut plane = Vec::with_capacity(n);
+    for (kind, len) in runs.iter().cycle() {
+        for i in 0..*len {
+            if plane.len() == n {
+                return plane;
+            }
+            plane.push(match *kind {
+                Run::Flat(level) => level,
+                Run::Jitter(level) => level + uniform() * eb / 4.0,
+                Run::Noise => uniform(),
+                Run::Sprinkled(level, mask) => match (i + len) % 9 {
+                    k if k < ODD.len() && mask >> k & 1 == 1 => ODD[k],
+                    _ => level,
+                },
+            });
+        }
+    }
+    unreachable!("a recipe has a run, and no run is empty")
+}
+
 fn lossless_specs() -> [CodecSpec; 4] {
     [
         CodecSpec::Null,
@@ -169,6 +249,30 @@ proptest! {
         codec.decompress(&bytes, &mut out).unwrap();
         for (a, b) in data.iter().zip(&out) {
             prop_assert!((a - b).abs() <= eb, "|{} - {}| > {}", a, b, eb);
+        }
+    }
+
+    #[test]
+    fn sz_respects_its_bound_on_block_structured_planes(
+        recipe in block_structured_recipe(),
+    ) {
+        let (n, runs, seed) = recipe;
+        // Whatever class a block lands in — constant, repeat, verbatim,
+        // quantised — and wherever blocks and lanes end: finite values come
+        // back within the bound, the others bit for bit.
+        for eb in [1e-4, 1e-10, 1e-13] {
+            let data = block_structured_plane(n, &runs, seed, eb);
+            let codec = SzCodec::new(eb);
+            let bytes = codec.compress(&data);
+            let mut out = vec![0.5f64; data.len()];
+            codec.decompress(&bytes, &mut out).unwrap();
+            for (i, (a, b)) in data.iter().zip(&out).enumerate() {
+                if a.is_finite() {
+                    prop_assert!((a - b).abs() <= eb, "[{}] |{} - {}| > {}", i, a, b, eb);
+                } else {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "[{}] of {}", i, n);
+                }
+            }
         }
     }
 
