@@ -38,7 +38,10 @@ fn main() {
         ..Default::default()
     };
 
-    println!("# F2 — pipeline breakdown (qft{n}, chunks of 2^{chunk_bits} amps)\n");
+    println!(
+        "# F2 — pipeline breakdown (qft{n}, chunks of 2^{chunk_bits} amps, {} kernels)\n",
+        mq_statevec::apply::kernel_isa()
+    );
 
     let circuit = library::qft(n);
     // Residency-cache budget for the cached mode: half the working set

@@ -76,8 +76,10 @@ impl Mat2 {
             .all(|(a, b)| a.approx_eq(*b, tol))
     }
 
-    /// Applies to an amplitude pair, returning the updated pair.
-    #[inline]
+    /// Applies to an amplitude pair, returning the updated pair. Always
+    /// inlined: the gate kernels compile it once per instruction set, and
+    /// an out-of-line copy would be baseline code inside a vector loop.
+    #[inline(always)]
     pub fn apply(&self, a0: Complex64, a1: Complex64) -> (Complex64, Complex64) {
         (
             self.0[0] * a0 + self.0[1] * a1,
@@ -175,8 +177,8 @@ impl Mat4 {
         Mat4(out)
     }
 
-    /// Applies to a 4-amplitude group.
-    #[inline]
+    /// Applies to a 4-amplitude group. Always inlined, as [`Mat2::apply`].
+    #[inline(always)]
     pub fn apply(&self, a: [Complex64; 4]) -> [Complex64; 4] {
         let mut out = [Complex64::ZERO; 4];
         for r in 0..4 {

@@ -698,6 +698,7 @@ pub fn run_plan_with_executor(
     let cpu_apply = record.busy(Role::CpuApply);
     Ok(RunReport {
         executor: executor.name(),
+        kernel_isa: mq_statevec::apply::kernel_isa(),
         wall: record.wall,
         decompress,
         cpu_apply,

@@ -21,6 +21,11 @@ use std::time::Duration;
 pub struct RunReport {
     /// Display name of the executor that processed the chunk groups.
     pub executor: String,
+    /// Which compiled copy of the gate kernels ran
+    /// ([`mq_statevec::apply::kernel_isa`]): `"avx2"` or `"baseline"`. The
+    /// amplitudes do not depend on it; the clock does, so a wall-clock
+    /// number from one host compares with another's only beside it.
+    pub kernel_isa: &'static str,
     /// Wall-clock time of the whole run.
     pub wall: Duration,
     /// Cumulative time in chunk decompression (summed across workers).

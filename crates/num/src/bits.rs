@@ -37,13 +37,7 @@ pub fn insert_two_zero_bits(i: usize, p_lo: u32, p_hi: u32) -> usize {
     // Insert at the lower position first, then the higher (whose index is
     // unaffected because p_hi > p_lo even after the first insertion shifts
     // bits >= p_lo up by one — p_hi is given in the *final* index space).
-    let j = insert_zero_bit(i, p_lo);
-    insert_zero_bit2_helper(j, p_hi)
-}
-
-#[inline]
-fn insert_zero_bit2_helper(i: usize, pos: u32) -> usize {
-    insert_zero_bit(i, pos)
+    insert_zero_bit(insert_zero_bit(i, p_lo), p_hi)
 }
 
 /// True if `i`'s bit `pos` is set.

@@ -6,6 +6,21 @@
 //! call — only the buffer and the index mapping differ. This is the code
 //! the paper would run inside its GPU kernels; here it doubles as the CPU
 //! path and the simulated-device kernel body.
+//!
+//! Each kernel's serial body is written once, as an `#[inline(always)]`
+//! function, and compiled twice: into `tiles_baseline` for the build's
+//! target, and on x86-64 into `tiles_avx2`, a `#[target_feature]` function
+//! that only calls the same body, so LLVM vectorises the same source at 256
+//! bits — no intrinsics, no second spelling of any kernel. [`apply_gate`]
+//! and [`apply_all_tiled`] pick the copy once per call ([`kernel_isa`] names
+//! it); the thread scope around it is baseline code either way. The two
+//! copies produce the same bits: Rust never contracts `a * b + c` into a
+//! fused multiply-add, so the wide code does the narrow code's multiplies
+//! and adds in the narrow code's order. `fma` stays off the feature list
+//! for that reason — nothing would use it, and an explicit `f64::mul_add`
+//! would make the state depend on the CPU. Whatever a body calls must be
+//! inlined into it (`Mat2::apply`, `Mat4::apply` are `#[inline(always)]`):
+//! a closure or function left out of line is compiled without the feature.
 
 use mq_circuit::gate::{Diagonal, Gate};
 use mq_circuit::matrix::{Mat2, Mat4};
@@ -21,129 +36,370 @@ fn local_qubits(len: usize) -> u32 {
     len.trailing_zeros()
 }
 
-/// Splits `state` into contiguous block-aligned pieces and runs `f` on each,
-/// using up to `workers` scoped threads. `block` must divide `state.len()`.
-fn par_block_chunks<F>(state: &mut [Complex64], block: usize, workers: usize, f: F)
+/// Splits `state` into up to `workers` contiguous pieces, each a whole
+/// number of `block`-amplitude blocks, and runs `f(base, piece)` on each
+/// (`base` = the piece's first index in `state`) — on scoped threads when
+/// the buffer is large enough to pay for them. `block` must divide
+/// `state.len()`. This is the one thread scope a gate or a fused super-run
+/// pays; it is compiled for the baseline target whichever kernel copy `f`
+/// calls.
+fn par_pieces<F>(state: &mut [Complex64], block: usize, workers: usize, f: F)
 where
-    F: Fn(&mut [Complex64]) + Sync,
+    F: Fn(usize, &mut [Complex64]) + Sync,
 {
     debug_assert_eq!(state.len() % block, 0);
     let nblocks = state.len() / block;
     let workers = workers.max(1).min(nblocks);
     if workers == 1 || state.len() < PAR_THRESHOLD {
-        for chunk in state.chunks_exact_mut(block) {
-            f(chunk);
-        }
+        f(0, state);
         return;
     }
     let per = nblocks.div_ceil(workers) * block;
     crossbeam::thread::scope(|s| {
         let mut rest = state;
+        let mut base = 0usize;
         while !rest.is_empty() {
             let take = per.min(rest.len());
             let (head, tail) = rest.split_at_mut(take);
             let fref = &f;
-            s.spawn(move |_| {
-                for chunk in head.chunks_exact_mut(block) {
-                    fref(chunk);
-                }
-            });
+            s.spawn(move |_| fref(base, head));
+            base += take;
             rest = tail;
         }
     })
     .expect("kernel worker panicked");
 }
 
-/// Applies a general single-qubit matrix to local qubit `q`.
-pub fn apply_mat2(state: &mut [Complex64], q: u32, m: &Mat2, workers: usize) {
-    let n = local_qubits(state.len());
-    assert!(q < n, "qubit {q} out of range for 2^{n} buffer");
-    let half = 1usize << q;
-    let block = half * 2;
-    let m = *m;
-    par_block_chunks(state, block, workers, move |chunk| {
+/// One gate as the kernel that runs it, qubit positions turned into index
+/// strides.
+#[allow(clippy::large_enum_variant)] // built once per gate and sweep
+enum Kernel {
+    /// A general single-qubit matrix on the amplitude pairs `half` apart.
+    Pair { half: usize, m: Mat2 },
+    /// `diag(d0, d1)` on the amplitude pairs `half` apart.
+    Diag1 {
+        half: usize,
+        d0: Complex64,
+        d1: Complex64,
+    },
+    /// A general two-qubit matrix on the groups spanned by strides `sa`
+    /// and `sb` (matrix basis index `(bit_b << 1) | bit_a`, matching
+    /// [`Gate::mat4`]); `lo < hi` are the two qubits in index order.
+    Group4 {
+        lo: u32,
+        hi: u32,
+        sa: usize,
+        sb: usize,
+        m: Mat4,
+    },
+    /// A two-qubit diagonal, indexed `(bit_b << 1) | bit_a`.
+    Diag2 {
+        sa: usize,
+        sb: usize,
+        d: [Complex64; 4],
+    },
+    /// CX and SWAP: where index bits `lo < hi` are clear, the amplitude
+    /// runs at offsets `x < y` trade places.
+    Exchange {
+        lo: u32,
+        hi: u32,
+        x: usize,
+        y: usize,
+    },
+    /// `u` on the pairs `half` apart wherever every bit of `mask` is set.
+    Controlled { mask: usize, half: usize, u: Mat2 },
+}
+
+impl Kernel {
+    /// The fastest kernel for the gate's structure.
+    ///
+    /// # Panics
+    /// Panics if two of the gate's qubits coincide.
+    fn of(gate: &Gate) -> Kernel {
+        use Gate::*;
+        let pair = |a: u32, b: u32| {
+            assert!(a != b, "bad qubit pair ({a},{b})");
+            (a.min(b), a.max(b))
+        };
+        let controlled = |mask: usize, target: u32, u: Mat2| {
+            let half = 1usize << target;
+            assert_eq!(mask & half, 0, "control mask overlaps target");
+            Kernel::Controlled { mask, half, u }
+        };
+        match (gate, gate.diagonal()) {
+            (_, Some(Diagonal::One { q, d: [d0, d1] })) => Kernel::Diag1 {
+                half: 1 << q,
+                d0,
+                d1,
+            },
+            (_, Some(Diagonal::Two { a, b, d })) => {
+                pair(a, b);
+                Kernel::Diag2 {
+                    sa: 1 << a,
+                    sb: 1 << b,
+                    d,
+                }
+            }
+            (Swap(a, b), _) => {
+                let (lo, hi) = pair(*a, *b);
+                Kernel::Exchange {
+                    lo,
+                    hi,
+                    x: 1 << lo,
+                    y: 1 << hi,
+                }
+            }
+            (Cx(c, t), _) => {
+                let (lo, hi) = pair(*c, *t);
+                Kernel::Exchange {
+                    lo,
+                    hi,
+                    x: 1 << c,
+                    y: 1 << c | 1 << t,
+                }
+            }
+            (Cy(c, t), _) => controlled(1 << c, *t, mq_circuit::gate::mat2_y()),
+            (
+                Mcu {
+                    controls,
+                    target,
+                    u,
+                },
+                _,
+            ) => {
+                let mask = controls.iter().fold(0, |m, &c| m | 1usize << c);
+                controlled(mask, *target, *u)
+            }
+            (U2q(a, b, m), _) => {
+                let (lo, hi) = pair(*a, *b);
+                Kernel::Group4 {
+                    lo,
+                    hi,
+                    sa: 1 << a,
+                    sb: 1 << b,
+                    m: *m,
+                }
+            }
+            (g, _) => Kernel::Pair {
+                half: 1 << g.qubits()[0],
+                m: g.mat2()
+                    .expect("all remaining gates are single-qubit with a mat2"),
+            },
+        }
+    }
+
+    /// The smallest aligned block the kernel is closed on: a parallel split
+    /// at any multiple of it keeps every group of amplitudes the kernel
+    /// combines inside one piece.
+    fn block(&self) -> usize {
+        match *self {
+            Kernel::Pair { half, .. }
+            | Kernel::Diag1 { half, .. }
+            | Kernel::Controlled { half, .. } => 2 * half,
+            Kernel::Group4 { hi, .. } | Kernel::Exchange { hi, .. } => 2 << hi,
+            Kernel::Diag2 { .. } => 1,
+        }
+    }
+
+    /// Runs the kernel over `piece`: whole [`block`](Self::block)s, the
+    /// first at buffer index `base`.
+    #[inline(always)]
+    fn apply(&self, base: usize, piece: &mut [Complex64]) {
+        match *self {
+            Kernel::Pair { half, ref m } => pair_kernel(piece, half, m),
+            Kernel::Diag1 { half, d0, d1 } => diag1_kernel(piece, half, d0, d1),
+            Kernel::Group4 {
+                lo,
+                hi,
+                sa,
+                sb,
+                ref m,
+            } => group4_kernel(piece, lo, hi, sa, sb, m),
+            Kernel::Diag2 { sa, sb, ref d } => diag2_kernel(base, piece, sa, sb, d),
+            Kernel::Exchange { lo, hi, x, y } => exchange_kernel(piece, lo, hi, x, y),
+            Kernel::Controlled { mask, half, ref u } => {
+                controlled_kernel(base, piece, mask, half, u)
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn pair_kernel(piece: &mut [Complex64], half: usize, m: &Mat2) {
+    for chunk in piece.chunks_exact_mut(2 * half) {
         let (lo, hi) = chunk.split_at_mut(half);
-        for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+        for (a, b) in lo.iter_mut().zip(hi) {
             let (x, y) = m.apply(*a, *b);
             *a = x;
             *b = y;
         }
-    });
+    }
 }
 
-/// Applies a diagonal single-qubit gate `diag(d0, d1)` to local qubit `q`.
-pub fn apply_diag1(state: &mut [Complex64], q: u32, d0: Complex64, d1: Complex64, workers: usize) {
-    let n = local_qubits(state.len());
-    assert!(q < n, "qubit {q} out of range for 2^{n} buffer");
-    let half = 1usize << q;
-    let block = half * 2;
-    par_block_chunks(state, block, workers, move |chunk| {
+#[inline(always)]
+fn diag1_kernel(piece: &mut [Complex64], half: usize, d0: Complex64, d1: Complex64) {
+    for chunk in piece.chunks_exact_mut(2 * half) {
         let (lo, hi) = chunk.split_at_mut(half);
         if d0 != Complex64::ONE {
-            for a in lo.iter_mut() {
+            for a in lo {
                 *a *= d0;
             }
         }
-        for b in hi.iter_mut() {
+        for b in hi {
             *b *= d1;
         }
-    });
-}
-
-/// Applies a general two-qubit matrix to local qubits `(qa, qb)` — the
-/// matrix basis index is `(bit_b << 1) | bit_a`, matching
-/// [`Gate::mat4`](mq_circuit::gate::Gate::mat4).
-pub fn apply_mat4(state: &mut [Complex64], qa: u32, qb: u32, m: &Mat4, workers: usize) {
-    let n = local_qubits(state.len());
-    assert!(qa < n && qb < n && qa != qb, "bad qubit pair ({qa},{qb})");
-    let (lo, hi) = (qa.min(qb), qa.max(qb));
-    // Process blocks of size 2^(hi+1); within each block all four group
-    // members are reachable, keeping the parallel split trivially disjoint.
-    let block = 1usize << (hi + 1);
-    let m = *m;
-    let sa = 1usize << qa;
-    let sb = 1usize << qb;
-    let per_block_groups = block >> 2;
-    par_block_chunks(state, block, workers, move |chunk| {
-        for g in 0..per_block_groups {
-            let base = bits::insert_two_zero_bits(g, lo, hi);
-            let i00 = base;
-            let i01 = base | sa;
-            let i10 = base | sb;
-            let i11 = base | sa | sb;
-            let out = m.apply([chunk[i00], chunk[i01], chunk[i10], chunk[i11]]);
-            chunk[i00] = out[0];
-            chunk[i01] = out[1];
-            chunk[i10] = out[2];
-            chunk[i11] = out[3];
-        }
-    });
-}
-
-/// Applies a diagonal two-qubit gate with diagonal `d` (indexed
-/// `(bit_b << 1) | bit_a`) to local qubits `(qa, qb)`.
-pub fn apply_diag2(state: &mut [Complex64], qa: u32, qb: u32, d: [Complex64; 4], workers: usize) {
-    let n = local_qubits(state.len());
-    assert!(qa < n && qb < n && qa != qb, "bad qubit pair ({qa},{qb})");
-    let sa = 1usize << qa;
-    let sb = 1usize << qb;
-    // Element-wise: factor depends only on the two bits.
-    let split = num_workers_split(state.len(), workers);
-    mq_num::parallel::par_chunks_mut(state, split, move |start, chunk| {
-        for (k, amp) in chunk.iter_mut().enumerate() {
-            let i = start + k;
-            let idx = (((i & sb) != 0) as usize) << 1 | ((i & sa) != 0) as usize;
-            *amp *= d[idx];
-        }
-    });
-}
-
-fn num_workers_split(len: usize, workers: usize) -> usize {
-    if len < PAR_THRESHOLD {
-        1
-    } else {
-        workers.max(1)
     }
+}
+
+#[inline(always)]
+fn group4_kernel(piece: &mut [Complex64], lo: u32, hi: u32, sa: usize, sb: usize, m: &Mat4) {
+    for g in 0..piece.len() >> 2 {
+        let i00 = bits::insert_two_zero_bits(g, lo, hi);
+        let (i01, i10, i11) = (i00 | sa, i00 | sb, i00 | sa | sb);
+        let out = m.apply([piece[i00], piece[i01], piece[i10], piece[i11]]);
+        piece[i00] = out[0];
+        piece[i01] = out[1];
+        piece[i10] = out[2];
+        piece[i11] = out[3];
+    }
+}
+
+#[inline(always)]
+fn diag2_kernel(base: usize, piece: &mut [Complex64], sa: usize, sb: usize, d: &[Complex64; 4]) {
+    // Element-wise: the factor depends only on the two index bits.
+    for (k, amp) in piece.iter_mut().enumerate() {
+        let i = base + k;
+        let idx = (((i & sb) != 0) as usize) << 1 | ((i & sa) != 0) as usize;
+        *amp *= d[idx];
+    }
+}
+
+/// Exact — a permutation, no arithmetic: an infinite or NaN amplitude moves
+/// like any other, where a multiply by the X matrix would smear it over its
+/// partner.
+#[inline(always)]
+fn exchange_kernel(piece: &mut [Complex64], lo: u32, hi: u32, x: usize, y: usize) {
+    if lo < 2 {
+        // Slices of one or two amplitudes lose to element swaps.
+        for g in 0..piece.len() >> 2 {
+            let i = bits::insert_two_zero_bits(g, lo, hi);
+            piece.swap(i | x, i | y);
+        }
+    } else {
+        // The bits below `lo` are free: each base index heads a run of
+        // `2^lo` consecutive amplitudes that moves as one slice.
+        let run = 1usize << lo;
+        for g in 0..piece.len() >> 2 >> lo {
+            let i = bits::insert_two_zero_bits(g << lo, lo, hi);
+            let (head, tail) = piece.split_at_mut(i | y);
+            head[i | x..][..run].swap_with_slice(&mut tail[..run]);
+        }
+    }
+}
+
+#[inline(always)]
+fn controlled_kernel(base: usize, piece: &mut [Complex64], mask: usize, half: usize, u: &Mat2) {
+    for (b, chunk) in piece.chunks_exact_mut(2 * half).enumerate() {
+        let start = base + b * 2 * half;
+        let (lo, hi) = chunk.split_at_mut(half);
+        for (off, (a, b)) in lo.iter_mut().zip(hi).enumerate() {
+            if (start + off) & mask == mask {
+                let (x, y) = u.apply(*a, *b);
+                *a = x;
+                *b = y;
+            }
+        }
+    }
+}
+
+/// The serial body of every kernel call, written once: a super-run's
+/// segments in order on each `tile`-amplitude tile of `piece`, which starts
+/// at buffer index `base`. A single gate is a run of one segment on one
+/// tile, the whole piece.
+#[inline(always)]
+fn tiles_body(run: &[Seg<'_>], tile: usize, base: usize, piece: &mut [Complex64]) {
+    let needs_scratch = run
+        .iter()
+        .any(|s| matches!(s, Seg::Perm(p) if !p.is_xor_only()));
+    let mut scratch = vec![Complex64::ZERO; if needs_scratch { tile } else { 0 }];
+    for (t, amps) in piece.chunks_exact_mut(tile).enumerate() {
+        let base = base + t * tile;
+        for seg in run {
+            match seg {
+                Seg::Diag(d) => d.apply(base, amps),
+                Seg::Perm(p) => p.apply(amps, &mut scratch),
+                Seg::Local(kernel) => kernel.apply(base, amps),
+                Seg::Global(_) => unreachable!("global segments never reach a tile"),
+            }
+        }
+    }
+}
+
+/// A compiled copy of [`tiles_body`].
+type TilesFn = fn(&[Seg<'_>], usize, usize, &mut [Complex64]);
+
+/// [`tiles_body`] compiled for the build's target.
+fn tiles_baseline(run: &[Seg<'_>], tile: usize, base: usize, piece: &mut [Complex64]) {
+    tiles_body(run, tile, base, piece)
+}
+
+/// [`tiles_body`] compiled with 256-bit vectors: the same source, so the
+/// same multiplies and adds in the same order.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tiles_avx2(run: &[Seg<'_>], tile: usize, base: usize, piece: &mut [Complex64]) {
+    tiles_body(run, tile, base, piece)
+}
+
+/// The copy of the kernels this CPU runs, and its name.
+#[cfg(target_arch = "x86_64")]
+fn instantiation() -> (&'static str, TilesFn) {
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the line above found AVX2 on the CPU this runs on.
+        ("avx2", |run, tile, base, piece| unsafe {
+            tiles_avx2(run, tile, base, piece)
+        })
+    } else {
+        ("baseline", tiles_baseline)
+    }
+}
+
+/// The copy of the kernels this CPU runs, and its name.
+#[cfg(not(target_arch = "x86_64"))]
+fn instantiation() -> (&'static str, TilesFn) {
+    ("baseline", tiles_baseline)
+}
+
+/// Which compiled copy of the kernels [`apply_gate`] and
+/// [`apply_all_tiled`] run on this CPU: `"avx2"` or `"baseline"`. Both give
+/// the same amplitudes; a wall-clock number means little without it.
+pub fn kernel_isa() -> &'static str {
+    instantiation().0
+}
+
+/// Applies any gate from the circuit IR, with the gate's qubit indices
+/// interpreted as local indices into `state`, through the fastest kernel
+/// for the gate's structure: a gate that [`Gate::is_diagonal`] — including
+/// a diagonal `U1q`/`U2q` — never reaches the dense matrix kernels, and CX
+/// and SWAP are exchanges of amplitude runs, no arithmetic.
+///
+/// # Panics
+/// Panics if a qubit lies outside the buffer or two of them coincide.
+pub fn apply_gate(state: &mut [Complex64], gate: &Gate, workers: usize) {
+    gate_with(instantiation().1, state, gate, workers)
+}
+
+/// [`apply_gate`] through a given copy of the kernels.
+fn gate_with(body: TilesFn, state: &mut [Complex64], gate: &Gate, workers: usize) {
+    let n = local_qubits(state.len());
+    let q = gate.max_qubit();
+    assert!(q < n, "qubit {q} out of range for 2^{n} buffer");
+    let kernel = Kernel::of(gate);
+    let block = kernel.block();
+    let run = [Seg::Local(kernel)];
+    par_pieces(state, block, workers, |base, piece| {
+        body(&run, piece.len(), base, piece)
+    });
 }
 
 /// Applies SWAP between local qubits `a` and `b`: exchanges index bits `a`
@@ -151,114 +407,7 @@ fn num_workers_split(len: usize, workers: usize) -> usize {
 /// index with bits `a` and `b` transposed. The scheduler's layout moves are
 /// this gate, inside a stage's group buffer.
 pub fn apply_swap(state: &mut [Complex64], a: u32, b: u32, workers: usize) {
-    let n = local_qubits(state.len());
-    assert!(a < n && b < n && a != b, "bad qubit pair ({a},{b})");
-    let (lo, hi) = (a.min(b), a.max(b));
-    let block = 1usize << (hi + 1);
-    let slo = 1usize << lo;
-    let shi = 1usize << hi;
-    let groups = block >> 2;
-    par_block_chunks(state, block, workers, move |chunk| {
-        for g in 0..groups {
-            let base = bits::insert_two_zero_bits(g, lo, hi);
-            chunk.swap(base | slo, base | shi);
-        }
-    });
-}
-
-/// Applies a multi-controlled single-qubit unitary: `u` hits local qubit
-/// `target` wherever all bits of `control_mask` are set. The mask must not
-/// include the target bit.
-pub fn apply_mcu(
-    state: &mut [Complex64],
-    control_mask: usize,
-    target: u32,
-    u: &Mat2,
-    workers: usize,
-) {
-    let n = local_qubits(state.len());
-    assert!(target < n, "target {target} out of range");
-    assert_eq!(
-        control_mask & (1usize << target),
-        0,
-        "control mask overlaps target"
-    );
-    let half = 1usize << target;
-    let block = half * 2;
-    let u = *u;
-    // Block-start index must be folded into the mask check: chunk-local
-    // offsets see only the low bits, so compute global index via the chunk
-    // base passed through par iteration. par_block_chunks loses the base, so
-    // iterate manually here with a parallel outer loop when large.
-    let blocks = state.len() / block;
-    let run = move |state: &mut [Complex64], b0: usize, nb: usize| {
-        for bi in 0..nb {
-            let b = b0 + bi;
-            let chunk = &mut state[bi * block..(bi + 1) * block];
-            let base_idx = b * block;
-            for off in 0..half {
-                let i0 = base_idx + off;
-                if i0 & control_mask == control_mask {
-                    let (x, y) = u.apply(chunk[off], chunk[off + half]);
-                    chunk[off] = x;
-                    chunk[off + half] = y;
-                }
-            }
-        }
-    };
-    if workers <= 1 || state.len() < PAR_THRESHOLD {
-        run(state, 0, blocks);
-        return;
-    }
-    let per = blocks.div_ceil(workers.min(blocks));
-    crossbeam::thread::scope(|s| {
-        let mut rest = state;
-        let mut b0 = 0usize;
-        while !rest.is_empty() {
-            let nb = per.min(rest.len() / block);
-            let (head, tail) = rest.split_at_mut(nb * block);
-            let runref = &run;
-            s.spawn(move |_| runref(head, b0, nb));
-            b0 += nb;
-            rest = tail;
-        }
-    })
-    .expect("kernel worker panicked");
-}
-
-/// Applies any gate from the circuit IR, with the gate's qubit indices
-/// interpreted as local indices into `state`. Dispatches to the fastest
-/// kernel for the gate's structure: a gate that [`Gate::is_diagonal`] —
-/// including a diagonal `U1q`/`U2q` — never reaches the dense matrix
-/// kernels.
-pub fn apply_gate(state: &mut [Complex64], gate: &Gate, workers: usize) {
-    use Gate::*;
-    match (gate, gate.diagonal()) {
-        (_, Some(Diagonal::One { q, d })) => apply_diag1(state, q, d[0], d[1], workers),
-        (_, Some(Diagonal::Two { a, b, d })) => apply_diag2(state, a, b, d, workers),
-        (Swap(a, b), _) => apply_swap(state, *a, *b, workers),
-        (Cx(c, t), _) => apply_mcu(state, 1usize << c, *t, &mq_circuit::gate::mat2_x(), workers),
-        (Cy(c, t), _) => apply_mcu(state, 1usize << c, *t, &mq_circuit::gate::mat2_y(), workers),
-        (
-            Mcu {
-                controls,
-                target,
-                u,
-            },
-            _,
-        ) => {
-            let mask: usize = controls.iter().map(|&c| 1usize << c).sum();
-            apply_mcu(state, mask, *target, u, workers)
-        }
-        (U2q(a, b, m), _) => apply_mat4(state, *a, *b, m, workers),
-        (g, _) => {
-            let m = g
-                .mat2()
-                .expect("all remaining gates are single-qubit with a mat2");
-            let q = g.qubits()[0];
-            apply_mat2(state, q, &m, workers)
-        }
-    }
+    apply_gate(state, &Gate::Swap(a, b), workers)
 }
 
 /// Default tile width for [`apply_all`]: 2^15 amplitudes = 512 KiB of
@@ -400,6 +549,7 @@ impl DiagSeg {
     /// the table: the high support bits are gathered once per block, then
     /// the block either takes one broadcast factor (no support bit inside
     /// it) or indexes its sub-table through `low_off`.
+    #[inline(always)]
     fn apply(&self, base: usize, tile: &mut [Complex64]) {
         let high = &self.support[self.low_bits..];
         let block = self.low_off.len();
@@ -506,13 +656,25 @@ impl PermSeg {
         self.low_src = low_src;
     }
 
+    #[inline(always)]
     fn apply(&self, tile: &mut [Complex64], scratch: &mut [Complex64]) {
         if self.is_xor_only() {
             if self.xor_mask != 0 {
-                for i in 0..tile.len() {
-                    let j = i ^ self.xor_mask;
-                    if i < j {
-                        tile.swap(i, j);
+                // `i < i ^ mask` exactly where the mask's top bit is clear
+                // in `i`, and the index bits below its lowest bit stay: as
+                // in the exchange kernel, whole runs trade places.
+                let (mask, top) = (self.xor_mask, self.xor_mask.ilog2());
+                let low = mask.trailing_zeros();
+                if low < 2 {
+                    for g in 0..tile.len() >> 1 {
+                        let i = bits::insert_zero_bit(g, top);
+                        tile.swap(i, i ^ mask);
+                    }
+                } else {
+                    for g in 0..tile.len() >> 1 >> low {
+                        let i = bits::insert_zero_bit(g << low, top);
+                        let (head, tail) = tile.split_at_mut(i ^ mask);
+                        head[i..][..1 << low].swap_with_slice(&mut tail[..1 << low]);
                     }
                 }
             }
@@ -536,9 +698,9 @@ impl PermSeg {
 enum Seg<'a> {
     Diag(DiagSeg),
     Perm(PermSeg),
-    /// Other gates whose qubits all fit inside the tile; applied in order
+    /// Any other gate whose qubits all fit inside the tile; applied
     /// tile-by-tile.
-    Local(Vec<&'a Gate>),
+    Local(Kernel),
     /// A gate pairing amplitudes across tiles (or a single diagonal gate
     /// too wide for a phase table); falls back to the global per-gate
     /// kernel.
@@ -559,7 +721,7 @@ fn segment_ops(ops: &[SweepOp], tile_bits: u32) -> Vec<Seg<'_>> {
         /// The run and the bit mask of its union support.
         Diag(Vec<Factor<'a>>, u64),
         Perm(PermSeg),
-        Local(Vec<&'a Gate>),
+        Local(&'a Gate),
         Global(&'a Gate),
     }
     let mut raw: Vec<Raw<'_>> = Vec::new();
@@ -591,8 +753,7 @@ fn segment_ops(ops: &[SweepOp], tile_bits: u32) -> Vec<Seg<'_>> {
                             perm.push(g);
                             raw.push(Raw::Perm(perm));
                         }
-                        Some(Raw::Local(run)) => run.push(g),
-                        _ => raw.push(Raw::Local(vec![g])),
+                        _ => raw.push(Raw::Local(g)),
                     }
                     continue;
                 }
@@ -618,50 +779,10 @@ fn segment_ops(ops: &[SweepOp], tile_bits: u32) -> Vec<Seg<'_>> {
                 perm.finish(block_bits);
                 Seg::Perm(perm)
             }
-            Raw::Local(run) => Seg::Local(run),
+            Raw::Local(g) => Seg::Local(Kernel::of(g)),
             Raw::Global(g) => Seg::Global(g),
         })
         .collect()
-}
-
-/// Runs `f(tile_base, tile, scratch)` over aligned `tile`-sized pieces of
-/// `state`, splitting whole tiles across up to `workers` scoped threads —
-/// the one thread scope a fused super-run pays per stage. `scratch` is a
-/// per-worker buffer of `tile` amplitudes, allocated only when requested.
-fn par_tiles<F>(state: &mut [Complex64], tile: usize, workers: usize, scratch: bool, f: F)
-where
-    F: Fn(usize, &mut [Complex64], &mut [Complex64]) + Sync,
-{
-    debug_assert_eq!(state.len() % tile, 0);
-    let ntiles = state.len() / tile;
-    let workers = workers.max(1).min(ntiles);
-    let scratch_len = if scratch { tile } else { 0 };
-    if workers == 1 || state.len() < PAR_THRESHOLD {
-        let mut scratch = vec![Complex64::ZERO; scratch_len];
-        for (t, chunk) in state.chunks_exact_mut(tile).enumerate() {
-            f(t * tile, chunk, &mut scratch);
-        }
-        return;
-    }
-    let per = ntiles.div_ceil(workers) * tile;
-    crossbeam::thread::scope(|s| {
-        let mut rest = state;
-        let mut base = 0usize;
-        while !rest.is_empty() {
-            let take = per.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let fref = &f;
-            s.spawn(move |_| {
-                let mut scratch = vec![Complex64::ZERO; scratch_len];
-                for (t, chunk) in head.chunks_exact_mut(tile).enumerate() {
-                    fref(base + t * tile, chunk, &mut scratch);
-                }
-            });
-            base += take;
-            rest = tail;
-        }
-    })
-    .expect("kernel worker panicked");
 }
 
 /// [`apply_all_tiled`] over plain gates at the default tile width.
@@ -685,6 +806,17 @@ pub fn apply_all_tiled(
     workers: usize,
     tile_amps: usize,
 ) -> ApplyAllStats {
+    sweep_with(instantiation().1, state, ops, workers, tile_amps)
+}
+
+/// [`apply_all_tiled`] through a given copy of the kernels.
+fn sweep_with(
+    body: TilesFn,
+    state: &mut [Complex64],
+    ops: &[SweepOp],
+    workers: usize,
+    tile_amps: usize,
+) -> ApplyAllStats {
     let count = |f: fn(&SweepOp) -> bool| ops.iter().filter(|op| f(op)).count();
     let mut stats = ApplyAllStats {
         gates: count(|op| matches!(op, SweepOp::Gate(_))),
@@ -702,7 +834,7 @@ pub fn apply_all_tiled(
     let mut i = 0;
     while i < segs.len() {
         if let Seg::Global(g) = &segs[i] {
-            apply_gate(state, g, workers);
+            gate_with(body, state, g, workers);
             stats.passes += 1;
             i += 1;
             continue;
@@ -712,29 +844,9 @@ pub fn apply_all_tiled(
             .position(|s| matches!(s, Seg::Global(_)))
             .unwrap_or(segs.len() - i);
         let run = &segs[i..i + len];
-        let needs_scratch = run
-            .iter()
-            .any(|s| matches!(s, Seg::Perm(p) if !p.is_xor_only()));
-        par_tiles(
-            state,
-            tile,
-            workers,
-            needs_scratch,
-            |base, tile, scratch| {
-                for seg in run {
-                    match seg {
-                        Seg::Diag(d) => d.apply(base, tile),
-                        Seg::Perm(p) => p.apply(tile, scratch),
-                        Seg::Local(gates) => {
-                            for g in gates {
-                                apply_gate(tile, g, 1);
-                            }
-                        }
-                        Seg::Global(_) => unreachable!("global segments never reach a tile"),
-                    }
-                }
-            },
-        );
+        par_pieces(state, tile, workers, |base, piece| {
+            body(run, tile, base, piece)
+        });
         stats.passes += 1;
         i += len;
     }
@@ -773,39 +885,44 @@ mod tests {
         );
     }
 
+    /// One gate of every kind the kernels tell apart, on four qubits placed
+    /// by `q`.
+    fn gate_kinds(q: impl Fn(u32) -> u32) -> Vec<Gate> {
+        vec![
+            Gate::H(q(0)),
+            Gate::H(q(3)),
+            Gate::X(q(2)),
+            Gate::Y(q(1)),
+            Gate::Z(q(3)),
+            Gate::S(q(0)),
+            Gate::T(q(2)),
+            Gate::Sx(q(1)),
+            Gate::Rx(q(0), 0.37),
+            Gate::Ry(q(3), -1.2),
+            Gate::Rz(q(2), 2.2),
+            Gate::P(q(1), 0.9),
+            Gate::U3(q(0), 0.3, 0.5, 0.7),
+            Gate::Cx(q(0), q(3)),
+            Gate::Cx(q(3), q(0)),
+            Gate::Cy(q(1), q(2)),
+            Gate::Cz(q(0), q(2)),
+            Gate::Cp(q(2), q(3), 0.4),
+            Gate::Swap(q(0), q(3)),
+            Gate::Swap(q(2), q(1)),
+            Gate::Rzz(q(1), q(3), 0.8),
+            Gate::ccx(q(0), q(1), q(2)),
+            Gate::ccx(q(2), q(3), q(0)),
+            Gate::mcz(&[q(0), q(1), q(2)], q(3)),
+            Gate::mcx(&[q(3)], q(1)),
+            Gate::U2q(q(1), q(3), Mat4::kron(&mat2_h(), &mat2_x())),
+            Gate::U2q(q(3), q(1), Mat4::kron(&mat2_h(), &mat2_x())),
+            Gate::U1q(q(2), mat2_h()),
+        ]
+    }
+
     #[test]
     fn every_gate_kind_matches_oracle() {
-        let gates = vec![
-            Gate::H(0),
-            Gate::H(3),
-            Gate::X(2),
-            Gate::Y(1),
-            Gate::Z(3),
-            Gate::S(0),
-            Gate::T(2),
-            Gate::Sx(1),
-            Gate::Rx(0, 0.37),
-            Gate::Ry(3, -1.2),
-            Gate::Rz(2, 2.2),
-            Gate::P(1, 0.9),
-            Gate::U3(0, 0.3, 0.5, 0.7),
-            Gate::Cx(0, 3),
-            Gate::Cx(3, 0),
-            Gate::Cy(1, 2),
-            Gate::Cz(0, 2),
-            Gate::Cp(2, 3, 0.4),
-            Gate::Swap(0, 3),
-            Gate::Swap(2, 1),
-            Gate::Rzz(1, 3, 0.8),
-            Gate::ccx(0, 1, 2),
-            Gate::ccx(2, 3, 0),
-            Gate::mcz(&[0, 1, 2], 3),
-            Gate::mcx(&[3], 1),
-            Gate::U2q(1, 3, Mat4::kron(&mat2_h(), &mat2_x())),
-            Gate::U2q(3, 1, Mat4::kron(&mat2_h(), &mat2_x())),
-            Gate::U1q(2, mat2_h()),
-        ];
-        for g in &gates {
+        for g in &gate_kinds(|q| q) {
             for workers in [1usize, 3] {
                 check_gate_against_oracle(4, g, workers);
             }
@@ -836,7 +953,7 @@ mod tests {
     #[test]
     fn h_on_basis_state() {
         let mut s = basis(1, 0);
-        apply_mat2(&mut s, 0, &mat2_h(), 1);
+        apply_gate(&mut s, &Gate::H(0), 1);
         let r = std::f64::consts::FRAC_1_SQRT_2;
         assert!(s[0].approx_eq(c64(r, 0.0), 1e-12));
         assert!(s[1].approx_eq(c64(r, 0.0), 1e-12));
@@ -1086,12 +1203,15 @@ mod tests {
                 s[7] = c64(f64::INFINITY, 0.0);
                 s
             };
-            let mut direct = poisoned();
-            apply_gate(&mut direct, &g, 1);
-            let mut swept = poisoned();
-            apply_all_tiled(&mut swept, &ops_of(std::slice::from_ref(&g)), 1, 2);
-            for s in [&direct, &swept] {
-                assert!(s[..7].iter().all(|z| z.re.is_finite() && z.im.is_finite()));
+            for (name, body) in instantiations() {
+                let mut direct = poisoned();
+                gate_with(body, &mut direct, &g, 1);
+                let mut swept = poisoned();
+                sweep_with(body, &mut swept, &ops_of(std::slice::from_ref(&g)), 1, 2);
+                for s in [&direct, &swept] {
+                    let finite = |z: &Complex64| z.re.is_finite() && z.im.is_finite();
+                    assert!(s[..7].iter().all(finite), "{g} ({name})");
+                }
             }
         }
     }
@@ -1104,14 +1224,15 @@ mod tests {
         let gates = vec![Gate::P(0, 2.0), Gate::Cp(0, 1, 1.0), Gate::Rz(3, -2.5)];
         let mut sparse = vec![Complex64::ZERO; 16];
         sparse[5] = Complex64::ONE;
-        for tile in [2usize, 16] {
-            let mut s = sparse.clone();
-            let mut ops = ops_of(&gates);
-            ops.push(SweepOp::Scalar(Complex64::cis(3.0)));
-            apply_all_tiled(&mut s, &ops, 1, tile);
-            for (i, z) in s.iter().enumerate().filter(|(i, _)| *i != 5) {
-                assert_eq!(z.re.to_bits(), 0, "re of amplitude {i}");
-                assert_eq!(z.im.to_bits(), 0, "im of amplitude {i}");
+        let mut ops = ops_of(&gates);
+        ops.push(SweepOp::Scalar(Complex64::cis(3.0)));
+        for (name, body) in instantiations() {
+            for tile in [2usize, 16] {
+                let mut s = sparse.clone();
+                sweep_with(body, &mut s, &ops, 1, tile);
+                for (i, z) in s.iter().enumerate().filter(|(i, _)| *i != 5) {
+                    assert_eq!(bits_of(z), (0, 0), "amplitude {i} ({name})");
+                }
             }
         }
     }
@@ -1119,7 +1240,8 @@ mod tests {
     #[test]
     fn a_diagonal_gate_too_wide_for_a_table_falls_back_to_its_kernel() {
         // 13 qubits of support would need a 2^13-entry table (and 2^n for
-        // an n-control Grover oracle): it runs through apply_mcu instead.
+        // an n-control Grover oracle): it runs through the controlled kernel
+        // instead.
         let controls: Vec<u32> = (0..12).collect();
         let gates = vec![Gate::T(3), Gate::mcz(&controls, 12), Gate::Cz(0, 12)];
         let ops = ops_of(&gates);
@@ -1148,31 +1270,150 @@ mod tests {
     #[should_panic]
     fn rejects_out_of_range_qubit() {
         let mut s = basis(2, 0);
-        apply_mat2(&mut s, 5, &mat2_h(), 1);
+        apply_gate(&mut s, &Gate::H(5), 1);
     }
 
     #[test]
     #[should_panic]
     fn rejects_control_overlapping_target() {
         let mut s = basis(2, 0);
-        apply_mcu(&mut s, 0b01, 0, &mat2_x(), 1);
+        let overlapping = Gate::Mcu {
+            controls: vec![0],
+            target: 0,
+            u: mat2_x(),
+        };
+        apply_gate(&mut s, &overlapping, 1);
+    }
+
+    /// A random state sprinkled with the values arithmetic treats
+    /// specially: both zeros, both infinities and NaN.
+    fn hostile_state(n: u32, seed: u64) -> Vec<Complex64> {
+        let special = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let mut state = random_state(n, seed);
+        for (i, z) in state.iter_mut().enumerate() {
+            match i % 7 {
+                0 => z.re = special[i / 7 % 5],
+                3 => z.im = special[i / 7 % 5],
+                _ => {}
+            }
+        }
+        state
+    }
+
+    fn bits_of(z: &Complex64) -> (u64, u64) {
+        (z.re.to_bits(), z.im.to_bits())
     }
 
     #[test]
-    fn swap_is_the_bit_transposition() {
-        // The permutation semantics the layout moves rely on: amplitude at
-        // index i lands at i with bits (a, b) transposed.
+    fn cx_and_swap_move_amplitudes_exactly() {
+        // The permutation semantics the layout moves rely on: SWAP lands
+        // the amplitude at index i on i with bits (a, b) transposed, CX on
+        // i with the target bit flipped where the control is set. Every
+        // (lo, hi) shape, both orders; a multiply-by-X path would turn the
+        // `0 * inf` it meets here into NaN.
         let n = 6u32;
-        let (a, b) = (1u32, 4u32);
-        let s0 = random_state(n, 9);
-        for workers in [1usize, 4] {
-            let mut s = s0.clone();
-            apply_swap(&mut s, a, b, workers);
+        let s0 = hostile_state(n, 9);
+        let transposed = |i: usize, a: u32, b: u32| {
+            let (ba, bb) = ((i >> a) & 1, (i >> b) & 1);
+            (i & !((1 << a) | (1 << b))) | (bb << a) | (ba << b)
+        };
+        for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))) {
+            if a == b {
+                continue;
+            }
+            let mut swapped = s0.clone();
+            apply_swap(&mut swapped, a, b, 1);
+            let mut cx = s0.clone();
+            apply_gate(&mut cx, &Gate::Cx(a, b), 1);
             for (i, amp) in s0.iter().enumerate() {
-                let ba = (i >> a) & 1;
-                let bb = (i >> b) & 1;
-                let j = (i & !((1 << a) | (1 << b))) | (bb << a) | (ba << b);
-                assert_eq!(s[j], *amp, "index {i} (workers={workers})");
+                let j = transposed(i, a, b);
+                assert_eq!(bits_of(&swapped[j]), bits_of(amp), "swap({a},{b}) {i}");
+                let j = i ^ (i >> a & 1) << b;
+                assert_eq!(bits_of(&cx[j]), bits_of(amp), "cx({a},{b}) {i}");
+            }
+        }
+        // Across the thread split too.
+        let big = hostile_state(16, 4);
+        for g in [Gate::Cx(15, 0), Gate::Cx(1, 14), Gate::Swap(3, 15)] {
+            let (mut serial, mut split) = (big.clone(), big.clone());
+            apply_gate(&mut serial, &g, 1);
+            apply_gate(&mut split, &g, 3);
+            assert!(serial.iter().map(bits_of).eq(split.iter().map(bits_of)));
+        }
+    }
+
+    /// Every compiled copy of the kernels this CPU can run, baseline first.
+    fn instantiations() -> Vec<(&'static str, TilesFn)> {
+        let mut all: Vec<(&'static str, TilesFn)> = vec![("baseline", tiles_baseline)];
+        if kernel_isa() != "baseline" {
+            all.push(instantiation());
+        }
+        all
+    }
+
+    /// Bit patterns of a state, with every NaN folded onto one: Rust leaves
+    /// the sign and payload of a *computed* NaN unspecified, and the two
+    /// copies may order the operands of a commutative instruction
+    /// differently.
+    fn bit_key(state: &[Complex64]) -> Vec<u64> {
+        let key = |x: f64| if x.is_nan() { u64::MAX } else { x.to_bits() };
+        state.iter().flat_map(|z| [key(z.re), key(z.im)]).collect()
+    }
+
+    #[test]
+    fn every_instantiation_gives_the_same_bits() {
+        let all = instantiations();
+        let names: Vec<&str> = all.iter().map(|(name, _)| *name).collect();
+        println!("kernel copies compared: {names:?}");
+        let (_, baseline) = all[0];
+        let n = 9u32;
+        // Pairs inside one vector, across two, and in different blocks:
+        // every gate kind at every position, qubits adjacent and spread.
+        let mut lists: Vec<Vec<Gate>> = Vec::new();
+        for shift in 0..n {
+            for stride in [1, 2] {
+                lists.push(gate_kinds(|q| (q * stride + shift) % n));
+            }
+        }
+        // A folded diagonal run with and without support below the 2^8
+        // block, and an X/SWAP run.
+        lists.push(vec![
+            Gate::T(0),
+            Gate::Cp(1, 8, 0.3),
+            Gate::Rzz(3, 5, 1.1),
+            Gate::Rz(2, -0.7),
+        ]);
+        lists.push(vec![Gate::Rz(8, 0.9), Gate::P(8, -2.0)]);
+        lists.push(vec![
+            Gate::X(0),
+            Gate::Swap(1, 5),
+            Gate::X(7),
+            Gate::Swap(0, 8),
+        ]);
+        for &(name, wide) in &all[1..] {
+            for (state, what) in [
+                (random_state(n, 3), "random"),
+                (hostile_state(n, 3), "hostile"),
+            ] {
+                for gates in &lists {
+                    for g in gates {
+                        let (mut a, mut b) = (state.clone(), state.clone());
+                        gate_with(baseline, &mut a, g, 1);
+                        gate_with(wide, &mut b, g, 1);
+                        assert_eq!(bit_key(&a), bit_key(&b), "{name}, {what} state, {g}");
+                    }
+                    let ops = ops_of(gates);
+                    for tile in [1usize << 1, 1 << 4, 1 << 8, DEFAULT_TILE_AMPS] {
+                        let (mut a, mut b) = (state.clone(), state.clone());
+                        sweep_with(baseline, &mut a, &ops, 1, tile);
+                        sweep_with(wide, &mut b, &ops, 1, tile);
+                        assert_eq!(
+                            bit_key(&a),
+                            bit_key(&b),
+                            "{name}, {what} state, tile {tile}"
+                        );
+                    }
+                }
             }
         }
     }

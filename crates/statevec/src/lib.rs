@@ -8,8 +8,10 @@
 //! to whole dense states.
 //!
 //! * [`state`] — the dense [`State`] plus circuit execution.
-//! * [`apply`] — gate kernels (pair, 4-group, diagonal and controlled fast
-//!   paths; scoped-thread parallel versions).
+//! * [`apply`] — gate kernels (pair, 4-group, diagonal, controlled and
+//!   run-exchange bodies, each compiled for the baseline target and for
+//!   AVX2 and picked per call) behind two entry points: one gate, or a
+//!   stage's ops in one cache-blocked sweep.
 //! * [`measure`] — Born-rule sampling and collapse.
 //! * [`expval`] — Pauli-string expectation values.
 

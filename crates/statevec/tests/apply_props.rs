@@ -6,8 +6,11 @@
 //! tile width from 2 amplitudes to the whole buffer. The lists mix what the
 //! segmenter treats differently: diagonal runs — with scalars and cuts in
 //! them — whose union support outgrows one phase table and straddles the
-//! tile and the 256-amplitude block boundary, X/SWAP permutation runs, and
-//! pairing gates below and above the tile.
+//! tile and the 256-amplitude block boundary, X/SWAP permutation runs,
+//! pairing gates below and above the tile, and CX/SWAP exchanges on the edge
+//! shapes (a one- or two-amplitude run, the top qubit). The exchange kernel
+//! moves amplitudes and computes nothing, so against the oracle it is held
+//! to `==` on every ordered qubit pair.
 
 use mq_circuit::gate::{mat2_p, Gate};
 use mq_circuit::unitary::apply_gate_dense;
@@ -71,13 +74,39 @@ fn pairing_gate(rng: &mut StdRng) -> Gate {
     }
 }
 
+/// CX or SWAP with the low qubit at 0 or 1 (runs too short for a slice
+/// swap), the high one on top of the buffer, or both anywhere.
+fn exchange_gate(rng: &mut StdRng) -> Gate {
+    let q = distinct(rng, 2);
+    let (mut lo, mut hi) = (q[0].min(q[1]), q[0].max(q[1]));
+    match rng.gen_range(0..4) {
+        0 => lo = rng.gen_range(0..2),
+        1 => hi = N - 1,
+        2 => (lo, hi) = (rng.gen_range(0..2), N - 1),
+        _ => {}
+    }
+    if lo == hi {
+        hi += 1;
+    }
+    let (a, b) = if rng.gen_range(0..2) == 0 {
+        (lo, hi)
+    } else {
+        (hi, lo)
+    };
+    if rng.gen_range(0..2) == 0 {
+        Gate::Cx(a, b)
+    } else {
+        Gate::Swap(a, b)
+    }
+}
+
 /// 3-6 runs of one kind each, in random order. A diagonal run is what a
 /// specialized stage holds: gates, scalars and the odd cut.
 fn op_list(seed: u64) -> Vec<SweepOp> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ops = Vec::new();
     for _ in 0..rng.gen_range(3..=6) {
-        match rng.gen_range(0..3) {
+        match rng.gen_range(0..4) {
             0 => {
                 for _ in 0..rng.gen_range(3..=16) {
                     ops.push(match rng.gen_range(0..8) {
@@ -92,14 +121,42 @@ fn op_list(seed: u64) -> Vec<SweepOp> {
                     ops.push(SweepOp::Gate(permutation_gate(&mut rng)));
                 }
             }
-            _ => {
+            2 => {
                 for _ in 0..rng.gen_range(1..=3) {
                     ops.push(SweepOp::Gate(pairing_gate(&mut rng)));
+                }
+            }
+            _ => {
+                for _ in 0..rng.gen_range(1..=3) {
+                    ops.push(SweepOp::Gate(exchange_gate(&mut rng)));
                 }
             }
         }
     }
     ops
+}
+
+fn random_state(seed: u64) -> Vec<Complex64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..1usize << N)
+        .map(|_| c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+        .collect()
+}
+
+#[test]
+fn cx_and_swap_equal_the_dense_oracle_on_every_qubit_pair() {
+    let start = random_state(17);
+    for (a, b) in (0..N).flat_map(|a| (0..N).map(move |b| (a, b))) {
+        if a == b {
+            continue;
+        }
+        for gate in [Gate::Cx(a, b), Gate::Swap(a, b)] {
+            let (mut kernel, mut dense) = (start.clone(), start.clone());
+            apply_gate(&mut kernel, &gate, 2);
+            apply_gate_dense(N, &mut dense, &gate);
+            assert!(kernel == dense, "{gate} is not the oracle's permutation");
+        }
+    }
 }
 
 proptest! {
@@ -111,10 +168,7 @@ proptest! {
         workers in 1usize..=3,
     ) {
         let ops = op_list(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        let start: Vec<Complex64> = (0..1usize << N)
-            .map(|_| c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
-            .collect();
+        let start = random_state(seed ^ 0x5eed);
 
         let mut per_gate = start.clone();
         let mut dense = start.clone();

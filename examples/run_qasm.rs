@@ -70,9 +70,10 @@ fn main() {
         outcome.compression_ratio
     );
     println!(
-        "{} stages, {}",
+        "{} stages, {}, {} kernels",
         outcome.report.stages,
-        outcome.report.visits_summary()
+        outcome.report.visits_summary(),
+        outcome.report.kernel_isa
     );
 
     let mut rng = StdRng::seed_from_u64(1);

@@ -39,6 +39,11 @@ fn cpu_and_hybrid_reports_agree_on_driver_accounting() {
         assert_eq!(c.stages, h.stages, "{}", circuit.name());
         assert_eq!(c.chunk_visits, h.chunk_visits, "{}", circuit.name());
 
+        // Both lanes run the one apply body, so both name the kernel copy
+        // the dispatch picks on this CPU.
+        let isa = memqsim_suite::statevec::apply::kernel_isa();
+        assert_eq!((c.kernel_isa, h.kernel_isa), (isa, isa));
+
         // Both executors specialize the same plan against the same state, so
         // they apply exactly the same gates and scalars.
         assert_eq!(c.gates_applied, h.gates_applied, "{}", circuit.name());
