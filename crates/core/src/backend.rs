@@ -53,13 +53,16 @@ pub trait Backend {
 /// The dense CPU baseline (SV-Sim-style).
 #[derive(Debug, Clone, Copy)]
 pub struct DenseCpuBackend {
-    /// Kernel worker threads.
+    /// Members of the worker team each gate kernel splits across.
     pub workers: usize,
 }
 
 impl Default for DenseCpuBackend {
+    /// On every core, as [`mq_statevec::CpuConfig::default`].
     fn default() -> Self {
-        DenseCpuBackend { workers: 1 }
+        DenseCpuBackend {
+            workers: mq_statevec::CpuConfig::default().workers,
+        }
     }
 }
 

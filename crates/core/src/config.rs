@@ -48,11 +48,12 @@ pub struct MemQSimConfig {
     pub max_high_qubits: u32,
     /// Which codec compresses resident chunks.
     pub codec: CodecSpec,
-    /// CPU worker threads of the CPU engine's decompress → apply →
-    /// recompress group loop — the only CPU thread count there is. The
-    /// hybrid engine does not read it: its host side is the caller's thread
-    /// (decode and issue) and one completer thread per device, plus one
-    /// stream worker per device.
+    /// Members of the worker team inside each chunk group of the CPU
+    /// engine's decompress → apply → recompress loop — the only CPU thread
+    /// count there is; the default is the host's core count
+    /// ([`mq_num::parallel::cores`]). The hybrid engine does not read it:
+    /// its host side is the caller's thread (decode and issue) and one
+    /// completer thread per device, plus one stream worker per device.
     pub workers: usize,
     /// Byte budget for the store's write-back residency cache of
     /// decompressed hot chunks (0 = disabled). Cache bytes count toward
@@ -90,7 +91,7 @@ impl Default for MemQSimConfig {
             chunk_bits: 16,
             max_high_qubits: 2,
             codec: CodecSpec::Sz { eb: 1e-10 },
-            workers: 1,
+            workers: mq_num::parallel::cores(),
             cache_bytes: 0,
             store_kind: StoreKind::Compressed,
             transfer_mode: TransferMode::Raw,
@@ -189,7 +190,7 @@ impl MemQSimConfigBuilder {
         self
     }
 
-    /// CPU worker threads of the CPU engine's group loop.
+    /// Members of the worker team inside each chunk group.
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
         self

@@ -4,11 +4,12 @@
 //! for every stage of the offline plan, every chunk group is decompressed
 //! into a working buffer, all of the stage's gates are applied (specialized
 //! to the group), and the chunks are recompressed — the "idle core" loop of
-//! paper Fig. 2, step 5. Groups of a stage are distributed over
-//! `cfg.workers` flat workers, each carrying a group through decompress →
-//! apply → recompress back to back so it stays in that core's cache. The
-//! workers draw groups one at a time, and a group that decompresses to all
-//! zeros ends there: nothing to apply, nothing to write back (see
+//! paper Fig. 2, step 5. Groups run one after another, and `cfg.workers`
+//! members of the worker team ([`mq_num::parallel`]) work inside each: all
+//! decompress their share of the group's chunks, all sweep their share of
+//! the buffer, all recompress. So one group buffer serves the whole run,
+//! whatever the worker count. A group that decompresses to all zeros ends
+//! there: nothing to apply, nothing to write back (see
 //! [`exec`](super::exec) on zero groups).
 //!
 //! The streaming skeleton (validation, plan, cache, ordering, accounting,
@@ -30,9 +31,9 @@ pub use crate::engine::exec::build_plan;
 
 const AMP_BYTES: usize = std::mem::size_of::<Complex64>();
 
-/// [`ChunkExecutor`] that processes every chunk group on CPU workers: it
-/// collects a stage's groups and runs the flat `cfg.workers` group-parallel
-/// loop at the stage barrier.
+/// [`ChunkExecutor`] that processes every chunk group on the CPU: it
+/// collects a stage's groups and runs them at the stage barrier, one at a
+/// time, `cfg.workers` members of the worker team inside each.
 #[derive(Default)]
 pub struct CpuWorkerExecutor {
     counters: ApplyCounters,
@@ -40,6 +41,8 @@ pub struct CpuWorkerExecutor {
     peak_buffer_bytes: usize,
     /// The open stage's groups, buffered until the stage barrier.
     pending: Vec<Vec<usize>>,
+    /// The one group buffer, reused across groups and stages.
+    buffer: Vec<Complex64>,
 }
 
 impl CpuWorkerExecutor {
@@ -61,11 +64,12 @@ impl ChunkExecutor for CpuWorkerExecutor {
     }
 
     fn end_stage(&mut self, ctx: &ExecContext, index: u32) -> Result<(), EngineError> {
-        let group_amps = ctx.stage(index).group_size() * ctx.chunk_amps();
-        self.peak_buffer_bytes = self
-            .peak_buffer_bytes
-            .max(ctx.cfg.workers.min(self.pending.len()) * group_amps * AMP_BYTES);
-        let result = process_groups_on_cpu(ctx, index, &self.pending, &self.counters);
+        if !self.pending.is_empty() {
+            let group_amps = ctx.stage(index).group_size() * ctx.chunk_amps();
+            self.peak_buffer_bytes = self.peak_buffer_bytes.max(group_amps * AMP_BYTES);
+        }
+        let result =
+            process_groups_on_cpu(ctx, index, &self.pending, &self.counters, &mut self.buffer);
         self.pending.clear();
         result
     }
@@ -137,17 +141,29 @@ mod tests {
 
     #[test]
     fn multithreaded_run_matches_single_threaded() {
-        let c = library::random_circuit(8, 8, 5);
-        let mk = |workers| MemQSimConfig {
-            workers,
-            ..testkit::cfg(3, CodecSpec::Fpc)
-        };
-        let s1 = testkit::zero_store(8, 3, &mk(1));
-        run(&s1, &c, &mk(1), Granularity::Staged).unwrap();
-        let s4 = testkit::zero_store(8, 3, &mk(4));
-        run(&s4, &c, &mk(4), Granularity::Staged).unwrap();
-        let err = max_amp_err(&s1.to_dense().unwrap(), &s4.to_dense().unwrap());
-        assert!(err < 1e-12, "thread count changed the result: {err}");
+        // Small chunks (decode and encode split across members) and a group
+        // as large as the kernels' parallel threshold (the sweep splits too).
+        for (n, chunk_bits, depth) in [(8u32, 3u32, 8u32), (15, 13, 2)] {
+            let c = library::random_circuit(n, depth, 5);
+            for codec in [CodecSpec::Fpc, CodecSpec::Sz { eb: 1e-10 }] {
+                let final_state = |workers| {
+                    let cfg = MemQSimConfig {
+                        workers,
+                        ..testkit::cfg(chunk_bits, codec)
+                    };
+                    let store = testkit::zero_store(n, chunk_bits, &cfg);
+                    run(&store, &c, &cfg, Granularity::Staged).unwrap();
+                    store.to_dense().unwrap()
+                };
+                let one = final_state(1);
+                for workers in [2, 3, 4] {
+                    assert!(
+                        final_state(workers) == one,
+                        "{workers} workers changed the result ({codec:?}, {n} qubits)"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

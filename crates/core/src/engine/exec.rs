@@ -15,8 +15,9 @@
 //!
 //! * [`CpuWorkerExecutor`](super::cpu::CpuWorkerExecutor) — "idle core"
 //!   workers carry each group through decompress → apply → recompress
-//!   (paper Fig. 2 step 5). Its body is a parallel-for over the stage, so
-//!   it buffers submissions and runs at the barrier;
+//!   (paper Fig. 2 step 5): one group at a time, every member of the
+//!   worker team inside it. It buffers a stage's submissions and runs them
+//!   at the barrier;
 //! * [`DevicePipelineExecutor`](super::hybrid::DevicePipelineExecutor) —
 //!   the three-role decompress / device / recompress pipeline (Fig. 2 steps
 //!   1–6), streaming: `submit` stages and issues one group while earlier
@@ -53,11 +54,10 @@ use mq_circuit::schedule::schedule;
 use mq_circuit::Circuit;
 use mq_compress::{CodecError, CompressionStats};
 use mq_device::StreamStats;
-use mq_num::parallel::par_for_with;
+use mq_num::parallel;
 use mq_num::Complex64;
 use mq_statevec::apply::{apply_all_tiled, SweepOp, DEFAULT_TILE_AMPS, DIAG_MAX_BITS};
 use mq_telemetry::{Counter, Role, StageErrorSpend, Telemetry};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -142,7 +142,7 @@ pub struct ExecutorStats {
     pub groups_device: usize,
     /// Groups handled by CPU workers (the CPU executor only).
     pub groups_cpu: usize,
-    /// Peak transient per-worker group-buffer bytes.
+    /// Peak transient group-buffer bytes.
     pub peak_buffer_bytes: usize,
     /// Host pinned staging bytes held for the run.
     pub pinned_bytes: usize,
@@ -834,84 +834,96 @@ pub(crate) fn specialize_stage(
 }
 
 /// Applies one stage's gates, specialized for the group based at
-/// `base_chunk`, to a decompressed group `buffer` — the single apply body
-/// behind the CPU chunk loop (and, through the device stream's kernel
-/// command, the device pipeline): specialize, then one cache-blocked
-/// [`apply_all_tiled`] sweep.
+/// `base_chunk`, to a decompressed group `buffer` — the apply body of the
+/// CPU chunk loop: specialize, then one cache-blocked [`apply_all_tiled`]
+/// sweep on `workers` members of the team.
 fn apply_stage_to_group(
     stage: &Stage,
     chunk_bits: u32,
     base_chunk: usize,
     buffer: &mut [Complex64],
+    workers: usize,
     counters: &ApplyCounters,
     telemetry: &Telemetry,
 ) {
     let ops = specialize_stage(stage, chunk_bits, base_chunk, counters);
-    let stats = apply_all_tiled(buffer, &ops, 1, DEFAULT_TILE_AMPS);
+    let stats = apply_all_tiled(buffer, &ops, workers, DEFAULT_TILE_AMPS);
     if stats.passes_saved() > 0 {
         telemetry.add(Counter::ApplyPassesSaved, stats.passes_saved() as u64);
     }
 }
 
-/// Processes one stage's groups on CPU workers: decompress →
-/// specialize+apply → recompress, handed out one group at a time by
-/// `par_for_with` (the groups that survive elision differ 50x in cost, so
-/// fixed blocks would leave workers idle). A group that loads as all zero
-/// stops after the load. The CPU executor's stage body.
+/// Runs `f(chunks, slots)` for `group` split over up to `workers` members
+/// of the team: each member takes a contiguous share of the chunks and
+/// their `chunk_amps`-sized slots of `buffer`. The first error wins.
+fn split_group<F>(
+    group: &[usize],
+    buffer: &mut [Complex64],
+    chunk_amps: usize,
+    workers: usize,
+    f: F,
+) -> Result<(), EngineError>
+where
+    F: Fn(&[usize], &mut [Complex64]) -> Result<(), EngineError> + Sync,
+{
+    let per = group.len().div_ceil(workers.max(1));
+    let shares: Vec<_> = group
+        .chunks(per)
+        .zip(buffer.chunks_mut(per * chunk_amps))
+        .collect();
+    parallel::run(shares, |_, (chunks, slots)| f(chunks, slots))
+        .into_iter()
+        .collect()
+}
+
+/// Processes one stage's groups on the CPU, one group at a time with
+/// `cfg.workers` members of the team inside it: all members decompress
+/// their share of the chunks into `buffer`, one sweep applies the stage on
+/// all of them, all recompress. A group that loads as all zero stops after
+/// the load. `buffer` is the run's one group buffer, resized to each group;
+/// each phase is one telemetry span however many members split it. The CPU
+/// executor's stage body.
 pub(crate) fn process_groups_on_cpu(
     ctx: &ExecContext,
     index: u32,
     groups: &[Vec<usize>],
     counters: &ApplyCounters,
+    buffer: &mut Vec<Complex64>,
 ) -> Result<(), EngineError> {
     let stage = ctx.stage(index);
+    let store = &*ctx.store;
     let chunk_amps = ctx.chunk_amps();
-    let chunk_bits = ctx.plan.chunk_bits;
-    let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
-    // One group buffer per worker, reused across its groups: the loader
-    // overwrites every slot, so only a size change re-allocates.
-    par_for_with(groups.len(), ctx.cfg.workers, Vec::new, |buffer, gi| {
-        if first_error.lock().is_some() {
-            return;
-        }
-        let group = &groups[gi];
+    let workers = ctx.cfg.workers;
+    for group in groups {
+        // The loader overwrites every slot, so only a size change writes.
         buffer.resize(group.len() * chunk_amps, Complex64::ZERO);
-
-        // Decompress members into their buffer slots.
         {
             let _span = ctx.telemetry.stage_span(Role::Decompress, index);
-            if let Err(e) = load_group(&*ctx.store, group, buffer, chunk_amps) {
-                *first_error.lock() = Some(e);
-                return;
-            }
+            split_group(group, buffer, chunk_amps, workers, |chunks, slots| {
+                load_group(store, chunks, slots, chunk_amps)
+            })?;
         }
         if ctx.group_is_zero(group) {
-            return;
+            continue;
         }
-
-        // Apply all stage gates, specialized to this group.
         {
             let _span = ctx.telemetry.stage_span(Role::CpuApply, index);
             apply_stage_to_group(
                 stage,
-                chunk_bits,
+                ctx.plan.chunk_bits,
                 group[0],
                 buffer,
+                workers,
                 counters,
                 &ctx.telemetry,
             );
         }
-
-        // Recompress.
         let _span = ctx.telemetry.stage_span(Role::Recompress, index);
-        if let Err(e) = store_group(&*ctx.store, group, buffer, chunk_amps) {
-            *first_error.lock() = Some(e);
-        }
-    });
-    match first_error.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(()),
+        split_group(group, buffer, chunk_amps, workers, |chunks, slots| {
+            store_group(store, chunks, slots, chunk_amps)
+        })?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

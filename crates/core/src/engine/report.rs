@@ -28,11 +28,13 @@ pub struct RunReport {
     pub kernel_isa: &'static str,
     /// Wall-clock time of the whole run.
     pub wall: Duration,
-    /// Cumulative time in chunk decompression (summed across workers).
+    /// Time in chunk decompression: the sum of the run's decompress spans.
+    /// The CPU engine opens one per group, however many members of the
+    /// worker team split it.
     pub decompress: Duration,
-    /// Cumulative time applying gates on CPU workers.
+    /// Time applying gates on the CPU, summed the same way.
     pub cpu_apply: Duration,
-    /// Cumulative time in chunk recompression.
+    /// Time in chunk recompression, summed the same way.
     pub compress: Duration,
     /// Device-side accounting (modeled H2D/kernel/D2H and real time);
     /// all-zero for executors that never touch a device. For an N-device
@@ -81,7 +83,9 @@ pub struct RunReport {
     /// decompressed cache copies) — the footprint to hold against a memory
     /// budget when `cache_bytes > 0`.
     pub peak_resident_bytes: usize,
-    /// Peak transient working-buffer bytes (per-worker group buffers).
+    /// Peak transient working-buffer bytes: the CPU engine's one group
+    /// buffer, which every member of the worker team shares, at the largest
+    /// group the run loaded.
     pub peak_buffer_bytes: usize,
     /// Host pinned staging bytes held by the executor (0 for CPU-only).
     pub pinned_bytes: usize,

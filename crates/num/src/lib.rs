@@ -14,8 +14,8 @@
 //! * [`metrics`] — error and fidelity metrics used by the compression stack
 //!   and the experiment harness (max abs error, RMSE, PSNR, state fidelity).
 //! * [`stats`] — small summary-statistics helpers for benchmark reporting.
-//! * [`parallel`] — scoped-thread chunked parallel-for built on
-//!   `crossbeam::thread::scope`, the idiom the engines use for "idle core"
+//! * [`parallel`] — the process-wide worker team, one helper thread per
+//!   extra core: every core on one piece of work, the engines' "idle core"
 //!   CPU-side updates (paper Fig. 2, step 5).
 
 //!

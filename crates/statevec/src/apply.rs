@@ -8,12 +8,14 @@
 //! path and the simulated-device kernel body.
 //!
 //! Each kernel's serial body is written once, as an `#[inline(always)]`
-//! function, and compiled twice: into `tiles_baseline` for the build's
-//! target, and on x86-64 into `tiles_avx2`, a `#[target_feature]` function
+//! function, and compiled twice: into `kernels_baseline` for the build's
+//! target, and on x86-64 into `kernels_avx2`, a `#[target_feature]` function
 //! that only calls the same body, so LLVM vectorises the same source at 256
 //! bits — no intrinsics, no second spelling of any kernel. [`apply_gate`]
 //! and [`apply_all_tiled`] pick the copy once per call ([`kernel_isa`] names
-//! it); the thread scope around it is baseline code either way. The two
+//! it) and hand it to the members of the worker team
+//! ([`mq_num::parallel`]), each with its own piece of the buffer; the
+//! dispatch around it is baseline code either way. The two
 //! copies produce the same bits: Rust never contracts `a * b + c` into a
 //! fused multiply-add, so the wide code does the narrow code's multiplies
 //! and adds in the narrow code's order. `fma` stays off the feature list
@@ -25,9 +27,10 @@
 use mq_circuit::gate::{Diagonal, Gate};
 use mq_circuit::matrix::{Mat2, Mat4};
 use mq_num::bits;
+use mq_num::parallel;
 use mq_num::Complex64;
 
-/// Minimum buffer length before kernels bother spawning worker threads.
+/// Minimum buffer length before kernels split work across the worker team.
 const PAR_THRESHOLD: usize = 1 << 15;
 
 #[inline]
@@ -38,11 +41,10 @@ fn local_qubits(len: usize) -> u32 {
 
 /// Splits `state` into up to `workers` contiguous pieces, each a whole
 /// number of `block`-amplitude blocks, and runs `f(base, piece)` on each
-/// (`base` = the piece's first index in `state`) — on scoped threads when
-/// the buffer is large enough to pay for them. `block` must divide
-/// `state.len()`. This is the one thread scope a gate or a fused super-run
-/// pays; it is compiled for the baseline target whichever kernel copy `f`
-/// calls.
+/// (`base` = the piece's first index in `state`) — on the members of the
+/// worker team when the buffer is large enough to pay for them. `block`
+/// must divide `state.len()`. This is the one dispatch a gate or a fused
+/// super-run pays; it is baseline code whichever kernel copy `f` calls.
 fn par_pieces<F>(state: &mut [Complex64], block: usize, workers: usize, f: F)
 where
     F: Fn(usize, &mut [Complex64]) + Sync,
@@ -55,23 +57,54 @@ where
         return;
     }
     let per = nblocks.div_ceil(workers) * block;
-    crossbeam::thread::scope(|s| {
-        let mut rest = state;
-        let mut base = 0usize;
-        while !rest.is_empty() {
-            let take = per.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let fref = &f;
-            s.spawn(move |_| fref(base, head));
-            base += take;
-            rest = tail;
+    parallel::run(state.chunks_mut(per).collect(), |w, piece| {
+        f(w * per, piece)
+    });
+}
+
+/// One block of a kernel cut in two at the kernel's top bit — `lo` where
+/// the bit is clear, `hi` where it is set, or matching sub-ranges of the
+/// two — with the buffer index of `lo[0]`.
+type Halves<'a> = (usize, &'a mut [Complex64], &'a mut [Complex64]);
+
+/// The blocks of `2 * half` amplitudes of a piece whose first amplitude is
+/// buffer index `base`, each cut into its [`Halves`]. Built from `half`, not
+/// from the block length: the compiler must see that the two halves are
+/// equally long, or the pair loops lose their vector form (`H` on qubit 14
+/// of a tile ran 1.25x slower when `half` was `block / 2`).
+struct Blocks<'a> {
+    chunks: std::slice::ChunksExactMut<'a, Complex64>,
+    half: usize,
+    base: usize,
+}
+
+impl<'a> Blocks<'a> {
+    #[inline(always)]
+    fn new(piece: &'a mut [Complex64], half: usize, base: usize) -> Blocks<'a> {
+        Blocks {
+            chunks: piece.chunks_exact_mut(2 * half),
+            half,
+            base,
         }
-    })
-    .expect("kernel worker panicked");
+    }
+}
+
+impl<'a> Iterator for Blocks<'a> {
+    type Item = Halves<'a>;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Halves<'a>> {
+        let (lo, hi) = self.chunks.next()?.split_at_mut(self.half);
+        let base = self.base;
+        self.base += 2 * self.half;
+        Some((base, lo, hi))
+    }
 }
 
 /// One gate as the kernel that runs it, qubit positions turned into index
-/// strides.
+/// strides. Every kernel works on the two halves of its blocks, so a gate
+/// whose one block is the whole buffer still splits across members: each
+/// takes matching sub-ranges of both halves.
 #[allow(clippy::large_enum_variant)] // built once per gate and sweep
 enum Kernel {
     /// A general single-qubit matrix on the amplitude pairs `half` apart.
@@ -82,29 +115,30 @@ enum Kernel {
         d0: Complex64,
         d1: Complex64,
     },
-    /// A general two-qubit matrix on the groups spanned by strides `sa`
-    /// and `sb` (matrix basis index `(bit_b << 1) | bit_a`, matching
-    /// [`Gate::mat4`]); `lo < hi` are the two qubits in index order.
+    /// A general two-qubit matrix on qubits `lo < hi` (matrix basis index
+    /// `(bit_b << 1) | bit_a`, matching [`Gate::mat4`]; `a_low` when qubit
+    /// `a` is `lo`).
     Group4 {
         lo: u32,
         hi: u32,
-        sa: usize,
-        sb: usize,
+        a_low: bool,
         m: Mat4,
     },
-    /// A two-qubit diagonal, indexed `(bit_b << 1) | bit_a`.
+    /// A two-qubit diagonal on qubits `lo < hi`, `d[bit_hi][bit_lo]`;
+    /// `low` is `1 << lo`.
     Diag2 {
-        sa: usize,
-        sb: usize,
-        d: [Complex64; 4],
+        low: usize,
+        hi: u32,
+        d: [[Complex64; 2]; 2],
     },
-    /// CX and SWAP: where index bits `lo < hi` are clear, the amplitude
-    /// runs at offsets `x < y` trade places.
+    /// CX and SWAP. Index bits `hi` and `lo` cut a block into four runs of
+    /// `2^lo` amplitudes, `l0 l1 | h0 h1`: `h{to}` trades places with `l1`
+    /// when `from_lo`, else with `h0`.
     Exchange {
         lo: u32,
         hi: u32,
-        x: usize,
-        y: usize,
+        from_lo: bool,
+        to: usize,
     },
     /// `u` on the pairs `half` apart wherever every bit of `mask` is set.
     Controlled { mask: usize, half: usize, u: Mat2 },
@@ -133,11 +167,12 @@ impl Kernel {
                 d1,
             },
             (_, Some(Diagonal::Two { a, b, d })) => {
-                pair(a, b);
+                let (lo, hi) = pair(a, b);
+                let at = |h: usize, l: usize| if a < b { d[h << 1 | l] } else { d[l << 1 | h] };
                 Kernel::Diag2 {
-                    sa: 1 << a,
-                    sb: 1 << b,
-                    d,
+                    low: 1 << lo,
+                    hi,
+                    d: [[at(0, 0), at(0, 1)], [at(1, 0), at(1, 1)]],
                 }
             }
             (Swap(a, b), _) => {
@@ -145,8 +180,8 @@ impl Kernel {
                 Kernel::Exchange {
                     lo,
                     hi,
-                    x: 1 << lo,
-                    y: 1 << hi,
+                    from_lo: true,
+                    to: 0,
                 }
             }
             (Cx(c, t), _) => {
@@ -154,8 +189,8 @@ impl Kernel {
                 Kernel::Exchange {
                     lo,
                     hi,
-                    x: 1 << c,
-                    y: 1 << c | 1 << t,
+                    from_lo: c < t,
+                    to: 1,
                 }
             }
             (Cy(c, t), _) => controlled(1 << c, *t, mq_circuit::gate::mat2_y()),
@@ -175,8 +210,7 @@ impl Kernel {
                 Kernel::Group4 {
                     lo,
                     hi,
-                    sa: 1 << a,
-                    sb: 1 << b,
+                    a_low: a < b,
                     m: *m,
                 }
             }
@@ -188,16 +222,33 @@ impl Kernel {
         }
     }
 
+    /// The stride of the kernel's top index bit: half of
+    /// [`block`](Self::block).
+    fn half(&self) -> usize {
+        match *self {
+            Kernel::Pair { half, .. }
+            | Kernel::Diag1 { half, .. }
+            | Kernel::Controlled { half, .. } => half,
+            Kernel::Group4 { hi, .. } | Kernel::Diag2 { hi, .. } | Kernel::Exchange { hi, .. } => {
+                1 << hi
+            }
+        }
+    }
+
     /// The smallest aligned block the kernel is closed on: a parallel split
     /// at any multiple of it keeps every group of amplitudes the kernel
     /// combines inside one piece.
     fn block(&self) -> usize {
+        2 * self.half()
+    }
+
+    /// The alignment a sub-range of one half must keep for the kernel to be
+    /// closed on it: the runs of `2^lo` amplitudes the two-qubit kernels
+    /// pair up stay whole.
+    fn grain(&self) -> usize {
         match *self {
-            Kernel::Pair { half, .. }
-            | Kernel::Diag1 { half, .. }
-            | Kernel::Controlled { half, .. } => 2 * half,
-            Kernel::Group4 { hi, .. } | Kernel::Exchange { hi, .. } => 2 << hi,
-            Kernel::Diag2 { .. } => 1,
+            Kernel::Group4 { lo, .. } | Kernel::Exchange { lo, .. } => 2 << lo,
+            _ => 1,
         }
     }
 
@@ -205,29 +256,28 @@ impl Kernel {
     /// first at buffer index `base`.
     #[inline(always)]
     fn apply(&self, base: usize, piece: &mut [Complex64]) {
+        self.run(Blocks::new(piece, self.half(), base))
+    }
+
+    /// Runs the kernel over each of `blocks`.
+    #[inline(always)]
+    fn run<'a>(&self, blocks: impl Iterator<Item = Halves<'a>>) {
         match *self {
-            Kernel::Pair { half, ref m } => pair_kernel(piece, half, m),
-            Kernel::Diag1 { half, d0, d1 } => diag1_kernel(piece, half, d0, d1),
-            Kernel::Group4 {
-                lo,
-                hi,
-                sa,
-                sb,
-                ref m,
-            } => group4_kernel(piece, lo, hi, sa, sb, m),
-            Kernel::Diag2 { sa, sb, ref d } => diag2_kernel(base, piece, sa, sb, d),
-            Kernel::Exchange { lo, hi, x, y } => exchange_kernel(piece, lo, hi, x, y),
-            Kernel::Controlled { mask, half, ref u } => {
-                controlled_kernel(base, piece, mask, half, u)
-            }
+            Kernel::Pair { m, .. } => pair_kernel(blocks, m),
+            Kernel::Diag1 { d0, d1, .. } => diag1_kernel(blocks, d0, d1),
+            Kernel::Group4 { lo, a_low, m, .. } => group4_kernel(blocks, 1 << lo, a_low, m),
+            Kernel::Diag2 { low, d, .. } => diag2_kernel(blocks, low, d),
+            Kernel::Exchange {
+                lo, from_lo, to, ..
+            } => exchange_kernel(blocks, 1 << lo, from_lo, to),
+            Kernel::Controlled { mask, u, .. } => controlled_kernel(blocks, mask, u),
         }
     }
 }
 
 #[inline(always)]
-fn pair_kernel(piece: &mut [Complex64], half: usize, m: &Mat2) {
-    for chunk in piece.chunks_exact_mut(2 * half) {
-        let (lo, hi) = chunk.split_at_mut(half);
+fn pair_kernel<'a>(blocks: impl Iterator<Item = Halves<'a>>, m: Mat2) {
+    for (_, lo, hi) in blocks {
         for (a, b) in lo.iter_mut().zip(hi) {
             let (x, y) = m.apply(*a, *b);
             *a = x;
@@ -237,9 +287,8 @@ fn pair_kernel(piece: &mut [Complex64], half: usize, m: &Mat2) {
 }
 
 #[inline(always)]
-fn diag1_kernel(piece: &mut [Complex64], half: usize, d0: Complex64, d1: Complex64) {
-    for chunk in piece.chunks_exact_mut(2 * half) {
-        let (lo, hi) = chunk.split_at_mut(half);
+fn diag1_kernel<'a>(blocks: impl Iterator<Item = Halves<'a>>, d0: Complex64, d1: Complex64) {
+    for (_, lo, hi) in blocks {
         if d0 != Complex64::ONE {
             for a in lo {
                 *a *= d0;
@@ -251,26 +300,37 @@ fn diag1_kernel(piece: &mut [Complex64], half: usize, d0: Complex64, d1: Complex
     }
 }
 
+/// The four amplitudes of a group sit in the runs `l0 l1 | h0 h1` of
+/// `run` amplitudes each (see [`Kernel::Exchange`]).
 #[inline(always)]
-fn group4_kernel(piece: &mut [Complex64], lo: u32, hi: u32, sa: usize, sb: usize, m: &Mat4) {
-    for g in 0..piece.len() >> 2 {
-        let i00 = bits::insert_two_zero_bits(g, lo, hi);
-        let (i01, i10, i11) = (i00 | sa, i00 | sb, i00 | sa | sb);
-        let out = m.apply([piece[i00], piece[i01], piece[i10], piece[i11]]);
-        piece[i00] = out[0];
-        piece[i01] = out[1];
-        piece[i10] = out[2];
-        piece[i11] = out[3];
+fn group4_kernel<'a>(blocks: impl Iterator<Item = Halves<'a>>, run: usize, a_low: bool, m: Mat4) {
+    for (_, lo, hi) in blocks {
+        for (l, h) in lo
+            .chunks_exact_mut(2 * run)
+            .zip(hi.chunks_exact_mut(2 * run))
+        {
+            let (l0, l1) = l.split_at_mut(run);
+            let (h0, h1) = h.split_at_mut(run);
+            let (z01, z10) = if a_low { (l1, h0) } else { (h0, l1) };
+            for (((p00, p01), p10), p11) in l0.iter_mut().zip(z01).zip(z10).zip(h1) {
+                let out = m.apply([*p00, *p01, *p10, *p11]);
+                *p00 = out[0];
+                *p01 = out[1];
+                *p10 = out[2];
+                *p11 = out[3];
+            }
+        }
     }
 }
 
 #[inline(always)]
-fn diag2_kernel(base: usize, piece: &mut [Complex64], sa: usize, sb: usize, d: &[Complex64; 4]) {
-    // Element-wise: the factor depends only on the two index bits.
-    for (k, amp) in piece.iter_mut().enumerate() {
-        let i = base + k;
-        let idx = (((i & sb) != 0) as usize) << 1 | ((i & sa) != 0) as usize;
-        *amp *= d[idx];
+fn diag2_kernel<'a>(blocks: impl Iterator<Item = Halves<'a>>, low: usize, d: [[Complex64; 2]; 2]) {
+    for (base, lo, hi) in blocks {
+        for (off, (a, b)) in lo.iter_mut().zip(hi).enumerate() {
+            let l = usize::from((base + off) & low != 0);
+            *a *= d[0][l];
+            *b *= d[1][l];
+        }
     }
 }
 
@@ -278,32 +338,47 @@ fn diag2_kernel(base: usize, piece: &mut [Complex64], sa: usize, sb: usize, d: &
 /// like any other, where a multiply by the X matrix would smear it over its
 /// partner.
 #[inline(always)]
-fn exchange_kernel(piece: &mut [Complex64], lo: u32, hi: u32, x: usize, y: usize) {
-    if lo < 2 {
-        // Slices of one or two amplitudes lose to element swaps.
-        for g in 0..piece.len() >> 2 {
-            let i = bits::insert_two_zero_bits(g, lo, hi);
-            piece.swap(i | x, i | y);
-        }
-    } else {
-        // The bits below `lo` are free: each base index heads a run of
-        // `2^lo` consecutive amplitudes that moves as one slice.
-        let run = 1usize << lo;
-        for g in 0..piece.len() >> 2 >> lo {
-            let i = bits::insert_two_zero_bits(g << lo, lo, hi);
-            let (head, tail) = piece.split_at_mut(i | y);
-            head[i | x..][..run].swap_with_slice(&mut tail[..run]);
+fn exchange_kernel<'a>(
+    blocks: impl Iterator<Item = Halves<'a>>,
+    run: usize,
+    from_lo: bool,
+    to: usize,
+) {
+    for (_, lo, hi) in blocks {
+        if from_lo {
+            for (l, h) in lo
+                .chunks_exact_mut(2 * run)
+                .zip(hi.chunks_exact_mut(2 * run))
+            {
+                swap_runs(&mut l[run..], &mut h[to * run..][..run]);
+            }
+        } else {
+            for h in hi.chunks_exact_mut(2 * run) {
+                let (h0, h1) = h.split_at_mut(run);
+                swap_runs(h0, h1);
+            }
         }
     }
 }
 
+/// Trades two runs of amplitudes: one slice swap, or element swaps where
+/// slices of one or two amplitudes would lose to them.
 #[inline(always)]
-fn controlled_kernel(base: usize, piece: &mut [Complex64], mask: usize, half: usize, u: &Mat2) {
-    for (b, chunk) in piece.chunks_exact_mut(2 * half).enumerate() {
-        let start = base + b * 2 * half;
-        let (lo, hi) = chunk.split_at_mut(half);
+fn swap_runs(a: &mut [Complex64], b: &mut [Complex64]) {
+    if a.len() < 4 {
+        for (x, y) in a.iter_mut().zip(b) {
+            std::mem::swap(x, y);
+        }
+    } else {
+        a.swap_with_slice(b);
+    }
+}
+
+#[inline(always)]
+fn controlled_kernel<'a>(blocks: impl Iterator<Item = Halves<'a>>, mask: usize, u: Mat2) {
+    for (base, lo, hi) in blocks {
         for (off, (a, b)) in lo.iter_mut().zip(hi).enumerate() {
-            if (start + off) & mask == mask {
+            if (base + off) & mask == mask {
                 let (x, y) = u.apply(*a, *b);
                 *a = x;
                 *b = y;
@@ -312,17 +387,31 @@ fn controlled_kernel(base: usize, piece: &mut [Complex64], mask: usize, half: us
     }
 }
 
-/// The serial body of every kernel call, written once: a super-run's
-/// segments in order on each `tile`-amplitude tile of `piece`, which starts
-/// at buffer index `base`. A single gate is a run of one segment on one
-/// tile, the whole piece.
+/// What one call of a kernel copy runs on the amplitudes it is handed.
+enum Work<'r> {
+    /// A super-run's segments in order on each `tile`-amplitude tile. A
+    /// single gate is a run of one segment on one tile, the whole piece.
+    Tiles { run: &'r [Seg<'r>], tile: usize },
+    /// One kernel on matching sub-ranges of the two halves of its one block.
+    Halves(&'r Kernel),
+}
+
+/// The serial body of every kernel call, written once: `work` on `amps`
+/// (and, for [`Work::Halves`], `hi`), whose first amplitude is buffer index
+/// `base`. The amplitudes arrive as arguments of their own, not inside
+/// `work`, so the compiler knows no store to them changes a matrix or a
+/// table the kernel reads.
 #[inline(always)]
-fn tiles_body(run: &[Seg<'_>], tile: usize, base: usize, piece: &mut [Complex64]) {
+fn kernel_body(work: &Work<'_>, base: usize, amps: &mut [Complex64], hi: &mut [Complex64]) {
+    let (run, tile) = match *work {
+        Work::Halves(kernel) => return kernel.run(std::iter::once((base, amps, hi))),
+        Work::Tiles { run, tile } => (run, tile),
+    };
     let needs_scratch = run
         .iter()
         .any(|s| matches!(s, Seg::Perm(p) if !p.is_xor_only()));
     let mut scratch = vec![Complex64::ZERO; if needs_scratch { tile } else { 0 }];
-    for (t, amps) in piece.chunks_exact_mut(tile).enumerate() {
+    for (t, amps) in amps.chunks_exact_mut(tile).enumerate() {
         let base = base + t * tile;
         for seg in run {
             match seg {
@@ -335,39 +424,39 @@ fn tiles_body(run: &[Seg<'_>], tile: usize, base: usize, piece: &mut [Complex64]
     }
 }
 
-/// A compiled copy of [`tiles_body`].
-type TilesFn = fn(&[Seg<'_>], usize, usize, &mut [Complex64]);
+/// A compiled copy of [`kernel_body`].
+type KernelFn = fn(&Work<'_>, usize, &mut [Complex64], &mut [Complex64]);
 
-/// [`tiles_body`] compiled for the build's target.
-fn tiles_baseline(run: &[Seg<'_>], tile: usize, base: usize, piece: &mut [Complex64]) {
-    tiles_body(run, tile, base, piece)
+/// [`kernel_body`] compiled for the build's target.
+fn kernels_baseline(work: &Work<'_>, base: usize, amps: &mut [Complex64], hi: &mut [Complex64]) {
+    kernel_body(work, base, amps, hi)
 }
 
-/// [`tiles_body`] compiled with 256-bit vectors: the same source, so the
+/// [`kernel_body`] compiled with 256-bit vectors: the same source, so the
 /// same multiplies and adds in the same order.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn tiles_avx2(run: &[Seg<'_>], tile: usize, base: usize, piece: &mut [Complex64]) {
-    tiles_body(run, tile, base, piece)
+fn kernels_avx2(work: &Work<'_>, base: usize, amps: &mut [Complex64], hi: &mut [Complex64]) {
+    kernel_body(work, base, amps, hi)
 }
 
 /// The copy of the kernels this CPU runs, and its name.
 #[cfg(target_arch = "x86_64")]
-fn instantiation() -> (&'static str, TilesFn) {
+fn instantiation() -> (&'static str, KernelFn) {
     if is_x86_feature_detected!("avx2") {
         // SAFETY: the line above found AVX2 on the CPU this runs on.
-        ("avx2", |run, tile, base, piece| unsafe {
-            tiles_avx2(run, tile, base, piece)
+        ("avx2", |work, base, amps, hi| unsafe {
+            kernels_avx2(work, base, amps, hi)
         })
     } else {
-        ("baseline", tiles_baseline)
+        ("baseline", kernels_baseline)
     }
 }
 
 /// The copy of the kernels this CPU runs, and its name.
 #[cfg(not(target_arch = "x86_64"))]
-fn instantiation() -> (&'static str, TilesFn) {
-    ("baseline", tiles_baseline)
+fn instantiation() -> (&'static str, KernelFn) {
+    ("baseline", kernels_baseline)
 }
 
 /// Which compiled copy of the kernels [`apply_gate`] and
@@ -389,16 +478,31 @@ pub fn apply_gate(state: &mut [Complex64], gate: &Gate, workers: usize) {
     gate_with(instantiation().1, state, gate, workers)
 }
 
-/// [`apply_gate`] through a given copy of the kernels.
-fn gate_with(body: TilesFn, state: &mut [Complex64], gate: &Gate, workers: usize) {
+/// [`apply_gate`] through a given copy of the kernels. A gate whose one
+/// block is the whole buffer (its top qubit is the buffer's) splits by
+/// halves: member `w` takes sub-range `w` of both.
+fn gate_with(body: KernelFn, state: &mut [Complex64], gate: &Gate, workers: usize) {
     let n = local_qubits(state.len());
     let q = gate.max_qubit();
     assert!(q < n, "qubit {q} out of range for 2^{n} buffer");
     let kernel = Kernel::of(gate);
     let block = kernel.block();
+    if block == state.len() && workers > 1 && state.len() >= PAR_THRESHOLD {
+        let (lo, hi) = state.split_at_mut(block / 2);
+        let grain = kernel.grain();
+        let per = (lo.len() / grain).div_ceil(workers) * grain;
+        let shares: Vec<_> = lo.chunks_mut(per).zip(hi.chunks_mut(per)).collect();
+        let work = Work::Halves(&kernel);
+        parallel::run(shares, |w, (lo, hi)| body(&work, w * per, lo, hi));
+        return;
+    }
     let run = [Seg::Local(kernel)];
-    par_pieces(state, block, workers, |base, piece| {
-        body(&run, piece.len(), base, piece)
+    par_pieces(state, block, workers, |base, amps| {
+        let work = Work::Tiles {
+            run: &run,
+            tile: amps.len(),
+        };
+        body(&work, base, amps, &mut [])
     });
 }
 
@@ -811,7 +915,7 @@ pub fn apply_all_tiled(
 
 /// [`apply_all_tiled`] through a given copy of the kernels.
 fn sweep_with(
-    body: TilesFn,
+    body: KernelFn,
     state: &mut [Complex64],
     ops: &[SweepOp],
     workers: usize,
@@ -830,7 +934,7 @@ fn sweep_with(
     let segs = segment_ops(ops, tile.trailing_zeros());
 
     // Group maximal runs of tile-compatible segments into super-runs: one
-    // thread scope and one buffer pass each.
+    // dispatch and one buffer pass each.
     let mut i = 0;
     while i < segs.len() {
         if let Seg::Global(g) = &segs[i] {
@@ -844,8 +948,9 @@ fn sweep_with(
             .position(|s| matches!(s, Seg::Global(_)))
             .unwrap_or(segs.len() - i);
         let run = &segs[i..i + len];
-        par_pieces(state, tile, workers, |base, piece| {
-            body(run, tile, base, piece)
+        let work = Work::Tiles { run, tile };
+        par_pieces(state, tile, workers, |base, amps| {
+            body(&work, base, amps, &mut [])
         });
         stats.passes += 1;
         i += len;
@@ -1343,8 +1448,8 @@ mod tests {
     }
 
     /// Every compiled copy of the kernels this CPU can run, baseline first.
-    fn instantiations() -> Vec<(&'static str, TilesFn)> {
-        let mut all: Vec<(&'static str, TilesFn)> = vec![("baseline", tiles_baseline)];
+    fn instantiations() -> Vec<(&'static str, KernelFn)> {
+        let mut all: Vec<(&'static str, KernelFn)> = vec![("baseline", kernels_baseline)];
         if kernel_isa() != "baseline" {
             all.push(instantiation());
         }
@@ -1414,6 +1519,44 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_split_across_members_gives_the_same_bits() {
+        // Every gate kind on the top qubit (and the top two) of a buffer
+        // above PAR_THRESHOLD, so its one whole-buffer block splits by
+        // halves; every copy of the kernels, every member count, and a
+        // sweep whose cross-tile gates take the same path.
+        let n = 16u32;
+        let state = random_state(n, 11);
+        let (_, baseline) = instantiations()[0];
+        let gates: Vec<Gate> = (0..4)
+            .flat_map(|shift| gate_kinds(move |q| n - 4 + (q + shift) % 4))
+            .filter(|g| g.max_qubit() == n - 1)
+            .collect();
+        let run = |body, workers, apply: &dyn Fn(KernelFn, &mut [Complex64], usize)| {
+            let mut s = state.clone();
+            apply(body, &mut s, workers);
+            bit_key(&s)
+        };
+        let sweep = |body, s: &mut [Complex64], workers| {
+            sweep_with(body, s, &ops_of(&gates), workers, 1 << 12);
+        };
+        let want = run(baseline, 1, &sweep);
+        for g in &gates {
+            let gate = |body, s: &mut [Complex64], workers| gate_with(body, s, g, workers);
+            let want = run(baseline, 1, &gate);
+            for (name, body) in instantiations() {
+                for workers in [1usize, 2, 3] {
+                    assert_eq!(run(body, workers, &gate), want, "{name}, {g}, {workers}");
+                }
+            }
+        }
+        for (name, body) in instantiations() {
+            for workers in [2usize, 3] {
+                assert_eq!(run(body, workers, &sweep), want, "{name}, sweep, {workers}");
             }
         }
     }

@@ -8,13 +8,16 @@ use mq_num::{bits, metrics, Complex64};
 /// Execution configuration for the dense CPU backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuConfig {
-    /// Worker threads for the gate kernels.
+    /// Members of the worker team each gate kernel splits across; the
+    /// default is the host's core count ([`mq_num::parallel::cores`]).
     pub workers: usize,
 }
 
 impl Default for CpuConfig {
     fn default() -> Self {
-        CpuConfig { workers: 1 }
+        CpuConfig {
+            workers: mq_num::parallel::cores(),
+        }
     }
 }
 

@@ -1,15 +1,10 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! The workspace builds hermetically (no registry access), so this shim
-//! supplies the two crossbeam facilities the engines use:
-//!
-//! - [`channel`]: multi-producer/multi-consumer bounded and unbounded
-//!   channels with crossbeam's disconnect semantics (receivers drain the
-//!   queue before reporting disconnection; senders fail once every
-//!   receiver is gone).
-//! - [`thread`]: `thread::scope` with crossbeam's closure shape — spawn
-//!   closures receive a `&Scope` argument — implemented over
-//!   `std::thread::scope`.
+//! supplies the one crossbeam facility the engines use: [`channel`],
+//! multi-producer/multi-consumer bounded and unbounded channels with
+//! crossbeam's disconnect semantics (receivers drain the queue before
+//! reporting disconnection; senders fail once every receiver is gone).
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -242,51 +237,6 @@ pub mod channel {
     }
 }
 
-pub mod thread {
-    use std::any::Any;
-
-    /// Scope handle passed to spawn closures (crossbeam's closure shape).
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    /// Joinable handle mirroring crossbeam's `ScopedJoinHandle`.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        pub fn join(self) -> Result<T, Box<dyn Any + Send + 'static>> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            ScopedJoinHandle {
-                inner: inner.spawn(move || f(&Scope { inner })),
-            }
-        }
-    }
-
-    /// Runs `f` with a scope in which borrowing threads can be spawned; all
-    /// are joined before this returns. Unlike crossbeam (which catches
-    /// child panics and returns them as `Err`), std's scoped threads
-    /// resume the panic on join — so the error arm is unreachable in
-    /// practice, but callers' `.expect(..)` unwraps keep compiling.
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,18 +276,6 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(10)),
             Err(channel::RecvTimeoutError::Timeout)
         );
-    }
-
-    #[test]
-    fn scope_joins_and_borrows() {
-        let data = [1u64, 2, 3, 4];
-        let total = thread::scope(|s| {
-            let h1 = s.spawn(|_| data[..2].iter().sum::<u64>());
-            let h2 = s.spawn(|_| data[2..].iter().sum::<u64>());
-            h1.join().unwrap() + h2.join().unwrap()
-        })
-        .unwrap();
-        assert_eq!(total, 10);
     }
 
     #[test]
