@@ -42,7 +42,7 @@ fn run_once(circuit: &Circuit, cfg: &MemQSimConfig) -> (Vec<Complex64>, RunRepor
 /// The bytes a codec choice is accountable for: peak resident compressed
 /// state plus everything shipped over the link both ways.
 fn total_bytes(r: &RunReport) -> usize {
-    r.peak_compressed_bytes + r.device.bytes_h2d + r.device.bytes_d2h
+    r.peak_resident_bytes + r.device.bytes_h2d + r.device.bytes_d2h
 }
 
 fn main() {

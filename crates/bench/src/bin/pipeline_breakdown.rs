@@ -2,9 +2,9 @@
 //!
 //! Breaks a hybrid run into the paper's steps (decompress, H2D, device
 //! kernels, D2H, recompress) and compares the pipelined execution against
-//! the serial ablation and against a run with the residency cache on. The
-//! modeled clock (the deterministic device/cost model) is reported beside
-//! the measured role timeline and wall time, never added to them.
+//! the serial ablation. The modeled clock (the deterministic device/cost
+//! model) is reported beside the measured role timeline and wall time,
+//! never added to them.
 //!
 //! Usage: `cargo run -p mq-bench --release --bin pipeline_breakdown
 //!         [--qubits 16] [--chunk-bits 10]`
@@ -44,19 +44,11 @@ fn main() {
     );
 
     let circuit = library::qft(n);
-    // Residency-cache budget for the cached mode: half the working set
-    // (dense state + one group staging buffer).
-    let cache_bytes = ((1usize << n) * 16 + (1usize << (chunk_bits + 2)) * 16) / 2;
     let mut rows = Vec::new();
-    for (key, label, pipelined, cache) in [
-        ("serial", "serial (no overlap)", false, 0),
-        ("pipelined", "pipelined (Fig. 2)", true, 0),
-        ("cached", "pipelined + residency cache", true, cache_bytes),
+    for (key, label, pipelined) in [
+        ("serial", "serial (no overlap)", false),
+        ("pipelined", "pipelined (Fig. 2)", true),
     ] {
-        let cfg = MemQSimConfig {
-            cache_bytes: cache,
-            ..cfg
-        };
         let store = build_store(n, &cfg).expect("store construction failed");
         let device = Device::new(DeviceSpec::pcie_gen3());
         let r = hybrid::run(&store, &circuit, &cfg, &device, pipelined).expect("hybrid run failed");
@@ -90,7 +82,6 @@ fn main() {
         "D2H bytes",
         "kernel launches",
         "decompressed",
-        "cache hits",
     ]);
     for (_, label, r) in &rows {
         let t = &r.telemetry;
@@ -118,22 +109,11 @@ fn main() {
             t.counter(Counter::BytesD2h).to_string(),
             t.counter(Counter::KernelLaunches).to_string(),
             t.counter(Counter::BytesDecompressed).to_string(),
-            t.counter(Counter::CacheHits).to_string(),
         ]);
     }
     println!("Measured host timeline (mq-telemetry spans):\n\n{measured}");
     println!("Modeled device clock:\n\n{modeled}");
     println!("Counters:\n\n{counters}");
-    let cached = &rows[2].2.telemetry;
-    let uncached = &rows[1].2.telemetry;
-    println!(
-        "Residency cache: {} of {} chunk visits served without the codec; \
-         decompression {} -> {} bytes.",
-        cached.counter(Counter::CacheHits),
-        cached.counter(Counter::ChunkVisits),
-        uncached.counter(Counter::BytesDecompressed),
-        cached.counter(Counter::BytesDecompressed),
-    );
 
     let r = &rows[1].2;
     println!(
@@ -153,11 +133,7 @@ fn main() {
     let serial = &rows[0].2;
     let serial_ok = !serial.telemetry.has_role_overlap();
     let pipelinable = r.groups_device > r.stages;
-    // The cached mode is excluded: cache hits remove most of the decompress
-    // work, so there may legitimately be nothing left to overlap.
     let piped_ok = !pipelinable || r.telemetry.union_busy() < r.telemetry.serial_sum();
-    let cache_ok =
-        cached.counter(Counter::BytesDecompressed) < uncached.counter(Counter::BytesDecompressed);
     println!(
         "\nShape {} — serial run measured no role overlap.",
         if serial_ok { "[OK]" } else { "[FAIL]" }
@@ -172,10 +148,6 @@ fn main() {
             "[FAIL]"
         }
     );
-    println!(
-        "Shape {} — residency cache cut decompression traffic.",
-        if cache_ok { "[OK]" } else { "[FAIL]" }
-    );
 
     let modes = rows
         .iter()
@@ -184,9 +156,8 @@ fn main() {
         .join(",\n");
     let json = format!(
         "{{\n  \"experiment\": \"pipeline_breakdown\",\n  \"circuit\": \"qft{n}\",\n  \
-         \"chunk_bits\": {chunk_bits},\n  \"cache_bytes\": {cache_bytes},\n  \
-         \"checks\": {{\"serial_no_overlap\": {serial_ok}, \"pipelined_overlap\": {piped_ok}, \
-         \"cache_traffic_cut\": {cache_ok}}},\n  \
+         \"chunk_bits\": {chunk_bits},\n  \
+         \"checks\": {{\"serial_no_overlap\": {serial_ok}, \"pipelined_overlap\": {piped_ok}}},\n  \
          \"modes\": {{\n{modes}\n  }}\n}}"
     );
     match write_results_json("telemetry_pipeline_breakdown", &json) {
@@ -194,7 +165,7 @@ fn main() {
         Err(e) => eprintln!("\ncould not write results JSON: {e}"),
     }
 
-    if !(serial_ok && piped_ok && cache_ok) {
+    if !(serial_ok && piped_ok) {
         std::process::exit(1);
     }
 }

@@ -93,7 +93,7 @@ fn memqsim_peak(circuit: &Circuit, cfg: &MemQSimConfig) -> (usize, std::time::Du
     let report = memqsim_core::engine::cpu::run(&store, circuit, cfg, Granularity::Staged)
         .expect("engine run failed");
     (
-        report.peak_compressed_bytes + report.peak_buffer_bytes,
+        report.peak_resident_bytes + report.peak_buffer_bytes,
         report.wall,
     )
 }

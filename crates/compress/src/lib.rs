@@ -770,8 +770,7 @@ fn unpack_f32_pairs(packed: &[f64], out: &mut [f64]) {
 /// The surviving candidates are encoded and the smallest payload wins; a
 /// one-byte header (backend tag + f32 flag) makes every payload
 /// self-describing, so decode needs no out-of-band state and payloads
-/// travel unchanged through payload passthrough, device codec kernels and
-/// residency-cache encode-through.
+/// travel unchanged through payload passthrough and device codec kernels.
 ///
 /// The error allowance has a static part (the spec's `eb`) and a dynamic
 /// part installed via [`Codec::set_dynamic_bound`] — the engine points the

@@ -83,7 +83,7 @@ impl Backend for DenseCpuBackend {
             )
         });
         let record = telemetry.finish();
-        let bytes = state.dim() * 16;
+        let bytes = state.dim() * size_of::<Complex64>();
         Ok(BackendRun {
             amplitudes: state.amplitudes().to_vec(),
             wall: record.wall,
@@ -136,8 +136,6 @@ impl Backend for CompressedCpuBackend {
         Ok(BackendRun {
             amplitudes,
             wall: report.wall,
-            // Residency-cache bytes are part of the state footprint: with
-            // `cache_bytes = 0` this equals the compressed peak.
             peak_state_bytes: report.peak_resident_bytes,
             peak_working_bytes: report.peak_buffer_bytes,
             modeled_device: Duration::ZERO,

@@ -55,11 +55,6 @@ pub struct MemQSimConfig {
     /// its host side is the caller's thread (decode and issue) and one
     /// completer thread per device, plus one stream worker per device.
     pub workers: usize,
-    /// Byte budget for the store's write-back residency cache of
-    /// decompressed hot chunks (0 = disabled). Cache bytes count toward
-    /// peak resident memory, so the budget trades codec traffic against
-    /// footprint.
-    pub cache_bytes: usize,
     /// Which base storage tier holds the chunks (compressed, dense, or
     /// disk-spill).
     pub store_kind: StoreKind,
@@ -92,7 +87,6 @@ impl Default for MemQSimConfig {
             max_high_qubits: 2,
             codec: CodecSpec::Sz { eb: 1e-10 },
             workers: mq_num::parallel::cores(),
-            cache_bytes: 0,
             store_kind: StoreKind::Compressed,
             transfer_mode: TransferMode::Raw,
             devices: 1,
@@ -193,13 +187,6 @@ impl MemQSimConfigBuilder {
     /// Members of the worker team inside each chunk group.
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
-        self
-    }
-
-    /// Byte budget for the residency cache of decompressed hot chunks
-    /// (0 disables it).
-    pub fn cache_bytes(mut self, cache_bytes: usize) -> Self {
-        self.cfg.cache_bytes = cache_bytes;
         self
     }
 
@@ -322,7 +309,6 @@ mod tests {
             max_high_qubits,
             codec,
             workers,
-            cache_bytes,
             store_kind,
             transfer_mode,
             devices,
@@ -333,7 +319,6 @@ mod tests {
             .max_high_qubits(3)
             .codec(CodecSpec::Fpc)
             .workers(2)
-            .cache_bytes(1 << 20)
             .store_kind(StoreKind::Spill {
                 resident_budget: 1 << 24,
             })
@@ -343,7 +328,6 @@ mod tests {
             .unwrap();
         assert_eq!((chunk_bits, max_high_qubits, workers), (10, 3, 2));
         assert_eq!(codec, CodecSpec::Fpc);
-        assert_eq!(cache_bytes, 1 << 20);
         assert_eq!(
             store_kind,
             StoreKind::Spill {

@@ -12,9 +12,9 @@
 //! there: nothing to apply, nothing to write back (see
 //! [`exec`](super::exec) on zero groups).
 //!
-//! The streaming skeleton (validation, plan, cache, ordering, accounting,
-//! flush, report) lives in [`exec::run_with_executor`](super::exec); this
-//! module contributes only the [`CpuWorkerExecutor`] compute path.
+//! The streaming skeleton (validation, plan, accounting, report) lives in
+//! [`exec::run_with_executor`](super::exec); this module contributes only
+//! the [`CpuWorkerExecutor`] compute path.
 
 use crate::config::MemQSimConfig;
 use crate::engine::exec::{
@@ -218,7 +218,7 @@ mod tests {
         let r = run(&store, &c, &config, Granularity::Staged).unwrap();
         assert!(r.stages >= 1);
         assert!(r.chunk_visits >= store.chunk_count());
-        assert!(r.peak_compressed_bytes > 0);
+        assert!(r.peak_resident_bytes > 0);
         assert!(r.peak_buffer_bytes > 0);
         // The CPU executor routes nothing through a device.
         assert_eq!(r.executor, "cpu-workers");

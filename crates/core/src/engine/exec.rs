@@ -2,10 +2,9 @@
 //! protocol.
 //!
 //! Every MEMQSIM engine runs the same skeleton — validate the configuration
-//! and store geometry, build the offline plan, attach telemetry and the
-//! residency cache, then stream every stage's chunk groups (residency-first
-//! when the cache is on) through some compute path, flush, and assemble a
-//! report. [`run_with_executor`] owns that skeleton once; the compute path
+//! and store geometry, build the offline plan, attach telemetry, then
+//! stream every stage's chunk groups through some compute path and assemble
+//! a report. [`run_with_executor`] owns that skeleton once; the compute path
 //! is a [`ChunkExecutor`], the only executor trait there is:
 //! [`begin_stage`](ChunkExecutor::begin_stage), one
 //! [`submit`](ChunkExecutor::submit) per chunk group, then
@@ -348,7 +347,9 @@ fn all_zero(amps: &[Complex64]) -> bool {
 ///
 /// Every [`ChunkStore`] method is forwarded by hand: a method added to the
 /// trait with a default body must be added here too, or the run would see
-/// the default instead of the caller's store.
+/// the default instead of the caller's store. `flush`,
+/// `peak_resident_bytes` and `resident_chunks` are the exception: no tier
+/// in this crate overrides their defaults.
 struct ZeroTracker {
     inner: Arc<dyn ChunkStore>,
     /// Written by the workers of a stage and read by the driver after that
@@ -431,10 +432,6 @@ impl ChunkStore for ZeroTracker {
         }
     }
 
-    fn flush(&self) -> Result<(), CodecError> {
-        self.inner.flush()
-    }
-
     fn state_bytes(&self) -> usize {
         self.inner.state_bytes()
     }
@@ -443,20 +440,12 @@ impl ChunkStore for ZeroTracker {
         self.inner.peak_state_bytes()
     }
 
-    fn peak_resident_bytes(&self) -> usize {
-        self.inner.peak_resident_bytes()
-    }
-
     fn counters(&self) -> StoreCounters {
         self.inner.counters()
     }
 
     fn cumulative_stats(&self) -> CompressionStats {
         self.inner.cumulative_stats()
-    }
-
-    fn resident_chunks(&self) -> Vec<usize> {
-        self.inner.resident_chunks()
     }
 
     fn attach_telemetry(&self, telemetry: Telemetry) {
@@ -552,10 +541,6 @@ pub fn run_plan_with_executor(
     let telemetry = Telemetry::new();
     store.attach_telemetry(telemetry.clone());
     let _store_guard = StoreTelemetryGuard(&**store);
-    // The hot-chunk residency cache, when configured, is already part of the
-    // store stack (see `store::build_store`); the driver only exploits it by
-    // ordering groups residency-first.
-    let cache_enabled = cfg.cache_bytes > 0;
 
     let plan = Arc::new(plan);
     let zero = Arc::new(ZeroTracker::new(Arc::clone(store)));
@@ -595,26 +580,6 @@ pub fn run_plan_with_executor(
                 let performed: usize = groups.iter().map(Vec::len).sum();
                 chunk_visits += performed;
                 chunk_visits_elided += planned - performed;
-                if cache_enabled {
-                    // Visit groups with the most cache-resident members
-                    // first so a stage harvests its hits before misses
-                    // evict them. An empty cache (first stage, tiny budget)
-                    // skips the set build; an all-zero count vector skips
-                    // the sort.
-                    let resident = store.resident_chunks();
-                    if !resident.is_empty() {
-                        let resident: std::collections::HashSet<usize> =
-                            resident.into_iter().collect();
-                        let mut counted: Vec<(usize, Vec<usize>)> = groups
-                            .into_iter()
-                            .map(|g| (g.iter().filter(|c| resident.contains(c)).count(), g))
-                            .collect();
-                        if counted.iter().any(|(n, _)| *n > 0) {
-                            counted.sort_by_key(|(n, _)| std::cmp::Reverse(*n));
-                        }
-                        groups = counted.into_iter().map(|(_, g)| g).collect();
-                    }
-                }
                 let shards = assign_shards(cfg.devices, &groups);
                 let si = si as u32;
                 if let Err(e) = executor.begin_stage(&ctx, si, groups.len()) {
@@ -665,16 +630,12 @@ pub fn run_plan_with_executor(
     }
 
     // Always give the executor its drain/release call so pipelines join and
-    // buffers free even on a failed stage, then flush dirty resident chunks
-    // so the base representation is coherent for callers.
+    // buffers free even on a failed stage.
     let finish_result = executor.finish(&ctx);
-    if let Err(e) = store.flush() {
-        run_err.get_or_insert(e.into());
-    }
 
-    // Epilogue traffic (drained pipelines, dirty cache write-backs) ran
-    // under the last stage's allowance; fold any post-stage lossy encodes
-    // into that stage's ledger entry, then clear the allowance.
+    // Epilogue traffic (drained pipelines, the remap) ran under the last
+    // stage's allowance; fold any post-stage lossy encodes into that stage's
+    // ledger entry, then clear the allowance.
     if stage_bounds.is_some() {
         if store.counters().lossy_encodes > lossy_mark {
             if let Some(last) = error_spend.last_mut() {
@@ -714,8 +675,7 @@ pub fn run_plan_with_executor(
         remap_passes: record.counter(Counter::RemapPasses) as usize,
         groups_device: stats.groups_device,
         groups_cpu: stats.groups_cpu,
-        peak_compressed_bytes: store.peak_state_bytes(),
-        peak_resident_bytes: store.peak_resident_bytes(),
+        peak_resident_bytes: store.peak_state_bytes(),
         peak_buffer_bytes: stats.peak_buffer_bytes,
         pinned_bytes: stats.pinned_bytes,
         device_buffer_bytes: stats.device_buffer_bytes,
@@ -1050,7 +1010,7 @@ mod tests {
         // The report is fully assembled even for a mock executor.
         assert!(report.telemetry.balanced());
         assert_eq!(report.gates_applied, 0);
-        assert!(report.peak_compressed_bytes > 0);
+        assert!(report.peak_resident_bytes > 0);
         assert_eq!(report.device, StreamStats::default());
     }
 
@@ -1261,10 +1221,7 @@ mod tests {
 
     #[test]
     fn zero_tracker_forwards_the_whole_store_interface() {
-        let cfg = MemQSimConfig {
-            cache_bytes: 4 * 8 * 16,
-            ..testkit::cfg(3, CodecSpec::Auto { eb: None })
-        };
+        let cfg = testkit::cfg(3, CodecSpec::Auto { eb: None });
         let inner = testkit::zero_store(6, 3, &cfg);
         let tracker = ZeroTracker::new(Arc::clone(&inner));
         assert_eq!(tracker.kind(), inner.kind());
@@ -1279,15 +1236,11 @@ mod tests {
         let mut buf = vec![Complex64::ZERO; 8];
         tracker.load_chunk(2, &mut buf).unwrap();
         tracker.store_chunk(2, &buf).unwrap();
-        assert_eq!(tracker.resident_chunks(), inner.resident_chunks());
-        assert_eq!(tracker.resident_chunks(), vec![2]);
         assert_eq!(tracker.counters(), inner.counters());
         assert_eq!(tracker.counters().chunk_visits, 1);
         assert_eq!(tracker.cumulative_stats(), inner.cumulative_stats());
-        tracker.flush().unwrap();
         assert_eq!(tracker.state_bytes(), inner.state_bytes());
         assert_eq!(tracker.peak_state_bytes(), inner.peak_state_bytes());
-        assert_eq!(tracker.peak_resident_bytes(), inner.peak_resident_bytes());
         // The telemetry tier and the codec's bound sit below the tracker.
         let telemetry = Telemetry::new();
         tracker.attach_telemetry(telemetry.clone());
@@ -1300,11 +1253,9 @@ mod tests {
             *z = Complex64::cis(0.37 * k as f64);
         }
         tracker.store_chunk(6, &buf).unwrap();
-        tracker.flush().unwrap();
         assert_eq!(inner.counters().lossy_encodes, 0);
         tracker.set_error_allowance(Some(1e-3));
         tracker.store_chunk(7, &buf).unwrap();
-        tracker.flush().unwrap();
         assert!(inner.counters().lossy_encodes > 0);
     }
 

@@ -49,9 +49,9 @@
 //! runs are bit-identical to single-device runs; only the modeled makespan
 //! (max over devices) shrinks. `cfg.workers` is not read here.
 //!
-//! The streaming skeleton (validation, plan, cache, ordering, accounting,
-//! flush, report) lives in [`exec::run_with_executor`](super::exec); this
-//! module contributes only the [`DevicePipelineExecutor`] compute path.
+//! The streaming skeleton (validation, plan, accounting, report) lives in
+//! [`exec::run_with_executor`](super::exec); this module contributes only
+//! the [`DevicePipelineExecutor`] compute path.
 
 use crate::config::{MemQSimConfig, TransferMode};
 use crate::engine::exec::{
@@ -84,8 +84,7 @@ struct Work {
 /// Tries to fetch every chunk of `group` as a compressed payload. `None`
 /// when any tier refuses (e.g. a dense or spill tier with no codec): the
 /// caller falls back to raw staging for the whole group, so a group's
-/// transfer mode is always uniform. An active residency cache serves
-/// payloads encode-through (dirty residents are written back first).
+/// transfer mode is always uniform.
 fn fetch_payloads(
     store: &Arc<dyn ChunkStore>,
     group: &[usize],
@@ -819,35 +818,8 @@ mod tests {
         // 2 slots * 2^(3+2) amps * 16 bytes.
         assert_eq!(r.pinned_bytes, 2 * (1 << 5) * 16);
         assert_eq!(r.device_buffer_bytes, r.pinned_bytes);
-        assert!(r.peak_compressed_bytes > 0);
-        assert!(r.peak_resident_bytes >= r.peak_compressed_bytes);
+        assert!(r.peak_resident_bytes > 0);
         assert!(r.peak_working_bytes() >= r.pinned_bytes);
-    }
-
-    #[test]
-    fn cached_pipeline_matches_and_cuts_codec_traffic() {
-        let c = library::qft(7);
-        let base = cfg(3);
-        let cached = MemQSimConfig {
-            // Room for half the chunks (16 chunks of 2^3 amps).
-            cache_bytes: 8 * (1 << 3) * 16,
-            ..base
-        };
-        let uncached_r = run_hybrid_and_compare(&c, &base, true, 1e-10);
-        let cached_r = run_hybrid_and_compare(&c, &cached, true, 1e-10);
-        let visits = cached_r.telemetry.counter(Counter::ChunkVisits);
-        assert_eq!(
-            cached_r.telemetry.counter(Counter::CacheHits)
-                + cached_r.telemetry.counter(Counter::CacheMisses),
-            visits
-        );
-        assert!(cached_r.telemetry.counter(Counter::CacheHits) > 0);
-        assert!(
-            cached_r.telemetry.counter(Counter::BytesDecompressed)
-                < uncached_r.telemetry.counter(Counter::BytesDecompressed)
-        );
-        // Cache bytes are accounted against the resident footprint.
-        assert!(cached_r.peak_resident_bytes >= cached_r.peak_compressed_bytes);
     }
 }
 
@@ -970,29 +942,6 @@ mod compressed_transfer_tests {
         // The serial ablation holds the same staging memory.
         assert_eq!(staging[0], staging[1]);
         assert!(staging[0].0 > 0);
-    }
-
-    #[test]
-    fn active_cache_serves_payloads() {
-        // A residency cache serves payloads encode-through (dirty residents
-        // written back first), so compressed transfer survives a nonzero
-        // cache budget instead of degrading to whole-group raw staging.
-        let circuit = library::qft(7);
-        let config = MemQSimConfig {
-            cache_bytes: 8 * (1 << 3) * 16,
-            ..cfg(CodecSpec::Fpc, TransferMode::Compressed)
-        };
-        let store = testkit::zero_store(7, 3, &config);
-        let dev = Device::new(DeviceSpec::tiny_test(1 << 12));
-        let report = run(&store, &circuit, &config, &dev, true).unwrap();
-        assert!(report.device.bytes_h2d_compressed > 0);
-        let hits = report.telemetry.counter(Counter::CacheHits);
-        let misses = report.telemetry.counter(Counter::CacheMisses);
-        assert_eq!(
-            hits + misses,
-            report.telemetry.counter(Counter::ChunkVisits)
-        );
-        assert!(max_amp_err(&store.to_dense().unwrap(), &run_dense(&circuit, 0)) < 1e-10);
     }
 }
 

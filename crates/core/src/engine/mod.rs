@@ -3,9 +3,9 @@
 //! One chunk-streaming core, pluggable compute paths:
 //!
 //! * [`exec`] — the shared driver ([`exec::run_with_executor`]): config and
-//!   geometry validation, plan building, telemetry/cache attachment,
-//!   residency-first group ordering, chunk-visit accounting, flush and
-//!   [`RunReport`] assembly — written once, for every executor.
+//!   geometry validation, plan building, telemetry attachment, chunk-visit
+//!   accounting and [`RunReport`] assembly — written once, for every
+//!   executor.
 //! * [`cpu`] — [`cpu::CpuWorkerExecutor`]: decompress → apply stage →
 //!   recompress, chunk groups processed by "idle core" workers. Also hosts
 //!   the per-gate granularity baseline (Wu et al.\[6\]).

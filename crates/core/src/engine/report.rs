@@ -77,11 +77,10 @@ pub struct RunReport {
     /// dropped after loading as all zero. The device pipeline sends every
     /// group to its fleet and reports 0 here.
     pub groups_cpu: usize,
-    /// Peak resident compressed bytes during the run.
-    pub peak_compressed_bytes: usize,
-    /// Peak resident bytes including the residency cache (compressed +
-    /// decompressed cache copies) — the footprint to hold against a memory
-    /// budget when `cache_bytes > 0`.
+    /// Peak bytes the stored state occupied in CPU memory during the run
+    /// ([`ChunkStore::peak_state_bytes`](crate::store::ChunkStore::peak_state_bytes)):
+    /// compressed bytes on codec tiers, the footprint to hold against a
+    /// memory budget.
     pub peak_resident_bytes: usize,
     /// Peak transient working-buffer bytes: the CPU engine's one group
     /// buffer, which every member of the worker team shares, at the largest

@@ -10,8 +10,8 @@
 //!   behind the [`store::ChunkStore`] trait: a compressed base tier
 //!   ([`store::CompressedTier`], the paper's offline stage), an
 //!   uncompressed baseline ([`store::DenseStore`]), a disk-spill tier
-//!   ([`store::SpillStore`]), plus residency-cache and telemetry
-//!   middleware ([`store::ResidencyCache`], [`store::TelemetryTier`]).
+//!   ([`store::SpillStore`]), plus the telemetry middleware
+//!   ([`store::TelemetryTier`]).
 //! * [`planner`] + `mq_circuit::schedule` — the offline stage: the
 //!   dependency scheduler's stages with bounded cross-chunk working sets,
 //!   chunk groups per stage.
@@ -63,8 +63,8 @@ pub use engine::{
 pub use mq_compress::Precision;
 pub use mq_telemetry::{Counter, DeviceLane, Role, RunTelemetry, SpanRecord, Telemetry};
 pub use store::{
-    build_store, build_store_from_amplitudes, ChunkStore, CompressedTier, DenseStore,
-    ResidencyCache, SpillStore, StoreCounters, TelemetryTier,
+    build_store, build_store_from_amplitudes, ChunkStore, CompressedTier, DenseStore, SpillStore,
+    StoreCounters, TelemetryTier,
 };
 
 use mq_circuit::Circuit;

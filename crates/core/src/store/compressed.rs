@@ -25,8 +25,7 @@ struct ChunkSlot {
 /// of resident compressed bytes and their peak are the numbers behind the
 /// paper's "+5 qubits in the same memory" claim.
 ///
-/// This tier is deliberately minimal: no residency cache, no telemetry.
-/// Wrap it in a [`ResidencyCache`](super::ResidencyCache) and a
+/// This tier holds no telemetry handle. Wrap it in a
 /// [`TelemetryTier`](super::TelemetryTier) — or let
 /// [`build_store`](super::build_store) do it — for the full stack.
 pub struct CompressedTier {
@@ -117,7 +116,7 @@ impl CompressedTier {
         let checksum = checksum64(&bytes);
         let meta = self.codec.payload_meta(&bytes);
         self.accounting
-            .committed(meta, self.chunk_amps() * 16, new_len);
+            .committed(meta, self.chunk_amps() * size_of::<Complex64>(), new_len);
         let guard = &mut *self.chunks[i].lock();
         let old_len = guard.bytes.len();
         *guard = ChunkSlot { bytes, checksum };
@@ -196,20 +195,12 @@ impl ChunkStore for CompressedTier {
         Ok(true)
     }
 
-    fn flush(&self) -> Result<(), CodecError> {
-        Ok(())
-    }
-
     fn state_bytes(&self) -> usize {
         self.current_bytes.load(Ordering::Relaxed)
     }
 
     fn peak_state_bytes(&self) -> usize {
         self.peak_bytes.load(Ordering::Relaxed)
-    }
-
-    fn peak_resident_bytes(&self) -> usize {
-        self.peak_state_bytes()
     }
 
     fn counters(&self) -> StoreCounters {

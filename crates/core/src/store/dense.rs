@@ -95,20 +95,12 @@ impl ChunkStore for DenseStore {
         Ok(true)
     }
 
-    fn flush(&self) -> Result<(), CodecError> {
-        Ok(())
-    }
-
     /// Always the full dense footprint — this tier never shrinks.
     fn state_bytes(&self) -> usize {
         self.dense_bytes()
     }
 
     fn peak_state_bytes(&self) -> usize {
-        self.dense_bytes()
-    }
-
-    fn peak_resident_bytes(&self) -> usize {
         self.dense_bytes()
     }
 

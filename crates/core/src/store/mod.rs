@@ -13,28 +13,22 @@
 //!   overflow spills to temp files on disk, the paper's beyond-RAM
 //!   "+5 qubits" direction.
 //!
-//! Two middleware tiers wrap any inner store:
-//!
-//! * [`ResidencyCache`] — the write-back hot-chunk cache (recency tracking,
-//!   exact-compare recompress skip, scan-resistant eviction), lifted
-//!   out of the old monolithic store so it composes with every base tier.
-//! * [`TelemetryTier`] — owns counter emission: it diffs the inner stack's
-//!   plain atomic totals into an attached [`Telemetry`] handle after every
-//!   operation, so inner tiers never name a telemetry type.
+//! One middleware tier wraps the base tier: [`TelemetryTier`] owns counter
+//! emission. It diffs the inner tier's plain atomic totals into an attached
+//! [`Telemetry`] handle after every operation, so base tiers never name a
+//! telemetry type.
 //!
 //! [`build_store`] assembles the stack from a [`MemQSimConfig`]:
-//! `TelemetryTier( ResidencyCache?( base tier ) )`.
+//! `TelemetryTier( base tier )`.
 //!
 //! [`Telemetry`]: mq_telemetry::Telemetry
 
 mod accounting;
-pub mod cache;
 pub mod compressed;
 pub mod dense;
 pub mod spill;
 pub mod telemetry_tier;
 
-pub use cache::ResidencyCache;
 pub use compressed::CompressedTier;
 pub use dense::DenseStore;
 pub use spill::SpillStore;
@@ -129,10 +123,8 @@ pub(crate) fn expect_chunk_len(expected: usize, got: usize) -> Result<(), CodecE
 
 /// Monotonic operation totals a store tier accumulates over its lifetime.
 ///
-/// Inner tiers keep these as plain atomics; the [`TelemetryTier`] diffs them
-/// into a run's [`Telemetry`] record. Middleware
-/// composes them: [`ResidencyCache`] replaces `chunk_visits` with its own
-/// total (the inner store only sees misses) and adds the cache fields.
+/// Base tiers keep these as plain atomics; the [`TelemetryTier`] diffs them
+/// into a run's [`Telemetry`] record.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StoreCounters {
     /// Chunk load/store round trips observed at this tier.
@@ -141,14 +133,11 @@ pub struct StoreCounters {
     pub bytes_decompressed: u64,
     /// Compressed payload bytes produced by codec compression.
     pub bytes_compressed: u64,
-    /// Loads served from a residency cache (no checksum, no decode).
+    /// Always 0: no tier caches decompressed chunks. Kept, with
+    /// `cache_misses`, only because the benchmark harness reads both.
     pub cache_hits: u64,
-    /// Loads that fell through a residency cache to the inner store.
+    /// Always 0; see `cache_hits`.
     pub cache_misses: u64,
-    /// Stores whose content was bit-identical to the resident copy.
-    pub recompress_skipped: u64,
-    /// Cache entries evicted.
-    pub evictions: u64,
     /// Compressed chunk bytes spilled to disk.
     pub spill_bytes_written: u64,
     /// Compressed chunk bytes read back from disk.
@@ -200,9 +189,8 @@ pub trait ChunkStore: Send + Sync {
     /// a chunk visit like [`load_chunk`](ChunkStore::load_chunk), but no
     /// host decompression happens (and none is charged).
     ///
-    /// `Ok(None)` means this tier stack cannot hand out a payload — no
-    /// codec underneath, or a residency middleware may hold a copy newer
-    /// than the stored bytes. Callers must then fall back to
+    /// `Ok(None)` means this tier stack cannot hand out a payload (no codec
+    /// underneath). Callers must then fall back to
     /// [`load_chunk`](ChunkStore::load_chunk).
     fn load_chunk_payload(&self, i: usize) -> Result<Option<Vec<u8>>, CodecError> {
         let _ = i;
@@ -229,30 +217,20 @@ pub trait ChunkStore: Send + Sync {
     /// Returns `Ok(false)` if this tier cannot exchange payloads; callers
     /// must then fall back to load/store through the normal path (which
     /// counts visits as usual). Implementations must leave counters
-    /// untouched on the fast path so the visit accounting identity
-    /// (`hits + misses == visits`) is preserved.
+    /// untouched on the fast path: a payload exchange is not a visit.
     fn swap_chunks(&self, i: usize, j: usize) -> Result<bool, CodecError> {
         let _ = (i, j);
         Ok(false)
     }
 
-    /// Forces deferred work (dirty cache write-backs) down to the base
-    /// representation, so external views of the stored bytes are coherent.
-    fn flush(&self) -> Result<(), CodecError>;
-
     /// Current bytes the stored state occupies in CPU memory (compressed
     /// for codec tiers, raw for [`DenseStore`], in-memory portion only for
-    /// [`SpillStore`]). With a write-back cache this can lag dirty resident
-    /// copies; [`flush`](ChunkStore::flush) first for an up-to-date view.
+    /// [`SpillStore`]).
     fn state_bytes(&self) -> usize;
 
-    /// Peak of [`state_bytes`](ChunkStore::state_bytes) observed so far.
+    /// Peak of [`state_bytes`](ChunkStore::state_bytes) observed so far:
+    /// the number to hold against a memory budget.
     fn peak_state_bytes(&self) -> usize;
-
-    /// Peak bytes resident in CPU memory at any instant, including
-    /// middleware copies (decompressed cache entries) — the number to hold
-    /// against a memory budget.
-    fn peak_resident_bytes(&self) -> usize;
 
     /// Monotonic operation totals for this tier stack.
     fn counters(&self) -> StoreCounters;
@@ -260,8 +238,21 @@ pub trait ChunkStore: Send + Sync {
     /// Cumulative compress-call statistics (zero for tiers with no codec).
     fn cumulative_stats(&self) -> CompressionStats;
 
-    /// Chunk indices a residency middleware currently holds decompressed
-    /// (empty for tiers without one). Engines visit these first.
+    // --- kept for the benchmark harness, which implements or reads them;
+    // no tier overrides them ------------------------------------------------
+
+    /// No tier defers work, so there is nothing to flush.
+    fn flush(&self) -> Result<(), CodecError> {
+        Ok(())
+    }
+
+    /// Always [`peak_state_bytes`](ChunkStore::peak_state_bytes): every
+    /// byte a store holds in CPU memory is state.
+    fn peak_resident_bytes(&self) -> usize {
+        self.peak_state_bytes()
+    }
+
+    /// Always empty: no tier holds chunks decompressed.
     fn resident_chunks(&self) -> Vec<usize> {
         Vec::new()
     }
@@ -306,7 +297,7 @@ pub trait ChunkStore: Send + Sync {
 
     /// Bytes a dense representation would need.
     fn dense_bytes(&self) -> usize {
-        (1usize << self.n_qubits()) * 16
+        (1usize << self.n_qubits()) * size_of::<Complex64>()
     }
 
     /// Current overall compression ratio (dense / resident state bytes).
@@ -319,44 +310,22 @@ pub trait ChunkStore: Send + Sync {
     }
 
     /// Decompresses the whole state (exponential memory — small registers
-    /// and verification only). Cache-resident chunks are read first so a
-    /// miss can never evict a pending hit.
+    /// and verification only).
     fn to_dense(&self) -> Result<Vec<Complex64>, CodecError> {
         let mut out = vec![Complex64::ZERO; 1usize << self.n_qubits()];
-        let ca = self.chunk_amps();
-        let mut done = vec![false; self.chunk_count()];
-        for i in self.resident_chunks() {
-            if i < done.len() && !done[i] {
-                self.load_chunk(i, &mut out[i * ca..(i + 1) * ca])?;
-                done[i] = true;
-            }
-        }
-        for (i, done) in done.iter().enumerate() {
-            if !done {
-                self.load_chunk(i, &mut out[i * ca..(i + 1) * ca])?;
-            }
+        for (i, slot) in out.chunks_exact_mut(self.chunk_amps()).enumerate() {
+            self.load_chunk(i, slot)?;
         }
         Ok(out)
     }
 
-    /// L2 norm, computed streaming one chunk at a time (cache residents
-    /// first — the sum is order-free).
+    /// L2 norm, computed streaming one chunk at a time.
     fn norm(&self) -> Result<f64, CodecError> {
         let mut buf = vec![Complex64::ZERO; self.chunk_amps()];
         let mut acc = 0.0f64;
-        let mut done = vec![false; self.chunk_count()];
-        for i in self.resident_chunks() {
-            if i < done.len() && !done[i] {
-                self.load_chunk(i, &mut buf)?;
-                acc += buf.iter().map(|z| z.norm_sqr()).sum::<f64>();
-                done[i] = true;
-            }
-        }
-        for (i, done) in done.iter().enumerate() {
-            if !done {
-                self.load_chunk(i, &mut buf)?;
-                acc += buf.iter().map(|z| z.norm_sqr()).sum::<f64>();
-            }
+        for i in 0..self.chunk_count() {
+            self.load_chunk(i, &mut buf)?;
+            acc += buf.iter().map(|z| z.norm_sqr()).sum::<f64>();
         }
         Ok(acc.sqrt())
     }
@@ -431,10 +400,6 @@ impl<S: ChunkStore + ?Sized> ChunkStore for Arc<S> {
         (**self).swap_chunks(i, j)
     }
 
-    fn flush(&self) -> Result<(), CodecError> {
-        (**self).flush()
-    }
-
     fn state_bytes(&self) -> usize {
         (**self).state_bytes()
     }
@@ -443,20 +408,12 @@ impl<S: ChunkStore + ?Sized> ChunkStore for Arc<S> {
         (**self).peak_state_bytes()
     }
 
-    fn peak_resident_bytes(&self) -> usize {
-        (**self).peak_resident_bytes()
-    }
-
     fn counters(&self) -> StoreCounters {
         (**self).counters()
     }
 
     fn cumulative_stats(&self) -> CompressionStats {
         (**self).cumulative_stats()
-    }
-
-    fn resident_chunks(&self) -> Vec<usize> {
-        (**self).resident_chunks()
     }
 
     fn attach_telemetry(&self, telemetry: Telemetry) {
@@ -476,10 +433,9 @@ impl<S: ChunkStore + ?Sized> ChunkStore for Arc<S> {
     }
 }
 
-/// Builds the configured storage stack holding the `|0...0>` state:
-/// base tier per [`StoreKind`], wrapped in a [`ResidencyCache`] when
-/// `cache_bytes` holds at least one chunk, wrapped in a [`TelemetryTier`]
-/// outermost so engines can attach per-run counters.
+/// Builds the configured storage stack holding the `|0...0>` state: the
+/// base tier per [`StoreKind`], wrapped in a [`TelemetryTier`] so engines
+/// can attach per-run counters.
 ///
 /// Errors only for tiers that touch the filesystem ([`SpillStore`]).
 pub fn build_store(n_qubits: u32, cfg: &MemQSimConfig) -> Result<Arc<dyn ChunkStore>, CodecError> {
@@ -496,18 +452,24 @@ pub fn build_store(n_qubits: u32, cfg: &MemQSimConfig) -> Result<Arc<dyn ChunkSt
             resident_budget,
         )?),
     };
-    Ok(wrap_middleware(base, cfg))
+    Ok(Arc::new(TelemetryTier::new(base)))
 }
 
 /// Like [`build_store`], but compressing an existing dense state.
 ///
-/// # Panics
-/// Panics if `amps.len()` is not a power of two.
+/// A length that is not a power of two is a
+/// [`CodecError::BufferMismatch`] naming the next power of two (1 for an
+/// empty slice).
 pub fn build_store_from_amplitudes(
     amps: &[Complex64],
     cfg: &MemQSimConfig,
 ) -> Result<Arc<dyn ChunkStore>, CodecError> {
-    assert!(bits::is_pow2(amps.len()), "length must be a power of two");
+    if !bits::is_pow2(amps.len()) {
+        return Err(CodecError::BufferMismatch {
+            expected: amps.len().next_power_of_two(),
+            got: amps.len(),
+        });
+    }
     let n_qubits = bits::floor_log2(amps.len());
     let chunk_bits = cfg.effective_chunk_bits(n_qubits);
     let codec: Arc<dyn mq_compress::Codec> =
@@ -522,17 +484,7 @@ pub fn build_store_from_amplitudes(
             resident_budget,
         )?),
     };
-    Ok(wrap_middleware(base, cfg))
-}
-
-fn wrap_middleware(base: Arc<dyn ChunkStore>, cfg: &MemQSimConfig) -> Arc<dyn ChunkStore> {
-    let entry_bytes = base.chunk_amps() * 16;
-    let cached: Arc<dyn ChunkStore> = if cfg.cache_bytes >= entry_bytes {
-        Arc::new(ResidencyCache::new(base, cfg.cache_bytes))
-    } else {
-        base
-    };
-    Arc::new(TelemetryTier::new(cached))
+    Ok(Arc::new(TelemetryTier::new(base)))
 }
 
 #[cfg(test)]
@@ -684,6 +636,7 @@ mod tests {
             let dense = store.to_dense().unwrap();
             assert!((dense[0].re - 1.0).abs() < 1e-9, "{kind:?}");
             assert!(dense[1..].iter().all(|z| z.norm() < 1e-9), "{kind:?}");
+            assert_eq!(store.peak_resident_bytes(), store.peak_state_bytes());
         }
     }
 
@@ -726,21 +679,6 @@ mod tests {
                 assert_eq!(zero.to_dense().unwrap(), encoded.to_dense().unwrap());
             }
         }
-    }
-
-    #[test]
-    fn factory_wraps_cache_only_when_budget_holds_a_chunk() {
-        let mut c = cfg(StoreKind::Compressed);
-        c.cache_bytes = 4 * (1usize << 4) * 16;
-        let cached = build_store(8, &c).unwrap();
-        let mut buf = vec![Complex64::ZERO; cached.chunk_amps()];
-        cached.load_chunk(0, &mut buf).unwrap();
-        assert_eq!(cached.resident_chunks(), vec![0]);
-
-        c.cache_bytes = 8; // below one chunk: no cache layer
-        let uncached = build_store(8, &c).unwrap();
-        uncached.load_chunk(0, &mut buf).unwrap();
-        assert!(uncached.resident_chunks().is_empty());
     }
 
     #[test]
@@ -788,6 +726,19 @@ mod tests {
             c.store_kind = kind;
             let store = build_store_from_amplitudes(&amps, &c).unwrap();
             assert_eq!(store.to_dense().unwrap(), amps, "{kind:?}");
+            assert_eq!(store.peak_resident_bytes(), store.peak_state_bytes());
+        }
+    }
+
+    #[test]
+    fn from_amplitudes_refuses_a_length_that_is_not_a_power_of_two() {
+        let c = cfg(StoreKind::Compressed);
+        for (got, expected) in [(0, 1), (3, 4), (5, 8)] {
+            let amps = vec![Complex64::ZERO; got];
+            assert_eq!(
+                build_store_from_amplitudes(&amps, &c).err(),
+                Some(CodecError::BufferMismatch { expected, got })
+            );
         }
     }
 }

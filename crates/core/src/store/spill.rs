@@ -207,7 +207,7 @@ impl SpillStore {
         }
         drop(state);
         self.accounting
-            .committed(meta, self.chunk_amps() * 16, new_len);
+            .committed(meta, self.chunk_amps() * size_of::<Complex64>(), new_len);
         self.accounting.encoded_on_host(new_len);
         Ok(())
     }
@@ -319,10 +319,6 @@ impl ChunkStore for SpillStore {
         Ok(true)
     }
 
-    fn flush(&self) -> Result<(), CodecError> {
-        Ok(())
-    }
-
     /// In-memory compressed bytes only — the spilled remainder lives on
     /// disk and does not count against the memory budget.
     fn state_bytes(&self) -> usize {
@@ -330,10 +326,6 @@ impl ChunkStore for SpillStore {
     }
 
     fn peak_state_bytes(&self) -> usize {
-        self.peak_resident.load(Ordering::Relaxed)
-    }
-
-    fn peak_resident_bytes(&self) -> usize {
         self.peak_resident.load(Ordering::Relaxed)
     }
 

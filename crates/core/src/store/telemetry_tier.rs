@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How many [`StoreCounters`] fields map onto [`Counter`] variants.
-const N: usize = 15;
+const N: usize = 11;
 
 /// The stack's counter totals paired with their telemetry counters, in a
 /// fixed order shared by the emission bookkeeping.
@@ -18,10 +18,6 @@ fn fields(c: &StoreCounters) -> [(Counter, u64); N] {
         (Counter::ChunkVisits, c.chunk_visits),
         (Counter::BytesDecompressed, c.bytes_decompressed),
         (Counter::BytesCompressed, c.bytes_compressed),
-        (Counter::CacheHits, c.cache_hits),
-        (Counter::CacheMisses, c.cache_misses),
-        (Counter::RecompressSkipped, c.recompress_skipped),
-        (Counter::Evictions, c.evictions),
         (Counter::SpillBytesWritten, c.spill_bytes_written),
         (Counter::SpillBytesRead, c.spill_bytes_read),
         (Counter::CodecPicksZeroRle, c.codec_picks_zero_rle),
@@ -136,12 +132,6 @@ impl ChunkStore for TelemetryTier {
         result
     }
 
-    fn flush(&self) -> Result<(), CodecError> {
-        let result = self.inner.flush();
-        self.sync();
-        result
-    }
-
     fn state_bytes(&self) -> usize {
         self.inner.state_bytes()
     }
@@ -150,20 +140,12 @@ impl ChunkStore for TelemetryTier {
         self.inner.peak_state_bytes()
     }
 
-    fn peak_resident_bytes(&self) -> usize {
-        self.inner.peak_resident_bytes()
-    }
-
     fn counters(&self) -> StoreCounters {
         self.inner.counters()
     }
 
     fn cumulative_stats(&self) -> CompressionStats {
         self.inner.cumulative_stats()
-    }
-
-    fn resident_chunks(&self) -> Vec<usize> {
-        self.inner.resident_chunks()
     }
 
     /// Attaches a handle: until [`ChunkStore::detach_telemetry`] is
@@ -214,27 +196,21 @@ impl std::fmt::Debug for TelemetryTier {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{CompressedTier, ResidencyCache};
+    use super::super::CompressedTier;
     use super::*;
     use mq_compress::SzCodec;
 
-    fn stack(cache_entries: usize) -> TelemetryTier {
-        let base: Arc<dyn ChunkStore> = Arc::new(CompressedTier::zero_state(
+    fn stack() -> TelemetryTier {
+        TelemetryTier::new(Arc::new(CompressedTier::zero_state(
             8,
             4,
             Arc::new(SzCodec::new(1e-12)),
-        ));
-        let inner: Arc<dyn ChunkStore> = if cache_entries > 0 {
-            Arc::new(ResidencyCache::new(base, cache_entries * 16 * 16))
-        } else {
-            base
-        };
-        TelemetryTier::new(inner)
+        )))
     }
 
     #[test]
     fn attach_detach_counts_codec_traffic() {
-        let store = stack(0);
+        let store = stack();
         let t = Telemetry::new();
         store.attach_telemetry(t.clone());
         let mut buf = vec![Complex64::ZERO; 16];
@@ -243,9 +219,6 @@ mod tests {
         assert_eq!(t.counter(Counter::ChunkVisits), 1);
         assert!(t.counter(Counter::BytesDecompressed) > 0);
         assert!(t.counter(Counter::BytesCompressed) > 0);
-        // No cache configured: the cache counters stay silent.
-        assert_eq!(t.counter(Counter::CacheHits), 0);
-        assert_eq!(t.counter(Counter::CacheMisses), 0);
         // After detaching, traffic no longer lands in the record.
         store.detach_telemetry();
         let before = t.counter(Counter::ChunkVisits);
@@ -255,7 +228,7 @@ mod tests {
 
     #[test]
     fn attach_excludes_initialization_traffic() {
-        let store = stack(0);
+        let store = stack();
         assert!(store.counters().bytes_compressed > 0, "init wrote chunks");
         let t = Telemetry::new();
         store.attach_telemetry(t.clone());
@@ -265,7 +238,7 @@ mod tests {
 
     #[test]
     fn counters_are_visible_per_operation_not_just_at_detach() {
-        let store = stack(0);
+        let store = stack();
         let t = Telemetry::new();
         store.attach_telemetry(t.clone());
         let mut buf = vec![Complex64::ZERO; 16];
@@ -276,25 +249,8 @@ mod tests {
     }
 
     #[test]
-    fn cached_stack_emits_hit_and_miss_counters() {
-        let store = stack(4);
-        let t = Telemetry::new();
-        store.attach_telemetry(t.clone());
-        let mut buf = vec![Complex64::ZERO; 16];
-        store.load_chunk(0, &mut buf).unwrap(); // miss
-        store.load_chunk(0, &mut buf).unwrap(); // hit
-        assert_eq!(t.counter(Counter::CacheMisses), 1);
-        assert_eq!(t.counter(Counter::CacheHits), 1);
-        assert_eq!(
-            t.counter(Counter::CacheHits) + t.counter(Counter::CacheMisses),
-            t.counter(Counter::ChunkVisits)
-        );
-        store.detach_telemetry();
-    }
-
-    #[test]
     fn reattach_only_reports_new_traffic() {
-        let store = stack(0);
+        let store = stack();
         let mut buf = vec![Complex64::ZERO; 16];
         let t1 = Telemetry::new();
         store.attach_telemetry(t1.clone());

@@ -88,19 +88,6 @@ pub enum Counter {
     KernelLaunches,
     /// Scatter/gather commands issued to the device.
     ScatterOps,
-    /// Chunk loads served from the store's residency cache (no checksum,
-    /// no decode).
-    CacheHits,
-    /// Chunk loads that went through the codec because the chunk was not
-    /// resident in the cache. Only counted while a cache is configured, so
-    /// `CacheHits + CacheMisses == ChunkVisits` holds for cached runs.
-    CacheMisses,
-    /// Chunk stores whose content was bit-identical to the resident copy —
-    /// the recompression was skipped entirely.
-    RecompressSkipped,
-    /// Cache entries evicted (dirty evictions recompress; clean evictions
-    /// drop the buffer with zero codec work).
-    Evictions,
     /// Compressed chunk bytes spilled from the resident budget to disk.
     SpillBytesWritten,
     /// Compressed chunk bytes read back from spill files on disk.
@@ -141,7 +128,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 21] = [
         Counter::BytesDecompressed,
         Counter::BytesCompressed,
         Counter::BytesH2d,
@@ -149,10 +136,6 @@ impl Counter {
         Counter::ChunkVisits,
         Counter::KernelLaunches,
         Counter::ScatterOps,
-        Counter::CacheHits,
-        Counter::CacheMisses,
-        Counter::RecompressSkipped,
-        Counter::Evictions,
         Counter::SpillBytesWritten,
         Counter::SpillBytesRead,
         Counter::ApplyPassesSaved,
@@ -179,10 +162,6 @@ impl Counter {
             Counter::ChunkVisits => "chunk_visits",
             Counter::KernelLaunches => "kernel_launches",
             Counter::ScatterOps => "scatter_ops",
-            Counter::CacheHits => "cache_hits",
-            Counter::CacheMisses => "cache_misses",
-            Counter::RecompressSkipped => "recompress_skipped",
-            Counter::Evictions => "evictions",
             Counter::SpillBytesWritten => "spill_bytes_written",
             Counter::SpillBytesRead => "spill_bytes_read",
             Counter::ApplyPassesSaved => "apply_passes_saved",
@@ -209,24 +188,20 @@ impl Counter {
             Counter::ChunkVisits => 4,
             Counter::KernelLaunches => 5,
             Counter::ScatterOps => 6,
-            Counter::CacheHits => 7,
-            Counter::CacheMisses => 8,
-            Counter::RecompressSkipped => 9,
-            Counter::Evictions => 10,
-            Counter::SpillBytesWritten => 11,
-            Counter::SpillBytesRead => 12,
-            Counter::ApplyPassesSaved => 13,
-            Counter::BytesH2dCompressed => 14,
-            Counter::BytesD2hCompressed => 15,
-            Counter::DeviceDecodeTime => 16,
-            Counter::DeviceEncodeTime => 17,
-            Counter::RemapPasses => 18,
-            Counter::CodecPicksZeroRle => 19,
-            Counter::CodecPicksFpc => 20,
-            Counter::CodecPicksShuffleLzss => 21,
-            Counter::CodecPicksSz => 22,
-            Counter::MixedPrecisionChunks => 23,
-            Counter::LossyEncodes => 24,
+            Counter::SpillBytesWritten => 7,
+            Counter::SpillBytesRead => 8,
+            Counter::ApplyPassesSaved => 9,
+            Counter::BytesH2dCompressed => 10,
+            Counter::BytesD2hCompressed => 11,
+            Counter::DeviceDecodeTime => 12,
+            Counter::DeviceEncodeTime => 13,
+            Counter::RemapPasses => 14,
+            Counter::CodecPicksZeroRle => 15,
+            Counter::CodecPicksFpc => 16,
+            Counter::CodecPicksShuffleLzss => 17,
+            Counter::CodecPicksSz => 18,
+            Counter::MixedPrecisionChunks => 19,
+            Counter::LossyEncodes => 20,
         }
     }
 }
@@ -779,10 +754,6 @@ mod tests {
             "\"wall_ns\"",
             "\"counters\"",
             "\"chunk_visits\": 3",
-            "\"cache_hits\": 0",
-            "\"cache_misses\": 0",
-            "\"recompress_skipped\": 0",
-            "\"evictions\": 0",
             "\"spill_bytes_written\": 0",
             "\"spill_bytes_read\": 0",
             "\"roles\"",

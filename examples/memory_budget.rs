@@ -33,7 +33,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let report = memqsim_suite::core::engine::cpu::run(&store, &circuit, &cfg, Granularity::Staged)
         .expect("simulation failed");
-    let peak = report.peak_compressed_bytes + report.peak_buffer_bytes;
+    let peak = report.peak_resident_bytes + report.peak_buffer_bytes;
 
     println!(
         "Simulated {} gates in {:.2?} across {} stages.",
@@ -43,7 +43,7 @@ fn main() {
     );
     println!(
         "Peak footprint: {} store + {} working buffers = {} ({:.0}x under dense).",
-        format_bytes(report.peak_compressed_bytes),
+        format_bytes(report.peak_resident_bytes),
         format_bytes(report.peak_buffer_bytes),
         format_bytes(peak),
         dense_needed as f64 / peak as f64

@@ -159,13 +159,11 @@ fn two_qubit_minimum_register() {
 
 #[test]
 fn optimization_flags_change_nothing_observable() {
-    // The residency cache and compressed transfers are pure
-    // optimizations: same amplitudes.
+    // Compressed transfers are a pure optimization: same amplitudes.
     let circuit = library::hardware_efficient_ansatz(8, 2, 3);
     let oracle = run_dense(&circuit, 0);
     let plain = cfg(3, CodecSpec::Fpc);
     let optimized = MemQSimConfig {
-        cache_bytes: 8 * (1 << 3) * 16,
         transfer_mode: TransferMode::Compressed,
         ..plain
     };

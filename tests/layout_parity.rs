@@ -50,9 +50,6 @@ fn config(chunk_bits: u32) -> MemQSimConfig {
         // codec would round differently wherever the stage boundaries differ.
         codec: CodecSpec::Fpc,
         workers: 1,
-        // Residency cache on, so the hits + misses == visits identity is
-        // exercised (it holds vacuously with the cache disabled).
-        cache_bytes: 1 << 16,
         ..Default::default()
     }
 }
@@ -130,9 +127,6 @@ fn rotating_high_targets(n: u32, blocks: usize) -> Circuit {
 
 fn assert_accounting(r: &RunReport, plan: &Plan, tag: &str) {
     let visits = r.telemetry.counter(Counter::ChunkVisits);
-    let hits = r.telemetry.counter(Counter::CacheHits);
-    let misses = r.telemetry.counter(Counter::CacheMisses);
-    assert_eq!(hits + misses, visits, "hits+misses != visits: {tag}");
     assert_eq!(r.chunk_visits as u64, visits, "report vs telemetry: {tag}");
     assert_eq!(r.planned_visits(), plan.chunk_visits(), "{tag}");
     assert_eq!(
@@ -310,7 +304,6 @@ fn high_high_remaps_move_payloads_without_codec_work() {
 fn scheduling_measurably_cuts_chunk_visits() {
     let cfg = MemQSimConfig {
         workers: 2,
-        cache_bytes: 0,
         ..config(3)
     };
     let graph = library::ring_graph(8);

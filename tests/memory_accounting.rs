@@ -82,9 +82,9 @@ fn peak_tracks_the_worst_moment_not_the_end() {
     }
     let (store, report) = run(&circuit, 6, CodecSpec::Sz { eb: 1e-10 });
     assert!(
-        report.peak_compressed_bytes > store.state_bytes(),
+        report.peak_resident_bytes > store.state_bytes(),
         "peak {} vs final {}",
-        report.peak_compressed_bytes,
+        report.peak_resident_bytes,
         store.state_bytes()
     );
 }
@@ -111,7 +111,7 @@ fn qubit_extension_mechanism_ghz() {
     let mut max_fitting = 0u32;
     for n in 10..=17u32 {
         let (_, report) = run(&library::ghz(n), 6, codec);
-        let peak = report.peak_compressed_bytes + report.peak_buffer_bytes;
+        let peak = report.peak_resident_bytes + report.peak_buffer_bytes;
         if peak <= budget {
             max_fitting = n;
         } else {
@@ -260,7 +260,7 @@ fn adaptive_codec_runs_the_engine_and_beats_fixed_rle_on_mixed_states() {
 /// a whole engine run over it — never a panic, never decoded garbage.
 #[test]
 fn every_verifying_load_path_reports_corruption_as_a_checksum_error() {
-    use memqsim_core::{EngineError, ResidencyCache, SpillStore};
+    use memqsim_core::{EngineError, SpillStore};
     use mq_compress::{Codec, CodecError};
     use mq_num::Complex64;
 
@@ -294,16 +294,6 @@ fn every_verifying_load_path_reports_corruption_as_a_checksum_error() {
             Arc::new(SpillStore::zero_state(8, 4, codec(), 0).unwrap()),
             load,
         ),
-        (
-            "ResidencyCache miss",
-            Arc::new(ResidencyCache::new(compressed(), 4 * 16 * 16)),
-            load,
-        ),
-        (
-            "ResidencyCache payload miss",
-            Arc::new(ResidencyCache::new(compressed(), 4 * 16 * 16)),
-            payload,
-        ),
     ];
     let cfg = MemQSimConfig {
         chunk_bits: 4,
@@ -313,7 +303,6 @@ fn every_verifying_load_path_reports_corruption_as_a_checksum_error() {
         ..Default::default()
     };
     for (what, store, access) in rows {
-        // Chunk 6 must not have been read before (a cache would hold it).
         store.debug_corrupt_chunk(6);
         assert_checksum_error(what, access(&*store, 6));
         access(&*store, 5).unwrap_or_else(|e| panic!("{what}: untouched chunk: {e}"));

@@ -123,64 +123,6 @@ fn compressed_transfers_cut_traffic_without_changing_results() {
     );
 }
 
-/// An *active* residency cache no longer forces whole-group raw fallback:
-/// it serves payloads encode-through (dirty residents written back first)
-/// and commits device-encoded payloads by invalidating the resident slot.
-/// With a lossless codec the cached compressed run stays bit-identical to
-/// the cached raw run while actually shipping compressed link traffic.
-///
-/// The run starts with the cache full of *dirty* residents — half the
-/// chunks overwritten through plain `store_chunk`, newer than the stored
-/// payloads — so the compressed run has to take the
-/// writeback-on-payload-load path, not just cold serves, to end on the raw
-/// run's state.
-#[test]
-fn compressed_transfers_survive_an_active_cache() {
-    let cached = |mode: TransferMode| {
-        let cfg = MemQSimConfig {
-            cache_bytes: 8 * (1 << 3) * 16, // half the chunks
-            ..config(CodecSpec::Fpc, mode)
-        };
-        let circuit = library::qft(7);
-        // From a state with no zero chunk, so both modes do the same work.
-        let start = run_dense(&library::random_circuit(7, 4, 3), 0);
-        let store = build_store_from_amplitudes(&start, &cfg).expect("store");
-        for (i, stored) in start.chunks(8).enumerate().take(8) {
-            let newer: Vec<Complex64> = stored.iter().map(|&a| a * 2.0).collect();
-            store.store_chunk(i, &newer).expect("dirty a resident");
-        }
-        let device = Device::new(DeviceSpec::tiny_test(1 << 12));
-        let report = hybrid::run(&store, &circuit, &cfg, &device, true).expect("run");
-        (store.to_dense().expect("dense"), report)
-    };
-    let (raw_state, raw) = cached(TransferMode::Raw);
-    let (comp_state, comp) = cached(TransferMode::Compressed);
-    assert_eq!(raw_state, comp_state, "cached compressed diverged from raw");
-    assert_eq!(raw.gates_applied, comp.gates_applied);
-    assert_eq!(raw.chunk_visits, comp.chunk_visits);
-    assert!(
-        comp.device.bytes_h2d_compressed > 0,
-        "active cache must serve payloads, not fall back to raw staging"
-    );
-    // Compressed transfers leave the host codec idle except to write a
-    // dirty resident back before its payload ships.
-    assert!(
-        comp.telemetry
-            .counter(mq_telemetry::Counter::BytesCompressed)
-            > 0,
-        "dirty residents must be written back on payload load"
-    );
-    for r in [&raw, &comp] {
-        let hits = r.telemetry.counter(mq_telemetry::Counter::CacheHits);
-        let misses = r.telemetry.counter(mq_telemetry::Counter::CacheMisses);
-        assert_eq!(
-            hits + misses,
-            r.telemetry.counter(mq_telemetry::Counter::ChunkVisits),
-            "cache visit identity broke"
-        );
-    }
-}
-
 fn adversarial_f64() -> impl Strategy<Value = f64> {
     prop_oneof![
         6 => -1.0f64..1.0,

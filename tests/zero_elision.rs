@@ -51,7 +51,6 @@ fn lattice() -> Vec<(&'static str, Engine, MemQSimConfig)> {
     vec![
         ("cpu w1", staged, base),
         ("cpu w4", staged, with(|c| c.workers = 4)),
-        ("cpu cache", staged, with(|c| c.cache_bytes = 8 * 8 * 16)),
         (
             "cpu spill",
             staged,
@@ -67,11 +66,6 @@ fn lattice() -> Vec<(&'static str, Engine, MemQSimConfig)> {
             "hybrid compressed",
             hybrid(true),
             with(|c| c.transfer_mode = TransferMode::Compressed),
-        ),
-        (
-            "hybrid cache",
-            hybrid(true),
-            with(|c| c.cache_bytes = 8 * 8 * 16),
         ),
         ("cpu per-gate", Engine::Cpu(Granularity::PerGate), base),
     ]
@@ -133,11 +127,6 @@ fn every_lattice_point_matches_the_oracle_and_accounts_for_every_visit() {
             assert_eq!(r.stages, plan.stages.len(), "{tag}");
             let visits = r.telemetry.counter(Counter::ChunkVisits);
             assert_eq!(visits, r.chunk_visits as u64, "{tag}");
-            if cfg.cache_bytes > 0 {
-                let hits = r.telemetry.counter(Counter::CacheHits);
-                let misses = r.telemetry.counter(Counter::CacheMisses);
-                assert_eq!(hits + misses, visits, "{tag}");
-            }
             if cfg.transfer_mode == TransferMode::Compressed {
                 // Payloads only: nothing is learned, nothing is skipped.
                 assert_eq!(r.chunk_visits_elided, 0, "{tag}");
