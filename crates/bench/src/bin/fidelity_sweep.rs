@@ -7,10 +7,12 @@
 //!
 //! Usage: `cargo run -p mq-bench --release --bin fidelity_sweep [--qubits 10]`
 
+use memqsim_core::engine::cpu;
 use memqsim_core::fidelity::compare_to_dense;
-use memqsim_core::{CompressedCpuBackend, MemQSimConfig};
+use memqsim_core::{build_store, Granularity, MemQSimConfig};
 use mq_bench::{Args, Table};
 use mq_circuit::library;
+use mq_circuit::unitary::run_dense;
 use mq_compress::CodecSpec;
 
 /// Where log-infidelity readings are capped: 1-F below ~1e-15 is f64
@@ -36,6 +38,7 @@ fn main() {
     let bounds = [1e-3, 1e-5, 1e-7, 1e-9, 1e-12];
     for circuit in library::standard_suite(n) {
         println!("## {} ({} gates)\n", circuit.name(), circuit.len());
+        let reference = run_dense(&circuit, 0);
         let mut t = Table::new(&[
             "error bound",
             "fidelity",
@@ -47,14 +50,16 @@ fn main() {
         let mut last_log_infid = f64::NEG_INFINITY;
         let mut monotone = true;
         for &eb in &bounds {
-            let backend = CompressedCpuBackend::new(MemQSimConfig {
+            let cfg = MemQSimConfig {
                 chunk_bits: (n / 2).max(3),
                 max_high_qubits: 2,
                 codec: CodecSpec::Sz { eb },
                 workers: 1,
                 ..Default::default()
-            });
-            let q = compare_to_dense(&circuit, &backend).expect("run failed");
+            };
+            let store = build_store(circuit.n_qubits(), &cfg).expect("store construction failed");
+            cpu::run(&store, &circuit, &cfg, Granularity::Staged).expect("run failed");
+            let q = compare_to_dense(&reference, &store.to_dense().expect("store is readable"));
             // The fidelity column saturates at 1.000000000 long before the
             // sweep bottoms out, so report log-infidelity alongside: the
             // digits keep moving down to the f64 noise floor, where we cap.

@@ -9,8 +9,8 @@
 //!   state (and the accounting columns match), for every workload;
 //! * near-linear modeled scaling: the fleet makespan (max over device
 //!   lanes) shrinks ≥ 3.0x at 4 devices on at least one workload, and the
-//!   measured load imbalance stays close to 1 under the chunk-affinity
-//!   shard rule.
+//!   measured load imbalance stays close to 1 under the device pipeline's
+//!   contiguous-range split.
 //!
 //! Workloads are the qubit_extension mix (GHZ, W state, BV, QAOA ring,
 //! QFT, random) at a sweep-friendly register size. Everything lands in
@@ -51,7 +51,6 @@ fn run_fleet(circuit: &Circuit, chunk_bits: u32, devices: usize) -> (Vec<Complex
         max_high_qubits: 2,
         codec: CodecSpec::Fpc,
         workers: 1,
-        devices,
         ..Default::default()
     };
     let store = build_store(circuit.n_qubits(), &cfg).expect("store construction failed");

@@ -8,13 +8,16 @@
 //! |-----------------------|----------------|
 //! | `table1`              | Table 1 + the 870x / 1.03x claims (C1, C2) |
 //! | `qubit_extension`     | the "+5 qubits" claim (C3) |
-//! | `modularity`          | Figure 1 (backend modularity) |
+//! | `modularity`          | Figure 1 (compute-path modularity, F1) |
 //! | `pipeline_breakdown`  | Figure 2 (pipeline stages & overlap) |
 //! | `granularity`         | design-challenge-2 ablation (A1) |
 //! | `access_patterns`     | design-challenge-3 analysis (A2) |
 //! | `codec_sweep`         | compressor comparison (A3) |
 //! | `fidelity_sweep`      | lossy error → result quality (A4) |
+//! | `transfer_sweep`      | compressed H2D transfers (A5) |
 //! | `adaptive_sweep`      | per-chunk codec selection under a fidelity budget (A6) |
+//! | `sharding_sweep`      | multi-device fleet parity and modeled makespan (D1) |
+//! | `locality_sweep`      | the circuit as written vs the shipped plan (L1) |
 //!
 //! This library provides markdown table rendering, mid-circuit state
 //! snapshots as compression workloads, and small CLI-argument helpers.

@@ -61,13 +61,6 @@ pub struct MemQSimConfig {
     /// How chunks cross the CPU↔GPU link in the hybrid engine (raw
     /// amplitudes, or compressed payloads decoded on the device).
     pub transfer_mode: TransferMode,
-    /// Number of simulated devices the hybrid engine shards chunk groups
-    /// across (1 = the classic single-GPU path). Each device gets its own
-    /// stream, arena, staging buffers, and per-device stats; the modeled
-    /// run time becomes the makespan (max over devices). Each stage's
-    /// groups are ranked by base chunk and split into contiguous
-    /// per-device ranges.
-    pub devices: usize,
     /// End-state fidelity target (`None` = no budget). When set (requires
     /// [`CodecSpec::Auto`]), the engine converts `1 - target` into a total
     /// per-amplitude error allowance, splits it evenly across stages, and
@@ -89,7 +82,6 @@ impl Default for MemQSimConfig {
             workers: mq_num::parallel::cores(),
             store_kind: StoreKind::Compressed,
             transfer_mode: TransferMode::Raw,
-            devices: 1,
             fidelity_budget: None,
             precision: Precision::F64,
         }
@@ -135,9 +127,6 @@ impl MemQSimConfig {
         }
         if self.workers == 0 {
             return Err("workers must be >= 1".into());
-        }
-        if self.devices == 0 {
-            return Err("devices must be >= 1".into());
         }
         if let Some(target) = self.fidelity_budget {
             if !(target > 0.0 && target < 1.0) {
@@ -202,13 +191,6 @@ impl MemQSimConfigBuilder {
         self
     }
 
-    /// Number of simulated devices the hybrid engine shards across
-    /// (1 = single-GPU).
-    pub fn devices(mut self, devices: usize) -> Self {
-        self.cfg.devices = devices;
-        self
-    }
-
     /// End-state fidelity target in (0, 1); requires [`CodecSpec::Auto`].
     pub fn fidelity_budget(mut self, target: f64) -> Self {
         self.cfg.fidelity_budget = Some(target);
@@ -264,10 +246,6 @@ mod tests {
                 workers: 0,
                 ..Default::default()
             },
-            MemQSimConfig {
-                devices: 0,
-                ..Default::default()
-            },
             // Budget outside (0, 1).
             MemQSimConfig {
                 codec: CodecSpec::Auto { eb: None },
@@ -311,7 +289,6 @@ mod tests {
             workers,
             store_kind,
             transfer_mode,
-            devices,
             fidelity_budget,
             precision,
         } = MemQSimConfig::builder()
@@ -323,7 +300,6 @@ mod tests {
                 resident_budget: 1 << 24,
             })
             .transfer_mode(TransferMode::Compressed)
-            .devices(4)
             .build()
             .unwrap();
         assert_eq!((chunk_bits, max_high_qubits, workers), (10, 3, 2));
@@ -335,7 +311,6 @@ mod tests {
             }
         );
         assert_eq!(transfer_mode, TransferMode::Compressed);
-        assert_eq!(devices, 4);
         assert_eq!((fidelity_budget, precision), (None, Precision::F64));
         let adaptive = MemQSimConfig::builder()
             .codec(CodecSpec::Auto { eb: Some(1e-8) })
@@ -359,8 +334,6 @@ mod tests {
     fn builder_rejects_invalid_combinations_at_build_time() {
         assert!(MemQSimConfig::builder().workers(0).build().is_err());
         assert!(MemQSimConfig::builder().max_high_qubits(0).build().is_err());
-        let err = MemQSimConfig::builder().devices(0).build().unwrap_err();
-        assert!(err.contains("devices"), "{err}");
         let err = MemQSimConfig::builder()
             .fidelity_budget(0.999)
             .build()

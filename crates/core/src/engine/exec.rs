@@ -120,14 +120,11 @@ impl ExecContext {
 pub struct GroupWork {
     /// Stage index within the plan (telemetry stage id).
     pub stage: u32,
-    /// The group's position in the driver's visit order for this stage.
+    /// The group's position in the driver's visit order for this stage,
+    /// which is ascending base chunk.
     pub seq: usize,
     /// The co-resident chunk indices of this group.
     pub chunks: Vec<usize>,
-    /// The device index this group is sharded to (always 0 for
-    /// single-device configurations; fleets split each stage's groups,
-    /// ranked by base chunk, into contiguous per-device ranges).
-    pub shard: usize,
 }
 
 /// Executor-side accounting folded into the final [`RunReport`].
@@ -221,7 +218,7 @@ pub trait ChunkExecutor {
 /// `perf_suite/src/main.rs:353` spells its traced executor
 /// `SerialAdapter::new(DevicePipelineExecutor::new(&device, true))`: the
 /// traced run gets the executor itself, exactly the timed run's path.
-/// Deleted when ROADMAP item 3(ii) moves the harness off the name.
+/// Deleted when ROADMAP item 2(iv) moves the harness off the name.
 #[doc(hidden)]
 pub struct SerialAdapter;
 
@@ -249,26 +246,6 @@ pub fn build_plan(circuit: &Circuit, cfg: &MemQSimConfig, granularity: Granulari
         }
         Granularity::PerGate => partition_per_gate(circuit, chunk_bits),
     }
-}
-
-/// Assigns one stage's groups to devices: rank groups by base chunk, then
-/// split the ranking into `n_devices` contiguous ranges, so device `d` owns
-/// the `d`-th range of the chunk space and the same chunks land on the same
-/// device's arena in every stage (the stage's group *bases* shift with its
-/// high qubits, but ranking keeps the ranges balanced regardless).
-///
-/// Groups within a stage touch disjoint chunk sets, so any assignment is
-/// bit-exact; this one keeps arena locality and a balanced makespan.
-fn assign_shards(n_devices: usize, groups: &[Vec<usize>]) -> Vec<usize> {
-    let mut shards = vec![0usize; groups.len()];
-    if n_devices > 1 {
-        let mut order: Vec<usize> = (0..groups.len()).collect();
-        order.sort_by_key(|&i| groups[i].first().copied().unwrap_or(0));
-        for (rank, &gi) in order.iter().enumerate() {
-            shards[gi] = rank * n_devices / groups.len();
-        }
-    }
-    shards
 }
 
 /// Executes one remap transition directly against the store, returning the
@@ -580,18 +557,16 @@ pub fn run_plan_with_executor(
                 let performed: usize = groups.iter().map(Vec::len).sum();
                 chunk_visits += performed;
                 chunk_visits_elided += planned - performed;
-                let shards = assign_shards(cfg.devices, &groups);
                 let si = si as u32;
                 if let Err(e) = executor.begin_stage(&ctx, si, groups.len()) {
                     run_err = Some(e);
                     break;
                 }
-                for (seq, (chunks, shard)) in groups.into_iter().zip(shards).enumerate() {
+                for (seq, chunks) in groups.into_iter().enumerate() {
                     let group = GroupWork {
                         stage: si,
                         seq,
                         chunks,
-                        shard,
                     };
                     if let Err(e) = executor.submit(&ctx, group) {
                         run_err = Some(e);

@@ -42,12 +42,13 @@
 //! the previous stage wrote). With `pipelined = false` every `submit` ends
 //! in that barrier too.
 //!
-//! With `cfg.devices > 1` there is one lane — staging slots, device
-//! buffers, stream, completer — **per device**, and `submit` routes every
-//! group to the device the driver sharded it to (contiguous chunk ranges
-//! per device). Groups within a stage touch disjoint chunk sets, so fleet
-//! runs are bit-identical to single-device runs; only the modeled makespan
-//! (max over devices) shrinks. `cfg.workers` is not read here.
+//! Over a fleet there is one lane — staging slots, device buffers, stream,
+//! completer — **per device**, and `submit` alone picks the lane of each
+//! group: device `d` takes the `d`-th contiguous range of the stage's
+//! groups, in the driver's ascending-base-chunk order. Groups within a
+//! stage touch disjoint chunk sets, so fleet runs are bit-identical to
+//! single-device runs; only the modeled makespan (max over devices)
+//! shrinks. `cfg.workers` is not read here.
 //!
 //! The streaming skeleton (validation, plan, accounting, report) lives in
 //! [`exec::run_with_executor`](super::exec); this module contributes only
@@ -187,6 +188,16 @@ struct Lane {
     groups: u64,
 }
 
+/// The lane that takes group `seq` of a stage of `n_groups`: the driver
+/// submits groups by ascending base chunk, and this splits that order into
+/// `lanes` contiguous ranges as even as integer division makes them, so
+/// each device holds one range of the chunk space and the makespan stays
+/// balanced. Any split is bit-exact; a `seq` past `n_groups` (a caller that
+/// skipped `begin_stage`) still lands on a lane.
+fn lane_for(seq: usize, n_groups: usize, lanes: usize) -> usize {
+    seq * lanes / n_groups.max(seq + 1)
+}
+
 /// Folds one device's totals into the fleet aggregate: devices run
 /// concurrently, so the merged end time is the makespan (`modeled = max`),
 /// while category busy times, bytes and command counts add.
@@ -211,14 +222,16 @@ fn merge_stream_stats(into: &mut StreamStats, s: &StreamStats) {
 /// simulated device fleet (see the module docs for who runs which role) —
 /// overlapped across `STAGING_SLOTS` (2) in-flight slots per device when
 /// `pipelined`, fully drained after every group when not (the Fig. 2
-/// ablation baseline). Every group lands on the device the driver sharded
-/// it to. One executor can serve any number of runs: `finish` leaves it as
-/// `new_fleet` made it.
+/// ablation baseline). Each device takes one contiguous range of every
+/// stage's groups. One executor can serve any number of runs: `finish`
+/// leaves it as `new_fleet` made it.
 pub struct DevicePipelineExecutor<'d> {
     devices: &'d [Device],
     pipelined: bool,
     max_group_amps: usize,
     lanes: Vec<Lane>,
+    /// Groups the open stage announced in `begin_stage`, for [`lane_for`].
+    n_groups: usize,
     /// `Some` under [`TransferMode::Compressed`]: the device-side codec,
     /// built from the same [`CodecSpec`](mq_compress::CodecSpec) as the
     /// store's — specs build stateless codecs, so payloads are
@@ -237,8 +250,8 @@ impl<'d> DevicePipelineExecutor<'d> {
     }
 
     /// Creates an executor over an N-device fleet. Every device gets its
-    /// own staging slots, stream and completer; the driver routes groups by
-    /// [`GroupWork::shard`]. An empty fleet is refused by
+    /// own staging slots, stream and completer, and takes one contiguous
+    /// range of every stage's groups. An empty fleet is refused by
     /// [`prepare`](ChunkExecutor::prepare) with [`EngineError::Config`].
     pub fn new_fleet(devices: &'d [Device], pipelined: bool) -> DevicePipelineExecutor<'d> {
         DevicePipelineExecutor {
@@ -246,6 +259,7 @@ impl<'d> DevicePipelineExecutor<'d> {
             pipelined,
             max_group_amps: 0,
             lanes: Vec::new(),
+            n_groups: 0,
             codec: None,
             counters: ApplyCounters::default(),
             error: FirstError::default(),
@@ -367,8 +381,9 @@ impl ChunkExecutor for DevicePipelineExecutor<'_> {
         &mut self,
         ctx: &ExecContext,
         index: u32,
-        _n_groups: usize,
+        n_groups: usize,
     ) -> Result<(), EngineError> {
+        self.n_groups = n_groups;
         // A fidelity budget hands each stage its own error allowance; this
         // executor's private codec instance (compressed transfers) must
         // track the store codec's bound or payload parity breaks.
@@ -380,9 +395,7 @@ impl ChunkExecutor for DevicePipelineExecutor<'_> {
 
     fn submit(&mut self, ctx: &ExecContext, group: GroupWork) -> Result<(), EngineError> {
         let (stage, chunks) = (group.stage, group.chunks);
-        // The driver's shard policy names the device; guard against a
-        // config/fleet mismatch rather than indexing out of range.
-        let di = group.shard % self.lanes.len();
+        let di = lane_for(group.seq, self.n_groups, self.lanes.len());
         // No free slot is the backpressure: wait for a group to be stored.
         let slot = match self.lanes[di].free.pop() {
             Some(slot) => slot,
@@ -557,9 +570,7 @@ pub fn run(
 
 /// Runs `circuit` across an N-device fleet. Groups within a stage touch
 /// disjoint chunk sets, so the result is bit-identical to [`run`] on one
-/// device; only the modeled makespan shrinks. `cfg.devices` is overridden
-/// by `devices.len()` so the driver's shard assignment always matches the
-/// fleet that actually executes; an empty fleet is an
+/// device; only the modeled makespan shrinks. An empty fleet is an
 /// [`EngineError::Config`].
 pub fn run_fleet(
     store: &Arc<dyn ChunkStore>,
@@ -568,10 +579,8 @@ pub fn run_fleet(
     devices: &[Device],
     pipelined: bool,
 ) -> Result<RunReport, EngineError> {
-    let mut cfg = *cfg;
-    cfg.devices = devices.len().max(1);
     let mut executor = DevicePipelineExecutor::new_fleet(devices, pipelined);
-    run_with_executor(store, circuit, &cfg, Granularity::Staged, &mut executor)
+    run_with_executor(store, circuit, cfg, Granularity::Staged, &mut executor)
 }
 
 #[cfg(test)]
@@ -661,6 +670,15 @@ mod tests {
         let fleet = DeviceTopology::homogeneous(n, DeviceSpec::tiny_test(1 << 12)).build();
         let report = run_fleet(&store, c, &config, &fleet, pipelined).unwrap();
         (store.to_dense().unwrap(), report)
+    }
+
+    #[test]
+    fn lane_split_is_even_and_always_in_range() {
+        // 10 groups over 4 lanes: contiguous ranges of 3, 2, 3, 2.
+        let split: Vec<usize> = (0..10).map(|seq| lane_for(seq, 10, 4)).collect();
+        assert_eq!(split, [0, 0, 0, 1, 1, 2, 2, 2, 3, 3]);
+        // Past the announced count, or with none announced, still a lane.
+        assert_eq!((lane_for(12, 10, 4), lane_for(5, 0, 4)), (3, 3));
     }
 
     #[test]
@@ -770,10 +788,7 @@ mod tests {
     fn one_executor_serves_run_after_run() {
         // `finish` hands back every lane and per-run counter, so the second
         // run starts from what `new_fleet` made, not behind stale lanes.
-        let config = MemQSimConfig {
-            devices: 2,
-            ..cfg(3)
-        };
+        let config = cfg(3);
         let c = library::qft(7);
         let fleet = DeviceTopology::homogeneous(2, DeviceSpec::tiny_test(1 << 12)).build();
         let mut exec = DevicePipelineExecutor::new_fleet(&fleet, true);

@@ -62,17 +62,6 @@ pub enum EngineError {
         /// The pipeline role the thread was running.
         role: &'static str,
     },
-    /// Two backends disagreed beyond tolerance on the same circuit.
-    BackendDivergence {
-        /// Name of the reference backend (the first in the comparison).
-        first: String,
-        /// Name of the diverging backend.
-        other: String,
-        /// Largest amplitude error observed between the two.
-        max_err: f64,
-        /// Tolerance the comparison was run with.
-        tol: f64,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -98,15 +87,6 @@ impl fmt::Display for EngineError {
             EngineError::WorkerPanicked { role } => {
                 write!(f, "the {role} thread panicked; the run was abandoned")
             }
-            EngineError::BackendDivergence {
-                first,
-                other,
-                max_err,
-                tol,
-            } => write!(
-                f,
-                "backend '{other}' diverges from '{first}': max amplitude error {max_err:.3e} exceeds tolerance {tol:.3e}"
-            ),
         }
     }
 }

@@ -2,16 +2,12 @@
 //!
 //! Lossy chunk compression injects a bounded pointwise error at every
 //! recompression; this module quantifies how that error accumulates into
-//! state-level infidelity, by comparing any backend against the dense
-//! reference.
+//! state-level infidelity, by comparing any run's final amplitudes against
+//! the dense reference.
 
-use crate::backend::Backend;
-use crate::engine::EngineError;
-use mq_circuit::unitary::run_dense;
-use mq_circuit::Circuit;
-use mq_num::metrics;
+use mq_num::{metrics, Complex64};
 
-/// Result-quality comparison of a backend run against the dense oracle.
+/// Result-quality comparison of a run against the dense oracle.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityReport {
     /// Quantum state fidelity `|<ref|got>|^2` (normalization-insensitive).
@@ -24,49 +20,45 @@ pub struct QualityReport {
     pub total_variation: f64,
 }
 
-/// Runs `backend` on `circuit` and scores it against the exact dense
-/// reference (exponential cost — keep registers small).
-pub fn compare_to_dense(
-    circuit: &Circuit,
-    backend: &dyn Backend,
-) -> Result<QualityReport, EngineError> {
-    let run = backend.run(circuit)?;
-    let reference = run_dense(circuit, 0);
-    let got = &run.amplitudes;
+/// Scores the amplitudes `got` against the exact `reference` (typically
+/// [`mq_circuit::unitary::run_dense`] of the same circuit).
+pub fn compare_to_dense(reference: &[Complex64], got: &[Complex64]) -> QualityReport {
     let p_ref: Vec<f64> = reference.iter().map(|z| z.norm_sqr()).collect();
     let norm_got = metrics::l2_norm(got);
     let p_got: Vec<f64> = got
         .iter()
         .map(|z| z.norm_sqr() / (norm_got * norm_got).max(f64::MIN_POSITIVE))
         .collect();
-    Ok(QualityReport {
-        fidelity: metrics::fidelity(&reference, got),
-        max_amp_err: metrics::max_amp_err(&reference, got),
+    QualityReport {
+        fidelity: metrics::fidelity(reference, got),
+        max_amp_err: metrics::max_amp_err(reference, got),
         norm: norm_got,
         total_variation: metrics::total_variation(&p_ref, &p_got),
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{CompressedCpuBackend, DenseCpuBackend};
-    use crate::config::MemQSimConfig;
-    use mq_circuit::library;
+    use crate::engine::{cpu, Granularity};
+    use crate::testkit;
+    use mq_circuit::unitary::run_dense;
+    use mq_circuit::{library, Circuit};
     use mq_compress::CodecSpec;
 
-    fn backend(eb: f64) -> CompressedCpuBackend {
-        CompressedCpuBackend::new(MemQSimConfig {
-            chunk_bits: 3,
-            max_high_qubits: 2,
-            codec: CodecSpec::Sz { eb },
-            ..Default::default()
-        })
+    /// Scores the compressed CPU engine under `codec` on `circuit`.
+    fn score(circuit: &Circuit, codec: CodecSpec) -> QualityReport {
+        let cfg = testkit::cfg(3, codec);
+        let store = testkit::zero_store(circuit.n_qubits(), 3, &cfg);
+        cpu::run(&store, circuit, &cfg, Granularity::Staged).unwrap();
+        compare_to_dense(&run_dense(circuit, 0), &store.to_dense().unwrap())
     }
 
     #[test]
     fn dense_backend_is_exact() {
-        let r = compare_to_dense(&library::qft(6), &DenseCpuBackend::default()).unwrap();
+        let c = library::qft(6);
+        let state = mq_statevec::run_circuit(&c, &mq_statevec::CpuConfig::default());
+        let r = compare_to_dense(&run_dense(&c, 0), state.amplitudes());
         assert!(r.fidelity > 1.0 - 1e-12);
         assert!(r.max_amp_err < 1e-12);
         assert!((r.norm - 1.0).abs() < 1e-12);
@@ -75,28 +67,22 @@ mod tests {
 
     #[test]
     fn tight_bound_keeps_fidelity_near_one() {
-        let r = compare_to_dense(&library::qft(7), &backend(1e-12)).unwrap();
+        let r = score(&library::qft(7), CodecSpec::Sz { eb: 1e-12 });
         assert!(r.fidelity > 1.0 - 1e-8, "fidelity {}", r.fidelity);
     }
 
     #[test]
     fn loose_bound_degrades_fidelity_monotonically() {
         let c = library::hardware_efficient_ansatz(7, 2, 11);
-        let tight = compare_to_dense(&c, &backend(1e-12)).unwrap();
-        let loose = compare_to_dense(&c, &backend(1e-4)).unwrap();
+        let tight = score(&c, CodecSpec::Sz { eb: 1e-12 });
+        let loose = score(&c, CodecSpec::Sz { eb: 1e-4 });
         assert!(tight.fidelity >= loose.fidelity);
         assert!(tight.max_amp_err <= loose.max_amp_err);
     }
 
     #[test]
     fn lossless_codec_is_exact_through_the_engine() {
-        let b = CompressedCpuBackend::new(MemQSimConfig {
-            chunk_bits: 3,
-            max_high_qubits: 2,
-            codec: CodecSpec::Fpc,
-            ..Default::default()
-        });
-        let r = compare_to_dense(&library::grover(6, 5, 2), &b).unwrap();
+        let r = score(&library::grover(6, 5, 2), CodecSpec::Fpc);
         assert!(r.max_amp_err < 1e-12);
     }
 }

@@ -20,9 +20,10 @@
 //!   decisions or global scalars).
 //! * [`engine::cpu`] — compressed execution on CPU "idle cores";
 //!   [`engine::hybrid`] — the full six-step pipeline against the simulated
-//!   device; per-gate granularity baseline for the Wu et al. ablation.
-//! * [`backend`] — the modular seam: dense / compressed / hybrid backends
-//!   behind one trait (Fig. 1's "independent of algorithm and backend").
+//!   device fleet; per-gate granularity baseline for the Wu et al. ablation.
+//!   Fig. 1's "independent of algorithm and backend" is two seams, the
+//!   [`ChunkStore`] and the [`ChunkExecutor`]; every run returns one
+//!   [`RunReport`].
 //! * [`measure`] — sampling directly from the compressed store;
 //!   [`fidelity`] — lossy-error accounting against the dense oracle.
 //!
@@ -37,11 +38,10 @@
 //!     ..Default::default()
 //! });
 //! let outcome = sim.simulate(&library::ghz(8)).unwrap();
-//! assert!(outcome.probability(0) > 0.49);
+//! assert!(outcome.probability(0).unwrap() > 0.49);
 //! assert!(outcome.compression_ratio > 1.0);
 //! ```
 
-pub mod backend;
 pub mod config;
 pub mod engine;
 pub mod fidelity;
@@ -52,9 +52,6 @@ pub mod store;
 #[cfg(test)]
 mod testkit;
 
-pub use backend::{
-    run_on_all, Backend, BackendRun, CompressedCpuBackend, DenseCpuBackend, HybridBackend,
-};
 pub use config::{MemQSimConfig, MemQSimConfigBuilder, StoreKind, TransferMode};
 pub use engine::{
     run_plan_with_executor, run_with_executor, ChunkExecutor, EngineError, ExecContext,
@@ -68,6 +65,8 @@ pub use store::{
 };
 
 use mq_circuit::Circuit;
+use mq_compress::CodecError;
+use mq_device::Device;
 use mq_num::Complex64;
 use std::sync::Arc;
 
@@ -77,7 +76,7 @@ pub struct MemQSim {
     cfg: MemQSimConfig,
 }
 
-/// Outcome of a [`MemQSim::simulate`] call.
+/// Outcome of a [`MemQSim::simulate`] or [`MemQSim::simulate_hybrid`] call.
 pub struct SimOutcome {
     /// The final state, still chunked in its store stack; query it
     /// directly through the [`ChunkStore`] trait.
@@ -89,14 +88,24 @@ pub struct SimOutcome {
 }
 
 impl SimOutcome {
-    /// Born probability of a basis state (decompresses one chunk).
-    pub fn probability(&self, basis: usize) -> f64 {
-        self.store.probability(basis).expect("store is readable")
+    fn new(store: Arc<dyn ChunkStore>, report: RunReport) -> SimOutcome {
+        let compression_ratio = store.current_ratio();
+        SimOutcome {
+            store,
+            report,
+            compression_ratio,
+        }
+    }
+
+    /// Born probability of a basis state (decompresses one chunk). A chunk
+    /// that fails its checksum is a [`CodecError::Corrupt`].
+    pub fn probability(&self, basis: usize) -> Result<f64, CodecError> {
+        self.store.probability(basis)
     }
 
     /// Decompresses the full state (exponential memory).
-    pub fn to_dense(&self) -> Vec<Complex64> {
-        self.store.to_dense().expect("store is readable")
+    pub fn to_dense(&self) -> Result<Vec<Complex64>, CodecError> {
+        self.store.to_dense()
     }
 }
 
@@ -115,28 +124,19 @@ impl MemQSim {
     pub fn simulate(&self, circuit: &Circuit) -> Result<SimOutcome, EngineError> {
         let store = build_store(circuit.n_qubits(), &self.cfg)?;
         let report = engine::cpu::run(&store, circuit, &self.cfg, Granularity::Staged)?;
-        let compression_ratio = store.current_ratio();
-        Ok(SimOutcome {
-            store,
-            report,
-            compression_ratio,
-        })
+        Ok(SimOutcome::new(store, report))
     }
 
-    /// Simulates `circuit` through the full hybrid CPU/device pipeline on a
-    /// freshly created simulated device fleet (`cfg.devices` homogeneous
-    /// copies of `device_spec`; 1 by default). Returns the final chunked
-    /// state and the pipeline report (device modeled clocks, per-phase
-    /// timing, per-device lanes).
+    /// Simulates `circuit` through the full hybrid CPU/device pipeline on
+    /// `devices` (one or more; the report carries one lane per device).
     pub fn simulate_hybrid(
         &self,
         circuit: &Circuit,
-        device_spec: mq_device::DeviceSpec,
-    ) -> Result<(Arc<dyn ChunkStore>, RunReport), EngineError> {
+        devices: &[Device],
+    ) -> Result<SimOutcome, EngineError> {
         let store = build_store(circuit.n_qubits(), &self.cfg)?;
-        let fleet = mq_device::DeviceTopology::homogeneous(self.cfg.devices, device_spec).build();
-        let report = engine::hybrid::run_fleet(&store, circuit, &self.cfg, &fleet, true)?;
-        Ok((store, report))
+        let report = engine::hybrid::run_fleet(&store, circuit, &self.cfg, devices, true)?;
+        Ok(SimOutcome::new(store, report))
     }
 }
 
@@ -152,11 +152,23 @@ mod tests {
             ..Default::default()
         });
         let out = sim.simulate(&library::ghz(8)).unwrap();
-        assert!((out.probability(0) - 0.5).abs() < 1e-6);
-        assert!((out.probability(255) - 0.5).abs() < 1e-6);
+        assert!((out.probability(0).unwrap() - 0.5).abs() < 1e-6);
+        assert!((out.probability(255).unwrap() - 0.5).abs() < 1e-6);
         assert!(out.compression_ratio > 1.0);
         assert!(out.report.stages >= 1);
-        assert_eq!(out.to_dense().len(), 256);
+        assert_eq!(out.to_dense().unwrap().len(), 256);
+    }
+
+    #[test]
+    fn corrupt_chunk_is_an_error_not_a_panic() {
+        let sim = MemQSim::new(MemQSimConfig {
+            chunk_bits: 4,
+            ..Default::default()
+        });
+        let out = sim.simulate(&library::ghz(8)).unwrap();
+        out.store.debug_corrupt_chunk(0);
+        assert!(matches!(out.probability(0), Err(CodecError::Corrupt(_))));
+        assert!(matches!(out.to_dense(), Err(CodecError::Corrupt(_))));
     }
 
     #[test]
@@ -172,11 +184,13 @@ mod tests {
             chunk_bits: 3,
             ..Default::default()
         });
-        let (store, report) = sim
-            .simulate_hybrid(&library::ghz(7), mq_device::DeviceSpec::tiny_test(1 << 10))
-            .unwrap();
-        assert!((store.probability(0).unwrap() - 0.5).abs() < 1e-6);
-        assert!(report.groups_device > 0);
-        assert!(report.device.modeled > std::time::Duration::ZERO);
+        let fleet =
+            mq_device::DeviceTopology::homogeneous(2, mq_device::DeviceSpec::tiny_test(1 << 10))
+                .build();
+        let out = sim.simulate_hybrid(&library::ghz(7), &fleet).unwrap();
+        assert!((out.probability(0).unwrap() - 0.5).abs() < 1e-6);
+        assert!(out.report.groups_device > 0);
+        assert_eq!(out.report.per_device.len(), 2);
+        assert!(out.report.device.modeled > std::time::Duration::ZERO);
     }
 }

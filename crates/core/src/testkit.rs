@@ -1,8 +1,7 @@
-//! Shared test helpers for the engine and backend test modules.
+//! Shared test helpers for the engine and fidelity test modules.
 //!
 //! Test-only (`#[cfg(test)]`): one place for the config/store/run-and-compare
-//! boilerplate that was previously copy-pasted across `engine::cpu`,
-//! `engine::hybrid` and `backend` tests.
+//! boilerplate of the `engine::cpu`, `engine::hybrid` and `fidelity` tests.
 
 use crate::config::MemQSimConfig;
 use crate::engine::{cpu, hybrid, Granularity, RunReport};
@@ -26,7 +25,7 @@ pub(crate) fn cfg(chunk_bits: u32, codec: CodecSpec) -> MemQSimConfig {
     }
 }
 
-/// A |0...0> store stack built for `cfg` (the same path the backends use),
+/// A |0...0> store stack built for `cfg` (the same path the facade uses),
 /// except with `chunk_bits` forced so geometry-mismatch tests can build
 /// deliberately wrong stores.
 pub(crate) fn zero_store(

@@ -214,7 +214,7 @@ const NUM_COUNTERS: usize = Counter::ALL.len();
 /// gathers per-device stream stats at the end of a run. Lanes make the
 /// fleet's balance observable: the makespan is the max `modeled_ns` over
 /// lanes, and [`RunTelemetry::load_imbalance`] summarizes how far the
-/// shard policy strayed from an even split.
+/// group split strayed from an even one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceLane {
     /// Device index within the fleet.

@@ -38,7 +38,9 @@ fn main() {
         outcome.store.dense_bytes()
     );
 
-    let p = outcome.probability(marked as usize);
+    let p = outcome
+        .probability(marked as usize)
+        .expect("store readable");
     println!("P(marked) = {p:.4}");
     assert!(p > 0.5, "Grover amplification failed");
 

@@ -33,7 +33,7 @@ fn main() {
                 .expect("valid config"),
         );
         let outcome = sim.simulate(&circuit).expect("simulation failed");
-        let p0 = outcome.probability(0);
+        let p0 = outcome.probability(0).expect("store readable");
         println!("{eb:<12.0e} {p0:>14.9} {:>16}", outcome.store.state_bytes());
     }
 

@@ -34,8 +34,8 @@ fn main() {
     let outcome = sim.simulate(&circuit).expect("simulation failed");
 
     // 4. Query without decompressing everything.
-    let p_zero = outcome.probability(0);
-    let p_ones = outcome.probability((1 << n) - 1);
+    let p_zero = outcome.probability(0).expect("store readable");
+    let p_ones = outcome.probability((1 << n) - 1).expect("store readable");
     println!("P(|0...0>) = {p_zero:.6}");
     println!("P(|1...1>) = {p_ones:.6}");
 

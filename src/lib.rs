@@ -19,7 +19,7 @@
 //!     ..Default::default()
 //! });
 //! let outcome = sim.simulate(&mq::circuit::library::ghz(6)).unwrap();
-//! let err = mq::num::metrics::max_amp_err(dense.amplitudes(), &outcome.to_dense());
+//! let err = mq::num::metrics::max_amp_err(dense.amplitudes(), &outcome.to_dense().unwrap());
 //! assert!(err < 1e-6);
 //! ```
 
@@ -32,12 +32,11 @@ pub use mq_statevec as statevec;
 pub use mq_telemetry as telemetry;
 
 // The flat quick-start surface: the types nearly every caller touches,
-// re-exported at the crate root so `use memqsim_suite::{Backend, ...}`
+// re-exported at the crate root so `use memqsim_suite::{MemQSim, ...}`
 // works without knowing which member crate owns what.
 pub use memqsim_core::{
-    Backend, BackendRun, ChunkExecutor, ChunkStore, CompressedCpuBackend, DenseCpuBackend,
-    EngineError, HybridBackend, MemQSim, MemQSimConfig, MemQSimConfigBuilder, RunReport,
-    RunTelemetry, StoreCounters, StoreKind, TransferMode,
+    ChunkExecutor, ChunkStore, EngineError, MemQSim, MemQSimConfig, MemQSimConfigBuilder,
+    RunReport, RunTelemetry, StoreCounters, StoreKind, TransferMode,
 };
 pub use mq_compress::{CodecSpec, Precision};
 pub use mq_device::{DeviceSpec, DeviceTopology};

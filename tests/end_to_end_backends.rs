@@ -1,15 +1,17 @@
-//! Integration: every library algorithm, on every backend, against the
-//! independent dense oracle — the full stack exercised end to end.
+//! Integration: every library algorithm, on every compute path (dense
+//! baseline, compressed CPU staged and per-gate, hybrid device pipeline),
+//! against the independent dense oracle — the full stack exercised end to
+//! end.
 
-use memqsim_core::{
-    run_on_all, Backend, CompressedCpuBackend, DenseCpuBackend, EngineError, Granularity,
-    HybridBackend, MemQSimConfig, TransferMode,
-};
+use memqsim_core::engine::{cpu, hybrid};
+use memqsim_core::{build_store, Granularity, MemQSimConfig, RunReport, TransferMode};
 use mq_circuit::unitary::run_dense;
 use mq_circuit::{library, Circuit};
 use mq_compress::CodecSpec;
-use mq_device::DeviceSpec;
+use mq_device::{Device, DeviceSpec};
 use mq_num::metrics::{fidelity, max_amp_err};
+use mq_num::Complex64;
+use mq_statevec::CpuConfig;
 
 fn cfg(chunk_bits: u32, codec: CodecSpec) -> MemQSimConfig {
     MemQSimConfig::builder()
@@ -19,6 +21,31 @@ fn cfg(chunk_bits: u32, codec: CodecSpec) -> MemQSimConfig {
         .workers(2)
         .build()
         .expect("valid test config")
+}
+
+/// The final state and report of `circuit` on the compressed CPU engine.
+fn run_cpu(
+    circuit: &Circuit,
+    cfg: &MemQSimConfig,
+    granularity: Granularity,
+) -> (Vec<Complex64>, RunReport) {
+    let store = build_store(circuit.n_qubits(), cfg).expect("store");
+    let report = cpu::run(&store, circuit, cfg, granularity).expect("cpu run");
+    (store.to_dense().expect("readable"), report)
+}
+
+/// The final state of `circuit` through the device pipeline on one device.
+fn run_hybrid(circuit: &Circuit, cfg: &MemQSimConfig, device_amps: usize) -> Vec<Complex64> {
+    let store = build_store(circuit.n_qubits(), cfg).expect("store");
+    let device = Device::new(DeviceSpec::tiny_test(device_amps));
+    hybrid::run(&store, circuit, cfg, &device, true).expect("hybrid run");
+    store.to_dense().expect("readable")
+}
+
+fn run_baseline(circuit: &Circuit) -> Vec<Complex64> {
+    mq_statevec::run_circuit(circuit, &CpuConfig { workers: 2 })
+        .amplitudes()
+        .to_vec()
 }
 
 fn all_circuits(n: u32) -> Vec<Circuit> {
@@ -37,31 +64,30 @@ fn all_circuits(n: u32) -> Vec<Circuit> {
 #[test]
 fn every_algorithm_on_every_backend_matches_the_oracle() {
     let n = 8u32;
-    let dense = DenseCpuBackend { workers: 2 };
-    let compressed = CompressedCpuBackend::new(cfg(4, CodecSpec::Sz { eb: 1e-12 }));
-    let per_gate = CompressedCpuBackend {
-        cfg: cfg(4, CodecSpec::Fpc),
-        granularity: Granularity::PerGate,
-    };
-    let hybrid = HybridBackend::new(
-        cfg(4, CodecSpec::Sz { eb: 1e-12 }),
-        DeviceSpec::tiny_test(1 << 14),
-    );
-    let backends: Vec<&dyn Backend> = vec![&dense, &compressed, &per_gate, &hybrid];
-
+    let sz = cfg(4, CodecSpec::Sz { eb: 1e-12 });
+    let fpc = cfg(4, CodecSpec::Fpc);
     for circuit in all_circuits(n) {
         let oracle = run_dense(&circuit, 0);
-        for backend in &backends {
-            let run = backend.run(&circuit).expect("backend failed");
-            let err = max_amp_err(&oracle, &run.amplitudes);
+        let (staged, report) = run_cpu(&circuit, &sz, Granularity::Staged);
+        // The compressed store holds a GHZ state far below its dense bytes.
+        if circuit.name().starts_with("ghz") {
+            assert!(report.peak_resident_bytes < (1 << n) * 16);
+        }
+        let paths = [
+            ("dense", run_baseline(&circuit)),
+            ("staged", staged),
+            ("per-gate", run_cpu(&circuit, &fpc, Granularity::PerGate).0),
+            ("hybrid", run_hybrid(&circuit, &sz, 1 << 14)),
+        ];
+        for (path, amplitudes) in &paths {
+            let err = max_amp_err(&oracle, amplitudes);
             assert!(
                 err < 1e-6,
-                "{} on {}: max amp err {err}",
-                circuit.name(),
-                backend.name()
+                "{} on {path}: max amp err {err}",
+                circuit.name()
             );
-            let f = fidelity(&oracle, &run.amplitudes);
-            assert!(f > 1.0 - 1e-9, "{} fidelity {f}", backend.name());
+            let f = fidelity(&oracle, amplitudes);
+            assert!(f > 1.0 - 1e-9, "{} on {path}: fidelity {f}", circuit.name());
         }
     }
 }
@@ -69,38 +95,15 @@ fn every_algorithm_on_every_backend_matches_the_oracle() {
 #[test]
 fn backends_agree_across_chunk_geometries() {
     let circuit = library::qft(9);
+    let dense = run_baseline(&circuit);
     for chunk_bits in [2u32, 3, 5, 7, 9] {
-        let compressed = CompressedCpuBackend::new(cfg(chunk_bits, CodecSpec::Fpc));
-        let dense = DenseCpuBackend::default();
-        run_on_all(&circuit, &[&dense, &compressed], 1e-9)
-            .unwrap_or_else(|e| panic!("chunk_bits={chunk_bits}: {e}"));
-    }
-}
-
-#[test]
-fn divergence_is_a_typed_error_not_a_panic() {
-    // A deliberately lossy backend checked at an impossible tolerance: the
-    // modularity harness must hand back a structured error naming both
-    // backends, never panic.
-    let circuit = library::qft(6);
-    let dense = DenseCpuBackend::default();
-    let lossy = CompressedCpuBackend::new(cfg(3, CodecSpec::Sz { eb: 1e-2 }));
-    match run_on_all(&circuit, &[&dense, &lossy], 1e-15) {
-        Err(EngineError::BackendDivergence {
-            first,
-            other,
-            max_err,
-            tol,
-        }) => {
-            assert_eq!(first, "dense-cpu");
-            assert!(other.contains("compressed-cpu"), "{other}");
-            assert!(max_err > tol);
-            let msg = run_on_all(&circuit, &[&dense, &lossy], 1e-15)
-                .unwrap_err()
-                .to_string();
-            assert!(msg.contains("diverges"), "{msg}");
-        }
-        other => panic!("expected BackendDivergence, got {other:?}"),
+        let (got, _) = run_cpu(
+            &circuit,
+            &cfg(chunk_bits, CodecSpec::Fpc),
+            Granularity::Staged,
+        );
+        let err = max_amp_err(&dense, &got);
+        assert!(err < 1e-9, "chunk_bits={chunk_bits}: {err}");
     }
 }
 
@@ -113,9 +116,8 @@ fn all_codecs_work_as_the_store_codec() {
             CodecSpec::Sz { eb } => (eb * 1e4).max(1e-8), // error accumulates per stage
             _ => 1e-10,
         };
-        let backend = CompressedCpuBackend::new(cfg(3, spec));
-        let run = backend.run(&circuit).expect("run failed");
-        let err = max_amp_err(&oracle, &run.amplitudes);
+        let (got, _) = run_cpu(&circuit, &cfg(3, spec), Granularity::Staged);
+        let err = max_amp_err(&oracle, &got);
         assert!(err < tol.max(1e-3), "{spec}: err {err}");
     }
 }
@@ -126,9 +128,9 @@ fn deep_circuit_error_accumulation_stays_bounded() {
     // survive hundreds of recompressions.
     let circuit = library::random_circuit(7, 40, 17);
     let oracle = run_dense(&circuit, 0);
-    let backend = CompressedCpuBackend::new(cfg(3, CodecSpec::Sz { eb: 1e-12 }));
-    let run = backend.run(&circuit).expect("run failed");
-    let f = fidelity(&oracle, &run.amplitudes);
+    let cfg = cfg(3, CodecSpec::Sz { eb: 1e-12 });
+    let (got, _) = run_cpu(&circuit, &cfg, Granularity::Staged);
+    let f = fidelity(&oracle, &got);
     assert!(f > 0.99999, "fidelity after deep circuit: {f}");
 }
 
@@ -136,10 +138,9 @@ fn deep_circuit_error_accumulation_stays_bounded() {
 fn single_chunk_degenerate_case() {
     // chunk_bits >= n means one chunk and no cross-chunk logic at all.
     let circuit = library::qft(5);
-    let backend = CompressedCpuBackend::new(cfg(16, CodecSpec::Fpc));
-    let run = backend.run(&circuit).expect("run failed");
+    let (got, _) = run_cpu(&circuit, &cfg(16, CodecSpec::Fpc), Granularity::Staged);
     let oracle = run_dense(&circuit, 0);
-    assert!(max_amp_err(&oracle, &run.amplitudes) < 1e-10);
+    assert!(max_amp_err(&oracle, &got) < 1e-10);
 }
 
 #[test]
@@ -148,12 +149,8 @@ fn two_qubit_minimum_register() {
     c.h(0).cx(0, 1).rz(1, 0.5).swap(0, 1);
     let oracle = run_dense(&c, 0);
     for chunk_bits in [1u32, 2] {
-        let backend = CompressedCpuBackend::new(cfg(chunk_bits, CodecSpec::Fpc));
-        let run = backend.run(&c).expect("run failed");
-        assert!(
-            max_amp_err(&oracle, &run.amplitudes) < 1e-12,
-            "cb={chunk_bits}"
-        );
+        let (got, _) = run_cpu(&c, &cfg(chunk_bits, CodecSpec::Fpc), Granularity::Staged);
+        assert!(max_amp_err(&oracle, &got) < 1e-12, "cb={chunk_bits}");
     }
 }
 
@@ -168,12 +165,11 @@ fn optimization_flags_change_nothing_observable() {
         ..plain
     };
     for config in [plain, optimized] {
-        let compressed = CompressedCpuBackend::new(config);
-        let hybrid = HybridBackend::new(config, DeviceSpec::tiny_test(1 << 12));
-        for backend in [&compressed as &dyn Backend, &hybrid] {
-            let run = backend.run(&circuit).expect("run failed");
-            let err = max_amp_err(&oracle, &run.amplitudes);
-            assert!(err < 1e-10, "{}: {err}", backend.name());
+        let (staged, _) = run_cpu(&circuit, &config, Granularity::Staged);
+        let hybrid = run_hybrid(&circuit, &config, 1 << 12);
+        for (path, got) in [("staged", staged), ("hybrid", hybrid)] {
+            let err = max_amp_err(&oracle, &got);
+            assert!(err < 1e-10, "{path} {:?}: {err}", config.transfer_mode);
         }
     }
 }

@@ -76,8 +76,8 @@ type Run = (Vec<Complex64>, RunReport);
 
 /// Runs `plan` from `|0..0>` on a fresh store.
 fn run_plan(plan: Plan, mut cfg: MemQSimConfig, exec: Exec) -> Run {
-    if let Exec::Fleet(devices, transfer_mode) = exec {
-        (cfg.devices, cfg.transfer_mode) = (devices, transfer_mode);
+    if let Exec::Fleet(_, transfer_mode) = exec {
+        cfg.transfer_mode = transfer_mode;
     }
     let store = build_store(plan.n_qubits, &cfg).expect("store");
     let report = match exec {

@@ -115,7 +115,6 @@ fn corruption_mid_stage_is_typed_and_leaves_the_executor_reusable() {
     ] {
         let what = format!("pipelined={pipelined} x{devices} {transfer_mode:?}");
         let config = MemQSimConfig {
-            devices,
             transfer_mode,
             ..cfg(3)
         };

@@ -4,23 +4,25 @@
 
 use memqsim_core::engine::cpu::CpuWorkerExecutor;
 use memqsim_core::engine::{build_plan, Granularity};
-use memqsim_core::{
-    build_store, run_plan_with_executor, Backend, CompressedCpuBackend, MemQSimConfig,
-};
+use memqsim_core::{build_store, run_plan_with_executor, MemQSim, MemQSimConfig};
 use mq_circuit::partition::{partition, PartitionConfig};
 use mq_circuit::schedule::schedule;
 use mq_circuit::unitary::run_dense;
 use mq_circuit::{library, qasm};
 use mq_compress::CodecSpec;
 use mq_num::metrics::max_amp_err;
+use mq_num::Complex64;
 
-fn backend() -> CompressedCpuBackend {
-    CompressedCpuBackend::new(MemQSimConfig {
+/// The final state of `circuit` on the compressed CPU engine.
+fn run_compressed(circuit: &mq_circuit::Circuit) -> Vec<Complex64> {
+    let sim = MemQSim::new(MemQSimConfig {
         chunk_bits: 3,
         max_high_qubits: 2,
         codec: CodecSpec::Sz { eb: 1e-12 },
         ..Default::default()
-    })
+    });
+    let outcome = sim.simulate(circuit).expect("run failed");
+    outcome.to_dense().expect("readable")
 }
 
 #[test]
@@ -44,9 +46,9 @@ fn handwritten_qasm_runs_compressed() {
     assert_eq!(program.circuit.n_qubits(), 6);
     assert_eq!(program.measurements, vec![(0, 0)]);
 
-    let run = backend().run(&program.circuit).expect("run failed");
+    let got = run_compressed(&program.circuit);
     let oracle = run_dense(&program.circuit, 0);
-    assert!(max_amp_err(&oracle, &run.amplitudes) < 1e-8);
+    assert!(max_amp_err(&oracle, &got) < 1e-8);
 }
 
 #[test]
@@ -68,8 +70,7 @@ fn emitted_circuits_reparse_to_equivalent_unitaries() {
             circuit.name()
         );
         // And the compressed engine agrees on the reparsed circuit.
-        let run = backend().run(&reparsed).expect("run failed");
-        assert!(max_amp_err(&a, &run.amplitudes) < 1e-8);
+        assert!(max_amp_err(&a, &run_compressed(&reparsed)) < 1e-8);
     }
 }
 
@@ -117,13 +118,12 @@ fn parsed_qasm_under_greedy_layout_matches_fixed_and_oracle() {
     let fixed = run_plan_with_executor(&store, fixed_plan, &cfg, &mut CpuWorkerExecutor::new())
         .expect("fixed run");
     let fixed_amplitudes = store.to_dense().expect("dense");
-    let greedy = CompressedCpuBackend::new(cfg)
-        .run(&circuit)
-        .expect("greedy run");
+    let greedy = MemQSim::new(cfg).simulate(&circuit).expect("greedy run");
+    let greedy_amplitudes = greedy.to_dense().expect("dense");
 
-    assert_eq!(fixed_amplitudes, greedy.amplitudes);
+    assert_eq!(fixed_amplitudes, greedy_amplitudes);
     let oracle = run_dense(&circuit, 0);
-    assert!(max_amp_err(&oracle, &greedy.amplitudes) < 1e-12);
+    assert!(max_amp_err(&oracle, &greedy_amplitudes) < 1e-12);
     // The rotating targets are swapped below the chunk boundary inside a
     // stage, which cuts the visits the plan asks for (performed + elided);
     // how many of them find an all-zero group depends on where each layout
@@ -136,7 +136,8 @@ fn parsed_qasm_under_greedy_layout_matches_fixed_and_oracle() {
     );
     assert!(shipped.chunk_visits() < fixed.planned_visits());
     use memqsim_core::Counter;
-    assert!(greedy.telemetry.counter(Counter::ChunkVisits) <= shipped.chunk_visits() as u64);
+    let visits = greedy.report.telemetry.counter(Counter::ChunkVisits);
+    assert!(visits <= shipped.chunk_visits() as u64);
 }
 
 #[test]

@@ -11,19 +11,23 @@ use mq_compress::CodecSpec;
 use mq_device::{DeviceSpec, DeviceTopology};
 use mq_num::Complex64;
 
-fn config(devices: usize) -> MemQSimConfig {
-    MemQSimConfig {
-        chunk_bits: 3,
+fn run_fleet(circuit: &Circuit, devices: usize, pipelined: bool) -> (Vec<Complex64>, RunReport) {
+    run_fleet_at(circuit, 3, devices, pipelined)
+}
+
+fn run_fleet_at(
+    circuit: &Circuit,
+    chunk_bits: u32,
+    devices: usize,
+    pipelined: bool,
+) -> (Vec<Complex64>, RunReport) {
+    let cfg = MemQSimConfig {
+        chunk_bits,
         max_high_qubits: 2,
         codec: CodecSpec::Fpc,
         workers: 1,
-        devices,
         ..Default::default()
-    }
-}
-
-fn run_fleet(circuit: &Circuit, devices: usize, pipelined: bool) -> (Vec<Complex64>, RunReport) {
-    let cfg = config(devices);
+    };
     let store = build_store(circuit.n_qubits(), &cfg).expect("store");
     let fleet = DeviceTopology::homogeneous(devices, DeviceSpec::tiny_test(1 << 12)).build();
     let report = hybrid::run_fleet(&store, circuit, &cfg, &fleet, pipelined).expect("run");
@@ -153,4 +157,35 @@ fn more_devices_shrink_the_modeled_makespan() {
     let (_, r4) = run_fleet(&circuit, 4, true);
     assert!(r2.device.modeled < r1.device.modeled);
     assert!(r4.device.modeled < r2.device.modeled);
+}
+
+/// The routing rule, pinned: each stage's groups, in ascending base chunk,
+/// split into contiguous per-device ranges. These are the groups and H2D
+/// bytes each device took (a group that loads as all zero counts but ships
+/// nothing); a changed split fails here even where sums, makespan and
+/// imbalance would not notice. On qft and random a round-robin split
+/// happens to give the same pairs; on the W state it does not.
+#[test]
+fn each_device_takes_the_groups_of_its_contiguous_range() {
+    let qft = library::qft(12);
+    let random = library::random_circuit(12, 8, 11);
+    let w = library::w_state(12);
+    let cases: [(&Circuit, &[(u64, u64)]); 7] = [
+        (&qft, &[(30, 94208), (30, 90112)]),
+        (&qft, &[(23, 73728), (19, 57344), (18, 53248)]),
+        (&qft, &[(15, 49152), (15, 45056), (15, 45056), (15, 45056)]),
+        (&random, &[(74, 241664), (74, 237568)]),
+        (&random, &[(55, 182272), (47, 149504), (46, 147456)]),
+        (
+            &random,
+            &[(37, 122880), (37, 118784), (37, 118784), (37, 118784)],
+        ),
+        (&w, &[(9, 20480), (7, 10240), (8, 12288), (6, 6144)]),
+    ];
+    for (circuit, want) in cases {
+        let (_, r) = run_fleet_at(circuit, 6, want.len(), true);
+        let lanes = r.telemetry.device_lanes();
+        let got: Vec<(u64, u64)> = lanes.iter().map(|l| (l.groups, l.bytes_h2d)).collect();
+        assert_eq!(got, want, "{} x{}", circuit.name(), want.len());
+    }
 }

@@ -77,7 +77,7 @@ fn spill_store_round_trips_through_the_facade() {
         .expect("valid config");
     let sim = memqsim_core::MemQSim::new(cfg);
     let outcome = sim.simulate(&library::ghz(n)).expect("simulation failed");
-    assert!((outcome.probability(0) - 0.5).abs() < 1e-6);
-    assert!((outcome.probability((1 << n) - 1) - 0.5).abs() < 1e-6);
+    assert!((outcome.probability(0).expect("readable") - 0.5).abs() < 1e-6);
+    assert!((outcome.probability((1 << n) - 1).expect("readable") - 0.5).abs() < 1e-6);
     assert!(outcome.store.peak_resident_bytes() <= 2 << 10);
 }
