@@ -25,7 +25,7 @@ use memqsim_core::{build_store, MemQSimConfig, RunReport};
 use mq_bench::{fmt_secs, write_results_json, Args, Table};
 use mq_circuit::{library, Circuit};
 use mq_compress::CodecSpec;
-use mq_device::{DeviceSpec, DeviceTopology};
+use mq_device::{Device, DeviceSpec};
 use mq_num::Complex64;
 
 fn workloads(n: u32) -> Vec<(&'static str, Circuit)> {
@@ -54,7 +54,9 @@ fn run_fleet(circuit: &Circuit, chunk_bits: u32, devices: usize) -> (Vec<Complex
         ..Default::default()
     };
     let store = build_store(circuit.n_qubits(), &cfg).expect("store construction failed");
-    let fleet = DeviceTopology::homogeneous(devices, DeviceSpec::pcie_gen3()).build();
+    let fleet: Vec<Device> = (0..devices)
+        .map(|_| Device::new(DeviceSpec::pcie_gen3()))
+        .collect();
     let report = memqsim_core::engine::hybrid::run_fleet(&store, circuit, &cfg, &fleet, true)
         .expect("engine run failed");
     (store.to_dense().expect("store is readable"), report)

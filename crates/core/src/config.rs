@@ -15,8 +15,9 @@ pub enum StoreKind {
     /// the no-codec baseline for widths where codec overhead dominates.
     Dense,
     /// Compressed chunks bounded by an in-memory byte budget; overflow
-    /// spills to temp files ([`SpillStore`](crate::store::SpillStore)) —
-    /// the beyond-RAM "+5 qubits" direction.
+    /// spills to temp files
+    /// ([`CompressedTier::spilling`](crate::store::CompressedTier::spilling))
+    /// — the beyond-RAM "+5 qubits" direction.
     Spill {
         /// Maximum compressed bytes resident in CPU memory at once.
         resident_budget: usize,

@@ -83,7 +83,7 @@ struct Work {
 }
 
 /// Tries to fetch every chunk of `group` as a compressed payload. `None`
-/// when any tier refuses (e.g. a dense or spill tier with no codec): the
+/// when any tier refuses (a dense tier has no codec): the
 /// caller falls back to raw staging for the whole group, so a group's
 /// transfer mode is always uniform.
 fn fetch_payloads(
@@ -589,7 +589,7 @@ mod tests {
     use crate::testkit::{self, run_hybrid_and_compare};
     use mq_circuit::library;
     use mq_compress::CodecSpec;
-    use mq_device::{DeviceSpec, DeviceTopology};
+    use mq_device::DeviceSpec;
     use mq_telemetry::Counter;
     use std::time::Duration;
 
@@ -667,7 +667,9 @@ mod tests {
     ) -> (Vec<Complex64>, RunReport) {
         let config = cfg(3);
         let store = testkit::zero_store(c.n_qubits(), 3, &config);
-        let fleet = DeviceTopology::homogeneous(n, DeviceSpec::tiny_test(1 << 12)).build();
+        let fleet: Vec<Device> = (0..n)
+            .map(|_| Device::new(DeviceSpec::tiny_test(1 << 12)))
+            .collect();
         let report = run_fleet(&store, c, &config, &fleet, pipelined).unwrap();
         (store.to_dense().unwrap(), report)
     }
@@ -790,7 +792,9 @@ mod tests {
         // run starts from what `new_fleet` made, not behind stale lanes.
         let config = cfg(3);
         let c = library::qft(7);
-        let fleet = DeviceTopology::homogeneous(2, DeviceSpec::tiny_test(1 << 12)).build();
+        let fleet: Vec<Device> = (0..2)
+            .map(|_| Device::new(DeviceSpec::tiny_test(1 << 12)))
+            .collect();
         let mut exec = DevicePipelineExecutor::new_fleet(&fleet, true);
         let mut round = || {
             let store = testkit::zero_store(7, 3, &config);

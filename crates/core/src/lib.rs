@@ -8,9 +8,9 @@
 //!
 //! * [`store`] — the state vector lives as independently stored chunks
 //!   behind the [`store::ChunkStore`] trait: a compressed base tier
-//!   ([`store::CompressedTier`], the paper's offline stage), an
-//!   uncompressed baseline ([`store::DenseStore`]), a disk-spill tier
-//!   ([`store::SpillStore`]), plus the telemetry middleware
+//!   ([`store::CompressedTier`], the paper's offline stage, which can spill
+//!   past a resident-byte budget to disk), an uncompressed baseline
+//!   ([`store::DenseStore`]), plus the telemetry middleware
 //!   ([`store::TelemetryTier`]).
 //! * [`planner`] + `mq_circuit::schedule` — the offline stage: the
 //!   dependency scheduler's stages with bounded cross-chunk working sets,
@@ -60,7 +60,7 @@ pub use engine::{
 pub use mq_compress::Precision;
 pub use mq_telemetry::{Counter, DeviceLane, Role, RunTelemetry, SpanRecord, Telemetry};
 pub use store::{
-    build_store, build_store_from_amplitudes, ChunkStore, CompressedTier, DenseStore, SpillStore,
+    build_store, build_store_from_amplitudes, ChunkStore, CompressedTier, DenseStore,
     StoreCounters, TelemetryTier,
 };
 
@@ -184,9 +184,9 @@ mod tests {
             chunk_bits: 3,
             ..Default::default()
         });
-        let fleet =
-            mq_device::DeviceTopology::homogeneous(2, mq_device::DeviceSpec::tiny_test(1 << 10))
-                .build();
+        let fleet: Vec<Device> = (0..2)
+            .map(|_| Device::new(mq_device::DeviceSpec::tiny_test(1 << 10)))
+            .collect();
         let out = sim.simulate_hybrid(&library::ghz(7), &fleet).unwrap();
         assert!((out.probability(0).unwrap() - 0.5).abs() < 1e-6);
         assert!(out.report.groups_device > 0);

@@ -1,8 +1,8 @@
 //! The uncompressed base tier: chunks resident as raw amplitudes.
 
-use super::{expect_chunk_len, ChunkStore, StoreCounters};
+use super::{expect_chunk_len, register_width, ChunkStore, StoreCounters};
 use mq_compress::{CodecError, CompressionStats};
-use mq_num::{bits, Complex64};
+use mq_num::Complex64;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -35,16 +35,13 @@ impl DenseStore {
         store
     }
 
-    /// Chunks an existing dense state.
-    ///
-    /// # Panics
-    /// Panics if `amps.len()` is not a power of two.
-    pub fn from_amplitudes(amps: &[Complex64], chunk_bits: u32) -> Self {
-        assert!(bits::is_pow2(amps.len()), "length must be a power of two");
-        let n_qubits = bits::floor_log2(amps.len());
+    /// Chunks an existing dense state. A length that is not a power of two
+    /// is a [`CodecError::BufferMismatch`].
+    pub fn from_amplitudes(amps: &[Complex64], chunk_bits: u32) -> Result<Self, CodecError> {
+        let n_qubits = register_width(amps.len())?;
         let chunk_bits = chunk_bits.min(n_qubits);
         let chunk_amps = 1usize << chunk_bits;
-        DenseStore {
+        Ok(DenseStore {
             n_qubits,
             chunk_bits,
             chunks: amps
@@ -52,7 +49,7 @@ impl DenseStore {
                 .map(|piece| Mutex::new(piece.to_vec()))
                 .collect(),
             visits: AtomicU64::new(0),
-        }
+        })
     }
 }
 

@@ -6,12 +6,11 @@
 //! held is a pluggable tier:
 //!
 //! * [`CompressedTier`] — codec-compressed chunks with integrity checksums,
-//!   the paper's headline representation (and the default).
+//!   the paper's headline representation (and the default). Given a
+//!   resident-byte budget, payloads past it spill to temp files on disk,
+//!   the paper's beyond-RAM "+5 qubits" direction.
 //! * [`DenseStore`] — uncompressed chunks; the no-codec baseline for widths
 //!   where codec overhead dominates.
-//! * [`SpillStore`] — compressed chunks bounded by a resident-byte budget;
-//!   overflow spills to temp files on disk, the paper's beyond-RAM
-//!   "+5 qubits" direction.
 //!
 //! One middleware tier wraps the base tier: [`TelemetryTier`] owns counter
 //! emission. It diffs the inner tier's plain atomic totals into an attached
@@ -23,15 +22,12 @@
 //!
 //! [`Telemetry`]: mq_telemetry::Telemetry
 
-mod accounting;
 pub mod compressed;
 pub mod dense;
-pub mod spill;
 pub mod telemetry_tier;
 
 pub use compressed::CompressedTier;
 pub use dense::DenseStore;
-pub use spill::SpillStore;
 pub use telemetry_tier::TelemetryTier;
 
 use crate::config::{MemQSimConfig, StoreKind};
@@ -118,6 +114,20 @@ pub(crate) fn expect_chunk_len(expected: usize, got: usize) -> Result<(), CodecE
         Ok(())
     } else {
         Err(CodecError::BufferMismatch { expected, got })
+    }
+}
+
+/// Register width of a dense state of `len` amplitudes. A length that is
+/// not a power of two is a [`CodecError::BufferMismatch`] naming the next
+/// power of two (1 for an empty slice).
+pub(crate) fn register_width(len: usize) -> Result<u32, CodecError> {
+    if bits::is_pow2(len) {
+        Ok(bits::floor_log2(len))
+    } else {
+        Err(CodecError::BufferMismatch {
+            expected: len.next_power_of_two(),
+            got: len,
+        })
     }
 }
 
@@ -224,8 +234,8 @@ pub trait ChunkStore: Send + Sync {
     }
 
     /// Current bytes the stored state occupies in CPU memory (compressed
-    /// for codec tiers, raw for [`DenseStore`], in-memory portion only for
-    /// [`SpillStore`]).
+    /// for codec tiers, spilled payloads excluded; raw for
+    /// [`DenseStore`]).
     fn state_bytes(&self) -> usize;
 
     /// Peak of [`state_bytes`](ChunkStore::state_bytes) observed so far:
@@ -437,15 +447,14 @@ impl<S: ChunkStore + ?Sized> ChunkStore for Arc<S> {
 /// base tier per [`StoreKind`], wrapped in a [`TelemetryTier`] so engines
 /// can attach per-run counters.
 ///
-/// Errors only for tiers that touch the filesystem ([`SpillStore`]).
+/// Errors only when a spilling tier cannot create its spill directory.
 pub fn build_store(n_qubits: u32, cfg: &MemQSimConfig) -> Result<Arc<dyn ChunkStore>, CodecError> {
     let chunk_bits = cfg.effective_chunk_bits(n_qubits);
-    let codec: Arc<dyn mq_compress::Codec> =
-        Arc::from(cfg.codec.build_with_precision(cfg.precision));
+    let codec = store_codec(cfg);
     let base: Arc<dyn ChunkStore> = match cfg.store_kind {
         StoreKind::Compressed => Arc::new(CompressedTier::zero_state(n_qubits, chunk_bits, codec)),
         StoreKind::Dense => Arc::new(DenseStore::zero_state(n_qubits, chunk_bits)),
-        StoreKind::Spill { resident_budget } => Arc::new(SpillStore::zero_state(
+        StoreKind::Spill { resident_budget } => Arc::new(CompressedTier::spilling(
             n_qubits,
             chunk_bits,
             codec,
@@ -455,36 +464,25 @@ pub fn build_store(n_qubits: u32, cfg: &MemQSimConfig) -> Result<Arc<dyn ChunkSt
     Ok(Arc::new(TelemetryTier::new(base)))
 }
 
-/// Like [`build_store`], but compressing an existing dense state.
-///
-/// A length that is not a power of two is a
-/// [`CodecError::BufferMismatch`] naming the next power of two (1 for an
-/// empty slice).
+/// Like [`build_store`], but compressing an existing dense state. A length
+/// that is not a power of two is a [`CodecError::BufferMismatch`].
 pub fn build_store_from_amplitudes(
     amps: &[Complex64],
     cfg: &MemQSimConfig,
 ) -> Result<Arc<dyn ChunkStore>, CodecError> {
-    if !bits::is_pow2(amps.len()) {
-        return Err(CodecError::BufferMismatch {
-            expected: amps.len().next_power_of_two(),
-            got: amps.len(),
-        });
-    }
-    let n_qubits = bits::floor_log2(amps.len());
-    let chunk_bits = cfg.effective_chunk_bits(n_qubits);
-    let codec: Arc<dyn mq_compress::Codec> =
-        Arc::from(cfg.codec.build_with_precision(cfg.precision));
+    let compressed =
+        |budget| CompressedTier::from_amplitudes(amps, cfg.chunk_bits, store_codec(cfg), budget);
     let base: Arc<dyn ChunkStore> = match cfg.store_kind {
-        StoreKind::Compressed => Arc::new(CompressedTier::from_amplitudes(amps, chunk_bits, codec)),
-        StoreKind::Dense => Arc::new(DenseStore::from_amplitudes(amps, chunk_bits)),
-        StoreKind::Spill { resident_budget } => Arc::new(SpillStore::from_amplitudes(
-            amps,
-            chunk_bits,
-            codec,
-            resident_budget,
-        )?),
+        StoreKind::Compressed => Arc::new(compressed(None)?),
+        StoreKind::Dense => Arc::new(DenseStore::from_amplitudes(amps, cfg.chunk_bits)?),
+        StoreKind::Spill { resident_budget } => Arc::new(compressed(Some(resident_budget))?),
     };
     Ok(Arc::new(TelemetryTier::new(base)))
+}
+
+/// The configured codec at the configured precision.
+fn store_codec(cfg: &MemQSimConfig) -> Arc<dyn mq_compress::Codec> {
+    Arc::from(cfg.codec.build_with_precision(cfg.precision))
 }
 
 #[cfg(test)]
@@ -732,13 +730,19 @@ mod tests {
 
     #[test]
     fn from_amplitudes_refuses_a_length_that_is_not_a_power_of_two() {
-        let c = cfg(StoreKind::Compressed);
-        for (got, expected) in [(0, 1), (3, 4), (5, 8)] {
-            let amps = vec![Complex64::ZERO; got];
-            assert_eq!(
-                build_store_from_amplitudes(&amps, &c).err(),
-                Some(CodecError::BufferMismatch { expected, got })
-            );
+        for kind in [
+            StoreKind::Compressed,
+            StoreKind::Dense,
+            StoreKind::Spill { resident_budget: 0 },
+        ] {
+            for (got, expected) in [(0, 1), (3, 4), (5, 8)] {
+                let amps = vec![Complex64::ZERO; got];
+                assert_eq!(
+                    build_store_from_amplitudes(&amps, &cfg(kind)).err(),
+                    Some(CodecError::BufferMismatch { expected, got }),
+                    "{kind:?}"
+                );
+            }
         }
     }
 }

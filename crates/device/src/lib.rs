@@ -17,8 +17,6 @@
 //!   clock alongside wall time. A stream's clock is its own: the engine
 //!   runs one in-order stream per device, and nothing orders commands
 //!   across streams.
-//! * [`topology`] — an N-device fleet description ([`DeviceTopology`]):
-//!   one spec per card, built into N fully independent [`Device`]s.
 //! * [`transfer`] — the Table 1 transfer strategies (plus the compressed
 //!   variant the paper left open) as reusable experiments.
 //!
@@ -58,14 +56,12 @@ pub mod error;
 pub mod memory;
 pub mod model;
 pub mod stream;
-pub mod topology;
 pub mod transfer;
 
 pub use error::DeviceError;
 pub use memory::{DeviceBuffer, PinnedBuffer};
 pub use model::DeviceSpec;
 pub use stream::{Device, Event, EventRecord, PayloadCell, ScatterMap, Stream, StreamStats};
-pub use topology::DeviceTopology;
 pub use transfer::{
     run_compressed_transfer_experiment, run_transfer_experiment, CompressedTransferReport,
     TransferReport, TransferStrategy,

@@ -39,4 +39,4 @@ pub use memqsim_core::{
     RunReport, RunTelemetry, StoreCounters, StoreKind, TransferMode,
 };
 pub use mq_compress::{CodecSpec, Precision};
-pub use mq_device::{DeviceSpec, DeviceTopology};
+pub use mq_device::DeviceSpec;

@@ -11,7 +11,7 @@ use memqsim_core::engine::{cpu, hybrid, Granularity};
 use memqsim_core::{build_store, ChunkStore, MemQSimConfig, RunReport};
 use mq_circuit::{library, Circuit};
 use mq_compress::CodecSpec;
-use mq_device::{Device, DeviceSpec, DeviceTopology};
+use mq_device::{Device, DeviceSpec};
 use mq_num::metrics::fidelity;
 use mq_num::Complex64;
 use mq_telemetry::Counter;
@@ -117,7 +117,9 @@ fn auto_fleet_accounting_sums_per_device() {
     };
     for devices in [2usize, 4] {
         let store = build_store(7, &cfg).expect("store");
-        let fleet = DeviceTopology::homogeneous(devices, DeviceSpec::tiny_test(1 << 12)).build();
+        let fleet: Vec<Device> = (0..devices)
+            .map(|_| Device::new(DeviceSpec::tiny_test(1 << 12)))
+            .collect();
         let r = hybrid::run_fleet(&store, &circuit, &cfg, &fleet, true).expect("run");
         assert_eq!(single, store.to_dense().expect("dense"), "x{devices}");
         assert_eq!(r.per_device.len(), devices, "x{devices}");
@@ -213,16 +215,46 @@ fn fidelity_ledger_and_codec_picks_do_not_depend_on_the_store_kind() {
         };
         let store = build_store(12, &cfg).expect("store");
         let report = cpu::run(&store, &circuit, &cfg, Granularity::Staged).expect("run");
-        (store.to_dense().expect("dense"), report, store.counters())
+        let peak = store.peak_state_bytes();
+        (
+            store.to_dense().expect("dense"),
+            report,
+            store.counters(),
+            peak,
+        )
     };
-    let (state, report, counters) = run_on(StoreKind::Compressed);
+    let (state, report, counters, _) = run_on(StoreKind::Compressed);
     // Well under the 2.3 KiB of payloads the run peaks at, so chunks do go
     // to disk.
-    let (spill_state, spill_report, spill_counters) = run_on(StoreKind::Spill {
+    let (spill_state, spill_report, spill_counters, spill_peak) = run_on(StoreKind::Spill {
         resident_budget: 256,
     });
     assert!(spill_counters.spill_bytes_written > 0, "nothing spilled");
     assert_eq!(state, spill_state);
+    // The spilling run is pinned — its state (FNV-1a of the bits), its peak
+    // and every counter — so a change to the spill rules moves a value.
+    assert_eq!(spill_peak, 256);
+    let fingerprint = spill_state
+        .iter()
+        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+            (h ^ w).wrapping_mul(0x100_0000_01b3)
+        });
+    assert_eq!(fingerprint, 0x626d_3a40_e6ba_2325);
+    assert_eq!(
+        spill_counters,
+        StoreCounters {
+            chunk_visits: 304,
+            bytes_decompressed: 7509,
+            bytes_compressed: 7149,
+            spill_bytes_written: 6310,
+            spill_bytes_read: 6442,
+            codec_picks_zero_rle: 84,
+            codec_picks_sz: 160,
+            lossy_encodes: 160,
+            ..StoreCounters::default()
+        }
+    );
     assert!(counters.lossy_encodes > 0 && report.error_spent > 0.0);
     assert_eq!(report.error_spent, spill_report.error_spent);
     assert_eq!(

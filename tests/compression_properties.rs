@@ -61,7 +61,9 @@ proptest! {
             &amps,
             chunk_bits,
             Arc::from(CodecSpec::Fpc.build()),
-        );
+            None,
+        )
+        .unwrap();
         let back = store.to_dense().unwrap();
         prop_assert_eq!(amps, back);
     }

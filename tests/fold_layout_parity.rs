@@ -19,7 +19,7 @@ use mq_circuit::schedule::schedule;
 use mq_circuit::unitary::run_dense;
 use mq_circuit::{Circuit, Gate};
 use mq_compress::CodecSpec;
-use mq_device::{DeviceSpec, DeviceTopology};
+use mq_device::{Device, DeviceSpec};
 use mq_num::Complex64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -84,8 +84,8 @@ fn run(plan: Plan, chunk_bits: u32, hybrid: bool) -> (Vec<Complex64>, RunReport)
     let cfg = config(chunk_bits);
     let store = build_store(plan.n_qubits, &cfg).expect("store");
     let report = if hybrid {
-        let fleet = DeviceTopology::homogeneous(1, DeviceSpec::tiny_test(1 << 13)).build();
-        let mut executor = DevicePipelineExecutor::new_fleet(&fleet, true);
+        let device = Device::new(DeviceSpec::tiny_test(1 << 13));
+        let mut executor = DevicePipelineExecutor::new(&device, true);
         run_plan_with_executor(&store, plan, &cfg, &mut executor).expect("run")
     } else {
         run_plan_with_executor(&store, plan, &cfg, &mut CpuWorkerExecutor::new()).expect("run")

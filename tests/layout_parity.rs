@@ -23,7 +23,7 @@ use mq_circuit::schedule::schedule;
 use mq_circuit::unitary::{circuit_unitary, run_dense};
 use mq_circuit::{library, Circuit, Gate};
 use mq_compress::CodecSpec;
-use mq_device::{DeviceSpec, DeviceTopology};
+use mq_device::{Device, DeviceSpec};
 use mq_num::metrics::max_amp_err;
 use mq_num::Complex64;
 use proptest::prelude::*;
@@ -85,8 +85,9 @@ fn run_plan(plan: Plan, mut cfg: MemQSimConfig, exec: Exec) -> Run {
             run_plan_with_executor(&store, plan, &cfg, &mut CpuWorkerExecutor::new()).expect("run")
         }
         Exec::Fleet(devices, _) => {
-            let fleet =
-                DeviceTopology::homogeneous(devices, DeviceSpec::tiny_test(1 << 12)).build();
+            let fleet: Vec<Device> = (0..devices)
+                .map(|_| Device::new(DeviceSpec::tiny_test(1 << 12)))
+                .collect();
             let mut executor = DevicePipelineExecutor::new_fleet(&fleet, true);
             run_plan_with_executor(&store, plan, &cfg, &mut executor).expect("run")
         }

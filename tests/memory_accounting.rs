@@ -260,7 +260,7 @@ fn adaptive_codec_runs_the_engine_and_beats_fixed_rle_on_mixed_states() {
 /// a whole engine run over it — never a panic, never decoded garbage.
 #[test]
 fn every_verifying_load_path_reports_corruption_as_a_checksum_error() {
-    use memqsim_core::{EngineError, SpillStore};
+    use memqsim_core::EngineError;
     use mq_compress::{Codec, CodecError};
     use mq_num::Complex64;
 
@@ -285,14 +285,19 @@ fn every_verifying_load_path_reports_corruption_as_a_checksum_error() {
         ("CompressedTier::load_chunk", compressed(), load),
         ("CompressedTier::load_chunk_payload", compressed(), payload),
         (
-            "SpillStore, slot in memory",
-            Arc::new(SpillStore::zero_state(8, 4, codec(), 1 << 20).unwrap()),
+            "budgeted CompressedTier, slot in memory",
+            Arc::new(CompressedTier::spilling(8, 4, codec(), 1 << 20).unwrap()),
             load,
         ),
         (
-            "SpillStore, slot on disk",
-            Arc::new(SpillStore::zero_state(8, 4, codec(), 0).unwrap()),
+            "budgeted CompressedTier, slot on disk",
+            Arc::new(CompressedTier::spilling(8, 4, codec(), 0).unwrap()),
             load,
+        ),
+        (
+            "budgeted CompressedTier, payload on disk",
+            Arc::new(CompressedTier::spilling(8, 4, codec(), 0).unwrap()),
+            payload,
         ),
     ];
     let cfg = MemQSimConfig {

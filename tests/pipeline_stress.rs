@@ -11,7 +11,7 @@ use memqsim_core::{
 use mq_circuit::library;
 use mq_circuit::unitary::run_dense;
 use mq_compress::{Codec, CodecError, CodecSpec};
-use mq_device::{Device, DeviceError, DeviceSpec, DeviceTopology};
+use mq_device::{Device, DeviceError, DeviceSpec};
 use mq_num::metrics::max_amp_err;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -118,7 +118,9 @@ fn corruption_mid_stage_is_typed_and_leaves_the_executor_reusable() {
             transfer_mode,
             ..cfg(3)
         };
-        let fleet = DeviceTopology::homogeneous(devices, DeviceSpec::tiny_test(1 << 12)).build();
+        let fleet: Vec<Device> = (0..devices)
+            .map(|_| Device::new(DeviceSpec::tiny_test(1 << 12)))
+            .collect();
         let mut exec = DevicePipelineExecutor::new_fleet(&fleet, pipelined);
         let mut round = |corrupt: bool| {
             let store = build_store_from_amplitudes(&start, &config).unwrap();

@@ -8,7 +8,7 @@ use memqsim_core::engine::hybrid;
 use memqsim_core::{build_store, ChunkStore, MemQSimConfig, RunReport};
 use mq_circuit::{library, Circuit};
 use mq_compress::CodecSpec;
-use mq_device::{DeviceSpec, DeviceTopology};
+use mq_device::{Device, DeviceSpec};
 use mq_num::Complex64;
 
 fn run_fleet(circuit: &Circuit, devices: usize, pipelined: bool) -> (Vec<Complex64>, RunReport) {
@@ -29,7 +29,9 @@ fn run_fleet_at(
         ..Default::default()
     };
     let store = build_store(circuit.n_qubits(), &cfg).expect("store");
-    let fleet = DeviceTopology::homogeneous(devices, DeviceSpec::tiny_test(1 << 12)).build();
+    let fleet: Vec<Device> = (0..devices)
+        .map(|_| Device::new(DeviceSpec::tiny_test(1 << 12)))
+        .collect();
     let report = hybrid::run_fleet(&store, circuit, &cfg, &fleet, pipelined).expect("run");
     (store.to_dense().expect("dense"), report)
 }

@@ -4,11 +4,22 @@
 //! while keeping the store's resident bytes inside the budget throughout.
 
 use memqsim_core::engine::{cpu, Granularity};
-use memqsim_core::{build_store, ChunkStore, MemQSimConfig, StoreKind};
+use memqsim_core::{build_store, ChunkStore, MemQSimConfig, StoreCounters, StoreKind};
 use mq_circuit::library;
 use mq_circuit::unitary::run_dense;
 use mq_compress::CodecSpec;
 use mq_num::metrics::max_amp_err;
+use mq_num::Complex64;
+
+/// FNV-1a over the amplitudes' bit patterns: equal states, equal values.
+fn fingerprint(state: &[Complex64]) -> u64 {
+    state
+        .iter()
+        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+        .fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x100_0000_01b3)
+        })
+}
 
 fn spill_cfg(chunk_bits: u32, resident_budget: usize) -> MemQSimConfig {
     MemQSimConfig {
@@ -61,23 +72,64 @@ fn acceptance_spill_run_exceeding_budget_completes_under_it() {
     let want = run_dense(&circuit, 0);
     let err = max_amp_err(&got, &want);
     assert!(err < 1e-10, "spill run drifted from dense oracle: {err}");
+
+    // Which payloads spill, and when, is pinned: a change to the spill
+    // rules moves one of these values.
+    assert_eq!(fingerprint(&got), 0xa3ca_9bc1_10bf_a1fd);
+    assert_eq!(store.peak_state_bytes(), 8183);
+    assert_eq!(
+        store.counters(),
+        StoreCounters {
+            chunk_visits: 432,
+            bytes_decompressed: 315_964,
+            bytes_compressed: 311_944,
+            spill_bytes_written: 274_527,
+            spill_bytes_read: 274_460,
+            ..StoreCounters::default()
+        }
+    );
 }
 
 #[test]
 fn spill_store_round_trips_through_the_facade() {
-    // The same store kind selected through the public builder, end to end.
+    // The same store kind selected through the public builder, end to end:
+    // with the default worker count (every core commits concurrently under
+    // the budget) and with one worker, whose single commit order is pinned.
     let n = 10u32;
-    let cfg = MemQSimConfig::builder()
-        .chunk_bits(5)
-        .codec(CodecSpec::Sz { eb: 1e-10 })
-        .store_kind(StoreKind::Spill {
-            resident_budget: 2 << 10,
-        })
-        .build()
-        .expect("valid config");
-    let sim = memqsim_core::MemQSim::new(cfg);
-    let outcome = sim.simulate(&library::ghz(n)).expect("simulation failed");
-    assert!((outcome.probability(0).expect("readable") - 0.5).abs() < 1e-6);
-    assert!((outcome.probability((1 << n) - 1).expect("readable") - 0.5).abs() < 1e-6);
-    assert!(outcome.store.peak_resident_bytes() <= 2 << 10);
+    let budget = 2 << 10;
+    let simulate = |workers: usize| {
+        let cfg = MemQSimConfig::builder()
+            .chunk_bits(5)
+            .codec(CodecSpec::Sz { eb: 1e-10 })
+            .workers(workers)
+            .store_kind(StoreKind::Spill {
+                resident_budget: budget,
+            })
+            .build()
+            .expect("valid config");
+        let sim = memqsim_core::MemQSim::new(cfg);
+        let outcome = sim.simulate(&library::ghz(n)).expect("simulation failed");
+        assert!((outcome.probability(0).expect("readable") - 0.5).abs() < 1e-6);
+        assert!((outcome.probability((1 << n) - 1).expect("readable") - 0.5).abs() < 1e-6);
+        assert!(
+            outcome.store.peak_resident_bytes() <= budget,
+            "{workers} workers"
+        );
+        outcome
+    };
+    let concurrent = simulate(MemQSimConfig::default().workers);
+    let outcome = simulate(1);
+    let state = outcome.to_dense().expect("readable");
+    assert_eq!(concurrent.to_dense().expect("readable"), state);
+    assert_eq!(fingerprint(&state), 0xc72b_eb18_5642_542d);
+    assert_eq!(outcome.store.peak_state_bytes(), 626);
+    assert_eq!(
+        outcome.store.counters(),
+        StoreCounters {
+            chunk_visits: 78,
+            bytes_decompressed: 1629,
+            bytes_compressed: 1039,
+            ..StoreCounters::default()
+        }
+    );
 }

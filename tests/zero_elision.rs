@@ -67,6 +67,16 @@ fn lattice() -> Vec<(&'static str, Engine, MemQSimConfig)> {
             hybrid(true),
             with(|c| c.transfer_mode = TransferMode::Compressed),
         ),
+        (
+            "hybrid compressed spill",
+            hybrid(true),
+            with(|c| {
+                c.transfer_mode = TransferMode::Compressed;
+                c.store_kind = StoreKind::Spill {
+                    resident_budget: 512,
+                }
+            }),
+        ),
         ("cpu per-gate", Engine::Cpu(Granularity::PerGate), base),
     ]
 }
