@@ -7,15 +7,21 @@
 //! Bit-exact round trip, including NaN and signed zeros.
 
 use crate::bitstream::{BitReader, BitWriter, BitstreamOverrun};
+use crate::planes::{Planes, PlanesMut};
 use crate::varint::{self, VarintError};
 
 /// Compresses `data` losslessly, appending to `out`.
 pub fn encode(data: &[f64], out: &mut Vec<u8>) {
+    encode_planes(Planes::new(data), out);
+}
+
+/// [`encode`] over a value sequence read in place.
+pub(crate) fn encode_planes<const S: usize>(data: Planes<'_, S>, out: &mut Vec<u8>) {
     varint::write_u64(out, data.len() as u64);
     let mut w = BitWriter::new();
     let mut last = 0u64;
     let mut last2 = 0u64;
-    for &x in data {
+    data.for_each(0..data.len(), |x| {
         let bits = x.to_bits();
         let pred1 = last;
         let pred2 = last.wrapping_add(last.wrapping_sub(last2));
@@ -42,7 +48,7 @@ pub fn encode(data: &[f64], out: &mut Vec<u8>) {
         }
         last2 = last;
         last = bits;
-    }
+    });
     let payload = w.into_bytes();
     varint::write_u64(out, payload.len() as u64);
     out.extend_from_slice(&payload);
@@ -96,6 +102,14 @@ impl From<BitstreamOverrun> for FpcError {
 
 /// Decompresses into `out`, which must match the encoded count.
 pub fn decode(buf: &[u8], out: &mut [f64]) -> Result<(), FpcError> {
+    decode_planes(buf, PlanesMut::new(out))
+}
+
+/// [`decode`] into a value sequence written in place.
+pub(crate) fn decode_planes<const S: usize>(
+    buf: &[u8],
+    mut out: PlanesMut<'_, S>,
+) -> Result<(), FpcError> {
     let mut pos = 0usize;
     let n = varint::read_u64(buf, &mut pos)? as usize;
     if n != out.len() {
@@ -105,13 +119,14 @@ pub fn decode(buf: &[u8], out: &mut [f64]) -> Result<(), FpcError> {
         });
     }
     let payload_len = varint::read_u64(buf, &mut pos)? as usize;
-    if pos + payload_len > buf.len() {
+    // Against what is left: a crafted length wraps `pos + payload_len`.
+    if payload_len > buf.len() - pos {
         return Err(FpcError::Truncated);
     }
     let mut r = BitReader::new(&buf[pos..pos + payload_len]);
     let mut last = 0u64;
     let mut last2 = 0u64;
-    for slot in out.iter_mut() {
+    out.try_set_each(0..n, || {
         let sel = r.read_bits(1)?;
         let code = r.read_bits(3)? as usize;
         let lzb = if code == 7 { 8 } else { code };
@@ -127,11 +142,10 @@ pub fn decode(buf: &[u8], out: &mut [f64]) -> Result<(), FpcError> {
             last
         };
         let bits = resid ^ pred;
-        *slot = f64::from_bits(bits);
         last2 = last;
         last = bits;
-    }
-    Ok(())
+        Ok(f64::from_bits(bits))
+    })
 }
 
 #[cfg(test)]
@@ -229,6 +243,16 @@ mod tests {
         buf.truncate(buf.len() / 2);
         let mut out = vec![0.0f64; 100];
         assert!(decode(&buf, &mut out).is_err());
+    }
+
+    #[test]
+    fn payload_length_that_would_wrap_is_truncated() {
+        let mut buf = Vec::new();
+        varint::write_u64(&mut buf, 1);
+        varint::write_u64(&mut buf, u64::MAX);
+        buf.extend_from_slice(&[0; 8]);
+        let mut out = [0.0f64; 1];
+        assert_eq!(decode(&buf, &mut out), Err(FpcError::Truncated));
     }
 
     /// The payload is `BitWriter` output, and stored payloads are compared

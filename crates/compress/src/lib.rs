@@ -16,10 +16,16 @@
 //!   picks among zero-RLE / FPC / shuffle-LZSS / SZ (and an optional f32
 //!   demotion) per chunk, recording the choice in a one-byte payload
 //!   header so decode is self-describing;
-//! * complex-amplitude helpers — [`compress_complex`] /
-//!   [`decompress_complex`] split interleaved amplitudes into re/im planes
-//!   (prediction works far better within a plane).
-
+//! * complex amplitudes — [`Codec::compress_amps`] /
+//!   [`Codec::decompress_amps`], and the [`compress_complex`] /
+//!   [`decompress_complex`] forwards to them, encode a chunk in **plane
+//!   order**: every real part, then every imaginary part (prediction works
+//!   far better within a plane than across the re/im interleave). Plane
+//!   order is the payload's value order, so an amplitude payload is byte for
+//!   byte [`Codec::compress`] of the two planes laid end to end. Every codec
+//!   here reads and writes that order in place in the amplitude buffer: one
+//!   body per codec, instantiated for a plain slice and for amplitudes, and
+//!   no plane copy on any load or store.
 //!
 //! ## Example
 //!
@@ -48,8 +54,13 @@ pub mod shuffle;
 pub mod szlike;
 pub mod varint;
 
+mod planes;
+
 use mq_num::Complex64;
+use planes::{Planes, PlanesMut};
+use std::cell::Cell;
 use std::fmt;
+use std::thread::LocalKey;
 
 /// Unified codec error.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,6 +128,34 @@ pub trait Codec: Send + Sync {
     /// Decompresses into `out`; `out.len()` must equal the original length.
     fn decompress(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError>;
 
+    /// Compresses a chunk of amplitudes in plane order — every real part,
+    /// then every imaginary part — so the payload is byte for byte
+    /// [`compress`](Codec::compress) of the two planes laid end to end.
+    ///
+    /// This provided body lays them out in a per-thread buffer: it serves a
+    /// codec that implements only the `f64` entries, such as a wrapper
+    /// around another codec. Every codec of this crate overrides it and
+    /// reads the planes in place.
+    fn compress_amps(&self, amps: &[Complex64]) -> Vec<u8> {
+        with_buffer(&PLANES, amps.len() * 2, |planes| {
+            split_planes(amps, planes);
+            self.compress(planes)
+        })
+    }
+
+    /// Inverse of [`compress_amps`](Codec::compress_amps): decodes a
+    /// payload of `out.len()` amplitudes in plane order. The provided body
+    /// decodes into a per-thread plane buffer and interleaves it into
+    /// `out`; every codec of this crate overrides it and writes `out` in
+    /// place.
+    fn decompress_amps(&self, bytes: &[u8], out: &mut [Complex64]) -> Result<(), CodecError> {
+        with_buffer(&PLANES, out.len() * 2, |planes| {
+            self.decompress(bytes, planes)?;
+            join_planes(planes, out);
+            Ok(())
+        })
+    }
+
     /// Describes a payload this codec produced, when the payload format is
     /// self-describing (see [`AutoCodec`]). `None` for codecs whose payloads
     /// carry no selection header — which is every static codec.
@@ -159,22 +198,25 @@ pub enum Precision {
     Adaptive,
 }
 
-/// Appends `values` to `out` as little-endian bytes.
-fn extend_le_bytes(out: &mut Vec<u8>, values: &[f64]) {
-    let start = out.len();
-    out.resize(start + values.len() * 8, 0);
-    for (bytes, x) in out[start..].chunks_exact_mut(8).zip(values) {
-        bytes.copy_from_slice(&x.to_le_bytes());
-    }
-}
-
-/// Reads `out.len()` values back from the little-endian `bytes` (eight a
-/// value, as [`extend_le_bytes`] wrote them).
-fn fill_from_le_bytes(bytes: &[u8], out: &mut [f64]) {
-    debug_assert_eq!(bytes.len(), out.len() * 8);
-    for (slot, bytes) in out.iter_mut().zip(bytes.chunks_exact(8)) {
-        *slot = f64::from_le_bytes(bytes.try_into().expect("chunks of eight"));
-    }
+/// The four entry points of a codec whose body is written once, as
+/// `encode` / `decode` methods generic over where its value sequence lives:
+/// a slice for `compress` / `decompress`, the plane order of an amplitude
+/// buffer for `compress_amps` / `decompress_amps`.
+macro_rules! in_place_entries {
+    () => {
+        fn compress(&self, data: &[f64]) -> Vec<u8> {
+            self.encode(Planes::new(data))
+        }
+        fn decompress(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
+            self.decode(bytes, PlanesMut::new(out))
+        }
+        fn compress_amps(&self, amps: &[Complex64]) -> Vec<u8> {
+            self.encode(Planes::of_amps(amps))
+        }
+        fn decompress_amps(&self, bytes: &[u8], out: &mut [Complex64]) -> Result<(), CodecError> {
+            self.decode(bytes, PlanesMut::of_amps(out))
+        }
+    };
 }
 
 // --- codec implementations --------------------------------------------------
@@ -183,20 +225,19 @@ fn fill_from_le_bytes(bytes: &[u8], out: &mut [f64]) {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullCodec;
 
-impl Codec for NullCodec {
-    fn name(&self) -> &'static str {
-        "null"
-    }
-    fn is_lossless(&self) -> bool {
-        true
-    }
-    fn compress(&self, data: &[f64]) -> Vec<u8> {
+impl NullCodec {
+    fn encode<const S: usize>(&self, data: Planes<'_, S>) -> Vec<u8> {
         let mut out = Vec::with_capacity(10 + data.len() * 8);
         varint::write_u64(&mut out, data.len() as u64);
-        extend_le_bytes(&mut out, data);
+        data.extend_le_bytes(0..data.len(), &mut out);
         out
     }
-    fn decompress(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
+
+    fn decode<const S: usize>(
+        &self,
+        bytes: &[u8],
+        mut out: PlanesMut<'_, S>,
+    ) -> Result<(), CodecError> {
         let mut pos = 0;
         let n = varint::read_u64(bytes, &mut pos).map_err(|e| CodecError::Corrupt(e.to_string()))?
             as usize;
@@ -209,29 +250,38 @@ impl Codec for NullCodec {
         let raw = bytes
             .get(pos..pos + n * 8)
             .ok_or_else(|| CodecError::Corrupt("truncated raw payload".into()))?;
-        fill_from_le_bytes(raw, out);
+        out.set_le_bytes(0, raw);
         Ok(())
     }
+}
+
+impl Codec for NullCodec {
+    fn name(&self) -> &'static str {
+        "null"
+    }
+    fn is_lossless(&self) -> bool {
+        true
+    }
+    in_place_entries!();
 }
 
 /// Zero run-length codec (lossless): exploits exact-zero sparsity.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ZeroRleCodec;
 
-impl Codec for ZeroRleCodec {
-    fn name(&self) -> &'static str {
-        "zero-rle"
-    }
-    fn is_lossless(&self) -> bool {
-        true
-    }
-    fn compress(&self, data: &[f64]) -> Vec<u8> {
+impl ZeroRleCodec {
+    fn encode<const S: usize>(&self, data: Planes<'_, S>) -> Vec<u8> {
         let mut out = Vec::new();
-        rle::encode(data, &mut out);
+        rle::encode_planes(data, &mut out);
         out
     }
-    fn decompress(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
-        rle::decode(bytes, out).map_err(|e| match e {
+
+    fn decode<const S: usize>(
+        &self,
+        bytes: &[u8],
+        out: PlanesMut<'_, S>,
+    ) -> Result<(), CodecError> {
+        rle::decode_planes(bytes, out).map_err(|e| match e {
             rle::RleError::LengthMismatch { expected, got } => {
                 CodecError::LengthMismatch { expected, got }
             }
@@ -240,24 +290,33 @@ impl Codec for ZeroRleCodec {
     }
 }
 
-/// FPC-style lossless XOR-predictive codec.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FpcCodec;
-
-impl Codec for FpcCodec {
+impl Codec for ZeroRleCodec {
     fn name(&self) -> &'static str {
-        "fpc"
+        "zero-rle"
     }
     fn is_lossless(&self) -> bool {
         true
     }
-    fn compress(&self, data: &[f64]) -> Vec<u8> {
+    in_place_entries!();
+}
+
+/// FPC-style lossless XOR-predictive codec.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FpcCodec;
+
+impl FpcCodec {
+    fn encode<const S: usize>(&self, data: Planes<'_, S>) -> Vec<u8> {
         let mut out = Vec::new();
-        fpc::encode(data, &mut out);
+        fpc::encode_planes(data, &mut out);
         out
     }
-    fn decompress(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
-        fpc::decode(bytes, out).map_err(|e| match e {
+
+    fn decode<const S: usize>(
+        &self,
+        bytes: &[u8],
+        out: PlanesMut<'_, S>,
+    ) -> Result<(), CodecError> {
+        fpc::decode_planes(bytes, out).map_err(|e| match e {
             fpc::FpcError::LengthMismatch { expected, got } => {
                 CodecError::LengthMismatch { expected, got }
             }
@@ -266,26 +325,40 @@ impl Codec for FpcCodec {
     }
 }
 
-/// Byte-shuffle + LZSS (lossless): dictionary coding over byte planes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShuffleLzssCodec;
-
-impl Codec for ShuffleLzssCodec {
+impl Codec for FpcCodec {
     fn name(&self) -> &'static str {
-        "shuffle-lzss"
+        "fpc"
     }
     fn is_lossless(&self) -> bool {
         true
     }
-    fn compress(&self, data: &[f64]) -> Vec<u8> {
+    in_place_entries!();
+}
+
+/// Byte-shuffle + LZSS (lossless): dictionary coding over byte planes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ShuffleLzssCodec;
+
+impl ShuffleLzssCodec {
+    /// Appends the payload of `data` to `out`.
+    fn encode_into<const S: usize>(data: Planes<'_, S>, out: &mut Vec<u8>) {
         let mut planes = Vec::new();
-        shuffle::shuffle(data, &mut planes);
+        shuffle::shuffle_planes(data, &mut planes);
+        varint::write_u64(out, data.len() as u64);
+        lzss::encode(&planes, out);
+    }
+
+    fn encode<const S: usize>(&self, data: Planes<'_, S>) -> Vec<u8> {
         let mut out = Vec::new();
-        varint::write_u64(&mut out, data.len() as u64);
-        lzss::encode(&planes, &mut out);
+        Self::encode_into(data, &mut out);
         out
     }
-    fn decompress(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
+
+    fn decode<const S: usize>(
+        &self,
+        bytes: &[u8],
+        out: PlanesMut<'_, S>,
+    ) -> Result<(), CodecError> {
         let mut pos = 0;
         let n = varint::read_u64(bytes, &mut pos).map_err(|e| CodecError::Corrupt(e.to_string()))?
             as usize;
@@ -303,9 +376,19 @@ impl Codec for ShuffleLzssCodec {
             },
             other => CodecError::Corrupt(other.to_string()),
         })?;
-        shuffle::unshuffle(&planes, out);
+        shuffle::unshuffle_planes(&planes, out);
         Ok(())
     }
+}
+
+impl Codec for ShuffleLzssCodec {
+    fn name(&self) -> &'static str {
+        "shuffle-lzss"
+    }
+    fn is_lossless(&self) -> bool {
+        true
+    }
+    in_place_entries!();
 }
 
 /// SZ-style error-bounded lossy codec.
@@ -324,6 +407,27 @@ impl SzCodec {
         assert!(eb.is_finite() && eb > 0.0, "error bound must be positive");
         SzCodec { eb }
     }
+
+    fn encode<const S: usize>(&self, data: Planes<'_, S>) -> Vec<u8> {
+        let mut out = Vec::new();
+        szlike::encode_planes(data, self.eb, &mut out);
+        out
+    }
+
+    fn decode<const S: usize>(
+        &self,
+        bytes: &[u8],
+        out: PlanesMut<'_, S>,
+    ) -> Result<(), CodecError> {
+        szlike::decode_planes(bytes, out)
+            .map(|_| ())
+            .map_err(|e| match e {
+                szlike::SzError::LengthMismatch { expected, got } => {
+                    CodecError::LengthMismatch { expected, got }
+                }
+                other => CodecError::Corrupt(other.to_string()),
+            })
+    }
 }
 
 impl Codec for SzCodec {
@@ -336,19 +440,7 @@ impl Codec for SzCodec {
     fn error_bound(&self) -> Option<f64> {
         Some(self.eb)
     }
-    fn compress(&self, data: &[f64]) -> Vec<u8> {
-        let mut out = Vec::new();
-        szlike::encode(data, self.eb, &mut out);
-        out
-    }
-    fn decompress(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
-        szlike::decode(bytes, out).map(|_| ()).map_err(|e| match e {
-            szlike::SzError::LengthMismatch { expected, got } => {
-                CodecError::LengthMismatch { expected, got }
-            }
-            other => CodecError::Corrupt(other.to_string()),
-        })
-    }
+    in_place_entries!();
 }
 
 // --- registry ----------------------------------------------------------------
@@ -512,51 +604,69 @@ impl CompressionStats {
 // --- complex helpers ------------------------------------------------------------
 
 thread_local! {
-    /// The plane buffer of [`compress_complex`] / [`decompress_complex`]:
-    /// two f64 per amplitude, kept per thread so a chunk-sized call neither
-    /// allocates nor zeroes it again.
-    static PLANES: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
+    /// The plane buffer of the provided [`Codec::compress_amps`] /
+    /// [`Codec::decompress_amps`] bodies: two f64 per amplitude, kept per
+    /// thread so a chunk-sized call neither allocates nor zeroes it again.
+    static PLANES: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+    /// [`AutoCodec`]'s f32-packed words between its backend's decode and
+    /// the unpacking.
+    static PACKED: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
 }
 
-/// Runs `f` on this thread's plane buffer resized to `len` values (contents
+/// Runs `f` on this thread's buffer `key` resized to `len` values (contents
 /// unspecified). The buffer is out of its slot meanwhile, so a codec that
-/// re-enters these helpers gets a fresh one.
-fn with_planes<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
-    let mut planes = PLANES.take();
-    planes.resize(len, 0.0);
-    let result = f(&mut planes);
-    PLANES.set(planes);
+/// re-enters gets a fresh one.
+fn with_buffer<R>(
+    key: &'static LocalKey<Cell<Vec<f64>>>,
+    len: usize,
+    f: impl FnOnce(&mut [f64]) -> R,
+) -> R {
+    let mut buf = key.take();
+    buf.resize(len, 0.0);
+    let result = f(&mut buf);
+    key.set(buf);
     result
 }
 
-/// Compresses interleaved complex amplitudes by first splitting them into a
-/// real plane followed by an imaginary plane (predictors behave much better
-/// within a plane than across the re/im interleave).
-pub fn compress_complex(codec: &dyn Codec, amps: &[Complex64]) -> Vec<u8> {
-    with_planes(amps.len() * 2, |planes| {
-        let (re, im) = planes.split_at_mut(amps.len());
-        for ((a, re), im) in amps.iter().zip(re).zip(im) {
-            *re = a.re;
-            *im = a.im;
-        }
-        codec.compress(planes)
-    })
+/// Lays `amps` out in plane order in `planes` (`2 * amps.len()` values).
+///
+/// This and [`join_planes`] stay out of line: compiled here once, not
+/// inlined into each wrapper's copy of the provided bodies, where the
+/// traced `bv24_auto_w2` load took ~1.4x the self time.
+#[inline(never)]
+fn split_planes(amps: &[Complex64], planes: &mut [f64]) {
+    let (re, im) = planes.split_at_mut(amps.len());
+    for ((a, re), im) in amps.iter().zip(re).zip(im) {
+        *re = a.re;
+        *im = a.im;
+    }
 }
 
-/// Inverse of [`compress_complex`].
+/// Inverse of [`split_planes`].
+#[inline(never)]
+fn join_planes(planes: &[f64], out: &mut [Complex64]) {
+    let (re, im) = planes.split_at(out.len());
+    for ((a, &re), &im) in out.iter_mut().zip(re).zip(im) {
+        *a = Complex64 { re, im };
+    }
+}
+
+/// Compresses a chunk of amplitudes: [`Codec::compress_amps`]. The
+/// payload's value order is the chunk's plane order — every real part, then
+/// every imaginary part — because predictors behave much better within a
+/// plane than across the re/im interleave; every codec of this crate reads
+/// that order in place.
+pub fn compress_complex(codec: &dyn Codec, amps: &[Complex64]) -> Vec<u8> {
+    codec.compress_amps(amps)
+}
+
+/// Inverse of [`compress_complex`]: [`Codec::decompress_amps`].
 pub fn decompress_complex(
     codec: &dyn Codec,
     bytes: &[u8],
     out: &mut [Complex64],
 ) -> Result<(), CodecError> {
-    with_planes(out.len() * 2, |planes| {
-        codec.decompress(bytes, planes)?;
-        let (re, im) = planes.split_at(out.len());
-        for ((a, &re), &im) in out.iter_mut().zip(re).zip(im) {
-            *a = Complex64 { re, im };
-        }
-        Ok(())
-    })
+    codec.decompress_amps(bytes, out)
 }
 
 #[cfg(test)]
@@ -735,27 +845,33 @@ const TAG_MASK: u8 = 0x07;
 /// ...and this bit marks a chunk demoted to packed f32 pairs.
 const FLAG_F32: u8 = 0x08;
 
-/// Packs adjacent f64 pairs as two f32s in one f64's bit pattern, halving
+/// Packs adjacent value pairs as two f32s in one f64's bit pattern, halving
 /// the element count. `data.len()` must be even.
-fn pack_f32_pairs(data: &[f64]) -> Vec<f64> {
+fn pack_f32_pairs<const S: usize>(data: Planes<'_, S>) -> Vec<f64> {
     debug_assert!(data.len().is_multiple_of(2));
-    data.chunks_exact(2)
-        .map(|pair| {
-            let lo = (pair[0] as f32).to_bits() as u64;
-            let hi = (pair[1] as f32).to_bits() as u64;
-            f64::from_bits(lo | (hi << 32))
-        })
-        .collect()
+    let mut packed = Vec::with_capacity(data.len() / 2);
+    let mut pending = None;
+    data.for_each(0..data.len(), |x| match pending.take() {
+        None => pending = Some(x),
+        Some(first) => {
+            let lo = (first as f32).to_bits() as u64;
+            let hi = (x as f32).to_bits() as u64;
+            packed.push(f64::from_bits(lo | (hi << 32)));
+        }
+    });
+    packed
 }
 
 /// Inverse of [`pack_f32_pairs`]: `out.len() == packed.len() * 2`.
-fn unpack_f32_pairs(packed: &[f64], out: &mut [f64]) {
+fn unpack_f32_pairs<const S: usize>(packed: &[f64], out: &mut PlanesMut<'_, S>) {
     debug_assert_eq!(out.len(), packed.len() * 2);
-    for (i, word) in packed.iter().enumerate() {
+    let mut halves = packed.iter().flat_map(|word| {
         let bits = word.to_bits();
-        out[2 * i] = f32::from_bits(bits as u32) as f64;
-        out[2 * i + 1] = f32::from_bits((bits >> 32) as u32) as f64;
-    }
+        [bits as u32, (bits >> 32) as u32]
+    });
+    out.set_each(0..out.len(), || {
+        f32::from_bits(halves.next().expect("two values a word")) as f64
+    });
 }
 
 /// The adaptive per-chunk codec behind [`CodecSpec::Auto`].
@@ -819,32 +935,115 @@ impl AutoCodec {
         }
     }
 
-    fn encode_backend(tag: u8, f32_packed: bool, data: &[f64], eb: Option<f64>) -> Vec<u8> {
+    fn encode_backend<const S: usize>(
+        tag: u8,
+        f32_packed: bool,
+        data: Planes<'_, S>,
+        eb: Option<f64>,
+    ) -> Vec<u8> {
         let mut out = vec![tag | if f32_packed { FLAG_F32 } else { 0 }];
         match tag {
-            TAG_ZERO_RLE => rle::encode(data, &mut out),
-            TAG_FPC => fpc::encode(data, &mut out),
-            TAG_SHUFFLE_LZSS => {
-                let mut planes = Vec::new();
-                shuffle::shuffle(data, &mut planes);
-                varint::write_u64(&mut out, data.len() as u64);
-                lzss::encode(&planes, &mut out);
+            TAG_ZERO_RLE => rle::encode_planes(data, &mut out),
+            TAG_FPC => fpc::encode_planes(data, &mut out),
+            TAG_SHUFFLE_LZSS => ShuffleLzssCodec::encode_into(data, &mut out),
+            TAG_SZ => {
+                szlike::encode_planes(data, eb.expect("sz candidate requires a bound"), &mut out)
             }
-            TAG_SZ => szlike::encode(data, eb.expect("sz candidate requires a bound"), &mut out),
             _ => unreachable!("unknown encode tag {tag}"),
         }
         out
     }
 
-    fn decode_backend(tag: u8, body: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
+    fn decode_backend<const S: usize>(
+        tag: u8,
+        body: &[u8],
+        out: PlanesMut<'_, S>,
+    ) -> Result<(), CodecError> {
         match tag {
-            TAG_ZERO_RLE => ZeroRleCodec.decompress(body, out),
-            TAG_FPC => FpcCodec.decompress(body, out),
-            TAG_SHUFFLE_LZSS => ShuffleLzssCodec.decompress(body, out),
-            TAG_SZ => SzCodec::new(1.0).decompress(body, out),
-            TAG_NULL => NullCodec.decompress(body, out),
+            TAG_ZERO_RLE => ZeroRleCodec.decode(body, out),
+            TAG_FPC => FpcCodec.decode(body, out),
+            TAG_SHUFFLE_LZSS => ShuffleLzssCodec.decode(body, out),
+            TAG_SZ => SzCodec::new(1.0).decode(body, out),
+            TAG_NULL => NullCodec.decode(body, out),
             t => Err(CodecError::Corrupt(format!("unknown auto tag {t}"))),
         }
+    }
+
+    fn encode<const S: usize>(&self, data: Planes<'_, S>) -> Vec<u8> {
+        let eb = self.allowance();
+        let p = probe::probe_planes(data);
+        let packed = (self.precision == Precision::Adaptive && !data.is_empty() && p.f32_fits(eb))
+            .then(|| pack_f32_pairs(data));
+
+        let mut best: Option<Vec<u8>> = None;
+        let mut consider = |candidate: Vec<u8>| {
+            if best.as_ref().is_none_or(|b| candidate.len() < b.len()) {
+                best = Some(candidate);
+            }
+        };
+
+        if p.is_sparse() || data.is_empty() {
+            // Zero-dominated chunks: zero-RLE wins by orders of magnitude;
+            // the only question is whether the literals shrink further as
+            // f32 pairs (exact zeros pack to exact zero words).
+            consider(Self::encode_backend(TAG_ZERO_RLE, false, data, None));
+            if let Some(pk) = &packed {
+                consider(Self::encode_backend(
+                    TAG_ZERO_RLE,
+                    true,
+                    Planes::new(pk),
+                    None,
+                ));
+            }
+        } else {
+            consider(Self::encode_backend(TAG_FPC, false, data, None));
+            if p.is_plane_repetitive() {
+                consider(Self::encode_backend(TAG_SHUFFLE_LZSS, false, data, None));
+            }
+            if let Some(pk) = &packed {
+                let pk = Planes::new(pk);
+                consider(Self::encode_backend(TAG_FPC, true, pk, None));
+                if p.is_plane_repetitive() {
+                    consider(Self::encode_backend(TAG_SHUFFLE_LZSS, true, pk, None));
+                }
+            }
+            if eb.is_some() {
+                consider(Self::encode_backend(TAG_SZ, false, data, eb));
+            }
+        }
+        best.expect("at least one candidate was encoded")
+    }
+
+    fn decode<const S: usize>(
+        &self,
+        bytes: &[u8],
+        mut out: PlanesMut<'_, S>,
+    ) -> Result<(), CodecError> {
+        let (&header, body) = bytes
+            .split_first()
+            .ok_or_else(|| CodecError::Corrupt("empty auto payload".into()))?;
+        let tag = header & TAG_MASK;
+        if header & FLAG_F32 == 0 {
+            return Self::decode_backend(tag, body, out);
+        }
+        if !out.len().is_multiple_of(2) {
+            return Err(CodecError::Corrupt(format!(
+                "f32-packed payload cannot fill an odd-length buffer ({})",
+                out.len()
+            )));
+        }
+        with_buffer(&PACKED, out.len() / 2, |packed| {
+            Self::decode_backend(tag, body, PlanesMut::new(packed)).map_err(|e| match e {
+                // The inner stream counts packed words; report values.
+                CodecError::LengthMismatch { expected, got } => CodecError::LengthMismatch {
+                    expected: expected * 2,
+                    got: got * 2,
+                },
+                other => other,
+            })?;
+            unpack_f32_pairs(packed, &mut out);
+            Ok(())
+        })
     }
 }
 
@@ -863,72 +1062,7 @@ impl Codec for AutoCodec {
         self.allowance()
     }
 
-    fn compress(&self, data: &[f64]) -> Vec<u8> {
-        let eb = self.allowance();
-        let p = probe::probe(data);
-        let packed = (self.precision == Precision::Adaptive && !data.is_empty() && p.f32_fits(eb))
-            .then(|| pack_f32_pairs(data));
-
-        let mut best: Option<Vec<u8>> = None;
-        let mut consider = |candidate: Vec<u8>| {
-            if best.as_ref().is_none_or(|b| candidate.len() < b.len()) {
-                best = Some(candidate);
-            }
-        };
-
-        if p.is_sparse() || data.is_empty() {
-            // Zero-dominated chunks: zero-RLE wins by orders of magnitude;
-            // the only question is whether the literals shrink further as
-            // f32 pairs (exact zeros pack to exact zero words).
-            consider(Self::encode_backend(TAG_ZERO_RLE, false, data, None));
-            if let Some(pk) = &packed {
-                consider(Self::encode_backend(TAG_ZERO_RLE, true, pk, None));
-            }
-        } else {
-            consider(Self::encode_backend(TAG_FPC, false, data, None));
-            if p.is_plane_repetitive() {
-                consider(Self::encode_backend(TAG_SHUFFLE_LZSS, false, data, None));
-            }
-            if let Some(pk) = &packed {
-                consider(Self::encode_backend(TAG_FPC, true, pk, None));
-                if p.is_plane_repetitive() {
-                    consider(Self::encode_backend(TAG_SHUFFLE_LZSS, true, pk, None));
-                }
-            }
-            if eb.is_some() {
-                consider(Self::encode_backend(TAG_SZ, false, data, eb));
-            }
-        }
-        best.expect("at least one candidate was encoded")
-    }
-
-    fn decompress(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
-        let (&header, body) = bytes
-            .split_first()
-            .ok_or_else(|| CodecError::Corrupt("empty auto payload".into()))?;
-        let tag = header & TAG_MASK;
-        if header & FLAG_F32 != 0 {
-            if !out.len().is_multiple_of(2) {
-                return Err(CodecError::Corrupt(format!(
-                    "f32-packed payload cannot fill an odd-length buffer ({})",
-                    out.len()
-                )));
-            }
-            let mut half = vec![0.0f64; out.len() / 2];
-            Self::decode_backend(tag, body, &mut half).map_err(|e| match e {
-                // The inner stream counts packed words; report amplitudes.
-                CodecError::LengthMismatch { expected, got } => CodecError::LengthMismatch {
-                    expected: expected * 2,
-                    got: got * 2,
-                },
-                other => other,
-            })?;
-            unpack_f32_pairs(&half, out);
-            Ok(())
-        } else {
-            Self::decode_backend(tag, body, out)
-        }
-    }
+    in_place_entries!();
 
     fn payload_meta(&self, payload: &[u8]) -> Option<PayloadMeta> {
         let header = *payload.first()?;
@@ -968,10 +1102,10 @@ mod auto_tests {
     #[test]
     fn pack_unpack_round_trips_f32_values() {
         let data: Vec<f64> = (0..64).map(|i| (i as f32 as f64) * 0.25 - 4.0).collect();
-        let packed = pack_f32_pairs(&data);
+        let packed = pack_f32_pairs(Planes::new(&data));
         assert_eq!(packed.len(), 32);
         let mut out = vec![0.0f64; 64];
-        unpack_f32_pairs(&packed, &mut out);
+        unpack_f32_pairs(&packed, &mut PlanesMut::new(&mut out));
         assert_eq!(data, out, "f32-representable values survive exactly");
     }
 

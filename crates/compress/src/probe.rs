@@ -17,6 +17,8 @@
 //!   planes are repetitive and LZSS dictionary coding can win, many means
 //!   an XOR predictor (FPC) is the better lossless fallback.
 
+use crate::planes::Planes;
+
 /// How many elements the diversity sample inspects at most.
 const SAMPLE_CAP: usize = 64;
 
@@ -46,9 +48,16 @@ pub struct ChunkProbe {
 
 /// Probes `data` in a single pass plus a strided sample.
 pub fn probe(data: &[f64]) -> ChunkProbe {
+    probe_planes(Planes::new(data))
+}
+
+/// [`probe`] over a value sequence read in place.
+pub(crate) fn probe_planes<const S: usize>(data: Planes<'_, S>) -> ChunkProbe {
     let mut zeros = 0usize;
     let mut max_abs = 0.0f64;
-    for &x in data {
+    // A count and a maximum (of the values that are not NaN): neither
+    // depends on the order the values come in.
+    for &x in data.unordered() {
         if x == 0.0 {
             zeros += 1;
         }
@@ -57,22 +66,22 @@ pub fn probe(data: &[f64]) -> ChunkProbe {
             max_abs = a;
         }
     }
-    let stride = (data.len() / SAMPLE_CAP).max(1);
-    let mut patterns: Vec<u16> = data
-        .iter()
+    let len = data.len();
+    let stride = (len / SAMPLE_CAP).max(1);
+    let mut patterns: Vec<u16> = (0..len)
         .step_by(stride)
         .take(SAMPLE_CAP)
-        .map(|x| (x.to_bits() >> 48) as u16)
+        .map(|i| (data.get(i).to_bits() >> 48) as u16)
         .collect();
     let sampled = patterns.len();
     patterns.sort_unstable();
     patterns.dedup();
     ChunkProbe {
-        len: data.len(),
-        zero_frac: if data.is_empty() {
+        len,
+        zero_frac: if len == 0 {
             0.0
         } else {
-            zeros as f64 / data.len() as f64
+            zeros as f64 / len as f64
         },
         max_abs,
         high_byte_diversity: patterns.len(),

@@ -5,28 +5,26 @@
 //! alternating varint-coded runs of zeros and literal runs of raw `f64`s.
 //! Lossless.
 
+use crate::planes::{Planes, PlanesMut};
 use crate::varint::{self, VarintError};
 
 /// Encodes `data` as alternating zero-run / literal-run tokens.
 pub fn encode(data: &[f64], out: &mut Vec<u8>) {
+    encode_planes(Planes::new(data), out);
+}
+
+/// [`encode`] over a value sequence read in place.
+pub(crate) fn encode_planes<const S: usize>(data: Planes<'_, S>, out: &mut Vec<u8>) {
+    let is_zero = |x: f64| x == 0.0 && x.is_sign_positive();
     varint::write_u64(out, data.len() as u64);
     let mut i = 0usize;
     while i < data.len() {
-        // Zero run (may be empty).
-        let zstart = i;
-        while i < data.len() && data[i] == 0.0 && data[i].is_sign_positive() {
-            i += 1;
-        }
-        varint::write_u64(out, (i - zstart) as u64);
-        // Literal run (may be empty, at end).
-        let lstart = i;
-        while i < data.len() && !(data[i] == 0.0 && data[i].is_sign_positive()) {
-            i += 1;
-        }
-        varint::write_u64(out, (i - lstart) as u64);
-        for &x in &data[lstart..i] {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
+        // Zero run (may be empty), then literal run (may be empty, at end).
+        let literals = data.run_end(i, is_zero);
+        varint::write_u64(out, (literals - i) as u64);
+        i = data.run_end(literals, |x| !is_zero(x));
+        varint::write_u64(out, (i - literals) as u64);
+        data.extend_le_bytes(literals..i, out);
     }
 }
 
@@ -68,6 +66,14 @@ impl From<VarintError> for RleError {
 
 /// Decodes into `out`, whose length must equal the encoded element count.
 pub fn decode(buf: &[u8], out: &mut [f64]) -> Result<(), RleError> {
+    decode_planes(buf, PlanesMut::new(out))
+}
+
+/// [`decode`] into a value sequence written in place.
+pub(crate) fn decode_planes<const S: usize>(
+    buf: &[u8],
+    mut out: PlanesMut<'_, S>,
+) -> Result<(), RleError> {
     let mut pos = 0usize;
     let n = varint::read_u64(buf, &mut pos)? as usize;
     if n != out.len() {
@@ -78,21 +84,20 @@ pub fn decode(buf: &[u8], out: &mut [f64]) -> Result<(), RleError> {
     }
     let mut i = 0usize;
     while i < n {
+        // Each run is checked against what is left, never added first: a
+        // crafted run near `u64::MAX` wraps the sum.
         let zrun = varint::read_u64(buf, &mut pos)? as usize;
-        if i + zrun > n {
+        if zrun > n - i {
             return Err(RleError::Corrupt);
         }
-        out[i..i + zrun].fill(0.0);
+        out.fill(i..i + zrun, 0.0);
         i += zrun;
         let lrun = varint::read_u64(buf, &mut pos)? as usize;
-        if i + lrun > n || pos + lrun * 8 > buf.len() {
+        if lrun > n - i || lrun > (buf.len() - pos) / 8 {
             return Err(RleError::Corrupt);
         }
-        for k in 0..lrun {
-            let bytes: [u8; 8] = buf[pos..pos + 8].try_into().expect("bounds checked");
-            out[i + k] = f64::from_le_bytes(bytes);
-            pos += 8;
-        }
+        out.set_le_bytes(i, &buf[pos..pos + lrun * 8]);
+        pos += lrun * 8;
         i += lrun;
     }
     Ok(())
@@ -191,6 +196,26 @@ mod tests {
         varint::write_u64(&mut buf, 2);
         varint::write_u64(&mut buf, 100);
         let mut out = vec![0.0f64; 2];
+        assert_eq!(decode(&buf, &mut out), Err(RleError::Corrupt));
+    }
+
+    #[test]
+    fn runs_that_would_wrap_a_sum_are_corrupt() {
+        // One literal, then a zero run of u64::MAX: `i + zrun` wraps.
+        let mut buf = Vec::new();
+        varint::write_u64(&mut buf, 4);
+        varint::write_u64(&mut buf, 0);
+        varint::write_u64(&mut buf, 1);
+        buf.extend_from_slice(&1.5f64.to_le_bytes());
+        varint::write_u64(&mut buf, u64::MAX);
+        let mut out = vec![0.0f64; 4];
+        assert_eq!(decode(&buf, &mut out), Err(RleError::Corrupt));
+        // A literal run of u64::MAX: `lrun * 8` wraps.
+        let mut buf = Vec::new();
+        varint::write_u64(&mut buf, 4);
+        varint::write_u64(&mut buf, 0);
+        varint::write_u64(&mut buf, u64::MAX);
+        buf.extend_from_slice(&[0; 32]);
         assert_eq!(decode(&buf, &mut out), Err(RleError::Corrupt));
     }
 }

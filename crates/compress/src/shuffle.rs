@@ -5,18 +5,26 @@
 //! strongly, so planes compress far better under a dictionary coder than
 //! interleaved bytes do. Pure permutation — lossless by construction.
 
+use crate::planes::{Planes, PlanesMut};
+
 /// Transposes `data` into byte planes, appending `8 * data.len()` bytes.
 pub fn shuffle(data: &[f64], out: &mut Vec<u8>) {
+    shuffle_planes(Planes::new(data), out);
+}
+
+/// [`shuffle`] over a value sequence read in place.
+pub(crate) fn shuffle_planes<const S: usize>(data: Planes<'_, S>, out: &mut Vec<u8>) {
     let n = data.len();
     let start = out.len();
     out.resize(start + n * 8, 0);
     let planes = &mut out[start..];
-    for (i, &x) in data.iter().enumerate() {
-        let bytes = x.to_le_bytes();
-        for (b, &byte) in bytes.iter().enumerate() {
+    let mut i = 0;
+    data.for_each(0..n, |x| {
+        for (b, &byte) in x.to_le_bytes().iter().enumerate() {
             planes[b * n + i] = byte;
         }
-    }
+        i += 1;
+    });
 }
 
 /// Inverse of [`shuffle`]: reconstructs `out.len()` doubles from
@@ -25,15 +33,25 @@ pub fn shuffle(data: &[f64], out: &mut Vec<u8>) {
 /// # Panics
 /// Panics if `planes.len() != 8 * out.len()`.
 pub fn unshuffle(planes: &[u8], out: &mut [f64]) {
+    unshuffle_planes(planes, PlanesMut::new(out));
+}
+
+/// [`unshuffle`] into a value sequence written in place.
+///
+/// # Panics
+/// Panics if `planes.len() != 8 * out.len()`.
+pub(crate) fn unshuffle_planes<const S: usize>(planes: &[u8], mut out: PlanesMut<'_, S>) {
     let n = out.len();
     assert_eq!(planes.len(), n * 8, "plane buffer size mismatch");
-    for i in 0..n {
+    let mut i = 0;
+    out.set_each(0..n, || {
         let mut bytes = [0u8; 8];
         for (b, byte) in bytes.iter_mut().enumerate() {
             *byte = planes[b * n + i];
         }
-        out[i] = f64::from_le_bytes(bytes);
-    }
+        i += 1;
+        f64::from_le_bytes(bytes)
+    });
 }
 
 #[cfg(test)]

@@ -59,9 +59,10 @@
 
 use crate::bitstream::BitWriter;
 use crate::huffman::{self, CanonicalCode, HuffmanError, ALPHABET};
+use crate::planes::{Planes, PlanesMut};
 use crate::varint::{self, VarintError};
-use crate::{extend_le_bytes, fill_from_le_bytes};
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Half of the quantization-code alphabet (codes span `-RADIUS+1..RADIUS`).
 const RADIUS: i64 = 1 << 15;
@@ -85,6 +86,17 @@ const _: () = assert!(2 * RADIUS as usize == ALPHABET, "symbols must fit u16");
 /// `chunks(lane_len(n))`, blocks are `chunks(BLOCK)` of the whole input.
 fn lane_len(n: usize) -> usize {
     n.div_ceil(LANES).next_multiple_of(BLOCK)
+}
+
+/// The blocks of `n` values, as ranges: `BLOCK` values each, the last one
+/// possibly fewer.
+fn blocks(n: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..n).step_by(BLOCK).map(move |at| at..n.min(at + BLOCK))
+}
+
+/// The value of eight little-endian bytes.
+fn f64_le(bytes: &[u8]) -> f64 {
+    f64::from_le_bytes(bytes.try_into().expect("chunks of eight"))
 }
 
 /// Neighbour differences the class scan counts between two looks at the
@@ -157,8 +169,8 @@ fn write_class_table(classes: impl ExactSizeIterator<Item = u8>, out: &mut Vec<u
 
 /// The value a verbatim block leaves in its lane's predictor: its last
 /// finite one (`prev` stays when it has none).
-fn carry_verbatim(block: &[f64], prev: &mut f64) {
-    if let Some(&x) = block.iter().rev().find(|x| x.is_finite()) {
+fn carry_verbatim(block: impl DoubleEndedIterator<Item = f64>, prev: &mut f64) {
+    if let Some(x) = block.rev().find(|x| x.is_finite()) {
         *prev = x;
     }
 }
@@ -252,23 +264,35 @@ thread_local! {
 }
 
 /// The lanes of one [`encode`] call: what each reads and writes, and where
-/// its predictor stands.
-struct Lanes<'a> {
-    input: [&'a [f64]; LANES],
+/// its predictor stands. Lane `k` reads values `k * len..` of `data`, at
+/// most `len` of them.
+struct Lanes<'a, const S: usize> {
+    data: Planes<'a, S>,
+    len: usize,
     output: [&'a mut [u16]; LANES],
     prev: [f64; LANES],
     outliers: &'a mut [Vec<f64>; LANES],
     histogram: &'a mut Histogram,
     eb: f64,
+    /// Where a lane's block is gathered when `data` is not one slice. For
+    /// the planes of `2^k` amplitudes, lanes 0 and 2 (1 and 3) hold the real
+    /// and the imaginary parts of the same amplitudes, so their gathers walk
+    /// the same cache lines in lock-step.
+    gathered: [[f64; BLOCK]; LANES],
 }
 
-impl Lanes<'_> {
+impl<const S: usize> Lanes<'_, S> {
     /// Quantises `range` of each of the lanes `which` (distinct), one value
     /// of each in turn, so that their dependency chains overlap.
     #[inline(always)]
-    fn quantize<const M: usize>(&mut self, which: [usize; M], range: std::ops::Range<usize>) {
+    fn quantize<const M: usize>(&mut self, which: [usize; M], range: Range<usize>) {
         let (eb, step) = (self.eb, 2.0 * self.eb);
-        let x = which.map(|k| &self.input[k][range.clone()]);
+        let (data, len) = (self.data, self.len);
+        let mut gathered = self.gathered.iter_mut();
+        let x = which.map(|k| {
+            let buf = gathered.next().expect("a buffer per lane");
+            data.read(k * len + range.start..k * len + range.end, buf)
+        });
         let mut prev = which.map(|k| self.prev[k]);
         let distinct = "distinct lanes";
         let symbols = self.output.get_disjoint_mut(which).expect(distinct);
@@ -284,6 +308,15 @@ impl Lanes<'_> {
             self.prev[k] = prev[j];
         }
     }
+
+    /// Moves lane `k`'s predictor past its verbatim block `range`.
+    fn carry_verbatim(&mut self, k: usize, range: Range<usize>) {
+        let at = k * self.len;
+        let block = self
+            .data
+            .read(at + range.start..at + range.end, &mut self.gathered[0]);
+        carry_verbatim(block.iter().copied(), &mut self.prev[k]);
+    }
 }
 
 /// Encodes `data` with absolute error bound `eb`, appending to `out`.
@@ -292,6 +325,11 @@ impl Lanes<'_> {
 /// Panics if `eb` is not finite and positive, or `data` holds 2^32 values
 /// or more.
 pub fn encode(data: &[f64], eb: f64, out: &mut Vec<u8>) {
+    encode_planes(Planes::new(data), eb, out);
+}
+
+/// [`encode`] over a value sequence read in place.
+pub(crate) fn encode_planes<const S: usize>(data: Planes<'_, S>, eb: f64, out: &mut Vec<u8>) {
     assert!(eb.is_finite() && eb > 0.0, "error bound must be positive");
     assert!(u32::try_from(data.len()).is_ok(), "input too long");
     varint::write_u64(out, data.len() as u64);
@@ -312,11 +350,12 @@ pub fn encode(data: &[f64], eb: f64, out: &mut Vec<u8>) {
 
 impl Scratch {
     /// The class scan: fills `plan` from `data`.
-    fn classify_blocks(&mut self, data: &[f64], eb: f64) {
+    fn classify_blocks<const S: usize>(&mut self, data: Planes<'_, S>, eb: f64) {
+        let mut buf = [0.0; BLOCK];
         let mut stored = None;
         self.plan.clear();
-        self.plan.extend(data.chunks(BLOCK).map(|block| {
-            let (class, c) = classify(block, eb);
+        self.plan.extend(blocks(data.len()).map(|block| {
+            let (class, c) = classify(data.read(block, &mut buf), eb);
             if class == CONSTANT && stored.replace(c.to_bits()) == Some(c.to_bits()) {
                 (REPEAT, c)
             } else {
@@ -326,7 +365,7 @@ impl Scratch {
     }
 
     /// The class table, the constants and the verbatim values.
-    fn write_classes(&self, data: &[f64], out: &mut Vec<u8>) {
+    fn write_classes<const S: usize>(&self, data: Planes<'_, S>, out: &mut Vec<u8>) {
         write_class_table(self.plan.iter().map(|&(class, _)| class), out);
         for &(class, c) in &self.plan {
             if class == CONSTANT {
@@ -335,32 +374,34 @@ impl Scratch {
         }
         let verbatim = self.plan.iter().filter(|b| b.0 == VERBATIM).count();
         out.reserve(verbatim * BLOCK * 8);
-        for (block, &(class, _)) in data.chunks(BLOCK).zip(&self.plan) {
+        for (block, &(class, _)) in blocks(data.len()).zip(&self.plan) {
             if class == VERBATIM {
-                extend_le_bytes(out, block);
+                data.extend_le_bytes(block, out);
             }
         }
     }
 
     /// Steps 1–3 over the quantised blocks: fills their `symbols`, the
     /// `histogram` and `outliers`.
-    fn quantize_lanes(&mut self, data: &[f64], eb: f64) {
-        self.symbols.resize(data.len(), ESCAPE);
+    fn quantize_lanes<const S: usize>(&mut self, data: Planes<'_, S>, eb: f64) {
+        let n = data.len();
+        self.symbols.resize(n, ESCAPE);
         self.outliers.iter_mut().for_each(Vec::clear);
 
-        let len = lane_len(data.len());
+        let len = lane_len(n);
         let rows = len / BLOCK;
-        let mut input = data.chunks(len);
         let mut output = self.symbols.chunks_mut(len);
         let mut plan = self.plan.chunks(rows);
         let plan: [&[(u8, f64)]; LANES] = std::array::from_fn(|_| plan.next().unwrap_or(&[]));
         let mut lanes = Lanes {
-            input: std::array::from_fn(|_| input.next().unwrap_or(&[])),
+            data,
+            len,
             output: std::array::from_fn(|_| output.next().unwrap_or(&mut [])),
             prev: [0.0; LANES],
             outliers: &mut self.outliers,
             histogram: &mut self.histogram,
             eb,
+            gathered: [[0.0; BLOCK]; LANES],
         };
 
         for row in 0..rows {
@@ -372,7 +413,8 @@ impl Scratch {
                 let Some(&(class, c)) = plan.get(row) else {
                     continue;
                 };
-                let end = lanes.input[k].len().min(at + BLOCK);
+                // A lane with a block in this row holds values past `at`.
+                let end = (n - k * len).min(at + BLOCK);
                 match class {
                     QUANTISED if end == at + BLOCK => {
                         whole[count] = k;
@@ -380,7 +422,7 @@ impl Scratch {
                     }
                     // The stream's short last block.
                     QUANTISED => lanes.quantize([k], at..end),
-                    VERBATIM => carry_verbatim(&lanes.input[k][at..end], &mut lanes.prev[k]),
+                    VERBATIM => lanes.carry_verbatim(k, at..end),
                     _ => lanes.prev[k] = c,
                 }
             }
@@ -430,7 +472,7 @@ impl Scratch {
         varint::write_u64(out, count as u64);
         out.reserve(count * 8);
         for lane in &self.outliers {
-            extend_le_bytes(out, lane);
+            Planes::new(lane).extend_le_bytes(0..lane.len(), out);
         }
     }
 }
@@ -586,6 +628,14 @@ pub fn block_mix(payload: &[u8]) -> Result<BlockMix, SzError> {
 /// Decompresses into `out` (length must match). Returns the error bound the
 /// stream was encoded with.
 pub fn decode(buf: &[u8], out: &mut [f64]) -> Result<f64, SzError> {
+    decode_planes(buf, PlanesMut::new(out))
+}
+
+/// [`decode`] into a value sequence written in place.
+pub(crate) fn decode_planes<const S: usize>(
+    buf: &[u8],
+    mut out: PlanesMut<'_, S>,
+) -> Result<f64, SzError> {
     let mut pos = 0usize;
     let (n, eb) = read_header(buf, &mut pos)?;
     if n != out.len() as u64 {
@@ -594,11 +644,12 @@ pub fn decode(buf: &[u8], out: &mut [f64]) -> Result<f64, SzError> {
             got: out.len(),
         });
     }
-    if out.is_empty() {
+    if out.len() == 0 {
         return Ok(eb);
     }
     let step = 2.0 * eb;
     let sections = Sections::parse(buf, &mut pos, out.len())?;
+    let out = &mut out;
     if sections.quantised_values == 0 {
         let mut none = [].chunks_exact(8);
         reconstruct(out, step, &sections, &mut none, || {
@@ -647,19 +698,20 @@ fn take<'a>(buf: &'a [u8], pos: &mut usize, len: Option<usize>) -> Option<&'a [u
 /// Rebuilds `out` block by block, resetting the predictor at each lane
 /// boundary.
 #[inline(always)]
-fn reconstruct(
-    out: &mut [f64],
+fn reconstruct<const S: usize>(
+    out: &mut PlanesMut<'_, S>,
     step: f64,
     sections: &Sections<'_>,
     outliers: &mut std::slice::ChunksExact<'_, u8>,
     mut next_symbol: impl FnMut() -> Result<u16, SzError>,
 ) -> Result<(), SzError> {
-    let rows = lane_len(out.len()) / BLOCK;
+    let n = out.len();
+    let rows = lane_len(n) / BLOCK;
     let mut constants = sections.constants.chunks_exact(8);
     let mut verbatim = sections.verbatim.chunks(BLOCK * 8);
     let mut stored = None;
     let mut prev = 0.0f64;
-    for (b, block) in out.chunks_mut(BLOCK).enumerate() {
+    for (b, block) in blocks(n).enumerate() {
         if b % rows == 0 {
             prev = 0.0;
         }
@@ -669,14 +721,14 @@ fn reconstruct(
                     let bytes = constants
                         .next()
                         .ok_or(SzError::Corrupt("constant underrun"))?;
-                    let c = f64::from_le_bytes(bytes.try_into().expect("chunks of eight"));
+                    let c = f64_le(bytes);
                     if !c.is_finite() {
                         return Err(SzError::Corrupt("non-finite constant"));
                     }
                     stored = Some(c);
                 }
                 prev = stored.ok_or(SzError::Corrupt("repeat before any constant"))?;
-                block.fill(prev);
+                out.fill(block, prev);
             }
             VERBATIM => {
                 // Only the stream's last block is short, and the verbatim
@@ -685,26 +737,24 @@ fn reconstruct(
                     .next()
                     .filter(|bytes| bytes.len() == block.len() * 8)
                     .ok_or(SzError::Corrupt("verbatim underrun"))?;
-                fill_from_le_bytes(bytes, block);
-                carry_verbatim(block, &mut prev);
+                out.set_le_bytes(block.start, bytes);
+                carry_verbatim(bytes.chunks_exact(8).map(f64_le), &mut prev);
             }
-            _ => {
-                for slot in block {
-                    let s = next_symbol()?;
-                    if s == ESCAPE {
-                        let bytes = outliers
-                            .next()
-                            .ok_or(SzError::Corrupt("outlier underrun"))?;
-                        let x = f64::from_le_bytes(bytes.try_into().expect("chunks of eight"));
-                        *slot = x;
-                        prev = if x.is_finite() { x } else { 0.0 };
-                    } else {
-                        let q = s as i64 - RADIUS;
-                        prev += q as f64 * step;
-                        *slot = prev;
-                    }
+            _ => out.try_set_each::<SzError>(block, || {
+                let s = next_symbol()?;
+                if s == ESCAPE {
+                    let bytes = outliers
+                        .next()
+                        .ok_or(SzError::Corrupt("outlier underrun"))?;
+                    let x = f64_le(bytes);
+                    prev = if x.is_finite() { x } else { 0.0 };
+                    Ok(x)
+                } else {
+                    let q = s as i64 - RADIUS;
+                    prev += q as f64 * step;
+                    Ok(prev)
                 }
-            }
+            })?,
         }
     }
     Ok(())

@@ -5,10 +5,202 @@
 //! every component, no matter how hostile the input.
 
 use mq_compress::{
-    compress_complex, decompress_complex, AutoCodec, Codec, CodecSpec, Precision, SzCodec,
+    compress_complex, decompress_complex, varint, AutoCodec, Codec, CodecError, CodecSpec,
+    Precision, SzCodec,
 };
 use mq_num::Complex64;
 use proptest::prelude::*;
+
+/// Every codec the library builds, by name: the sweep set, and the adaptive
+/// codec without a bound and under two, f32 demotion allowed.
+fn every_codec() -> Vec<(String, Box<dyn Codec>)> {
+    let mut all: Vec<(String, Box<dyn Codec>)> = CodecSpec::sweep_set()
+        .into_iter()
+        .map(|spec| (spec.to_string(), spec.build()))
+        .collect();
+    for eb in [None, Some(1e-9), Some(1e-6)] {
+        let spec = CodecSpec::Auto { eb };
+        all.push((
+            format!("{spec} (adaptive precision)"),
+            spec.build_with_precision(Precision::Adaptive),
+        ));
+    }
+    all
+}
+
+/// The plane order of `amps`: every real part, then every imaginary part.
+fn planes(amps: &[Complex64]) -> Vec<f64> {
+    amps.iter()
+        .map(|a| a.re)
+        .chain(amps.iter().map(|a| a.im))
+        .collect()
+}
+
+/// Bit patterns with every NaN folded onto one: the sign and payload of a
+/// NaN the decoder computes are unspecified.
+fn bit_key(values: &[f64]) -> Vec<u64> {
+    let key = |x: f64| if x.is_nan() { u64::MAX } else { x.to_bits() };
+    values.iter().map(|&x| key(x)).collect()
+}
+
+/// Chunks of `n` amplitudes in the shapes the codecs tell apart: sparse,
+/// constant, random, and one that cycles through the values codecs get
+/// wrong (both zeros, NaN, both infinities, subnormals, 1e±300).
+fn amplitude_chunks(n: usize, seed: u64) -> Vec<(&'static str, Vec<Complex64>)> {
+    let mut state = seed;
+    let mut uniform = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    };
+    const ODD: [f64; 11] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE / 2.0,
+        -5e-324,
+        1e300,
+        -1e-300,
+        0.25,
+        -0.7,
+    ];
+    let mut sparse = vec![Complex64::ZERO; n];
+    sparse[n / 3] = Complex64::new(std::f64::consts::FRAC_1_SQRT_2, -0.5);
+    sparse[n - 1] = Complex64::new(-0.0, 1e-300);
+    vec![
+        ("sparse", sparse),
+        ("constant", vec![Complex64::new(4.8828125e-4, -0.125); n]),
+        (
+            "random",
+            (0..n)
+                .map(|_| Complex64::new(uniform() * 1e-3, uniform() * 1e-3))
+                .collect(),
+        ),
+        (
+            "adversarial",
+            (0..n)
+                .map(|i| Complex64::new(ODD[i % ODD.len()], ODD[(i * 7 + 3) % ODD.len()]))
+                .collect(),
+        ),
+    ]
+}
+
+#[test]
+fn amplitude_entries_match_the_plane_entries_byte_for_byte() {
+    // The amplitude entries read and write the planes in place; what they
+    // produce must be what the plane entries produce on the planes laid end
+    // to end, for every codec, chunk shape and length — odd lengths whose
+    // SZ blocks straddle the re/im boundary included.
+    for n in [1usize, 2, 3, 127, 128, 129, 1 << 10, 1 << 13] {
+        for (shape, amps) in amplitude_chunks(n, n as u64) {
+            let planes = planes(&amps);
+            for (name, codec) in every_codec() {
+                let what = format!("{name}, {shape} chunk of {n}");
+                let payload = codec.compress_amps(&amps);
+                assert!(
+                    payload == codec.compress(&planes),
+                    "{what}: payloads differ"
+                );
+                assert!(
+                    payload == compress_complex(codec.as_ref(), &amps),
+                    "{what}: compress_complex is not compress_amps"
+                );
+                let mut via_planes = vec![0.5; 2 * n];
+                codec.decompress(&payload, &mut via_planes).unwrap();
+                let mut in_place = vec![Complex64::ONE; n];
+                codec.decompress_amps(&payload, &mut in_place).unwrap();
+                assert_eq!(
+                    bit_key(&self::planes(&in_place)),
+                    bit_key(&via_planes),
+                    "{what}: decodes differ"
+                );
+            }
+        }
+    }
+}
+
+/// The error both entries return for `bytes`, checked to be the same one,
+/// and the same decoded bits when both succeed.
+fn decode_both(codec: &dyn Codec, bytes: &[u8], n: usize) -> Result<(), CodecError> {
+    let mut via_planes = vec![0.0; 2 * n];
+    let mut in_place = vec![Complex64::ZERO; n];
+    let flat = codec.decompress(bytes, &mut via_planes);
+    let amps = codec.decompress_amps(bytes, &mut in_place);
+    assert_eq!(flat, amps, "{}: the two entries disagree", codec.name());
+    if flat.is_ok() {
+        assert_eq!(bit_key(&planes(&in_place)), bit_key(&via_planes));
+    }
+    flat
+}
+
+#[test]
+fn mutated_payloads_fail_alike_through_both_entries_and_never_panic() {
+    // Truncations and byte flips of valid payloads, for the codecs without
+    // a mutation loop of their own (SZ has one in `szlike`).
+    let codecs: Vec<Box<dyn Codec>> = vec![
+        CodecSpec::ZeroRle.build(),
+        CodecSpec::Fpc.build(),
+        CodecSpec::ShuffleLzss.build(),
+        CodecSpec::Auto { eb: None }.build(),
+        CodecSpec::Auto { eb: Some(1e-6) }.build_with_precision(Precision::Adaptive),
+    ];
+    for codec in &codecs {
+        for n in [5usize, 129] {
+            for (_, amps) in amplitude_chunks(n, 7) {
+                let valid = codec.compress_amps(&amps);
+                for cut in 0..valid.len() {
+                    let _ = decode_both(codec.as_ref(), &valid[..cut], n);
+                }
+                for at in 0..valid.len() {
+                    for flip in [0x01, 0x80, 0xFF] {
+                        let mut bytes = valid.clone();
+                        bytes[at] ^= flip;
+                        let _ = decode_both(codec.as_ref(), &bytes, n);
+                    }
+                }
+                assert_eq!(decode_both(codec.as_ref(), &valid, n), Ok(()));
+            }
+        }
+    }
+}
+
+#[test]
+fn crafted_lengths_that_wrap_a_sum_are_typed_errors() {
+    // Two amplitudes, so four values in plane order.
+    let stream = |words: &[u64], tail: &[u8]| {
+        let mut buf = Vec::new();
+        for &w in words {
+            varint::write_u64(&mut buf, w);
+        }
+        buf.extend_from_slice(tail);
+        buf
+    };
+    let corrupt = |r: Result<(), CodecError>| matches!(r, Err(CodecError::Corrupt(_)));
+    let zero_rle = CodecSpec::ZeroRle.build();
+    let fpc = CodecSpec::Fpc.build();
+    let auto = CodecSpec::Auto { eb: None }.build();
+    let mut one_literal = stream(&[4, 0, 1], &1.5f64.to_le_bytes());
+    varint::write_u64(&mut one_literal, u64::MAX);
+    let cases = [
+        // A zero run of u64::MAX after one decoded value.
+        (zero_rle.as_ref(), one_literal),
+        // A literal run of u64::MAX.
+        (zero_rle.as_ref(), stream(&[4, 0, u64::MAX], &[0; 32])),
+        // A payload length that wraps `pos + payload_len`.
+        (fpc.as_ref(), stream(&[4, u64::MAX], &[0; 16])),
+    ];
+    for (codec, bytes) in cases {
+        assert!(corrupt(decode_both(codec, &bytes, 2)), "{}", codec.name());
+        // The same streams behind the adaptive codec's header byte, whose
+        // backend tag is 1 for zero-RLE and 2 for FPC.
+        let tag = if codec.name() == "fpc" { 2 } else { 1 };
+        let wrapped = [&[tag][..], &bytes].concat();
+        assert!(corrupt(decode_both(auto.as_ref(), &wrapped, 2)));
+    }
+}
 
 /// Floats weighted toward the representations codecs get wrong: both zeros,
 /// the subnormal range, the smallest/largest normals, and plain values.

@@ -31,6 +31,25 @@ change=$(cd "$2" && pwd)
 pairs=${3:-10}
 out=$(mktemp -d "${TMPDIR:-/tmp}/perf_pairs.XXXXXX")
 
+# Building a checkout can rewrite its perf_suite/Cargo.lock (the committed
+# lock may list a dependency the manifests no longer have), and that
+# directory is the benchmark's own: each side's lock is copied aside before
+# any build and put back when the script exits, however it exits.
+locks=()
+for dir in "$parent" "$change"; do
+    if [ -f "$dir/perf_suite/Cargo.lock" ]; then
+        cp "$dir/perf_suite/Cargo.lock" "$out/Cargo.lock.${#locks[@]}"
+        locks+=("$dir/perf_suite/Cargo.lock")
+    fi
+done
+restore_locks() {
+    local i
+    for i in "${!locks[@]}"; do
+        cp "$out/Cargo.lock.$i" "${locks[$i]}"
+    done
+}
+trap restore_locks EXIT
+
 # The benchmark's command, workloads and run length come from the change's
 # BENCHMARK.json; a pair means nothing if the parent declares another one.
 spec="$change/BENCHMARK.json"

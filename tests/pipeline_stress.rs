@@ -13,6 +13,7 @@ use mq_circuit::unitary::run_dense;
 use mq_compress::{Codec, CodecError, CodecSpec};
 use mq_device::{Device, DeviceError, DeviceSpec};
 use mq_num::metrics::max_amp_err;
+use mq_num::Complex64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -156,10 +157,19 @@ fn corruption_mid_stage_is_typed_and_leaves_the_executor_reusable() {
     assert!(max_amp_err(&want.unwrap(), &run_dense(&whole, 0)) < 1e-8);
 }
 
-/// FPC that panics on the `n`-th `compress` after `left` is set to `n`.
+/// FPC that panics on the `n`-th encode after `left` is set to `n`. It
+/// forwards the amplitude entries too, so the run takes the in-place path.
 struct PanickingCodec {
     inner: Box<dyn Codec>,
     left: AtomicIsize,
+}
+
+impl PanickingCodec {
+    fn count_down(&self) {
+        if self.left.fetch_sub(1, Ordering::SeqCst) == 1 {
+            panic!("injected codec panic");
+        }
+    }
 }
 
 impl Codec for PanickingCodec {
@@ -170,13 +180,18 @@ impl Codec for PanickingCodec {
         true
     }
     fn compress(&self, data: &[f64]) -> Vec<u8> {
-        if self.left.fetch_sub(1, Ordering::SeqCst) == 1 {
-            panic!("injected codec panic");
-        }
+        self.count_down();
         self.inner.compress(data)
     }
     fn decompress(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
         self.inner.decompress(bytes, out)
+    }
+    fn compress_amps(&self, amps: &[Complex64]) -> Vec<u8> {
+        self.count_down();
+        self.inner.compress_amps(amps)
+    }
+    fn decompress_amps(&self, bytes: &[u8], out: &mut [Complex64]) -> Result<(), CodecError> {
+        self.inner.decompress_amps(bytes, out)
     }
 }
 

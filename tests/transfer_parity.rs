@@ -13,11 +13,14 @@
 
 use memqsim_core::engine::hybrid;
 use memqsim_core::{
-    build_store, build_store_from_amplitudes, ChunkStore, MemQSimConfig, RunReport, TransferMode,
+    build_store, build_store_from_amplitudes, ChunkStore, CompressedTier, MemQSimConfig, RunReport,
+    TransferMode,
 };
 use mq_circuit::unitary::run_dense;
 use mq_circuit::{library, Circuit};
-use mq_compress::{compress_complex, decompress_complex, Codec, CodecSpec};
+use mq_compress::{
+    compress_complex, decompress_complex, Codec, CodecError, CodecSpec, PayloadMeta,
+};
 use mq_device::{Device, DeviceSpec, PinnedBuffer};
 use mq_num::Complex64;
 use proptest::prelude::*;
@@ -121,6 +124,88 @@ fn compressed_transfers_cut_traffic_without_changing_results() {
             > 0,
         "decode kernel time must land in the run telemetry"
     );
+}
+
+/// A wrapper that implements only the `f64` entries, as a tracing or
+/// counting wrapper around a library codec may: its amplitude entries are
+/// the trait's provided plane-buffer bodies.
+struct PlaneEntriesOnly(Box<dyn Codec>);
+
+impl Codec for PlaneEntriesOnly {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn is_lossless(&self) -> bool {
+        self.0.is_lossless()
+    }
+    fn error_bound(&self) -> Option<f64> {
+        self.0.error_bound()
+    }
+    fn compress(&self, data: &[f64]) -> Vec<u8> {
+        self.0.compress(data)
+    }
+    fn decompress(&self, bytes: &[u8], out: &mut [f64]) -> Result<(), CodecError> {
+        self.0.decompress(bytes, out)
+    }
+    fn payload_meta(&self, payload: &[u8]) -> Option<PayloadMeta> {
+        self.0.payload_meta(payload)
+    }
+}
+
+/// The wrapper's payloads are the library codec's, byte for byte: a store
+/// and a device stream take either one's payloads from the other.
+#[test]
+fn a_codec_with_only_the_f64_entries_is_interchangeable_with_the_library_codec() {
+    let (n_qubits, chunk_bits) = (7u32, 4u32);
+    let chunk = 1usize << chunk_bits;
+    let state = run_dense(&library::random_circuit(n_qubits, 3, 5), 0);
+    let mut sparse = vec![Complex64::ZERO; state.len()];
+    sparse[..chunk].copy_from_slice(&state[..chunk]);
+    let device = Device::new(DeviceSpec::tiny_test(1 << 10));
+    let stream = device.create_stream();
+    let buf = device.alloc(chunk).unwrap();
+    let download = PinnedBuffer::new(chunk);
+    for spec in [
+        CodecSpec::ZeroRle,
+        CodecSpec::Fpc,
+        CodecSpec::ShuffleLzss,
+        CodecSpec::Sz { eb: 1e-8 },
+        CodecSpec::Auto { eb: None },
+        CodecSpec::Auto { eb: Some(1e-9) },
+    ] {
+        let library: Arc<dyn Codec> = Arc::from(spec.build());
+        let wrapped: Arc<dyn Codec> = Arc::new(PlaneEntriesOnly(spec.build()));
+        for start in [&state, &sparse] {
+            let store = |codec: &Arc<dyn Codec>| {
+                CompressedTier::from_amplitudes(start, chunk_bits, Arc::clone(codec), None)
+                    .expect("store")
+            };
+            let (a, b) = (store(&library), store(&wrapped));
+            for i in 0..start.len() / chunk {
+                let amps = &start[i * chunk..(i + 1) * chunk];
+                let payload = compress_complex(library.as_ref(), amps);
+                assert_eq!(compress_complex(wrapped.as_ref(), amps), payload, "{spec}");
+                let (pa, pb) = (a.load_chunk_payload(i), b.load_chunk_payload(i));
+                let (pa, pb) = (pa.unwrap().unwrap(), pb.unwrap().unwrap());
+                assert_eq!(pa, pb, "{spec}: stored payloads differ");
+                assert!(a.store_chunk_payload(i, pb).unwrap());
+                assert!(b.store_chunk_payload(i, pa).unwrap());
+
+                // Decoded on the device by one, re-encoded there by the
+                // other: the host's payload and the host's amplitudes.
+                stream.decode_chunk(payload.clone(), &wrapped, buf, 0, chunk);
+                let encoded = stream.encode_chunk(buf, 0, chunk, &library);
+                stream.d2h(buf, 0, &download, 0, chunk);
+                stream.synchronize().unwrap();
+                let mut via_host = vec![Complex64::ZERO; chunk];
+                decompress_complex(library.as_ref(), &payload, &mut via_host).unwrap();
+                assert_eq!(download.to_vec(), via_host, "{spec}: decodes differ");
+                let reencoded = encoded.take().expect("the encode command ran");
+                assert_eq!(reencoded, compress_complex(wrapped.as_ref(), &via_host));
+            }
+            assert_eq!(a.to_dense().unwrap(), b.to_dense().unwrap(), "{spec}");
+        }
+    }
 }
 
 fn adversarial_f64() -> impl Strategy<Value = f64> {
