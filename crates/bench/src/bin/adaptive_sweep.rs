@@ -20,10 +20,11 @@
 //! Usage: `cargo run -p mq-bench --release --bin adaptive_sweep
 //!         [--qubits 12] [--target 0.999] [--check]`
 //!
-//! `--check` exits non-zero if any gate fails — the CI smoke gate.
+//! `--check` exits non-zero if any gate fails — the CI smoke gate — and
+//! leaves the committed results file as it is.
 
 use memqsim_core::{build_store, MemQSimConfig, Precision, RunReport, TransferMode};
-use mq_bench::{write_results_json, Args, Table};
+use mq_bench::{emit_sweep_json, Args, Table};
 use mq_circuit::{library, Circuit};
 use mq_compress::CodecSpec;
 use mq_device::{Device, DeviceSpec};
@@ -242,10 +243,7 @@ fn main() {
         failures.is_empty(),
         json_rows.join(",\n")
     );
-    match write_results_json("BENCH_adaptive", &json) {
-        Ok(path) => println!("Sweep written to {}.", path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    emit_sweep_json("BENCH_adaptive", &json, check);
 
     if failures.is_empty() {
         println!(

@@ -30,12 +30,13 @@
 //! Usage: `cargo run -p mq-bench --release --bin locality_sweep
 //!         [--qubits 16] [--check]`
 //!
-//! `--check` exits non-zero if any gate fails — the CI smoke gate.
+//! `--check` exits non-zero if any gate fails — the CI smoke gate — and
+//! leaves the committed results file as it is.
 
 use memqsim_core::engine::cpu::CpuWorkerExecutor;
 use memqsim_core::engine::{build_plan, Granularity};
 use memqsim_core::{build_store, run_plan_with_executor, MemQSimConfig, RunReport};
-use mq_bench::{fmt_secs, write_results_json, Args, Table};
+use mq_bench::{emit_sweep_json, fmt_secs, Args, Table};
 use mq_circuit::partition::{partition, PartitionConfig, Plan};
 use mq_circuit::schedule::schedule;
 use mq_circuit::{library, Circuit, Gate};
@@ -229,10 +230,7 @@ fn main() {
         cuts.join(", "),
         json_rows.join(",\n")
     );
-    match write_results_json("BENCH_locality", &json) {
-        Ok(path) => println!("Sweep written to {}.", path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    emit_sweep_json("BENCH_locality", &json, check);
 
     if failures.is_empty() {
         let cuts: Vec<String> = worst_cut

@@ -131,7 +131,7 @@ fn main() {
         max_high_qubits: 2,
         codec: CodecSpec::Sz {
             eb: if relative {
-                eb * f64::powi(2.0, -(n as i32) / 2)
+                eb * f64::powf(2.0, -(n as f64) / 2.0)
             } else {
                 eb
             },

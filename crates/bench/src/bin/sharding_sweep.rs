@@ -19,10 +19,11 @@
 //! Usage: `cargo run -p mq-bench --release --bin sharding_sweep
 //!         [--qubits 12] [--chunk-bits 6] [--check]`
 //!
-//! `--check` exits non-zero if any gate fails — the CI smoke gate.
+//! `--check` exits non-zero if any gate fails — the CI smoke gate — and
+//! leaves the committed results file as it is.
 
 use memqsim_core::{build_store, MemQSimConfig, RunReport};
-use mq_bench::{fmt_secs, write_results_json, Args, Table};
+use mq_bench::{emit_sweep_json, fmt_secs, Args, Table};
 use mq_circuit::{library, Circuit};
 use mq_compress::CodecSpec;
 use mq_device::{Device, DeviceSpec};
@@ -168,10 +169,7 @@ fn main() {
         failures.is_empty(),
         json_rows.join(",\n")
     );
-    match write_results_json("BENCH_sharding", &json) {
-        Ok(path) => println!("Sweep written to {}.", path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    emit_sweep_json("BENCH_sharding", &json, check);
 
     if failures.is_empty() {
         println!(

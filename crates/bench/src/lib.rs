@@ -26,7 +26,7 @@ pub mod report;
 pub mod table;
 pub mod workloads;
 
-pub use report::write_results_json;
+pub use report::{emit_sweep_json, write_results_json};
 pub use table::Table;
 
 /// Parses `--key value` style options from `std::env::args`, with defaults.

@@ -29,7 +29,13 @@
 //!   thread;
 //! * the **device** is the stream's worker thread, which belongs to
 //!   `mq-device`: one in-order stream per device, so upload, kernels and
-//!   download of a group are charged back to back on its modeled clock;
+//!   download of a group are charged back to back on its modeled clock.
+//!   The stream does each command's real work on the process-wide worker
+//!   team (`mq_num::parallel`), as a GPU does on its SMs: the gate sweep
+//!   with `cores()` members, each copy in one contiguous share per member.
+//!   Decode and encode never call the team, so it is the stream's alone;
+//!   a second stream (a fleet's, or another run's) that finds it busy runs
+//!   its shares on scoped threads;
 //! * **recompress** is one completer thread per device, started by
 //!   [`prepare`](ChunkExecutor::prepare) and joined by
 //!   [`finish`](ChunkExecutor::finish): it waits for a group's event,
@@ -48,7 +54,9 @@
 //! groups, in the driver's ascending-base-chunk order. Groups within a
 //! stage touch disjoint chunk sets, so fleet runs are bit-identical to
 //! single-device runs; only the modeled makespan (max over devices)
-//! shrinks. `cfg.workers` is not read here.
+//! shrinks. `cfg.workers` is not read here: decode and encode run on the
+//! caller's and the completer's threads, and the stream's work takes the
+//! whole team.
 //!
 //! The streaming skeleton (validation, plan, accounting, report) lives in
 //! [`exec::run_with_executor`](super::exec); this module contributes only
@@ -828,6 +836,66 @@ mod tests {
         run(&store, &c, &config, &dev, true).unwrap();
         let p = store.probability(marked as usize).unwrap();
         assert!(p > 0.9, "p = {p}");
+    }
+
+    /// 2^12-amp chunks in groups of up to 2^16 amps: the device's copies
+    /// and sweeps of a group of eight chunks or more (2^15 amps) split over
+    /// the team.
+    fn team_cfg(workers: usize) -> MemQSimConfig {
+        MemQSimConfig {
+            max_high_qubits: 4,
+            workers,
+            ..testkit::cfg(12, CodecSpec::Fpc)
+        }
+    }
+
+    fn team_circuits() -> Vec<mq_circuit::Circuit> {
+        vec![library::qft(16), library::random_circuit(16, 4, 7)]
+    }
+
+    fn hybrid_state(c: &mq_circuit::Circuit, config: &MemQSimConfig) -> Vec<Complex64> {
+        let store = testkit::zero_store(c.n_qubits(), 12, config);
+        let dev = Device::new(DeviceSpec::tiny_test(1 << 18));
+        run(&store, c, config, &dev, true).unwrap();
+        assert_eq!(dev.used_amps(), 0);
+        store.to_dense().unwrap()
+    }
+
+    fn cpu_state(c: &mq_circuit::Circuit, config: &MemQSimConfig) -> Vec<Complex64> {
+        let store = testkit::zero_store(c.n_qubits(), 12, config);
+        crate::engine::cpu::run(&store, c, config, Granularity::Staged).unwrap();
+        store.to_dense().unwrap()
+    }
+
+    #[test]
+    fn a_team_wide_device_matches_the_cpu_engine_bit_for_bit() {
+        for c in team_circuits() {
+            for workers in [1, 2] {
+                let config = team_cfg(workers);
+                assert!(
+                    hybrid_state(&c, &config) == cpu_state(&c, &config),
+                    "{} with {workers} workers",
+                    c.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn two_hybrid_runs_at_once_share_the_team_and_agree() {
+        // Two runs' streams call the team: whenever both do at once, one
+        // finds it busy and runs its shares on scoped threads. The scope
+        // joins both runs, each of which joins its completer and stream.
+        let config = team_cfg(2);
+        for c in team_circuits() {
+            let want = cpu_state(&c, &config);
+            let (a, b) = std::thread::scope(|s| {
+                let a = s.spawn(|| hybrid_state(&c, &config));
+                let b = s.spawn(|| hybrid_state(&c, &config));
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert!(a == want && b == want, "{}", c.name());
+        }
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //! alongside the real work it performs, so experiments report both a
 //! reproducible simulated clock and actual wall time.
 //!
+//! The emulated device computes with the host's cores, as a GPU computes
+//! with its SMs: a gate-list kernel sweeps on every member of the worker
+//! team ([`mq_num::parallel`]), and a copy moves its bytes in one
+//! contiguous share per member. Shares are disjoint, so which thread ran
+//! which cannot change a bit, and the modeled charge of a command does not
+//! depend on how its real work was split. A stream whose command finds the
+//! team serving someone else runs the same shares on scoped threads.
+//!
 //! Errors (stale buffer handles, range violations) are detected at
 //! execution time and are *sticky*: subsequent commands are skipped and the
 //! first error is returned from [`Stream::synchronize`].
@@ -17,7 +25,7 @@ use crate::model::DeviceSpec;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use mq_circuit::Gate;
 use mq_compress::{compress_complex, decompress_complex, Codec};
-use mq_num::Complex64;
+use mq_num::{parallel, Complex64};
 use mq_statevec::apply::{apply_all_tiled, SweepOp, DEFAULT_TILE_AMPS};
 use mq_telemetry::{Counter, Telemetry};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -600,7 +608,7 @@ fn execute(
                     buffer_len: host.len(),
                 });
             }
-            arena.storage[range].copy_from_slice(&host[src_off..src_off + len]);
+            team_copy(&mut arena.storage[range], &host[src_off..src_off + len]);
             let t = if per_element {
                 spec.per_element_copy_time(len, true)
             } else {
@@ -633,7 +641,7 @@ fn execute(
                     buffer_len: host.len(),
                 });
             }
-            host[dst_off..dst_off + len].copy_from_slice(&arena.storage[range]);
+            team_copy(&mut host[dst_off..dst_off + len], &arena.storage[range]);
             let t = if per_element {
                 spec.per_element_copy_time(len, false)
             } else {
@@ -724,7 +732,12 @@ fn execute(
             assert!(amps.is_power_of_two(), "kernel region must be 2^m amps");
             let mut arena = device.arena.lock();
             let range = arena.resolve(buf, 0, amps)?;
-            let applied = apply_all_tiled(&mut arena.storage[range], &ops, 1, DEFAULT_TILE_AMPS);
+            let applied = apply_all_tiled(
+                &mut arena.storage[range],
+                &ops,
+                parallel::cores(),
+                DEFAULT_TILE_AMPS,
+            );
             let t = spec.kernel_time(amps) * applied.gates as u32;
             stats.modeled += t;
             stats.modeled_kernel += t;
@@ -804,6 +817,25 @@ fn execute(
     }
 }
 
+/// Copies shorter than this (512 KiB) stay on the stream thread, as the
+/// gate sweeps of a shorter region do: a team dispatch costs a wake-up.
+const TEAM_COPY_AMPS: usize = 1 << 15;
+
+/// `dst.copy_from_slice(src)`, in one contiguous share per member of the
+/// worker team.
+fn team_copy(dst: &mut [Complex64], src: &[Complex64]) {
+    let members = parallel::cores();
+    if members == 1 || dst.len() < TEAM_COPY_AMPS {
+        dst.copy_from_slice(src);
+        return;
+    }
+    let per = dst.len().div_ceil(members);
+    parallel::run(
+        dst.chunks_mut(per).zip(src.chunks(per)).collect(),
+        |_, (d, s)| d.copy_from_slice(s),
+    );
+}
+
 fn ranges_overlap(a: &std::ops::Range<usize>, b: &std::ops::Range<usize>) -> bool {
     a.start < b.end && b.start < a.end
 }
@@ -819,23 +851,33 @@ mod tests {
 
     #[test]
     fn h2d_then_d2h_round_trips() {
-        let dev = tiny_device(1024);
-        let stream = dev.create_stream();
-        let buf = dev.alloc(256).unwrap();
-        let src = PinnedBuffer::from_slice(
-            &(0..256)
+        // 4 KiB, and 4 MiB at an offset into every buffer: the big copies
+        // split over the worker team, and each share must land where the
+        // one-thread copy would have put it.
+        for (len, src_off, dev_off, dst_off) in [(256, 0, 0, 0), (1usize << 18, 3, 16, 5)] {
+            let dev = tiny_device(len + dev_off);
+            let stream = dev.create_stream();
+            let buf = dev.alloc(len + dev_off).unwrap();
+            let amps: Vec<Complex64> = (0..len + src_off)
                 .map(|i| c64(i as f64, -(i as f64)))
-                .collect::<Vec<_>>(),
-        );
-        let dst = PinnedBuffer::new(256);
-        stream.h2d(&src, 0, buf, 0, 256);
-        stream.d2h(buf, 0, &dst, 0, 256);
-        let stats = stream.synchronize().unwrap();
-        assert_eq!(dst.to_vec(), src.to_vec());
-        assert_eq!(stats.commands, 2);
-        assert_eq!(stats.bytes_h2d, 256 * std::mem::size_of::<Complex64>());
-        assert_eq!(stats.bytes_d2h, 256 * std::mem::size_of::<Complex64>());
-        assert!(stats.modeled > Duration::ZERO);
+                .collect();
+            let src = PinnedBuffer::from_slice(&amps);
+            let dst = PinnedBuffer::new(len + dst_off);
+            stream.h2d(&src, src_off, buf, dev_off, len);
+            stream.d2h(buf, dev_off, &dst, dst_off, len);
+            let stats = stream.synchronize().unwrap();
+            assert!(dev.debug_read(buf).unwrap()[dev_off..] == amps[src_off..]);
+            let back = dst.to_vec();
+            assert!(back[dst_off..] == amps[src_off..], "{len} amps");
+            assert!(back[..dst_off].iter().all(|z| *z == Complex64::ZERO));
+            assert_eq!(stats.commands, 2);
+            let bytes = len * std::mem::size_of::<Complex64>();
+            assert_eq!((stats.bytes_h2d, stats.bytes_d2h), (bytes, bytes));
+            assert_eq!(
+                stats.modeled,
+                dev.spec().bulk_copy_time(len, true) + dev.spec().bulk_copy_time(len, false)
+            );
+        }
     }
 
     #[test]
@@ -939,31 +981,37 @@ mod tests {
     fn gate_list_matches_the_host_sweep_bit_for_bit() {
         // Same body as the CPU engine, so the same bits: a folded diagonal
         // run with a scalar in it and pairing gates on a region of a larger
-        // buffer.
-        let ops = vec![
-            SweepOp::Gate(Gate::H(2)),
-            SweepOp::Gate(Gate::Cp(0, 2, 0.3)),
-            SweepOp::Scalar(Complex64::cis(0.4)),
-            SweepOp::Gate(Gate::T(1)),
-            SweepOp::Gate(Gate::Cx(1, 0)),
-            SweepOp::Cut,
-            SweepOp::Gate(Gate::Rzz(0, 1, 0.7)),
-        ];
-        let amps: Vec<Complex64> = (0..8)
-            .map(|i| c64(0.1 * i as f64, 0.3 - i as f64))
-            .collect();
-        let mut want = amps.clone();
-        apply_all_tiled(&mut want, &ops, 1, DEFAULT_TILE_AMPS);
-        let dev = tiny_device(64);
-        let stream = dev.create_stream();
-        let buf = dev.alloc(16).unwrap();
-        let src = PinnedBuffer::from_slice(&amps);
-        stream.h2d(&src, 0, buf, 0, 8);
-        stream.run_gates_region(buf, 8, ops);
-        let out = PinnedBuffer::new(8);
-        stream.d2h(buf, 0, &out, 0, 8);
-        stream.synchronize().unwrap();
-        assert_eq!(out.to_vec(), want);
+        // buffer. At 2^16 amps (two tiles, past the length at which the
+        // device's sweep splits over the worker team) its members share the
+        // region, and the top qubit pairs across tiles: the whole-buffer
+        // split by halves.
+        for n in [3u32, 16] {
+            let top = n - 1;
+            let ops = vec![
+                SweepOp::Gate(Gate::H(top)),
+                SweepOp::Gate(Gate::Cp(0, top, 0.3)),
+                SweepOp::Scalar(Complex64::cis(0.4)),
+                SweepOp::Gate(Gate::T(1)),
+                SweepOp::Gate(Gate::Cx(1, 0)),
+                SweepOp::Cut,
+                SweepOp::Gate(Gate::Rzz(0, 1, 0.7)),
+            ];
+            let amps: Vec<Complex64> = (0..1usize << n)
+                .map(|i| c64(0.1 * (i % 97) as f64, 0.3 - (i % 31) as f64))
+                .collect();
+            let mut want = amps.clone();
+            apply_all_tiled(&mut want, &ops, 1, DEFAULT_TILE_AMPS);
+            let dev = tiny_device(1 << (n + 1));
+            let stream = dev.create_stream();
+            let buf = dev.alloc(1 << (n + 1)).unwrap();
+            let src = PinnedBuffer::from_slice(&amps);
+            stream.h2d(&src, 0, buf, 0, 1 << n);
+            stream.run_gates_region(buf, 1 << n, ops);
+            let out = PinnedBuffer::new(1 << n);
+            stream.d2h(buf, 0, &out, 0, 1 << n);
+            stream.synchronize().unwrap();
+            assert!(out.to_vec() == want, "2^{n} amps");
+        }
     }
 
     #[test]

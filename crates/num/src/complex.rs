@@ -63,10 +63,20 @@ impl Complex64 {
         self.re * self.re + self.im * self.im
     }
 
-    /// Magnitude `|z|`, computed with `hypot` for overflow safety.
+    /// Magnitude `|z|`: `sqrt(re^2 + im^2)` where that sum is a normal
+    /// number — within 1 ulp of `hypot`, at a fraction of libm's cost —
+    /// `0` for two zero parts, and `hypot` wherever squaring overflows,
+    /// underflows or meets an infinity or NaN.
     #[inline]
     pub fn norm(self) -> f64 {
-        self.re.hypot(self.im)
+        let sqr = self.norm_sqr();
+        if sqr.is_normal() {
+            sqr.sqrt()
+        } else if self.re == 0.0 && self.im == 0.0 {
+            0.0
+        } else {
+            self.re.hypot(self.im)
+        }
     }
 
     /// Argument (phase angle) in `(-pi, pi]`.
@@ -335,6 +345,66 @@ mod tests {
         assert_eq!(z.norm_sqr(), 25.0);
         assert_eq!(z.conj(), c64(3.0, -4.0));
         assert!((z * z.conj()).approx_eq(c64(25.0, 0.0), TOL));
+    }
+
+    /// Distance between two finite, same-signed floats in units in the
+    /// last place.
+    fn ulps(a: f64, b: f64) -> u64 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    #[test]
+    fn norm_matches_hypot_in_its_special_cases_and_within_an_ulp_elsewhere() {
+        let tiny = f64::MIN_POSITIVE;
+        let sub = f64::from_bits(1);
+        let parts = [
+            0.0,
+            -0.0,
+            1e-170,
+            -1e-170,
+            1e170,
+            -1e170,
+            sub,
+            -sub,
+            tiny / 3.0,
+            tiny,
+            1e-154,
+            0.3,
+            -1.0,
+            1e154,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for &re in &parts {
+            for &im in &parts {
+                let (got, want) = (c64(re, im).norm(), re.hypot(im));
+                let special = !(re * re + im * im).is_normal();
+                if want.is_nan() {
+                    assert!(got.is_nan(), "({re:e}, {im:e})");
+                } else if special {
+                    assert_eq!(got.to_bits(), want.to_bits(), "({re:e}, {im:e})");
+                } else {
+                    assert!(
+                        ulps(got, want) <= 1,
+                        "({re:e}, {im:e}): {got:e} vs {want:e}"
+                    );
+                }
+            }
+        }
+        // Amplitude-sized parts of every magnitude an engine meets.
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let unit = |bits: u64| (bits >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            let scale = f64::powi(2.0, (x % 64) as i32 - 48);
+            let z = c64(unit(x) * scale, unit(x.rotate_left(29)) * scale);
+            let want = z.re.hypot(z.im);
+            assert!(ulps(z.norm(), want) <= 1, "{z:?}");
+        }
     }
 
     #[test]
