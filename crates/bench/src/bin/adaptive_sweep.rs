@@ -24,7 +24,7 @@
 //! leaves the committed results file as it is.
 
 use memqsim_core::{build_store, MemQSimConfig, Precision, RunReport, TransferMode};
-use mq_bench::{emit_sweep_json, Args, Table};
+use mq_bench::{emit_results_json, Args, Table};
 use mq_circuit::{library, Circuit};
 use mq_compress::CodecSpec;
 use mq_device::{Device, DeviceSpec};
@@ -243,7 +243,7 @@ fn main() {
         failures.is_empty(),
         json_rows.join(",\n")
     );
-    emit_sweep_json("BENCH_adaptive", &json, check);
+    emit_results_json("BENCH_adaptive", &json, check);
 
     if failures.is_empty() {
         println!(

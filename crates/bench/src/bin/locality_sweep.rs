@@ -36,7 +36,7 @@
 use memqsim_core::engine::cpu::CpuWorkerExecutor;
 use memqsim_core::engine::{build_plan, Granularity};
 use memqsim_core::{build_store, run_plan_with_executor, MemQSimConfig, RunReport};
-use mq_bench::{emit_sweep_json, fmt_secs, Args, Table};
+use mq_bench::{emit_results_json, fmt_secs, Args, Table};
 use mq_circuit::partition::{partition, PartitionConfig, Plan};
 use mq_circuit::schedule::schedule;
 use mq_circuit::{library, Circuit, Gate};
@@ -230,7 +230,7 @@ fn main() {
         cuts.join(", "),
         json_rows.join(",\n")
     );
-    emit_sweep_json("BENCH_locality", &json, check);
+    emit_results_json("BENCH_locality", &json, check);
 
     if failures.is_empty() {
         let cuts: Vec<String> = worst_cut

@@ -33,6 +33,11 @@ use memqsim_core::{build_store, Granularity, MemQSimConfig};
 use mq_bench::{Args, Table};
 use mq_circuit::{library, Circuit};
 use mq_compress::CodecSpec;
+use mq_num::stats::Summary;
+
+/// Timings a side at the dense-max size: the runs take milliseconds, so one
+/// timing of each is mostly noise.
+const SLOWDOWN_REPS: usize = 5;
 
 struct Workload {
     name: &'static str,
@@ -96,6 +101,19 @@ fn memqsim_peak(circuit: &Circuit, cfg: &MemQSimConfig) -> (usize, std::time::Du
         report.peak_resident_bytes + report.peak_buffer_bytes,
         report.wall,
     )
+}
+
+/// Median dense and compressed wall times of `circuit`, in seconds, each
+/// side timed [`SLOWDOWN_REPS`] times, alternating.
+fn median_walls(circuit: &Circuit, cfg: &MemQSimConfig) -> (f64, f64) {
+    let (mut dense, mut compressed) = (Vec::new(), Vec::new());
+    for _ in 0..SLOWDOWN_REPS {
+        let t0 = std::time::Instant::now();
+        let _ = mq_statevec::run_circuit(circuit, &mq_statevec::CpuConfig::default());
+        dense.push(t0.elapsed().as_secs_f64());
+        compressed.push(memqsim_peak(circuit, cfg).1.as_secs_f64());
+    }
+    (Summary::of(&dense).median, Summary::of(&compressed).median)
 }
 
 fn main() {
@@ -169,11 +187,9 @@ fn main() {
         }
         // Slowdown check at the dense-max size: compressed wall / dense wall.
         let check_circuit = (w.build)(dense_max.min(w_cap));
-        let t0 = std::time::Instant::now();
-        let _ = mq_statevec::run_circuit(&check_circuit, &mq_statevec::CpuConfig::default());
-        let dense_wall = t0.elapsed();
-        let (_, comp_wall) = memqsim_peak(&check_circuit, &cfg_for(check_circuit.n_qubits()));
-        let slowdown = comp_wall.as_secs_f64() / dense_wall.as_secs_f64().max(1e-9);
+        let (dense_wall, comp_wall) =
+            median_walls(&check_circuit, &cfg_for(check_circuit.n_qubits()));
+        let slowdown = comp_wall / dense_wall.max(1e-9);
 
         let best_n = best.unwrap_or(0);
         let capped = best_n == w_cap;
@@ -192,6 +208,10 @@ fn main() {
         ]);
     }
     println!("{table}");
+    println!(
+        "slowdown = median compressed wall / median dense wall, {SLOWDOWN_REPS} timings a side, \
+         alternating."
+    );
 
     let mean = extensions.iter().sum::<f64>() / extensions.len() as f64;
     println!("\nMean extension: **{mean:+.1} qubits** (paper extrapolates ~+5 on average).");

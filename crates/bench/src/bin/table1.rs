@@ -5,10 +5,11 @@
 //! at 20 and 25 qubits, and checks the two derived claims (async ≈ 870x
 //! sync H2D; buffer ≈ 1.03x sync).
 //!
-//! Usage: `cargo run -p mq-bench --release --bin table1 [--fast]`
-//! (`--fast` restricts to 20 qubits to keep the run under a few seconds).
+//! Usage: `cargo run -p mq-bench --release --bin table1 [--fast] [--check]`
+//! (`--fast` restricts to 20 qubits to keep the run under a few seconds;
+//! `--check`, the CI smoke step, writes no results file).
 
-use mq_bench::{fmt_secs, write_results_json, Args, Table};
+use mq_bench::{emit_results_json, fmt_secs, Args, Table};
 use mq_compress::{Codec, CodecSpec};
 use mq_device::{
     run_compressed_transfer_experiment, run_transfer_experiment, Device, DeviceSpec,
@@ -239,10 +240,8 @@ fn main() {
         ok && counters_ok && ordering_ok,
         comp_entries.join(",\n")
     );
-    match write_results_json("telemetry_table1", &json) {
-        Ok(path) => println!("\nTelemetry written to {}.", path.display()),
-        Err(e) => eprintln!("\ncould not write results JSON: {e}"),
-    }
+    println!();
+    emit_results_json("telemetry_table1", &json, args.has("check"));
 
     println!(
         "\nShape {}",

@@ -26,7 +26,7 @@
 //! leaves the committed results file as it is.
 
 use memqsim_core::{build_store, MemQSimConfig, RunReport, TransferMode};
-use mq_bench::{emit_sweep_json, fmt_secs, Args, Table};
+use mq_bench::{emit_results_json, fmt_secs, Args, Table};
 use mq_circuit::{library, Circuit};
 use mq_compress::CodecSpec;
 use mq_device::{Device, DeviceSpec};
@@ -170,7 +170,7 @@ fn main() {
         failures.is_empty(),
         json_rows.join(",\n")
     );
-    emit_sweep_json("BENCH_transfer", &json, check);
+    emit_results_json("BENCH_transfer", &json, check);
 
     if failures.is_empty() {
         println!(

@@ -16,7 +16,6 @@
 //! | `fidelity_sweep`      | lossy error → result quality (A4) |
 //! | `transfer_sweep`      | compressed H2D transfers (A5) |
 //! | `adaptive_sweep`      | per-chunk codec selection under a fidelity budget (A6) |
-//! | `sharding_sweep`      | multi-device fleet parity and modeled makespan (D1) |
 //! | `locality_sweep`      | the circuit as written vs the shipped plan (L1) |
 //!
 //! This library provides markdown table rendering, mid-circuit state
@@ -26,7 +25,7 @@ pub mod report;
 pub mod table;
 pub mod workloads;
 
-pub use report::{emit_sweep_json, write_results_json};
+pub use report::{emit_results_json, write_results_json};
 pub use table::Table;
 
 /// Parses `--key value` style options from `std::env::args`, with defaults.

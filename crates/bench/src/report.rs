@@ -20,16 +20,16 @@ pub fn write_results_json(name: &str, json: &str) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// A sweep's `results/<name>.json`: written (and its path printed) on a
+/// A bin's `results/<name>.json`: written (and its path printed) on a
 /// full run; under `--check`, a smoke run that must leave the committed
 /// `results/` as it found it, not written.
-pub fn emit_sweep_json(name: &str, json: &str, check: bool) {
+pub fn emit_results_json(name: &str, json: &str, check: bool) {
     if check {
         println!("--check: results/{name}.json left as it is.");
         return;
     }
     match write_results_json(name, json) {
-        Ok(path) => println!("Sweep written to {}.", path.display()),
+        Ok(path) => println!("Results written to {}.", path.display()),
         Err(e) => eprintln!("could not write results JSON: {e}"),
     }
 }

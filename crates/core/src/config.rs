@@ -54,8 +54,8 @@ pub struct MemQSimConfig {
     /// count there is; the default is the host's core count
     /// ([`mq_num::parallel::cores`]). The hybrid engine does not read it:
     /// its host side is the caller's thread (decode and issue) and one
-    /// completer thread per device, plus one stream worker per device whose
-    /// kernels and copies take the whole team.
+    /// completer thread, plus the device's stream worker, whose kernels and
+    /// copies take the whole team.
     pub workers: usize,
     /// Which base storage tier holds the chunks (compressed, dense, or
     /// disk-spill).

@@ -120,9 +120,6 @@ impl ExecContext {
 pub struct GroupWork {
     /// Stage index within the plan (telemetry stage id).
     pub stage: u32,
-    /// The group's position in the driver's visit order for this stage,
-    /// which is ascending base chunk.
-    pub seq: usize,
     /// The co-resident chunk indices of this group.
     pub chunks: Vec<usize>,
 }
@@ -144,13 +141,8 @@ pub struct ExecutorStats {
     pub pinned_bytes: usize,
     /// Device working-buffer bytes held for the run.
     pub device_buffer_bytes: usize,
-    /// Device-side stream accounting. For an N-device fleet this is the
-    /// aggregate: `modeled` is the makespan (max over devices), every
-    /// other field sums. Zero when no device was involved.
+    /// Device-side stream accounting. Zero when no device was involved.
     pub device: StreamStats,
-    /// Per-device stream accounting, one entry per fleet device (empty
-    /// when no device was involved).
-    pub per_device: Vec<StreamStats>,
 }
 
 /// A pluggable compute path for the chunk-streaming driver.
@@ -562,12 +554,8 @@ pub fn run_plan_with_executor(
                     run_err = Some(e);
                     break;
                 }
-                for (seq, chunks) in groups.into_iter().enumerate() {
-                    let group = GroupWork {
-                        stage: si,
-                        seq,
-                        chunks,
-                    };
+                for chunks in groups {
+                    let group = GroupWork { stage: si, chunks };
                     if let Err(e) = executor.submit(&ctx, group) {
                         run_err = Some(e);
                         break 'stages;
@@ -640,7 +628,6 @@ pub fn run_plan_with_executor(
         cpu_apply,
         compress,
         device: stats.device,
-        per_device: stats.per_device,
         stages: plan.stages.len(),
         chunk_visits,
         chunk_visits_elided,
@@ -915,7 +902,6 @@ mod tests {
                 Some(group.stage),
                 "submit outside stage"
             );
-            assert_eq!(group.seq, self.submitted, "submissions arrive in order");
             self.submitted += 1;
             self.groups_seen += 1;
             let mut buf = vec![Complex64::ZERO; ctx.chunk_amps()];

@@ -13,7 +13,7 @@
 //!   pipeline (Fig. 2): CPU decompression, pinned staging buffers, H2D,
 //!   device gate kernels, D2H, CPU recompression — one lane shape: two
 //!   in-flight staging slots, one in-order stream and one recompressor
-//!   thread per device, every group of a stage to the fleet.
+//!   thread, every group of a stage to the one device.
 //! * [`report`] — the unified [`RunReport`] every run produces.
 
 pub mod cpu;

@@ -37,13 +37,8 @@ pub struct RunReport {
     /// Time in chunk recompression, summed the same way.
     pub compress: Duration,
     /// Device-side accounting (modeled H2D/kernel/D2H and real time);
-    /// all-zero for executors that never touch a device. For an N-device
-    /// fleet this is the aggregate: `modeled` is the makespan (max over
-    /// devices), every other field sums across [`per_device`](Self::per_device).
+    /// all-zero for executors that never touch a device.
     pub device: StreamStats,
-    /// Per-device stream accounting, one entry per fleet device (empty for
-    /// executors that never touch a device).
-    pub per_device: Vec<StreamStats>,
     /// Number of stages executed.
     pub stages: usize,
     /// Chunk visits performed: every chunk a stage or remap loaded (as
@@ -75,7 +70,7 @@ pub struct RunReport {
     pub groups_device: usize,
     /// Chunk groups the CPU executor's workers took, including those
     /// dropped after loading as all zero. The device pipeline sends every
-    /// group to its fleet and reports 0 here.
+    /// group to its device and reports 0 here.
     pub groups_cpu: usize,
     /// Peak bytes the stored state occupied in CPU memory during the run
     /// ([`ChunkStore::peak_state_bytes`](crate::store::ChunkStore::peak_state_bytes)):

@@ -20,7 +20,7 @@
 //!   decisions or global scalars).
 //! * [`engine::cpu`] — compressed execution on CPU "idle cores";
 //!   [`engine::hybrid`] — the full six-step pipeline against the simulated
-//!   device fleet; per-gate granularity baseline for the Wu et al. ablation.
+//!   device; per-gate granularity baseline for the Wu et al. ablation.
 //!   Fig. 1's "independent of algorithm and backend" is two seams, the
 //!   [`ChunkStore`] and the [`ChunkExecutor`]; every run returns one
 //!   [`RunReport`].
@@ -58,7 +58,7 @@ pub use engine::{
     ExecutorStats, Granularity, GroupWork, RunReport, SerialAdapter,
 };
 pub use mq_compress::Precision;
-pub use mq_telemetry::{Counter, DeviceLane, Role, RunTelemetry, SpanRecord, Telemetry};
+pub use mq_telemetry::{Counter, Role, RunTelemetry, SpanRecord, Telemetry};
 pub use store::{
     build_store, build_store_from_amplitudes, ChunkStore, CompressedTier, DenseStore,
     StoreCounters, TelemetryTier,
@@ -128,14 +128,14 @@ impl MemQSim {
     }
 
     /// Simulates `circuit` through the full hybrid CPU/device pipeline on
-    /// `devices` (one or more; the report carries one lane per device).
+    /// `device`.
     pub fn simulate_hybrid(
         &self,
         circuit: &Circuit,
-        devices: &[Device],
+        device: &Device,
     ) -> Result<SimOutcome, EngineError> {
         let store = build_store(circuit.n_qubits(), &self.cfg)?;
-        let report = engine::hybrid::run_fleet(&store, circuit, &self.cfg, devices, true)?;
+        let report = engine::hybrid::run(&store, circuit, &self.cfg, device, true)?;
         Ok(SimOutcome::new(store, report))
     }
 }
@@ -184,13 +184,11 @@ mod tests {
             chunk_bits: 3,
             ..Default::default()
         });
-        let fleet: Vec<Device> = (0..2)
-            .map(|_| Device::new(mq_device::DeviceSpec::tiny_test(1 << 10)))
-            .collect();
-        let out = sim.simulate_hybrid(&library::ghz(7), &fleet).unwrap();
+        let device = Device::new(mq_device::DeviceSpec::tiny_test(1 << 10));
+        let out = sim.simulate_hybrid(&library::ghz(7), &device).unwrap();
         assert!((out.probability(0).unwrap() - 0.5).abs() < 1e-6);
         assert!(out.report.groups_device > 0);
-        assert_eq!(out.report.per_device.len(), 2);
+        assert_eq!(device.used_amps(), 0);
         assert!(out.report.device.modeled > std::time::Duration::ZERO);
     }
 }

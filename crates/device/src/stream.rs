@@ -13,7 +13,9 @@
 //! contiguous share per member. Shares are disjoint, so which thread ran
 //! which cannot change a bit, and the modeled charge of a command does not
 //! depend on how its real work was split. A stream whose command finds the
-//! team serving someone else runs the same shares on scoped threads.
+//! team serving someone else runs the same shares on scoped threads. An
+//! idle stream thread polls for its next command a little before it
+//! parks, so a group's commands start as soon as they are issued.
 //!
 //! Errors (stale buffer handles, range violations) are detected at
 //! execution time and are *sticky*: subsequent commands are skipped and the
@@ -22,12 +24,12 @@
 use crate::error::DeviceError;
 use crate::memory::{Arena, DeviceBuffer, PinnedBuffer};
 use crate::model::DeviceSpec;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvError, RecvTimeoutError, Sender};
 use mq_circuit::Gate;
 use mq_compress::{compress_complex, decompress_complex, Codec};
 use mq_num::{parallel, Complex64};
 use mq_statevec::apply::{apply_all_tiled, SweepOp, DEFAULT_TILE_AMPS};
-use mq_telemetry::{Counter, Telemetry};
+use mq_telemetry::{Counter, Role, Telemetry};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,7 +73,8 @@ impl Device {
     /// Attaches a telemetry handle: until [`Self::detach_telemetry`] is
     /// called, every command executed on any of this
     /// device's streams contributes to the run's `bytes_h2d` / `bytes_d2h` /
-    /// `kernel_launches` / `scatter_ops` counters.
+    /// `kernel_launches` / `scatter_ops` counters and is recorded as a
+    /// [`Role::Device`] span.
     pub fn attach_telemetry(&self, telemetry: Telemetry) {
         *self.inner.telemetry.write() = Some(telemetry);
     }
@@ -550,7 +553,7 @@ fn stream_worker(device: Arc<DeviceInner>, rx: Receiver<Command>) {
     let mut stats = StreamStats::default();
     let mut error: Option<DeviceError> = None;
     let spec = device.spec.clone();
-    while let Ok(cmd) = rx.recv() {
+    while let Ok(cmd) = next_command(&rx) {
         match cmd {
             Command::Sync(reply) => {
                 let _ = reply.send(match &error {
@@ -571,9 +574,16 @@ fn stream_worker(device: Arc<DeviceInner>, rx: Receiver<Command>) {
                 if error.is_some() {
                     continue; // sticky error: skip the rest
                 }
+                // The attached run sees each command as a device span.
+                let span = device
+                    .telemetry
+                    .read()
+                    .as_ref()
+                    .map(|t| t.span(Role::Device));
                 let start = Instant::now();
                 let result = execute(&device, &spec, cmd, &mut stats);
                 stats.real += start.elapsed();
+                drop(span);
                 stats.commands += 1;
                 if let Err(e) = result {
                     error = Some(e);
@@ -581,6 +591,28 @@ fn stream_worker(device: Arc<DeviceInner>, rx: Receiver<Command>) {
             }
         }
     }
+}
+
+/// How long an idle stream thread polls for its next command before it
+/// parks. Waking a parked stream thread on a 2-vCPU host took longer than
+/// the host's decode of the next group, so a group's commands ran only once
+/// the host blocked, and a pipelined run showed no decode beside device
+/// work (F2 failed 19 of 20 runs). A GPU is ready when a command arrives;
+/// polling keeps the emulated one so, and yields the core to anything
+/// runnable meanwhile.
+const IDLE_POLL: Duration = Duration::from_micros(100);
+
+/// The stream's next command: polled for [`IDLE_POLL`], then waited for.
+fn next_command(rx: &Receiver<Command>) -> Result<Command, RecvError> {
+    let start = Instant::now();
+    while start.elapsed() < IDLE_POLL {
+        match rx.recv_timeout(Duration::ZERO) {
+            Ok(cmd) => return Ok(cmd),
+            Err(RecvTimeoutError::Disconnected) => return Err(RecvError),
+            Err(RecvTimeoutError::Timeout) => std::thread::yield_now(),
+        }
+    }
+    rx.recv()
 }
 
 fn execute(

@@ -28,8 +28,9 @@ use std::time::{Duration, Instant};
 /// Which pipeline role was busy during a span.
 ///
 /// These mirror the paper's pipeline stations: the chunk decompressor,
-/// the device command issuer, the recompressor, and the "idle core" CPU
-/// apply path that absorbs a share of stages while the device works.
+/// the device command issuer, the recompressor, the CPU apply path, and the
+/// device itself. The first four are host roles; the device's spans are
+/// its commands, executed on its stream's thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Role {
     /// Decompressing chunks out of the compressed store.
@@ -40,11 +41,25 @@ pub enum Role {
     Recompress,
     /// Applying gates on the CPU (dense baseline or idle-core share).
     CpuApply,
+    /// The device executing one stream command (a copy, a kernel).
+    Device,
 }
 
 impl Role {
     /// Every role, in display order.
-    pub const ALL: [Role; 4] = [
+    pub const ALL: [Role; 5] = [
+        Role::Decompress,
+        Role::DeviceIssue,
+        Role::Recompress,
+        Role::CpuApply,
+        Role::Device,
+    ];
+
+    /// The host roles: what [`RunTelemetry::serial_sum`],
+    /// [`RunTelemetry::union_busy`] and [`RunTelemetry::has_role_overlap`]
+    /// range over. A device command runs while the host still issues the
+    /// next, so counting it there would make even a serial run overlap.
+    pub const HOST: [Role; 4] = [
         Role::Decompress,
         Role::DeviceIssue,
         Role::Recompress,
@@ -58,6 +73,7 @@ impl Role {
             Role::DeviceIssue => "device_issue",
             Role::Recompress => "recompress",
             Role::CpuApply => "cpu_apply",
+            Role::Device => "device",
         }
     }
 
@@ -67,6 +83,7 @@ impl Role {
             Role::DeviceIssue => 1,
             Role::Recompress => 2,
             Role::CpuApply => 3,
+            Role::Device => 4,
         }
     }
 }
@@ -208,29 +225,6 @@ impl Counter {
 
 const NUM_COUNTERS: usize = Counter::ALL.len();
 
-/// Per-device accounting lane for an N-device fleet run.
-///
-/// One lane per device in the fleet, recorded by the executor when it
-/// gathers per-device stream stats at the end of a run. Lanes make the
-/// fleet's balance observable: the makespan is the max `modeled_ns` over
-/// lanes, and [`RunTelemetry::load_imbalance`] summarizes how far the
-/// group split strayed from an even one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeviceLane {
-    /// Device index within the fleet.
-    pub device: usize,
-    /// Chunk groups this device executed.
-    pub groups: u64,
-    /// Bytes copied host-to-device on this device's streams.
-    pub bytes_h2d: u64,
-    /// Bytes copied device-to-host on this device's streams.
-    pub bytes_d2h: u64,
-    /// Modeled nanoseconds in gate kernels on this device.
-    pub kernel_time_ns: u64,
-    /// This device's total modeled stream time (its lane of the makespan).
-    pub modeled_ns: u64,
-}
-
 /// Per-stage error-budget accounting for runs under a fidelity budget.
 ///
 /// One entry per pipeline stage, recorded by the engine driver: the
@@ -277,7 +271,6 @@ struct Inner {
     epoch: Instant,
     counters: [AtomicU64; NUM_COUNTERS],
     spans: Mutex<Vec<SpanRecord>>,
-    device_lanes: Mutex<Vec<DeviceLane>>,
     error_spend: Mutex<Vec<StageErrorSpend>>,
     opened: AtomicU64,
     closed: AtomicU64,
@@ -317,7 +310,6 @@ impl Telemetry {
                 epoch: Instant::now(),
                 counters: [const { AtomicU64::new(0) }; NUM_COUNTERS],
                 spans: Mutex::new(Vec::new()),
-                device_lanes: Mutex::new(Vec::new()),
                 error_spend: Mutex::new(Vec::new()),
                 opened: AtomicU64::new(0),
                 closed: AtomicU64::new(0),
@@ -362,17 +354,6 @@ impl Telemetry {
         self.inner.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Records the run's per-device lanes (replacing any previous set).
-    /// Called by fleet executors when they gather per-device stats, before
-    /// the run snapshot is taken.
-    pub fn set_device_lanes(&self, lanes: Vec<DeviceLane>) {
-        *self
-            .inner
-            .device_lanes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = lanes;
-    }
-
     /// Records the run's per-stage error-budget spend (replacing any
     /// previous set). Called by the engine driver after the stage loop,
     /// before the run snapshot is taken.
@@ -405,12 +386,6 @@ impl Telemetry {
             wall: Duration::from_nanos(self.now_ns()),
             counters,
             spans,
-            device_lanes: self
-                .inner
-                .device_lanes
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone(),
             error_spend: self
                 .inner
                 .error_spend
@@ -455,7 +430,6 @@ pub struct RunTelemetry {
     pub wall: Duration,
     counters: [u64; NUM_COUNTERS],
     spans: Vec<SpanRecord>,
-    device_lanes: Vec<DeviceLane>,
     error_spend: Vec<StageErrorSpend>,
     /// Spans opened over the run's lifetime.
     pub spans_opened: u64,
@@ -474,11 +448,6 @@ impl RunTelemetry {
         self.counters[counter.index()]
     }
 
-    /// Per-device accounting lanes (empty for runs without a device fleet).
-    pub fn device_lanes(&self) -> &[DeviceLane] {
-        &self.device_lanes
-    }
-
     /// Per-stage error-budget ledger (empty for runs without a fidelity
     /// budget).
     pub fn error_spend(&self) -> &[StageErrorSpend] {
@@ -489,26 +458,6 @@ impl RunTelemetry {
     /// `spent`); 0.0 when no budget was tracked.
     pub fn total_error_spent(&self) -> f64 {
         self.error_spend.iter().map(|s| s.spent).sum()
-    }
-
-    /// Fleet load-imbalance ratio: max per-device modeled time over the
-    /// mean. 1.0 is a perfectly balanced fleet; returns 1.0 for runs with
-    /// at most one lane or no modeled device time at all.
-    pub fn load_imbalance(&self) -> f64 {
-        if self.device_lanes.len() <= 1 {
-            return 1.0;
-        }
-        let max = self
-            .device_lanes
-            .iter()
-            .map(|l| l.modeled_ns)
-            .max()
-            .unwrap_or(0);
-        let sum: u64 = self.device_lanes.iter().map(|l| l.modeled_ns).sum();
-        if sum == 0 {
-            return 1.0;
-        }
-        max as f64 * self.device_lanes.len() as f64 / sum as f64
     }
 
     /// True when every opened span was closed before the snapshot.
@@ -525,21 +474,26 @@ impl RunTelemetry {
             .sum()
     }
 
-    /// Sum of per-role busy times — the cost of running every role
-    /// back-to-back with no pipelining.
+    /// Sum of per-role busy times of the [host roles](Role::HOST) — the
+    /// cost of running every host role back-to-back with no pipelining.
     pub fn serial_sum(&self) -> Duration {
-        Role::ALL.iter().map(|&r| self.busy(r)).sum()
+        Role::HOST.iter().map(|&r| self.busy(r)).sum()
     }
 
-    /// Length of the union of all busy intervals — wall time during which
-    /// *at least one* role was busy. With pipelining this is strictly
-    /// smaller than [`serial_sum`](Self::serial_sum); without it the two
-    /// agree (up to span bookkeeping gaps).
+    /// The spans of the [host roles](Role::HOST), in start order.
+    fn host_spans(&self) -> impl Iterator<Item = &SpanRecord> {
+        self.spans.iter().filter(|s| s.role != Role::Device)
+    }
+
+    /// Length of the union of the host roles' busy intervals — wall time
+    /// during which *at least one* host role was busy. With pipelining this
+    /// is strictly smaller than [`serial_sum`](Self::serial_sum); without it
+    /// the two agree (up to span bookkeeping gaps).
     pub fn union_busy(&self) -> Duration {
         let mut total = 0u64;
         let mut cur: Option<(u64, u64)> = None;
         // Spans are sorted by start time.
-        for s in &self.spans {
+        for s in self.host_spans() {
             match cur {
                 None => cur = Some((s.start_ns, s.end_ns)),
                 Some((lo, hi)) => {
@@ -564,12 +518,12 @@ impl RunTelemetry {
         self.serial_sum().saturating_sub(self.union_busy())
     }
 
-    /// True when any two spans of *different* roles overlap in time —
-    /// the direct witness of pipelined execution.
+    /// True when any two spans of *different* host roles overlap in time —
+    /// host work pipelined against host work.
     pub fn has_role_overlap(&self) -> bool {
         // O(n·roles): track the running max end per role; spans sorted by start.
-        let mut max_end = [0u64; Role::ALL.len()];
-        for s in &self.spans {
+        let mut max_end = [0u64; Role::HOST.len()];
+        for s in self.host_spans() {
             for (i, &end) in max_end.iter().enumerate() {
                 if i != s.role.index() && end > s.start_ns {
                     return true;
@@ -577,6 +531,30 @@ impl RunTelemetry {
             }
             let slot = &mut max_end[s.role.index()];
             *slot = (*slot).max(s.end_ns);
+        }
+        false
+    }
+
+    /// True when some span of role `a` overlaps some span of role `b` in
+    /// time. `roles_overlap(Role::Decompress, Role::Device)` is the overlap
+    /// Fig. 2 draws: the host decodes one group while the device works on
+    /// the one before.
+    pub fn roles_overlap(&self, a: Role, b: Role) -> bool {
+        // Spans are sorted by start: a span overlaps an earlier one of the
+        // other role exactly when it starts before that one's running max end.
+        let (mut end_a, mut end_b) = (0u64, 0u64);
+        for s in &self.spans {
+            if s.role == a {
+                if end_b > s.start_ns {
+                    return true;
+                }
+                end_a = end_a.max(s.end_ns);
+            } else if s.role == b {
+                if end_a > s.start_ns {
+                    return true;
+                }
+                end_b = end_b.max(s.end_ns);
+            }
         }
         false
     }
@@ -621,23 +599,6 @@ impl RunTelemetry {
             self.overlap().as_nanos(),
             self.has_role_overlap()
         ));
-        if !self.device_lanes.is_empty() {
-            out.push_str(",\n  \"devices\": [");
-            for (i, l) in self.device_lanes.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"device\": {}, \"groups\": {}, \"bytes_h2d\": {}, \
-                     \"bytes_d2h\": {}, \"kernel_time_ns\": {}, \"modeled_ns\": {}}}",
-                    l.device, l.groups, l.bytes_h2d, l.bytes_d2h, l.kernel_time_ns, l.modeled_ns
-                ));
-            }
-            out.push_str(&format!(
-                "],\n  \"load_imbalance\": {:.4}",
-                self.load_imbalance()
-            ));
-        }
         if !self.error_spend.is_empty() {
             out.push_str(",\n  \"error_spend\": [");
             for (i, s) in self.error_spend.iter().enumerate() {
@@ -768,47 +729,28 @@ mod tests {
     }
 
     #[test]
-    fn device_lanes_round_trip_and_score_imbalance() {
+    fn device_spans_stay_out_of_the_host_overlap() {
+        // A device command running under the issuing host span is the
+        // device working, not host roles pipelined against each other.
         let t = Telemetry::new();
-        // No lanes: neutral imbalance, no JSON section.
-        assert_eq!(t.finish().load_imbalance(), 1.0);
-        assert!(!t.finish().to_json(false).contains("\"devices\""));
-
-        t.set_device_lanes(vec![
-            DeviceLane {
-                device: 0,
-                groups: 3,
-                bytes_h2d: 100,
-                bytes_d2h: 50,
-                kernel_time_ns: 10,
-                modeled_ns: 300,
-            },
-            DeviceLane {
-                device: 1,
-                groups: 1,
-                bytes_h2d: 40,
-                bytes_d2h: 20,
-                kernel_time_ns: 4,
-                modeled_ns: 100,
-            },
-        ]);
+        let t2 = t.clone();
+        let issue = t.span(Role::DeviceIssue);
+        let device = thread::spawn(move || {
+            t2.timed(Role::Device, || thread::sleep(Duration::from_millis(5)))
+        });
+        device.join().unwrap();
+        drop(issue);
+        t.timed(Role::Decompress, || thread::sleep(Duration::from_millis(1)));
         let run = t.finish();
-        assert_eq!(run.device_lanes().len(), 2);
-        assert_eq!(run.device_lanes()[1].bytes_h2d, 40);
-        // max 300, mean 200 -> 1.5.
-        assert!((run.load_imbalance() - 1.5).abs() < 1e-12);
-        let json = run.to_json(false);
-        assert!(json.contains("\"devices\""), "{json}");
-        assert!(json.contains("\"load_imbalance\": 1.5000"), "{json}");
-        assert!(json.contains("\"modeled_ns\": 300"), "{json}");
-
-        // A single lane is balanced by definition.
-        let t = Telemetry::new();
-        t.set_device_lanes(vec![DeviceLane {
-            modeled_ns: 42,
-            ..DeviceLane::default()
-        }]);
-        assert_eq!(t.finish().load_imbalance(), 1.0);
+        assert!(run.balanced());
+        assert!(!run.has_role_overlap());
+        assert_eq!(run.overlap(), Duration::ZERO);
+        assert_eq!(run.serial_sum(), run.union_busy());
+        assert!(run.roles_overlap(Role::DeviceIssue, Role::Device));
+        assert!(run.roles_overlap(Role::Device, Role::DeviceIssue));
+        assert!(!run.roles_overlap(Role::Decompress, Role::Device));
+        assert!(run.busy(Role::Device) >= Duration::from_millis(5));
+        assert!(run.to_json(false).contains("\"device\": {\"busy_ns\""));
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn main() {
     let compressed = sim.simulate(&circuit).expect("compressed run failed");
     let device = Device::new(DeviceSpec::pcie_gen3());
     let hybrid = sim
-        .simulate_hybrid(&circuit, std::slice::from_ref(&device))
+        .simulate_hybrid(&circuit, &device)
         .expect("hybrid run failed");
 
     let dense_cut = expected_cut(&dense, &edges);

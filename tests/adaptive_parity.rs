@@ -102,54 +102,6 @@ fn lossless_auto_matches_every_static_codec() {
     }
 }
 
-/// On a device fleet the aggregate stream accounting must equal the sum of
-/// the per-device lanes, and sharded Auto stays bit-identical to one device.
-#[test]
-fn auto_fleet_accounting_sums_per_device() {
-    let circuit = library::qft(7);
-    let spec = CodecSpec::Auto { eb: None };
-    let cfg = config(spec);
-    let single = {
-        let store = build_store(7, &cfg).expect("store");
-        let device = Device::new(DeviceSpec::tiny_test(1 << 12));
-        hybrid::run(&store, &circuit, &cfg, &device, true).expect("run");
-        store.to_dense().expect("dense")
-    };
-    for devices in [2usize, 4] {
-        let store = build_store(7, &cfg).expect("store");
-        let fleet: Vec<Device> = (0..devices)
-            .map(|_| Device::new(DeviceSpec::tiny_test(1 << 12)))
-            .collect();
-        let r = hybrid::run_fleet(&store, &circuit, &cfg, &fleet, true).expect("run");
-        assert_eq!(single, store.to_dense().expect("dense"), "x{devices}");
-        assert_eq!(r.per_device.len(), devices, "x{devices}");
-        for (field, total, per) in [
-            (
-                "bytes_h2d",
-                r.device.bytes_h2d,
-                r.per_device.iter().map(|d| d.bytes_h2d).sum::<usize>(),
-            ),
-            (
-                "bytes_d2h",
-                r.device.bytes_d2h,
-                r.per_device.iter().map(|d| d.bytes_d2h).sum(),
-            ),
-            (
-                "bytes_h2d_compressed",
-                r.device.bytes_h2d_compressed,
-                r.per_device.iter().map(|d| d.bytes_h2d_compressed).sum(),
-            ),
-            (
-                "bytes_d2h_compressed",
-                r.device.bytes_d2h_compressed,
-                r.per_device.iter().map(|d| d.bytes_d2h_compressed).sum(),
-            ),
-        ] {
-            assert_eq!(total, per, "{field} aggregate != per-device sum x{devices}");
-        }
-    }
-}
-
 /// A fidelity budget turns into a per-stage error ledger that sums within
 /// the run-level allowance, and the end state actually meets the target
 /// against the lossless reference.

@@ -31,15 +31,14 @@ use proptest::prelude::*;
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Exec {
     Cpu,
-    /// The device pipeline over this many devices.
-    Fleet(usize, TransferMode),
+    /// The device pipeline, with chunks crossing the link this way.
+    Device(TransferMode),
 }
 
-const EXECUTORS: [Exec; 4] = [
+const EXECUTORS: [Exec; 3] = [
     Exec::Cpu,
-    Exec::Fleet(1, TransferMode::Raw),
-    Exec::Fleet(4, TransferMode::Raw),
-    Exec::Fleet(1, TransferMode::Compressed),
+    Exec::Device(TransferMode::Raw),
+    Exec::Device(TransferMode::Compressed),
 ];
 
 fn config(chunk_bits: u32) -> MemQSimConfig {
@@ -76,7 +75,7 @@ type Run = (Vec<Complex64>, RunReport);
 
 /// Runs `plan` from `|0..0>` on a fresh store.
 fn run_plan(plan: Plan, mut cfg: MemQSimConfig, exec: Exec) -> Run {
-    if let Exec::Fleet(_, transfer_mode) = exec {
+    if let Exec::Device(transfer_mode) = exec {
         cfg.transfer_mode = transfer_mode;
     }
     let store = build_store(plan.n_qubits, &cfg).expect("store");
@@ -84,11 +83,9 @@ fn run_plan(plan: Plan, mut cfg: MemQSimConfig, exec: Exec) -> Run {
         Exec::Cpu => {
             run_plan_with_executor(&store, plan, &cfg, &mut CpuWorkerExecutor::new()).expect("run")
         }
-        Exec::Fleet(devices, _) => {
-            let fleet: Vec<Device> = (0..devices)
-                .map(|_| Device::new(DeviceSpec::tiny_test(1 << 12)))
-                .collect();
-            let mut executor = DevicePipelineExecutor::new_fleet(&fleet, true);
+        Exec::Device(_) => {
+            let device = Device::new(DeviceSpec::tiny_test(1 << 12));
+            let mut executor = DevicePipelineExecutor::new(&device, true);
             run_plan_with_executor(&store, plan, &cfg, &mut executor).expect("run")
         }
     };
@@ -137,7 +134,7 @@ fn assert_accounting(r: &RunReport, plan: &Plan, tag: &str) {
     );
 }
 
-/// Every suite workload, all four executors, chunk widths 3–6: the shipped
+/// Every suite workload, all three executors, chunk widths 3–6: the shipped
 /// run lands on exactly the bits the reference run produced — the same bits
 /// on every executor — within rounding of the oracle for the circuit as
 /// written, never asks for more visits than the as-written partition, and
@@ -215,7 +212,7 @@ fn gates_wider_than_max_high_qubits_are_swapped_low_not_refused() {
         circuit.h(0).h(6).cx(0, 7);
         chain(&mut circuit, dense_block);
         let oracle = run_dense(&circuit, 0);
-        for exec in [Exec::Cpu, EXECUTORS[1], Exec::Fleet(2, TransferMode::Raw)] {
+        for exec in [Exec::Cpu, Exec::Device(TransferMode::Raw)] {
             let cfg = MemQSimConfig {
                 chunk_bits: 4,
                 max_high_qubits: 1,
@@ -229,55 +226,6 @@ fn gates_wider_than_max_high_qubits_are_swapped_low_not_refused() {
             assert!(err < 1e-12, "{exec:?}: err {err}");
         }
     }
-}
-
-/// Fleet aggregation stays exact under a moving layout: `modeled` is the
-/// makespan, every other column is the sum of the per-device lanes.
-#[test]
-fn per_device_stats_sum_to_fleet_totals_under_greedy() {
-    // Parked qubits come home to the wrong high positions, so the epilogue
-    // exchanges whole chunks.
-    let circuit = library::random_circuit(9, 6, 3);
-    let ((reference_state, _), (state, r)) =
-        reference_and_shipped(&circuit, Exec::Fleet(4, TransferMode::Raw), 3);
-    assert_eq!(reference_state, state, "state diverged");
-    assert!(r.remap_passes > 0, "the epilogue should remap");
-
-    let lanes = &r.per_device;
-    assert_eq!(lanes.len(), 4);
-    let makespan = lanes.iter().map(|s| s.modeled).max().expect("lanes");
-    assert_eq!(r.device.modeled, makespan);
-    assert_eq!(
-        r.device.modeled_scatter,
-        lanes.iter().map(|s| s.modeled_scatter).sum()
-    );
-    assert_eq!(
-        r.device.modeled_h2d,
-        lanes.iter().map(|s| s.modeled_h2d).sum()
-    );
-    assert_eq!(
-        r.device.modeled_d2h,
-        lanes.iter().map(|s| s.modeled_d2h).sum()
-    );
-    assert_eq!(
-        r.device.modeled_kernel,
-        lanes.iter().map(|s| s.modeled_kernel).sum()
-    );
-    assert_eq!(
-        r.device.bytes_h2d,
-        lanes.iter().map(|s| s.bytes_h2d).sum::<usize>()
-    );
-    assert_eq!(
-        r.device.bytes_d2h,
-        lanes.iter().map(|s| s.bytes_d2h).sum::<usize>()
-    );
-    assert_eq!(
-        r.device.commands,
-        lanes.iter().map(|s| s.commands).sum::<usize>()
-    );
-    // A remap runs against the store on the host. The device holds no
-    // chunk between stages, so no lane is charged anything for it.
-    assert_eq!(r.device.modeled_scatter, std::time::Duration::ZERO);
 }
 
 /// High-high remaps exchange whole chunks without touching the codec: the
@@ -295,6 +243,14 @@ fn high_high_remaps_move_payloads_without_codec_work() {
         plan.stages.len() * plan.chunk_count()
     );
     assert_accounting(&shipped, &plan, "cpu qft");
+    // The same plan through the device: the epilogue runs against the store
+    // on the host, and the device holds no chunk between stages, so it is
+    // charged nothing for the remap.
+    let ((_, _), (device_state, r)) =
+        reference_and_shipped(&circuit, Exec::Device(TransferMode::Raw), 3);
+    assert_eq!(device_state, state, "device run diverged");
+    assert!(r.remap_passes > 0, "the epilogue should remap");
+    assert_eq!(r.device.modeled_scatter, std::time::Duration::ZERO);
 }
 
 /// Planning by dependency must *measurably* cut chunk visits against the

@@ -99,30 +99,24 @@ fn store_survives_a_failed_run() {
 fn corruption_mid_stage_is_typed_and_leaves_the_executor_reusable() {
     // "submit fails → no end_stage → finish drains" against the real
     // pipeline. No chunk of the start state is zero, so every group goes to
-    // a device, and chunk 15 is first loaded by the last group of stage 0,
+    // the device, and chunk 15 is first loaded by the last group of stage 0,
     // behind groups still in flight.
     let circuit = library::qft(7);
     let start = run_dense(&library::random_circuit(7, 4, 3), 0);
     let mut want = None;
-    for (pipelined, devices, transfer_mode) in [
-        (true, 1, TransferMode::Raw),
-        (true, 1, TransferMode::Compressed),
-        (true, 2, TransferMode::Raw),
-        (true, 2, TransferMode::Compressed),
-        (false, 1, TransferMode::Raw),
-        (false, 1, TransferMode::Compressed),
-        (false, 2, TransferMode::Raw),
-        (false, 2, TransferMode::Compressed),
+    for (pipelined, transfer_mode) in [
+        (true, TransferMode::Raw),
+        (true, TransferMode::Compressed),
+        (false, TransferMode::Raw),
+        (false, TransferMode::Compressed),
     ] {
-        let what = format!("pipelined={pipelined} x{devices} {transfer_mode:?}");
+        let what = format!("pipelined={pipelined} {transfer_mode:?}");
         let config = MemQSimConfig {
             transfer_mode,
             ..cfg(3)
         };
-        let fleet: Vec<Device> = (0..devices)
-            .map(|_| Device::new(DeviceSpec::tiny_test(1 << 12)))
-            .collect();
-        let mut exec = DevicePipelineExecutor::new_fleet(&fleet, pipelined);
+        let device = Device::new(DeviceSpec::tiny_test(1 << 12));
+        let mut exec = DevicePipelineExecutor::new(&device, pipelined);
         let mut round = |corrupt: bool| {
             let store = build_store_from_amplitudes(&start, &config).unwrap();
             if corrupt {
@@ -145,7 +139,7 @@ fn corruption_mid_stage_is_typed_and_leaves_the_executor_reusable() {
         // Mid-stage: other groups were loaded before it (15 chunks under
         // today's plan).
         assert!(store.counters().chunk_visits >= 4, "{what}");
-        assert!(fleet.iter().all(|d| d.used_amps() == 0), "{what}");
+        assert_eq!(device.used_amps(), 0, "{what}");
         // The same executor then runs clean, to the same bits in every cell.
         let (store, result) = round(false);
         result.unwrap_or_else(|e| panic!("{what}: {e}"));
